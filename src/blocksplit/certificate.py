@@ -1,0 +1,343 @@
+"""Certificates: the facts a verdict rests on, their JSON form, and the
+re-check that both the emitting path and ``verify-cert`` run.
+
+A certificate is plain ring arithmetic.  An identity lhs == f_1 * ... * f_k
+is re-checked by multiplying out; an inclusion unit*element ==
+sum(cofactor_i * generator_i), with unit invertible at the origin, by
+re-expanding.  Entries of a jet verdict state congruences modulo m^N instead
+of equalities, and their strength must match the verdict's provenance: an
+exact verdict holds no congruence, and a jet verdict of order N only
+congruences modulo m^N.
+
+Decoding validates every field and raises InputError naming the first
+malformed one; ``failures()`` then lists what does not re-check, as the
+messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
+matrix code, so the check stays independent of how a verdict arose.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable
+
+from .ring import (
+    ParseError,
+    Poly,
+    VarTable,
+    format_poly,
+    local_unit_test,
+    parse_poly,
+    truncate,
+)
+
+DECOMPOSABLE = "Decomposable"
+NOT_DECOMPOSABLE = "NotDecomposable"
+INCONCLUSIVE = "Inconclusive"
+STATUSES = (DECOMPOSABLE, NOT_DECOMPOSABLE, INCONCLUSIVE)
+
+
+class InputError(Exception):
+    """Malformed document; the message names the offending field."""
+
+
+def expect(cond: bool, message: str) -> None:
+    if not cond:
+        raise InputError(message)
+
+
+def parse_field(text: Any, table: VarTable, field: str) -> Poly:
+    expect(isinstance(text, str),
+           f"field '{field}' must be a polynomial string")
+    try:
+        return parse_poly(text, table)
+    except ParseError as exc:
+        raise InputError(f"field '{field}': {exc.message}") from exc
+
+
+def _parse_list(items: Any, table: VarTable, field: str,
+                nonempty: bool) -> list[Poly]:
+    ok = isinstance(items, list) and (bool(items) or not nonempty)
+    expect(ok, f"field '{field}' must be a "
+               f"{'non-empty ' if nonempty else ''}list of polynomial strings")
+    return [parse_field(p, table, f"{field}[{k}]")
+            for k, p in enumerate(items)]
+
+
+def _parse_modulo(d: dict, field: str) -> int | None:
+    N = d.get("modulo_order")
+    if N is not None:
+        expect(isinstance(N, int) and not isinstance(N, bool) and N >= 1,
+               f"field '{field}.modulo_order' must be an integer >= 1")
+    return N
+
+
+def _holds(diff: Poly, modulo_order: int | None) -> bool:
+    if modulo_order is not None:
+        diff = truncate(diff, modulo_order)
+    return diff.is_zero()
+
+
+def _where(modulo_order: int | None) -> str:
+    return f" modulo m^{modulo_order}" if modulo_order is not None else ""
+
+
+class HypothesisCheck:
+    """Named hypothesis with its outcome and a human-readable detail."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def __repr__(self) -> str:
+        flag = "pass" if self.passed else "FAIL"
+        return f"[{flag}] {self.name}: {self.detail}"
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed,
+                "detail": self.detail}
+
+    @staticmethod
+    def from_json(d: Any, i: int) -> "HypothesisCheck":
+        expect(isinstance(d, dict) and isinstance(d.get("name"), str)
+               and isinstance(d.get("passed"), bool),
+               f"field 'hypotheses[{i}]' must be an object with 'name' "
+               "and boolean 'passed'")
+        return HypothesisCheck(d["name"], d["passed"], d.get("detail"))
+
+
+class Identity:
+    """Certified product identity: lhs == factor_1 * ... * factor_k,
+    exactly or modulo m^order."""
+
+    __slots__ = ("label", "lhs", "factors", "modulo_order")
+
+    def __init__(self, label: str, lhs: Poly, factors: Iterable[Poly],
+                 modulo_order: int | None = None):
+        self.label = label
+        self.lhs = lhs
+        self.factors = tuple(factors)
+        self.modulo_order = modulo_order
+
+    def failures(self) -> list[str]:
+        prod = Poly.const(self.lhs.table, 1)
+        for f in self.factors:
+            prod = prod * f
+        if _holds(self.lhs - prod, self.modulo_order):
+            return []
+        return [f"identity '{self.label}': the left side does not equal "
+                f"the product of the factors{_where(self.modulo_order)}"]
+
+    def verify(self) -> bool:
+        return not self.failures()
+
+    def to_json(self) -> dict:
+        out = {"label": self.label, "lhs": format_poly(self.lhs),
+               "factors": [format_poly(f) for f in self.factors]}
+        if self.modulo_order is not None:
+            out["modulo_order"] = self.modulo_order
+        return out
+
+    @staticmethod
+    def from_json(d: Any, table: VarTable, i: int) -> "Identity":
+        field = f"certificate.identities[{i}]"
+        expect(isinstance(d, dict), f"field '{field}' must be an object")
+        label = d.get("label", f"#{i}")
+        expect(isinstance(label, str),
+               f"field '{field}.label' must be a string")
+        lhs = parse_field(d.get("lhs"), table, f"{field}.lhs")
+        factors = _parse_list(d.get("factors"), table, f"{field}.factors",
+                              nonempty=True)
+        return Identity(label, lhs, factors, _parse_modulo(d, field))
+
+
+class Inclusion:
+    """Certified membership: unit*element == sum(cofactor_i * gen_i),
+    exactly or modulo m^order; unit has nonzero constant term."""
+
+    __slots__ = ("element", "ideal_gens", "unit", "cofactors", "modulo_order")
+
+    def __init__(self, element: Poly, ideal_gens: Iterable[Poly], unit: Poly,
+                 cofactors: Iterable[Poly], modulo_order: int | None = None):
+        self.element = element
+        self.ideal_gens = tuple(ideal_gens)
+        self.unit = unit
+        self.cofactors = tuple(cofactors)
+        self.modulo_order = modulo_order
+
+    def failures(self, name: str = "inclusion") -> list[str]:
+        if len(self.cofactors) != len(self.ideal_gens):
+            return [f"{name}: {len(self.cofactors)} cofactors for "
+                    f"{len(self.ideal_gens)} generators"]
+        if not local_unit_test(self.unit):
+            return [f"{name}: the unit has zero constant term"]
+        diff = self.unit * self.element
+        for c, g in zip(self.cofactors, self.ideal_gens):
+            diff = diff - c * g
+        if _holds(diff, self.modulo_order):
+            return []
+        return [f"{name}: unit * element does not re-expand to the "
+                f"cofactor combination{_where(self.modulo_order)}"]
+
+    def verify(self) -> bool:
+        return not self.failures()
+
+    def to_json(self) -> dict:
+        out = {"element": format_poly(self.element),
+               "ideal": [format_poly(g) for g in self.ideal_gens],
+               "unit": format_poly(self.unit),
+               "cofactors": [format_poly(c) for c in self.cofactors]}
+        if self.modulo_order is not None:
+            out["modulo_order"] = self.modulo_order
+        return out
+
+    @staticmethod
+    def from_json(d: Any, table: VarTable, i: int) -> "Inclusion":
+        field = f"certificate.inclusions[{i}]"
+        expect(isinstance(d, dict), f"field '{field}' must be an object")
+        element = parse_field(d.get("element"), table, f"{field}.element")
+        gens = _parse_list(d.get("ideal"), table, f"{field}.ideal",
+                           nonempty=True)
+        unit = parse_field(d.get("unit"), table, f"{field}.unit")
+        cofactors = _parse_list(d.get("cofactors"), table,
+                                f"{field}.cofactors", nonempty=False)
+        return Inclusion(element, gens, unit, cofactors,
+                         _parse_modulo(d, field))
+
+
+class Verdict:
+    """Outcome of a decision procedure plus its full certificate."""
+
+    __slots__ = ("status", "hypotheses", "identities", "inclusions",
+                 "failing", "failed_hypothesis", "scope", "exact", "order")
+
+    def __init__(self, status: str, hypotheses, identities, inclusions,
+                 scope: str, failing: Poly | None = None,
+                 failed_hypothesis: str | None = None,
+                 exact: bool = True, order: int | None = None):
+        self.status = status
+        self.hypotheses = list(hypotheses)
+        self.identities = list(identities)
+        self.inclusions = list(inclusions)
+        self.scope = scope
+        self.failing = failing
+        self.failed_hypothesis = failed_hypothesis
+        self.exact = exact
+        self.order = order
+
+    def failures(self) -> list[str]:
+        """Every certified fact that does not re-check by plain ring
+        arithmetic, every entry whose strength disagrees with the
+        provenance, and every status-shape violation; empty when valid."""
+        out: list[str] = []
+        for ident in self.identities:
+            out.extend(ident.failures())
+            out.extend(self._strength(f"identity '{ident.label}'",
+                                      ident.modulo_order))
+        for i, inc in enumerate(self.inclusions):
+            out.extend(inc.failures(f"inclusion {i}"))
+            out.extend(self._strength(f"inclusion {i}", inc.modulo_order))
+        out.extend(self._shape())
+        return out
+
+    def verify(self) -> bool:
+        return not self.failures()
+
+    def __repr__(self) -> str:
+        return f"Verdict({self.status})"
+
+    def _strength(self, name: str, modulo_order: int | None) -> list[str]:
+        if self.exact and modulo_order is not None:
+            return [f"{name}: a congruence modulo m^{modulo_order} in an "
+                    "exact certificate"]
+        if not self.exact and modulo_order != self.order:
+            stated = ("an exact claim" if modulo_order is None
+                      else f"modulo m^{modulo_order}")
+            return [f"{name}: {stated} in a certificate of jet order "
+                    f"{self.order}"]
+        return []
+
+    def _shape(self) -> list[str]:
+        if self.status not in STATUSES:
+            return [f"verdict shape: unknown verdict {self.status!r}"]
+        # a hypothesis name listed twice counts by its last entry
+        named = {h.name: h.passed for h in self.hypotheses}
+        if self.status == INCONCLUSIVE:
+            failed = self.failed_hypothesis
+            if not (isinstance(failed, str) and named.get(failed) is False):
+                return ["verdict shape: Inconclusive must name a failed "
+                        "hypothesis from the checklist"]
+            return []
+        out = []
+        if not all(h.passed for h in self.hypotheses):
+            out.append(f"verdict shape: {self.status} with a failed "
+                       "hypothesis")
+        if self.status == NOT_DECOMPOSABLE and self.failing is None:
+            out.append("verdict shape: NotDecomposable without a failing "
+                       "element")
+        return out
+
+    def to_json(self) -> dict:
+        """The verdict's keys of a report: status, scope, checklist,
+        certificate, and the failing element or hypothesis if any."""
+        out = {
+            "verdict": self.status,
+            "scope": self.scope,
+            "hypotheses": [h.to_json() for h in self.hypotheses],
+            "certificate": {
+                "identities": [d.to_json() for d in self.identities],
+                "inclusions": [d.to_json() for d in self.inclusions],
+            },
+        }
+        if self.failing is not None:
+            out["failing"] = format_poly(self.failing)
+        if self.failed_hypothesis is not None:
+            out["failed_hypothesis"] = self.failed_hypothesis
+        return out
+
+    @staticmethod
+    def from_json(doc: dict, table: VarTable) -> "Verdict":
+        """Decode a report; raises InputError naming a malformed field."""
+        cert = doc.get("certificate")
+        expect(isinstance(cert, dict), "field 'certificate' must be an object")
+        identities = cert.get("identities", [])
+        inclusions = cert.get("inclusions", [])
+        expect(isinstance(identities, list),
+               "field 'certificate.identities' must be a list")
+        expect(isinstance(inclusions, list),
+               "field 'certificate.inclusions' must be a list")
+        identities = [Identity.from_json(d, table, i)
+                      for i, d in enumerate(identities)]
+        inclusions = [Inclusion.from_json(d, table, i)
+                      for i, d in enumerate(inclusions)]
+
+        status = doc.get("verdict")
+        expect(isinstance(status, str), "field 'verdict' must be a string")
+        expect(status in STATUSES,
+               "field 'verdict' must be one of "
+               + ", ".join(f"'{s}'" for s in STATUSES))
+        hyps = doc.get("hypotheses", [])
+        expect(isinstance(hyps, list), "field 'hypotheses' must be a list")
+        hyps = [HypothesisCheck.from_json(h, i) for i, h in enumerate(hyps)]
+        failing = None
+        if "failing" in doc:
+            failing = parse_field(doc["failing"], table, "failing")
+
+        prov = doc.get("provenance")
+        expect(isinstance(prov, dict) and isinstance(prov.get("exact"), bool),
+               "field 'provenance' must be an object with boolean 'exact'")
+        exact = prov["exact"]
+        jet = prov.get("jet_order")
+        if exact:
+            expect(jet is None, "field 'provenance.jet_order' must be "
+                                "absent when 'provenance.exact' is true")
+        else:
+            expect(isinstance(jet, int) and not isinstance(jet, bool)
+                   and jet >= 1,
+                   "field 'provenance.jet_order' must be an integer >= 1 "
+                   "when 'provenance.exact' is false")
+        return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
+                       failing=failing,
+                       failed_hypothesis=doc.get("failed_hypothesis"),
+                       exact=exact, order=jet)

@@ -20,6 +20,7 @@ import sys
 from typing import Any
 
 from . import __version__
+from .certificate import InputError, Verdict, expect, parse_field
 from .decompose import check_rect_lr, check_square_lr
 from .groebner import Ideal
 from .matrix import PolyMatrix, det, fitting_ideal
@@ -38,15 +39,11 @@ from .ring import (
     GREVLEX,
     LEX,
     InvariantError,
-    ParseError,
     Poly,
     RingError,
     TermOrder,
     VarTable,
     format_poly,
-    local_unit_test,
-    parse_poly,
-    truncate,
 )
 
 TOOL = "blocksplit"
@@ -62,15 +59,6 @@ TOP_KEYS = ("ring", "matrix", "quiver", "matrices", "factors", "ideals",
 OPTION_KEYS = ("order", "jet_order", "format", "probe_order")
 
 
-class InputError(Exception):
-    """Malformed job document; the message names the offending field."""
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise InputError(message)
-
-
 def _load_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,70 +72,61 @@ def _load_json(path: str, what: str) -> Any:
 
 def _parse_ring(doc: dict) -> VarTable:
     ring = doc.get("ring")
-    _expect(isinstance(ring, dict),
-            "field 'ring' must be an object with a 'vars' list")
+    expect(isinstance(ring, dict),
+           "field 'ring' must be an object with a 'vars' list")
     names = ring.get("vars")
-    _expect(isinstance(names, list)
-            and all(isinstance(n, str) for n in names),
-            "field 'ring.vars' must be a list of variable names")
+    expect(isinstance(names, list)
+           and all(isinstance(n, str) for n in names),
+           "field 'ring.vars' must be a list of variable names")
     try:
         return VarTable(names)
     except RingError as exc:
         raise InputError(f"field 'ring.vars': {exc}") from exc
 
 
-def _parse_poly_field(text: Any, table: VarTable, field: str) -> Poly:
-    _expect(isinstance(text, str),
-            f"field '{field}' must be a polynomial string")
-    try:
-        return parse_poly(text, table)
-    except ParseError as exc:
-        raise InputError(f"field '{field}': {exc.message}") from exc
-
-
 def _parse_matrix(rows: Any, table: VarTable, field: str) -> PolyMatrix:
-    _expect(isinstance(rows, list) and rows,
-            f"field '{field}' must be a non-empty list of rows")
+    expect(isinstance(rows, list) and rows,
+           f"field '{field}' must be a non-empty list of rows")
     width = None
     parsed = []
     for i, row in enumerate(rows):
-        _expect(isinstance(row, list) and row,
-                f"field '{field}[{i}]' must be a non-empty list of "
-                "polynomial strings")
+        expect(isinstance(row, list) and row,
+               f"field '{field}[{i}]' must be a non-empty list of "
+               "polynomial strings")
         if width is None:
             width = len(row)
-        _expect(len(row) == width,
-                f"field '{field}[{i}]' has {len(row)} entries, expected {width}")
+        expect(len(row) == width,
+               f"field '{field}[{i}]' has {len(row)} entries, expected {width}")
         parsed.append(tuple(
-            _parse_poly_field(entry, table, f"{field}[{i}][{j}]")
+            parse_field(entry, table, f"{field}[{i}][{j}]")
             for j, entry in enumerate(row)))
     return PolyMatrix(table, tuple(parsed))
 
 
 def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
-    _expect(isinstance(doc, dict),
-            "field 'quiver' must be an object with 'vertices' and 'arrows'")
+    expect(isinstance(doc, dict),
+           "field 'quiver' must be an object with 'vertices' and 'arrows'")
     verts = doc.get("vertices")
-    _expect(isinstance(verts, list) and verts,
-            "field 'quiver.vertices' must be a non-empty list")
+    expect(isinstance(verts, list) and verts,
+           "field 'quiver.vertices' must be a non-empty list")
     vertices = []
     for i, v in enumerate(verts):
-        _expect(isinstance(v, dict) and "id" in v,
-                f"field 'quiver.vertices[{i}]' must be an object with "
-                "'id' and 'rank'")
+        expect(isinstance(v, dict) and "id" in v,
+               f"field 'quiver.vertices[{i}]' must be an object with "
+               "'id' and 'rank'")
         rank = v.get("rank")
-        _expect(isinstance(rank, int) and not isinstance(rank, bool)
-                and rank > 0,
-                f"field 'quiver.vertices[{i}].rank' must be a positive integer")
+        expect(isinstance(rank, int) and not isinstance(rank, bool)
+               and rank > 0,
+               f"field 'quiver.vertices[{i}].rank' must be a positive integer")
         vertices.append(Vertex(str(v["id"]), rank))
     arrows_doc = doc.get("arrows", [])
-    _expect(isinstance(arrows_doc, list), "field 'quiver.arrows' must be a list")
+    expect(isinstance(arrows_doc, list), "field 'quiver.arrows' must be a list")
     arrows = []
     for i, a in enumerate(arrows_doc):
-        _expect(isinstance(a, dict),
-                f"field 'quiver.arrows[{i}]' must be an object")
+        expect(isinstance(a, dict),
+               f"field 'quiver.arrows[{i}]' must be an object")
         for key in ("from", "to", "matrix"):
-            _expect(key in a, f"field 'quiver.arrows[{i}].{key}' is required")
+            expect(key in a, f"field 'quiver.arrows[{i}].{key}' is required")
         mat = _parse_matrix(a["matrix"], table, f"quiver.arrows[{i}].matrix")
         arrows.append(Arrow(str(a["from"]), str(a["to"]), mat))
     try:
@@ -174,59 +153,59 @@ class Job:
 
 def _load_job(args: argparse.Namespace) -> Job:
     doc = _load_json(args.input, "input")
-    _expect(isinstance(doc, dict), "the input document must be a JSON object")
+    expect(isinstance(doc, dict), "the input document must be a JSON object")
     for key in sorted(doc):
-        _expect(key in TOP_KEYS, f"field '{key}' is not recognized")
+        expect(key in TOP_KEYS, f"field '{key}' is not recognized")
     options = doc.get("options", {})
-    _expect(isinstance(options, dict), "field 'options' must be an object")
+    expect(isinstance(options, dict), "field 'options' must be an object")
     for key in sorted(options):
-        _expect(key in OPTION_KEYS, f"field 'options.{key}' is not recognized")
+        expect(key in OPTION_KEYS, f"field 'options.{key}' is not recognized")
 
     order_name = args.order or options.get("order") or "grevlex"
-    _expect(order_name in ORDERS,
-            "field 'options.order' must be 'grevlex' or 'lex'")
+    expect(order_name in ORDERS,
+           "field 'options.order' must be 'grevlex' or 'lex'")
     jet = args.jet_order if args.jet_order is not None \
         else options.get("jet_order")
     if jet is not None:
-        _expect(isinstance(jet, int) and not isinstance(jet, bool) and jet >= 1,
-                "field 'options.jet_order' (or --jet-order) must be an "
-                "integer >= 1")
-        _expect(args.command not in EXACT_ONLY,
-                f"the '{args.command}' command is exact only; "
-                "remove 'jet_order'")
+        expect(isinstance(jet, int) and not isinstance(jet, bool) and jet >= 1,
+               "field 'options.jet_order' (or --jet-order) must be an "
+               "integer >= 1")
+        expect(args.command not in EXACT_ONLY,
+               f"the '{args.command}' command is exact only; "
+               "remove 'jet_order'")
     fmt = args.format or options.get("format") or "json"
-    _expect(fmt in ("json", "text"),
-            "field 'options.format' must be 'json' or 'text'")
+    expect(fmt in ("json", "text"),
+           "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
     return Job(doc, table, order_name, ORDERS[order_name], jet, fmt)
 
 
 def _require_matrix(job: Job) -> PolyMatrix:
-    _expect("matrix" in job.doc, "field 'matrix' is required for this command")
+    expect("matrix" in job.doc, "field 'matrix' is required for this command")
     return _parse_matrix(job.doc["matrix"], job.table, "matrix")
 
 
 def _parse_factors(doc: dict, table: VarTable) -> tuple[Poly, Poly]:
-    _expect("factors" in doc, "field 'factors' is required for this command")
+    expect("factors" in doc, "field 'factors' is required for this command")
     factors = doc["factors"]
-    _expect(isinstance(factors, list) and len(factors) == 2,
-            "field 'factors' must be a list of exactly two polynomial strings")
-    return (_parse_poly_field(factors[0], table, "factors[0]"),
-            _parse_poly_field(factors[1], table, "factors[1]"))
+    expect(isinstance(factors, list) and len(factors) == 2,
+           "field 'factors' must be a list of exactly two polynomial strings")
+    return (parse_field(factors[0], table, "factors[0]"),
+            parse_field(factors[1], table, "factors[1]"))
 
 
 def _parse_ideals(doc: dict, table: VarTable) -> tuple[Ideal, Ideal]:
     ideals = doc.get("ideals")
-    _expect(isinstance(ideals, dict),
-            "field 'ideals' must be an object with lists 'J1' and 'J2'")
+    expect(isinstance(ideals, dict),
+           "field 'ideals' must be an object with lists 'J1' and 'J2'")
     out = []
     for key in ("J1", "J2"):
         gens = ideals.get(key)
-        _expect(isinstance(gens, list) and gens,
-                f"field 'ideals.{key}' must be a non-empty list of "
-                "polynomial strings")
+        expect(isinstance(gens, list) and gens,
+               f"field 'ideals.{key}' must be a non-empty list of "
+               "polynomial strings")
         out.append(Ideal(table, tuple(
-            _parse_poly_field(g, table, f"ideals.{key}[{i}]")
+            parse_field(g, table, f"ideals.{key}[{i}]")
             for i, g in enumerate(gens))))
     return out[0], out[1]
 
@@ -234,15 +213,15 @@ def _parse_ideals(doc: dict, table: VarTable) -> tuple[Ideal, Ideal]:
 def _target_form(job: Job, field_hint: str) -> KroneckerForm:
     doc = job.doc
     present = [k for k in ("quiver", "matrices") if k in doc]
-    _expect(len(present) == 1,
-            f"exactly one of the fields 'quiver', 'matrices' is required "
-            f"for '{field_hint}'")
+    expect(len(present) == 1,
+           f"exactly one of the fields 'quiver', 'matrices' is required "
+           f"for '{field_hint}'")
     if present[0] == "quiver":
         Q = complete_reduce(_parse_quiver(doc["quiver"], job.table))
         return build_kronecker(Q)
     mats = doc["matrices"]
-    _expect(isinstance(mats, list) and mats,
-            "field 'matrices' must be a non-empty list of matrices")
+    expect(isinstance(mats, list) and mats,
+           "field 'matrices' must be a non-empty list of matrices")
     parsed = [_parse_matrix(m, job.table, f"matrices[{i}]")
               for i, m in enumerate(mats)]
     return conj_pencil(parsed)
@@ -250,9 +229,9 @@ def _target_form(job: Job, field_hint: str) -> KroneckerForm:
 
 def _target_matrix(job: Job, command: str) -> PolyMatrix:
     present = [k for k in ("matrix", "quiver", "matrices") if k in job.doc]
-    _expect(len(present) == 1,
-            "exactly one of the fields 'matrix', 'quiver', 'matrices' "
-            f"is required for '{command}'")
+    expect(len(present) == 1,
+           "exactly one of the fields 'matrix', 'quiver', 'matrices' "
+           f"is required for '{command}'")
     if present[0] == "matrix":
         return _parse_matrix(job.doc["matrix"], job.table, "matrix")
     return _target_form(job, command).matrix
@@ -275,51 +254,15 @@ def _matrix_json(M: PolyMatrix) -> list[list[str]]:
             for i in range(M.rows)]
 
 
-def _certificate_json(verdict) -> dict:
-    identities = []
-    for ident in verdict.identities:
-        entry = {
-            "label": ident.label,
-            "lhs": format_poly(ident.lhs),
-            "factors": [format_poly(f) for f in ident.factors],
-        }
-        if ident.modulo_order is not None:
-            entry["modulo_order"] = ident.modulo_order
-        identities.append(entry)
-    inclusions = []
-    for inc in verdict.inclusions:
-        entry = {
-            "element": format_poly(inc.element),
-            "ideal": [format_poly(g) for g in inc.ideal_gens],
-            "unit": format_poly(inc.unit),
-            "cofactors": [format_poly(c) for c in inc.cofactors],
-        }
-        if inc.modulo_order is not None:
-            entry["modulo_order"] = inc.modulo_order
-        inclusions.append(entry)
-    return {"identities": identities, "inclusions": inclusions}
-
-
-def _verdict_report(command: str, table: VarTable, verdict, job: Job) -> dict:
+def _verdict_report(command: str, table: VarTable, verdict: Verdict,
+                    job: Job) -> dict:
     if not verdict.verify():
         raise InvariantError(
             "the verdict failed its pre-emission certificate re-check")
-    report = {
-        "command": command,
-        "ring": {"vars": list(table.names)},
-        "verdict": verdict.status,
-        "scope": verdict.scope,
-        "hypotheses": [
-            {"name": h.name, "passed": h.passed, "detail": h.detail}
-            for h in verdict.hypotheses
-        ],
-        "certificate": _certificate_json(verdict),
-        "provenance": _provenance(job, verdict.exact, verdict.order),
-    }
-    if verdict.failing is not None:
-        report["failing"] = format_poly(verdict.failing)
-    if verdict.failed_hypothesis is not None:
-        report["failed_hypothesis"] = verdict.failed_hypothesis
+    report = verdict.to_json()
+    report["command"] = command
+    report["ring"] = {"vars": list(table.names)}
+    report["provenance"] = _provenance(job, verdict.exact, verdict.order)
     return report
 
 
@@ -420,10 +363,10 @@ def _cmd_det(args: argparse.Namespace, job: Job) -> int:
 def _cmd_fitting(args: argparse.Namespace, job: Job) -> int:
     M = _target_matrix(job, "fitting")
     j = args.index if args.index is not None else job.doc.get("index")
-    _expect(j is not None, "field 'index' (or --index) is required for "
-            "'fitting'")
-    _expect(isinstance(j, int) and not isinstance(j, bool),
-            "field 'index' must be an integer")
+    expect(j is not None, "field 'index' (or --index) is required for "
+           "'fitting'")
+    expect(isinstance(j, int) and not isinstance(j, bool),
+           "field 'index' must be an integer")
     I = fitting_ideal(M, j)
     report = {
         "command": "fitting",
@@ -471,23 +414,23 @@ def _cmd_check_rect(args: argparse.Namespace, job: Job) -> int:
 
 def _cmd_check_conj(args: argparse.Namespace, job: Job) -> int:
     A = _require_matrix(job)
-    _expect(A.rows == 2 and A.cols == 2,
-            "field 'matrix' must be 2x2 for 'check-conj'")
+    expect(A.rows == 2 and A.cols == 2,
+           "field 'matrix' must be 2x2 for 'check-conj'")
     options = job.doc.get("options", {})
     probe = args.probe_order if args.probe_order is not None \
         else options.get("probe_order", 8)
-    _expect(isinstance(probe, int) and not isinstance(probe, bool)
-            and probe >= 1,
-            "field 'options.probe_order' (or --probe-order) must be an "
-            "integer >= 1")
+    expect(isinstance(probe, int) and not isinstance(probe, bool)
+           and probe >= 1,
+           "field 'options.probe_order' (or --probe-order) must be an "
+           "integer >= 1")
     verdict = check_conj_2x2(A, probe_order=probe, order=job.order)
     _emit(_verdict_report("check-conj", A.table, verdict, job), job.fmt)
     return 0
 
 
 def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> int:
-    _expect("quiver" in job.doc,
-            "field 'quiver' is required for 'check-quiver'")
+    expect("quiver" in job.doc,
+           "field 'quiver' is required for 'check-quiver'")
     Q = complete_reduce(_parse_quiver(job.doc["quiver"], job.table))
     form = build_kronecker(Q)
     # the factors may mention the fresh x_i_j / y_i variables
@@ -502,129 +445,17 @@ def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> int:
 # certificate re-verification (ring arithmetic only; no Groebner bases)
 
 
-def _recheck_identity(d: Any, table: VarTable, i: int,
-                      failures: list[str]) -> None:
-    field = f"certificate.identities[{i}]"
-    _expect(isinstance(d, dict), f"field '{field}' must be an object")
-    label = d.get("label", f"#{i}")
-    _expect(isinstance(label, str), f"field '{field}.label' must be a string")
-    lhs = _parse_poly_field(d.get("lhs"), table, f"{field}.lhs")
-    factors = d.get("factors")
-    _expect(isinstance(factors, list) and factors,
-            f"field '{field}.factors' must be a non-empty list of "
-            "polynomial strings")
-    product = Poly.const(table, 1)
-    for k, f in enumerate(factors):
-        product = product * _parse_poly_field(f, table,
-                                              f"{field}.factors[{k}]")
-    N = d.get("modulo_order")
-    if N is not None:
-        _expect(isinstance(N, int) and not isinstance(N, bool) and N >= 1,
-                f"field '{field}.modulo_order' must be an integer >= 1")
-    diff = lhs - product
-    if N is not None:
-        diff = truncate(diff, N)
-    if not diff.is_zero():
-        where = f" modulo m^{N}" if N is not None else ""
-        failures.append(f"identity '{label}': the left side does not equal "
-                        f"the product of the factors{where}")
-
-
-def _recheck_inclusion(d: Any, table: VarTable, i: int,
-                       failures: list[str]) -> None:
-    field = f"certificate.inclusions[{i}]"
-    _expect(isinstance(d, dict), f"field '{field}' must be an object")
-    element = _parse_poly_field(d.get("element"), table, f"{field}.element")
-    gens_doc = d.get("ideal")
-    _expect(isinstance(gens_doc, list) and gens_doc,
-            f"field '{field}.ideal' must be a non-empty list of "
-            "polynomial strings")
-    gens = [_parse_poly_field(g, table, f"{field}.ideal[{k}]")
-            for k, g in enumerate(gens_doc)]
-    unit = _parse_poly_field(d.get("unit"), table, f"{field}.unit")
-    cof_doc = d.get("cofactors")
-    _expect(isinstance(cof_doc, list),
-            f"field '{field}.cofactors' must be a list of polynomial strings")
-    cofactors = [_parse_poly_field(c, table, f"{field}.cofactors[{k}]")
-                 for k, c in enumerate(cof_doc)]
-    N = d.get("modulo_order")
-    if N is not None:
-        _expect(isinstance(N, int) and not isinstance(N, bool) and N >= 1,
-                f"field '{field}.modulo_order' must be an integer >= 1")
-    if len(cofactors) != len(gens):
-        failures.append(f"inclusion {i}: {len(cofactors)} cofactors for "
-                        f"{len(gens)} generators")
-        return
-    if not local_unit_test(unit):
-        failures.append(f"inclusion {i}: the unit has zero constant term")
-        return
-    diff = unit * element
-    for c, g in zip(cofactors, gens):
-        diff = diff - c * g
-    if N is not None:
-        diff = truncate(diff, N)
-    if not diff.is_zero():
-        where = f" modulo m^{N}" if N is not None else ""
-        failures.append(f"inclusion {i}: unit * element does not re-expand "
-                        f"to the cofactor combination{where}")
-
-
-def _recheck_shape(doc: dict, table: VarTable, failures: list[str]) -> None:
-    """Status-shape constraints, mirroring the library's own verdict check."""
-    verdict = doc.get("verdict")
-    if verdict is None:
-        return
-    _expect(isinstance(verdict, str), "field 'verdict' must be a string")
-    hyps = doc.get("hypotheses", [])
-    _expect(isinstance(hyps, list), "field 'hypotheses' must be a list")
-    named = {}
-    for i, h in enumerate(hyps):
-        _expect(isinstance(h, dict) and isinstance(h.get("name"), str)
-                and isinstance(h.get("passed"), bool),
-                f"field 'hypotheses[{i}]' must be an object with 'name' "
-                "and boolean 'passed'")
-        named[h["name"]] = h["passed"]
-    if "failing" in doc:
-        _parse_poly_field(doc["failing"], table, "failing")
-    if verdict == "Inconclusive":
-        failed = doc.get("failed_hypothesis")
-        if not (isinstance(failed, str) and named.get(failed) is False):
-            failures.append("verdict shape: Inconclusive must name a failed "
-                            "hypothesis from the checklist")
-        return
-    if not all(named.values()):
-        failures.append(f"verdict shape: {verdict} with a failed hypothesis")
-    if verdict == "NotDecomposable" and "failing" not in doc:
-        failures.append("verdict shape: NotDecomposable without a "
-                        "failing element")
-
-
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
     doc = _load_json(args.cert, "certificate")
-    _expect(isinstance(doc, dict),
-            "the certificate document must be a JSON object")
-    table = _parse_ring(doc)
-    cert = doc.get("certificate")
-    _expect(isinstance(cert, dict), "field 'certificate' must be an object")
-    identities = cert.get("identities", [])
-    inclusions = cert.get("inclusions", [])
-    _expect(isinstance(identities, list),
-            "field 'certificate.identities' must be a list")
-    _expect(isinstance(inclusions, list),
-            "field 'certificate.inclusions' must be a list")
-
-    failures: list[str] = []
-    for i, d in enumerate(identities):
-        _recheck_identity(d, table, i, failures)
-    for i, d in enumerate(inclusions):
-        _recheck_inclusion(d, table, i, failures)
-    _recheck_shape(doc, table, failures)
-
+    expect(isinstance(doc, dict),
+           "the certificate document must be a JSON object")
+    verdict = Verdict.from_json(doc, _parse_ring(doc))
+    failures = verdict.failures()
     report = {
         "command": "verify-cert",
         "valid": not failures,
-        "checked": {"identities": len(identities),
-                    "inclusions": len(inclusions)},
+        "checked": {"identities": len(verdict.identities),
+                    "inclusions": len(verdict.inclusions)},
         "failures": failures,
         "provenance": {"tool": TOOL, "version": __version__},
     }

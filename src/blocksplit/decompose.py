@@ -17,20 +17,15 @@ of equalities and are never presented as exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
-
-from .ring import (
-    GREVLEX,
-    InvariantError,
-    Poly,
-    RingError,
-    TermOrder,
-    SeriesSqrtError,
-    local_unit_test,
-    sqrt_exact,
-    sqrt_series,
-    truncate,
+from .ring import GREVLEX, Poly, RingError, TermOrder, truncate
+from .certificate import (
+    DECOMPOSABLE,
+    INCONCLUSIVE,
+    NOT_DECOMPOSABLE,
+    HypothesisCheck,
+    Identity,
+    Inclusion,
+    Verdict,
 )
 from .groebner import (
     Ideal,
@@ -44,134 +39,18 @@ from .groebner import (
 from .matrix import PolyMatrix, det, fitting_ideal, kernel
 from .oracle import jet_member_witness
 
-DECOMPOSABLE = "Decomposable"
-NOT_DECOMPOSABLE = "NotDecomposable"
-INCONCLUSIVE = "Inconclusive"
-
-
-class HypothesisCheck:
-    """Named hypothesis with its outcome and a human-readable detail."""
-
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        flag = "pass" if self.passed else "FAIL"
-        return f"[{flag}] {self.name}: {self.detail}"
-
-
-class Identity:
-    """Certified product identity: lhs == factor_1 * ... * factor_k,
-    exactly or modulo m^order."""
-
-    __slots__ = ("label", "lhs", "factors", "modulo_order")
-
-    def __init__(self, label: str, lhs: Poly, factors: Iterable[Poly],
-                 modulo_order: int | None = None):
-        self.label = label
-        self.lhs = lhs
-        self.factors = tuple(factors)
-        self.modulo_order = modulo_order
-
-    def verify(self) -> bool:
-        prod = Poly.const(self.lhs.table, 1)
-        for f in self.factors:
-            prod = prod * f
-        diff = self.lhs - prod
-        if self.modulo_order is None:
-            return diff.is_zero()
-        return truncate(diff, self.modulo_order).is_zero()
-
-
-class Inclusion:
-    """Certified membership: unit*element == sum(cofactor_i * gen_i),
-    exactly or modulo m^order; unit has nonzero constant term."""
-
-    __slots__ = ("element", "ideal_gens", "unit", "cofactors", "modulo_order")
-
-    def __init__(self, element: Poly, ideal_gens: Iterable[Poly], unit: Poly,
-                 cofactors: Iterable[Poly], modulo_order: int | None = None):
-        self.element = element
-        self.ideal_gens = tuple(ideal_gens)
-        self.unit = unit
-        self.cofactors = tuple(cofactors)
-        self.modulo_order = modulo_order
-
-    def verify(self) -> bool:
-        if len(self.cofactors) != len(self.ideal_gens):
-            return False
-        if not local_unit_test(self.unit):
-            return False
-        rhs = Poly.zero(self.element.table)
-        for c, g in zip(self.cofactors, self.ideal_gens):
-            rhs = rhs + c * g
-        diff = self.unit * self.element - rhs
-        if self.modulo_order is None:
-            return diff.is_zero()
-        return truncate(diff, self.modulo_order).is_zero()
-
-
-class Verdict:
-    """Outcome of a decision procedure plus its full certificate."""
-
-    __slots__ = ("status", "hypotheses", "identities", "inclusions",
-                 "failing", "failed_hypothesis", "scope", "exact", "order")
-
-    def __init__(self, status: str, hypotheses, identities, inclusions,
-                 scope: str, failing: Poly | None = None,
-                 failed_hypothesis: str | None = None,
-                 exact: bool = True, order: int | None = None):
-        self.status = status
-        self.hypotheses = list(hypotheses)
-        self.identities = list(identities)
-        self.inclusions = list(inclusions)
-        self.scope = scope
-        self.failing = failing
-        self.failed_hypothesis = failed_hypothesis
-        self.exact = exact
-        self.order = order
-
-    def verify(self) -> bool:
-        """Re-check every certified fact by plain ring arithmetic and the
-        status-shape constraints; independent of how the verdict arose."""
-        for ident in self.identities:
-            if not ident.verify():
-                return False
-        for inc in self.inclusions:
-            if not inc.verify():
-                return False
-        if self.status == INCONCLUSIVE:
-            return any(
-                h.name == self.failed_hypothesis and not h.passed
-                for h in self.hypotheses
-            )
-        if not all(h.passed for h in self.hypotheses):
-            return False
-        if self.status == NOT_DECOMPOSABLE:
-            return self.failing is not None
-        return self.status == DECOMPOSABLE
-
-    def __repr__(self) -> str:
-        return f"Verdict({self.status})"
-
 
 def _subset_witnessed(I: Ideal, J: Ideal, jet_order: int | None,
                       order: TermOrder = GREVLEX):
     """Generator-by-generator local inclusion I <= J with certificate
     entries; jet_order switches to congruences modulo m^N."""
-    entries = []
     if jet_order is None:
         ok, payload = subset_local(I, J, order)
         if not ok:
             return False, payload, []
-        for g, w in zip(I.generators, payload):
-            entries.append(Inclusion(g, J.generators, w.unit, w.cofactors))
-        return True, None, entries
+        return True, None, payload
     one = Poly.const(I.table, 1)
+    entries = []
     for g in I.generators:
         ok, cofactors = jet_member_witness(g, J.generators, jet_order)
         if not ok:
@@ -195,21 +74,15 @@ def _square_scope(f1: Poly, f2: Poly) -> str:
     )
 
 
-def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
-                    jet_order: int | None = None,
-                    order: TermOrder = GREVLEX) -> Verdict:
-    """Square criterion: under det(A) = f1*f2 with both factors nonzero
-    non-units and locally coprime, A splits into blocks with determinants
-    f1 and f2 iff I_{m-1}(A) lies in (f1) + (f2) locally."""
-    if A.rows != A.cols:
-        raise RingError("square check needs a square matrix")
-    m = A.rows
-    if m <= 1:
-        raise RingError("square check needs size at least 2")
-    if f1.table != A.table or f2.table != A.table:
-        raise RingError("factors declared over a different VarTable")
+def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
+                      hypothesis: HypothesisCheck, scope: str,
+                      jet_order: int | None, order: TermOrder) -> Verdict:
+    """The decision pipeline shared by the square and quiver checks on a
+    square matrix A: det(A) = f1*f2, then `hypothesis` (the one that
+    differs between them), local coprimality of (f1) and (f2), and last
+    the inclusion of I_{n-1}(A) in (f1) + (f2) that decides the verdict.
+    `subject` names det(A) in the first hypothesis's detail."""
     exact = jet_order is None
-    scope = _square_scope(f1, f2)
     hyps: list[HypothesisCheck] = []
     identities: list[Identity] = []
     inclusions: list[Inclusion] = []
@@ -223,25 +96,16 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
     ok = diff.is_zero() if exact else truncate(diff, jet_order).is_zero()
     relation = "=" if exact else f"= (mod m^{jet_order})"
     hyps.append(HypothesisCheck(
-        "determinant-factorization", ok, f"det(A) {relation} (f1)*(f2)"))
+        "determinant-factorization", ok, f"{subject} {relation} (f1)*(f2)"))
     if not ok:
         return inconclusive("determinant-factorization")
     identities.append(Identity(
         "determinant-factorization", d, (f1, f2),
         None if exact else jet_order))
 
-    ok = True
-    detail = "both factors nonzero with zero constant term"
-    for label, f in (("f1", f1), ("f2", f2)):
-        if f.is_zero():
-            ok, detail = False, f"{label} is zero"
-            break
-        if f.constant_term() != 0:
-            ok, detail = False, f"{label} is invertible at the origin"
-            break
-    hyps.append(HypothesisCheck("factor-nontriviality", ok, detail))
-    if not ok:
-        return inconclusive("factor-nontriviality")
+    hyps.append(hypothesis)
+    if not hypothesis.passed:
+        return inconclusive(hypothesis.name)
 
     I1 = Ideal(A.table, (f1,))
     I2 = Ideal(A.table, (f2,))
@@ -252,7 +116,7 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
         return inconclusive("factor-coprimality")
     inclusions.extend(entries)
 
-    minors = fitting_ideal(A, m - 1)
+    minors = fitting_ideal(A, A.rows - 1)
     target = Ideal(A.table, (f1, f2))
     ok, failing, entries = _subset_witnessed(minors, target, jet_order, order)
     if ok:
@@ -261,6 +125,32 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
                        exact=exact, order=jet_order)
     return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions, scope,
                    failing=failing, exact=exact, order=jet_order)
+
+
+def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
+                    jet_order: int | None = None,
+                    order: TermOrder = GREVLEX) -> Verdict:
+    """Square criterion: under det(A) = f1*f2 with both factors nonzero
+    non-units and locally coprime, A splits into blocks with determinants
+    f1 and f2 iff I_{m-1}(A) lies in (f1) + (f2) locally."""
+    if A.rows != A.cols:
+        raise RingError("square check needs a square matrix")
+    if A.rows <= 1:
+        raise RingError("square check needs size at least 2")
+    if f1.table != A.table or f2.table != A.table:
+        raise RingError("factors declared over a different VarTable")
+    ok = True
+    detail = "both factors nonzero with zero constant term"
+    for label, f in (("f1", f1), ("f2", f2)):
+        if f.is_zero():
+            ok, detail = False, f"{label} is zero"
+            break
+        if f.constant_term() != 0:
+            ok, detail = False, f"{label} is invertible at the origin"
+            break
+    nontrivial = HypothesisCheck("factor-nontriviality", ok, detail)
+    return _split_by_factors(A, f1, f2, "det(A)", nontrivial,
+                            _square_scope(f1, f2), jet_order, order)
 
 
 def _rect_scope() -> str:
@@ -308,7 +198,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
                 ok = False
                 detail = f"kernel component {component} escapes I_m(A) locally"
                 break
-            entries.append(Inclusion(component, Im.generators, w.unit, w.cofactors))
+            entries.append(w)
         if not ok:
             break
     hyps.append(HypothesisCheck("kernel-condition", ok, detail))
@@ -355,45 +245,3 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
         return Verdict(DECOMPOSABLE, hyps, identities, inclusions, scope)
     return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions, scope,
                    failing=failing)
-
-
-def quad_split_y(f: Poly, yname: str, N: int | None = None):
-    """Split a y-quadratic with constant unit leading coefficient into two
-    y-linear factors by completing the square.
-
-    Returns (p1, p2, exact) with f == p1*p2 when exact, or the congruence
-    f == p1*p2 modulo m^N when the discriminant only has a series root;
-    None when the discriminant provably has no square root at all."""
-    degree = f.degree_in(yname)
-    if degree != 2:
-        raise RingError(f"polynomial is not quadratic in {yname}")
-    coeffs = f.coeffs_in(yname)
-    c2 = coeffs[2]
-    if c2.total_degree() != 0:
-        raise RingError(
-            f"leading {yname}-coefficient must be a nonzero constant")
-    lead = c2.constant_term()
-    scale = Fraction(1) / lead
-    b = coeffs.get(1, Poly.zero(f.table)) * scale
-    c = coeffs.get(0, Poly.zero(f.table)) * scale
-    y = Poly.var(f.table, yname)
-    disc = b * b - c * 4
-    half = Fraction(1, 2)
-    root = sqrt_exact(disc)
-    if root is not None:
-        p1 = (y + (b - root) * half) * lead
-        p2 = y + (b + root) * half
-        if not (f - p1 * p2).is_zero():
-            raise InvariantError("exact quadratic split failed to re-verify")
-        return p1, p2, True
-    try:
-        root = sqrt_series(disc, N if N is not None else 2)
-    except SeriesSqrtError:
-        return None
-    if N is None:
-        raise RingError("series splitting needs a jet order")
-    p1 = (y + (b - root) * half) * lead
-    p2 = y + (b + root) * half
-    if not truncate(f - p1 * p2, N).is_zero():
-        raise InvariantError("series quadratic split failed to re-verify")
-    return p1, p2, False

@@ -2,7 +2,7 @@
 normal forms, intersection, colon, and membership tests both in the
 polynomial ring and in its localization at the origin.
 
-Every positive membership answer carries a MembershipWitness whose
+Every positive membership answer carries an Inclusion certificate whose
 re-expansion reproduces the tested element exactly; callers are expected
 to re-check witnesses before trusting them.  Local questions (f in I at
 the origin) are reduced to global ones through the colon trick:
@@ -33,37 +33,8 @@ from .ring import (
     _mono_lcm,
     _mono_mul,
     divide_exact,
-    local_unit_test,
 )
-
-
-class MembershipWitness:
-    """Certificate for a membership claim: unit*f == sum(cofactor_i * g_i).
-
-    `cofactors` is aligned with the generator list of the ideal the claim
-    was made against.  For polynomial-ring membership the unit is 1; for
-    local membership it is any polynomial with nonzero constant term.
-    """
-
-    __slots__ = ("cofactors", "unit")
-
-    def __init__(self, cofactors: Iterable[Poly], unit: Poly):
-        self.cofactors = tuple(cofactors)
-        self.unit = unit
-
-    def verify(self, f: Poly, generators: Iterable[Poly]) -> bool:
-        generators = tuple(generators)
-        if len(generators) != len(self.cofactors):
-            return False
-        if not local_unit_test(self.unit):
-            return False
-        rhs = Poly.zero(f.table)
-        for c, g in zip(self.cofactors, generators):
-            rhs = rhs + c * g
-        return self.unit * f == rhs
-
-    def __repr__(self) -> str:
-        return f"MembershipWitness(unit={self.unit}, cofactors={list(self.cofactors)})"
+from .certificate import Inclusion
 
 
 class _Gen:
@@ -296,20 +267,22 @@ def groebner_basis(I: Ideal, order: TermOrder = GREVLEX) -> list[Poly]:
 
 
 def normal_form(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
-    """Remainder of f modulo I plus a witness: f = sum(c_i g_i) + remainder."""
+    """Remainder of f modulo I plus cofactors c aligned with I's generators:
+    f = sum(c_i g_i) + remainder."""
     if I.is_zero():
-        return f, MembershipWitness((Poly.zero(f.table),), Poly.const(f.table, 1))
+        return f, (Poly.zero(f.table),)
     basis = I.basis(order, track=True)
     remainder, quotients = _reduce(f, basis, order)
-    cofactors = _combine(quotients, basis, len(I.generators), f.table)
-    return remainder, MembershipWitness(cofactors, Poly.const(f.table, 1))
+    return remainder, _combine(quotients, basis, len(I.generators), f.table)
 
 
 def member_global(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
-    """Does f lie in I inside the polynomial ring?  (answer, witness or None)."""
-    remainder, witness = normal_form(f, I, order)
+    """Does f lie in I inside the polynomial ring?  (answer, Inclusion with
+    unit 1, or None)."""
+    remainder, cofactors = normal_form(f, I, order)
     if remainder.is_zero():
-        return True, witness
+        return True, Inclusion(f, I.generators, Poly.const(f.table, 1),
+                               cofactors)
     return False, None
 
 
@@ -358,11 +331,11 @@ def member_local(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
     Decided through 1 in (I : f) + m: the colon ideal reaches outside the
     maximal ideal exactly when one of its generators has nonzero constant
     term, and that generator is the certifying unit u with u*f in I.
+    Returns (answer, Inclusion or None).
     """
     if f.is_zero():
-        gens = I.generators
-        zeros = tuple(Poly.zero(f.table) for _ in gens)
-        return True, MembershipWitness(zeros, Poly.const(f.table, 1))
+        zeros = tuple(Poly.zero(f.table) for _ in I.generators)
+        return True, Inclusion(f, I.generators, Poly.const(f.table, 1), zeros)
     if I.is_zero():
         return False, None
     ok, witness = member_global(f, I, order)
@@ -375,14 +348,14 @@ def member_local(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
             inside, inner = member_global(unit * f, I, order)
             if not inside:
                 raise InvariantError("colon certificate failed to re-verify")
-            return True, MembershipWitness(inner.cofactors, unit)
+            return True, Inclusion(f, I.generators, unit, inner.cofactors)
     return False, None
 
 
 def subset_local(I: Ideal, J: Ideal, order: TermOrder = GREVLEX):
     """Is every generator of I in J locally?
 
-    Returns (True, [witness per generator]) or (False, first failing
+    Returns (True, [Inclusion per generator]) or (False, first failing
     generator)."""
     witnesses = []
     for g in I.generators:
@@ -415,14 +388,6 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
                 seen.add(p.key())
                 gens.append(p)
     return Ideal(I.table, gens)
-
-
-def coprime_local(I: Ideal, J: Ideal) -> bool:
-    """Local coprimality: I cap J subseteq I*J at the origin (the reverse
-    inclusion always holds)."""
-    meet = intersect(I, J)
-    ok, _ = subset_local(meet, ideal_product(I, J))
-    return ok
 
 
 def contains_local_unit(I: Ideal) -> bool:

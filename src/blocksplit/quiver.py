@@ -33,12 +33,9 @@ from .ring import (
     VarTable,
     sqrt_exact,
     sqrt_series,
-    truncate,
     y_profile,
 )
-from .groebner import Ideal, member_local
-from .matrix import PolyMatrix, det, fitting_ideal
-from .decompose import (
+from .certificate import (
     DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
@@ -46,9 +43,10 @@ from .decompose import (
     Identity,
     Inclusion,
     Verdict,
-    _coprime_witnessed,
-    _subset_witnessed,
 )
+from .groebner import Ideal, member_local
+from .matrix import PolyMatrix, det
+from .decompose import _split_by_factors
 
 
 class Vertex:
@@ -262,32 +260,8 @@ def check_quiver(Q: QuiverRep, f1: Poly, f2: Poly,
     The pure-y monomial bound is the strict one (0 < l_i < m_i for every
     vertex), which is recorded in the hypothesis detail."""
     form = build_kronecker(Q)
-    A = form.matrix
-    total = sum(form.sizes)
     if f1.table != form.table or f2.table != form.table:
         raise RingError("factors must live over the Kronecker-extended table")
-    exact = jet_order is None
-    scope = _quiver_scope()
-    hyps: list[HypothesisCheck] = []
-    identities: list[Identity] = []
-    inclusions: list[Inclusion] = []
-
-    def inconclusive(name: str) -> Verdict:
-        return Verdict(INCONCLUSIVE, hyps, identities, inclusions, scope,
-                       failed_hypothesis=name, exact=exact, order=jet_order)
-
-    d = det(A)
-    diff = d - f1 * f2
-    ok = diff.is_zero() if exact else truncate(diff, jet_order).is_zero()
-    relation = "=" if exact else f"= (mod m^{jet_order})"
-    hyps.append(HypothesisCheck(
-        "determinant-factorization", ok,
-        f"det of the Kronecker form {relation} (f1)*(f2)"))
-    if not ok:
-        return inconclusive("determinant-factorization")
-    identities.append(Identity("determinant-factorization", d, (f1, f2),
-                               None if exact else jet_order))
-
     ok = True
     detail = ("each factor contains a pure-y monomial with 0 < l_i < m_i "
               "at every vertex (strict bound)")
@@ -302,28 +276,9 @@ def check_quiver(Q: QuiverRep, f1: Poly, f2: Poly,
             detail = (f"{label} has no pure-y monomial with 0 < l_i < m_i "
                       f"at every vertex (strict bound)")
             break
-    hyps.append(HypothesisCheck("y-profile", ok, detail))
-    if not ok:
-        return inconclusive("y-profile")
-
-    I1 = Ideal(form.table, (f1,))
-    I2 = Ideal(form.table, (f2,))
-    ok, _, entries = _coprime_witnessed(I1, I2, jet_order, order)
-    hyps.append(HypothesisCheck(
-        "factor-coprimality", ok, "(f1) cap (f2) <= (f1*f2) at the origin"))
-    if not ok:
-        return inconclusive("factor-coprimality")
-    inclusions.extend(entries)
-
-    minors = fitting_ideal(A, total - 1)
-    target = Ideal(form.table, (f1, f2))
-    ok, failing, entries = _subset_witnessed(minors, target, jet_order, order)
-    if ok:
-        inclusions.extend(entries)
-        return Verdict(DECOMPOSABLE, hyps, identities, inclusions, scope,
-                       exact=exact, order=jet_order)
-    return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions, scope,
-                   failing=failing, exact=exact, order=jet_order)
+    y_check = HypothesisCheck("y-profile", ok, detail)
+    return _split_by_factors(form.matrix, f1, f2, "det of the Kronecker form",
+                             y_check, _quiver_scope(), jet_order, order)
 
 
 def _conj_scope() -> str:
@@ -369,8 +324,7 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
             if not ok:
                 return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions,
                                scope, failing=element)
-            entries.append(Inclusion(element, target.generators, w.unit,
-                                     w.cofactors))
+            entries.append(w)
         inclusions.extend(entries)
         return Verdict(DECOMPOSABLE, hyps, identities, inclusions, scope)
 
@@ -383,8 +337,8 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
         return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions, scope,
                        failing=disc)
 
-    order = disc.order()
-    if order % 2 == 1:
+    low_degree = disc.order()
+    if low_degree % 2 == 1:
         return provably_nonsquare("the lowest-degree part has odd degree")
     low = disc.lowest_form()
     lead = low.leading()[1]

@@ -424,6 +424,12 @@ def format_poly(f: Poly) -> str:
     return "".join(pieces)
 
 
+# Parentheses nested deeper than this are rejected: each level costs the
+# recursive-descent parser four stack frames, and Python's default limit
+# is 1000 frames for the whole call stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial expression grammar.
 
@@ -437,6 +443,7 @@ class _Parser:
         self.text = text
         self.table = table
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -491,9 +498,14 @@ class _Parser:
     def atom(self) -> Poly:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(
+                    f"parentheses nested more than {MAX_NESTING} deep")
+            self.depth += 1
             self.pos += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         if ch.isdigit():
             num = self.nat()

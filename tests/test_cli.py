@@ -290,3 +290,72 @@ def test_options_block_and_flag_precedence(tmp_path, capsys):
     report = run_json(capsys, ["check-square", "--input", path,
                                "--format", "json"])
     assert report["provenance"]["order"] == "lex"
+
+
+def _ex2_report(tmp_path, capsys, *flags):
+    path = write_doc(tmp_path, EX2)
+    return run_json(capsys, ["check-square", "--input", path, *flags])
+
+
+def _verify(tmp_path, capsys, report):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(report))
+    return run(capsys, ["verify-cert", "--cert", str(cert)])
+
+
+def test_verify_cert_rejects_congruences_in_an_exact_report(tmp_path, capsys):
+    # modulo m^1 every entry holds with zero cofactors, since all of its
+    # polynomials vanish at the origin; an exact report must not say so
+    report = _ex2_report(tmp_path, capsys)
+    assert report["provenance"]["exact"] is True
+    for entry in report["certificate"]["identities"]:
+        entry["modulo_order"] = 1
+    for entry in report["certificate"]["inclusions"]:
+        entry["modulo_order"] = 1
+        entry["cofactors"] = ["0"] * len(entry["ideal"])
+    code, out, _ = _verify(tmp_path, capsys, report)
+    assert code == 2
+    failures = json.loads(out)["failures"]
+    assert failures[0] == ("identity 'determinant-factorization': a "
+                           "congruence modulo m^1 in an exact certificate")
+    assert len(failures) == 1 + len(report["certificate"]["inclusions"])
+
+
+def test_verify_cert_rejects_jet_entries_of_another_order(tmp_path, capsys):
+    report = _ex2_report(tmp_path, capsys, "--jet-order", "6")
+    report["certificate"]["inclusions"][0]["modulo_order"] = 1
+    code, out, _ = _verify(tmp_path, capsys, report)
+    assert code == 2
+    assert json.loads(out)["failures"] == [
+        "inclusion 0: modulo m^1 in a certificate of jet order 6"]
+
+
+def test_verify_cert_requires_a_known_verdict(tmp_path, capsys):
+    report = _ex2_report(tmp_path, capsys)
+    report["verdict"] = "Maybe"
+    code, _, err = _verify(tmp_path, capsys, report)
+    assert code == 1 and "'verdict'" in err
+    del report["verdict"]
+    code, _, err = _verify(tmp_path, capsys, report)
+    assert code == 1 and "'verdict'" in err
+
+
+def test_verify_cert_requires_provenance(tmp_path, capsys):
+    report = _ex2_report(tmp_path, capsys)
+    del report["provenance"]
+    code, _, err = _verify(tmp_path, capsys, report)
+    assert code == 1 and "'provenance'" in err
+
+
+def test_deeply_nested_entry_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(EX2))
+    doc["matrix"][0][0] = "(" * 5000 + "x2" + ")" * 5000
+    path = write_doc(tmp_path, doc)
+    code, _, err = run(capsys, ["check-square", "--input", path])
+    assert code == 1
+    assert "matrix[0][0]" in err and "nested" in err
+
+    doc["matrix"][0][0] = "(" * 50 + "x2" + ")" * 50
+    path = write_doc(tmp_path, doc, "fifty.json")
+    report = run_json(capsys, ["check-square", "--input", path])
+    assert report["verdict"] == "Decomposable"

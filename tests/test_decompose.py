@@ -10,9 +10,9 @@ from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
+    _coprime_witnessed,
     check_rect_lr,
     check_square_lr,
-    quad_split_y,
 )
 from blocksplit.groebner import Ideal
 from blocksplit.matrix import PolyMatrix, det
@@ -21,9 +21,7 @@ from blocksplit.ring import (
     Poly,
     RingError,
     VarTable,
-    divide_exact,
     parse_poly,
-    truncate,
 )
 
 XY = VarTable(("x", "y"))
@@ -189,49 +187,17 @@ def test_rect_shape_error():
                       Ideal(XY, (P("y"),)))
 
 
-def test_quad_split_exact():
-    p1, p2, exact = quad_split_y(P("y^2 - x^2"), "y")
-    assert exact
-    assert p1 * p2 == P("y^2 - x^2")
-    assert {str(p1), str(p2)} == {"-x + y", "x + y"}
+def test_coprime_witnessed_examples():
+    def coprime(I, J):
+        ok, _, entries = _coprime_witnessed(I, J, None)
+        assert all(inc.verify() for inc in entries)
+        return ok
 
-    f = P("y^2 + 3*x*y + 2*x^2")
-    p1, p2, exact = quad_split_y(f, "y")
-    assert exact and p1 * p2 == f
-    assert divide_exact(f, p1) == p2
-
-
-def test_quad_split_pencil():
-    # det(x*A + y*1) for A = [[x2, x1], [x1, x2]] over (x1, x2, x, y)
-    t = VarTable(("x1", "x2", "x", "y"))
-    def p(s):
-        return parse_poly(s, t)
-    f = p("y^2 + 2*x*y*x2 + x^2*x2^2 - x^2*x1^2")
-    p1, p2, exact = quad_split_y(f, "y")
-    assert exact and p1 * p2 == f
-    roots = {str(p1), str(p2)}
-    assert roots == {"-x1*x + x2*x + y", "x1*x + x2*x + y"}
-
-
-def test_quad_split_series():
-    f = P("y^2 - x^2*(1 + x)")
-    out = quad_split_y(f, "y", N=4)
-    assert out is not None
-    p1, p2, exact = out
-    assert not exact
-    assert truncate(f - p1 * p2, 4).is_zero()
-    s = P("x") * P("1 + 1/2*x - 1/8*x^2 + 1/16*x^3")
-    assert {str(p1), str(p2)} == {str(P("y") - s), str(P("y") + s)}
-
-
-def test_quad_split_absent_or_invalid():
-    assert quad_split_y(P("y^2 - x^3"), "y", N=6) is None
-    with pytest.raises(RingError):
-        quad_split_y(P("y^3 + x"), "y")
-    with pytest.raises(RingError):
-        quad_split_y(P("x*y^2 + y"), "y")  # non-constant leading coefficient
-    with pytest.raises(RingError):
-        quad_split_y(P("y^2 - x^2*(1 + x)"), "y")  # series case needs N
+    assert coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("y"),)))
+    assert not coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("x*(1 + x)"),)))
+    for n in (1, 2):
+        I, J = (Ideal(X12, (f,)) for f in ex2_factors(n))
+        assert coprime(I, J)
 
 
 def test_verdict_reports_only_true_facts():

@@ -7,12 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from blocksplit.decompose import (
-    DECOMPOSABLE,
-    INCONCLUSIVE,
-    NOT_DECOMPOSABLE,
-    quad_split_y,
-)
+from blocksplit.decompose import DECOMPOSABLE, INCONCLUSIVE, NOT_DECOMPOSABLE
 from blocksplit.matrix import PolyMatrix, det
 from blocksplit.oracle import random_unimodular
 from blocksplit.quiver import (
@@ -25,7 +20,7 @@ from blocksplit.quiver import (
     complete_reduce,
     conj_pencil,
 )
-from blocksplit.ring import Poly, RingError, VarTable, parse_poly
+from blocksplit.ring import Poly, RingError, VarTable, parse_poly, sqrt_exact
 
 EMPTY = VarTable(())
 XY = VarTable(("x", "y"))
@@ -319,10 +314,17 @@ def test_conj_agrees_with_quiver_path():
         Q = complete_reduce(QuiverRep(X12, [Vertex("1", 2)],
                                       [Arrow("1", "1", A)]))
         form = build_kronecker(Q)
-        split = quad_split_y(det(form.matrix), "y_1")
-        assert split is not None
-        f1, f2, exact = split
-        assert exact
+        t = form.table
+        # det(x*A + y*1) = y^2 + b*y + c with b = x*tr(A), c = x^2*det(A)
+        # splits as (y + (b - r)/2) * (y + (b + r)/2) with r^2 = b^2 - 4c
+        x, y = Poly.var(t, "x_1_1"), Poly.var(t, "y_1")
+        b = x * A.trace().lift(t)
+        c = x * x * det(A).lift(t)
+        r = sqrt_exact(b * b - c * 4)
+        assert r is not None
+        f1 = y + (b - r) * Fraction(1, 2)
+        f2 = y + (b + r) * Fraction(1, 2)
+        assert f1 * f2 == det(form.matrix)
         quiver_v = check_quiver(Q, f1, f2)
         if conj.status != INCONCLUSIVE and quiver_v.status != INCONCLUSIVE:
             assert conj.status == quiver_v.status, str(A.entries)
