@@ -68,6 +68,8 @@ def _load_json(path: str, what: str) -> Any:
             f"cannot read the {what} file: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"the {what} file is not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"the {what} file is nested too deeply") from exc
 
 
 def _parse_ring(doc: dict) -> VarTable:

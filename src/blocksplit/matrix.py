@@ -1,9 +1,12 @@
 """Matrices over the polynomial ring: exact determinants, minor (Fitting)
 ideals, and kernel bases.
 
-Determinants use cofactor expansion up to 3x3 and fraction-free Bareiss
-elimination beyond; all divisions are exact by construction.  Kernels are
-syzygies of the column family, found by a module Groebner basis under a
+Determinants and Fitting ideals share one routine: a Laplace expansion
+along the first row, memoized on (row tuple, column tuple), so every
+sub-minor is computed once per call and no step divides.  The entries are
+sparse polynomials, where expansion by minors beats elimination
+(Gentleman & Johnson, ACM TOMS 2(3), 1976).  Kernels are syzygies of the
+column family, found by a module Groebner basis under a
 position-over-term order that eliminates the target block.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .ring import (
     GREVLEX,
@@ -23,7 +26,6 @@ from .ring import (
     _mono_div,
     _mono_divides,
     _mono_lcm,
-    divide_exact,
 )
 from .groebner import Ideal
 
@@ -66,9 +68,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Poly:
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Poly, ...]:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple[Poly, ...]:
         return tuple(row[j] for row in self.entries)
@@ -126,20 +125,11 @@ class PolyMatrix:
             ],
         )
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
-            self.table,
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-        )
-
     def lift(self, target: VarTable) -> "PolyMatrix":
         return PolyMatrix(
             target,
             [[e.lift(target) for e in row] for row in self.entries],
         )
-
-    def map(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
-        return PolyMatrix(self.table, [[fn(e) for e in row] for row in self.entries])
 
     def trace(self) -> Poly:
         if self.rows != self.cols:
@@ -168,69 +158,62 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _det_cofactor(M: PolyMatrix) -> Poly:
-    n = M.rows
-    e = M.entries
-    if n == 1:
-        return e[0][0]
-    if n == 2:
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    acc = Poly.zero(M.table)
-    cols = list(range(n))
-    for j in range(n):
-        minor = M.submatrix(range(1, n), [c for c in cols if c != j])
-        term = e[0][j] * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _minor(M: PolyMatrix, memo: dict, rows: tuple, cols: tuple) -> Poly:
+    """Determinant of the submatrix of M on increasing index tuples of
+    equal length, memoized in `memo` under (rows, cols).
+
+    Laplace expansion along the first row of the row set: the sub-minors
+    it needs sit on the row suffix, so every larger minor that shares
+    them reads them from the memo.  Zero entries and zero sub-minors
+    contribute no product.  The memo is a plain argument, not a closure
+    over a recursive function, so it is freed when the caller drops it
+    rather than at the next cyclic garbage collection.
+    """
+    if len(rows) == 1:
+        return M.entries[rows[0]][cols[0]]
+    value = memo.get((rows, cols))
+    if value is None:
+        top, rest = M.entries[rows[0]], rows[1:]
+        value = Poly.zero(M.table)
+        for k, c in enumerate(cols):
+            if top[c].is_zero():
+                continue
+            sub = _minor(M, memo, rest, cols[:k] + cols[k + 1:])
+            if sub.is_zero():
+                continue
+            term = top[c] * sub
+            value = value - term if k % 2 else value + term
+        memo[(rows, cols)] = value
+    return value
 
 
 def det(M: PolyMatrix) -> Poly:
-    """Exact determinant: cofactor expansion below 4x4, Bareiss beyond."""
+    """Exact determinant: the full minor of the memoized expansion."""
     if M.rows != M.cols:
         raise RingError("determinant of a non-square matrix")
-    n = M.rows
-    if n <= 3:
-        return _det_cofactor(M)
-    a = [list(row) for row in M.entries]
-    sign = 1
-    prev = Poly.const(M.table, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(M.table)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = divide_exact(
-                    a[i][j] * a[k][k] - a[i][k] * a[k][j], prev
-                )
-            a[i][k] = Poly.zero(M.table)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+    full = tuple(range(M.rows))
+    return _minor(M, {}, full, full)
 
 
 def fitting_ideal(M: PolyMatrix, j: int) -> Ideal:
-    """Ideal of all j x j minors; (1) for j <= 0 and (0) past the size."""
+    """Ideal of all j x j minors; (1) for j <= 0 and (0) past the size.
+
+    All minors share one memo, so a sub-minor common to several j x j
+    minors is computed once."""
     if j <= 0:
         return Ideal(M.table, (Poly.const(M.table, 1),))
     if j > min(M.rows, M.cols):
         return Ideal(M.table, (Poly.zero(M.table),))
+    memo: dict = {}
     gens = []
     seen = set()
     for rows in itertools.combinations(range(M.rows), j):
         for cols in itertools.combinations(range(M.cols), j):
-            minor = det(M.submatrix(rows, cols))
-            if minor.is_zero():
+            g = _minor(M, memo, rows, cols)
+            if g.is_zero() or g.key() in seen:
                 continue
-            if minor.key() in seen:
-                continue
-            seen.add(minor.key())
-            gens.append(minor)
+            seen.add(g.key())
+            gens.append(g)
     if not gens:
         return Ideal(M.table, (Poly.zero(M.table),))
     gens.sort(key=Poly.key)

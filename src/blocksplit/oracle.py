@@ -9,8 +9,8 @@ code with the Groebner engine, so the two can referee each other.
 A jet answer is one-sided evidence: true at order N means "consistent
 with local membership up to degree N", never a proof of membership.
 
-The module also hosts the deterministic random-instance generator used
-by the property-test harness.
+The module also hosts ``random_unimodular``, seeded base changes of
+determinant one for invariance tests.
 """
 
 from __future__ import annotations
@@ -124,27 +124,8 @@ def jet_member(f: Poly, I: Ideal, N: int) -> bool:
     return ok
 
 
-class InstanceProfile:
-    """Bounds for random instances: variable count, degree, term count,
-    coefficient magnitude, and (for matrices) the shape."""
-
-    __slots__ = ("kind", "nvars", "degree", "terms", "coeff_bound", "rows", "cols")
-
-    def __init__(self, kind: str, nvars: int, degree: int, terms: int = 3,
-                 coeff_bound: int = 5, rows: int = 2, cols: int = 2):
-        if kind not in ("poly", "matrix", "quiver"):
-            raise RingError(f"unknown instance kind {kind!r}")
-        self.kind = kind
-        self.nvars = nvars
-        self.degree = degree
-        self.terms = terms
-        self.coeff_bound = coeff_bound
-        self.rows = rows
-        self.cols = cols
-
-
 def _random_poly(rng: random.Random, table: VarTable, degree: int, terms: int,
-                 coeff_bound: int, nonzero: bool = False) -> Poly:
+                 coeff_bound: int) -> Poly:
     pool = list(iter_monomials(len(table), degree + 1))
     acc = {}
     for _ in range(terms):
@@ -152,51 +133,7 @@ def _random_poly(rng: random.Random, table: VarTable, degree: int, terms: int,
         coeff = rng.randint(-coeff_bound, coeff_bound)
         if coeff:
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    f = Poly(table, acc)
-    if nonzero and f.is_zero():
-        mono = pool[rng.randrange(len(pool))]
-        f = Poly(table, {mono: Fraction(rng.randint(1, coeff_bound))})
-    return f
-
-
-def _instance_table(nvars: int) -> VarTable:
-    return VarTable([f"x{i + 1}" for i in range(nvars)])
-
-
-def random_instance(seed: int, profile: InstanceProfile):
-    """Reproducible pseudo-random Poly / PolyMatrix / QuiverRep."""
-    rng = random.Random(seed)
-    table = _instance_table(profile.nvars)
-    if profile.kind == "poly":
-        return _random_poly(rng, table, profile.degree, profile.terms,
-                            profile.coeff_bound, nonzero=True)
-    if profile.kind == "matrix":
-        rows = [
-            [
-                _random_poly(rng, table, profile.degree, profile.terms,
-                             profile.coeff_bound)
-                for _ in range(profile.cols)
-            ]
-            for _ in range(profile.rows)
-        ]
-        return PolyMatrix(table, rows)
-    from .quiver import Arrow, QuiverRep, Vertex
-
-    nv = max(2, min(3, profile.rows))
-    vertices = [Vertex(f"v{i + 1}", rng.randint(1, profile.rows)) for i in range(nv)]
-    arrows = []
-    for a in range(rng.randint(1, nv)):
-        src = vertices[rng.randrange(nv)]
-        tgt = vertices[rng.randrange(nv)]
-        entries = [
-            [
-                Poly.const(table, rng.randint(-profile.coeff_bound, profile.coeff_bound))
-                for _ in range(src.rank)
-            ]
-            for _ in range(tgt.rank)
-        ]
-        arrows.append(Arrow(src.id, tgt.id, PolyMatrix(table, entries)))
-    return QuiverRep(table, vertices, arrows)
+    return Poly(table, acc)
 
 
 def random_unimodular(rng: random.Random, table: VarTable, n: int,

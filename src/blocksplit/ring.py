@@ -286,15 +286,6 @@ class Poly:
             return -1
         return max(m[i] for m in self.terms)
 
-    def coeffs_in(self, name: str) -> dict[int, "Poly"]:
-        """Coefficients w.r.t. one variable, as polynomials with it removed."""
-        i = self.table.index(name)
-        split: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            stripped = mono[:i] + (0,) + mono[i + 1 :]
-            split.setdefault(mono[i], {})[stripped] = coeff
-        return {p: Poly(self.table, t) for p, t in split.items()}
-
     def leading(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")

@@ -359,3 +359,13 @@ def test_deeply_nested_entry_is_an_input_error(tmp_path, capsys):
     path = write_doc(tmp_path, doc, "fifty.json")
     report = run_json(capsys, ["check-square", "--input", path])
     assert report["verdict"] == "Decomposable"
+
+
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["det", "--input", str(path)],
+                 ["verify-cert", "--cert", str(path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 1, argv
+        assert "nested too deeply" in err

@@ -1,0 +1,70 @@
+"""Golden reports: CLI stdout compared byte for byte with stored files.
+
+The job documents in ``tests/golden/`` are a fixed sample of the
+benchmark's jobs (seed 1): two corners of the check-square grid, one
+check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
+hidden direct sum.  Each ``<case>.out`` file is the stdout the CLI
+printed for that case; any change to a report, down to whitespace or
+the order of Fitting generators, fails here.
+
+After an intended change of output, rewrite the stored files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from blocksplit.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# (case, command, job document, extra flags)
+CASES = (
+    ("square-dec", "check-square", "square-dec.json", ()),
+    ("square-dec-jet8", "check-square", "square-dec.json",
+     ("--jet-order", "8")),
+    ("square-notdec", "check-square", "square-notdec.json", ()),
+    ("square-notdec-jet8", "check-square", "square-notdec.json",
+     ("--jet-order", "8")),
+    ("conj", "check-conj", "conj.json", ()),
+    ("rect-kernel-unit", "check-rect", "rect-kernel-unit.json", ()),
+    ("rect-zero-column", "check-rect", "rect-zero-column.json", ()),
+    ("rect-not-coprime", "check-rect", "rect-not-coprime.json", ()),
+    ("quiver2", "check-quiver", "quiver2.json", ()),
+    ("quiver3-det", "det", "quiver3.json", ()),
+    ("quiver3-fitting5", "fitting", "quiver3.json", ("--index", "5")),
+    ("square-notdec-text", "check-square", "square-notdec.json",
+     ("--format", "text")),
+    ("quiver2-text", "check-quiver", "quiver2.json", ("--format", "text")),
+)
+
+
+def _run(command: str, doc: str, flags) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(GOLDEN / doc), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case,command,doc,flags", CASES,
+                         ids=[c[0] for c in CASES])
+def test_report_matches_golden(case, command, doc, flags):
+    code, out, err = _run(command, doc, flags)
+    assert (code, err) == (0, "")
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert out == expected
+
+
+if __name__ == "__main__":
+    for case, command, doc, flags in CASES:
+        code, out, err = _run(command, doc, flags)
+        if code != 0:
+            sys.exit(f"{case}: exit {code}: {err}")
+        (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
+        print(f"{case}: {len(out)} bytes")

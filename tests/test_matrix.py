@@ -49,7 +49,8 @@ def det_laplace(A):
     total = Poly.zero(A.table)
     cols = list(range(n))
     for j in range(n):
-        minor = A.submatrix(tuple(range(1, n)), tuple(c for c in cols if c != j))
+        minor = PolyMatrix(A.table, [[A[i, c] for c in cols if c != j]
+                                     for i in range(1, n)])
         term = A[0, j] * det_laplace(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total

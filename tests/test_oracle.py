@@ -3,25 +3,42 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from blocksplit.groebner import Ideal, member_local
-from blocksplit.matrix import PolyMatrix, det
+from blocksplit.matrix import det
 from blocksplit.oracle import (
-    InstanceProfile,
     JetSpace,
     jet_member,
     jet_member_witness,
-    random_instance,
     random_unimodular,
 )
-from blocksplit.quiver import QuiverRep
-from blocksplit.ring import Poly, VarTable, format_poly, parse_poly, truncate
+from blocksplit.ring import Poly, VarTable, iter_monomials, parse_poly, truncate
 
 XY = VarTable(("x", "y"))
+X12 = VarTable(("x1", "x2"))
 
 
 def P(text, table=XY):
     return parse_poly(text, table)
+
+
+def random_poly(seed, table=X12, degree=3, terms=3, coeff_bound=5):
+    """Nonzero polynomial seeded by `seed`: `terms` draws of a monomial of
+    degree <= `degree` with a coefficient in [-coeff_bound, coeff_bound]."""
+    rng = random.Random(seed)
+    pool = list(iter_monomials(len(table), degree + 1))
+    acc = {}
+    for _ in range(terms):
+        mono = pool[rng.randrange(len(pool))]
+        coeff = rng.randint(-coeff_bound, coeff_bound)
+        if coeff:
+            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    f = Poly(table, acc)
+    if f.is_zero():
+        mono = pool[rng.randrange(len(pool))]
+        f = Poly(table, {mono: Fraction(rng.randint(1, coeff_bound))})
+    return f
 
 
 def test_jet_space_dimension():
@@ -76,56 +93,17 @@ def test_jet_obstruction_family():
 
 def test_agreement_with_member_local():
     rng = random.Random(73)
-    profile = InstanceProfile("poly", nvars=2, degree=3)
     agree = 0
     for seed in range(60):
-        f = random_instance(rng.randrange(10 ** 6), profile)
-        I_polys = [random_instance(rng.randrange(10 ** 6), profile)
-                   for _ in range(2)]
-        table = f.table
-        gens = tuple(g.lift(table) if g.table != table else g
-                     for g in I_polys)
-        gens = tuple(g for g in gens if not g.is_zero())
-        if not gens:
-            continue
-        I = Ideal(table, gens)
+        f = random_poly(rng.randrange(10 ** 6))
+        gens = tuple(random_poly(rng.randrange(10 ** 6)) for _ in range(2))
+        I = Ideal(X12, gens)
         ok, _ = member_local(f, I)
         if ok:
             for N in (4, 6):
                 assert jet_member(f, I, N)
         agree += 1
     assert agree >= 40
-
-
-def test_random_instance_determinism():
-    profile = InstanceProfile("poly", nvars=2, degree=2)
-    a = random_instance(12345, profile)
-    b = random_instance(12345, profile)
-    assert a == b
-    c = random_instance(12346, profile)
-    assert format_poly(a) != format_poly(c) or a == c
-
-
-def test_random_instance_respects_profile():
-    profile = InstanceProfile("matrix", nvars=2, degree=2, rows=2, cols=2)
-    Mat = random_instance(99, profile)
-    assert isinstance(Mat, PolyMatrix)
-    assert Mat.rows == 2 and Mat.cols == 2
-    for i in range(2):
-        for j in range(2):
-            assert Mat[i, j].total_degree() <= 2
-    Q = random_instance(7, InstanceProfile("quiver", nvars=1, degree=1))
-    assert isinstance(Q, QuiverRep)
-
-
-def test_random_instance_no_collisions():
-    profile = InstanceProfile("poly", nvars=3, degree=4)
-    seen = set()
-    for seed in range(1, 101):
-        f = random_instance(seed, profile)
-        seen.add(format_poly(f))
-    # collisions are possible in principle; the generated suite has none
-    assert len(seen) == 100
 
 
 def test_random_unimodular_det_one():
