@@ -44,21 +44,29 @@ def expect(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
-def parse_field(text: Any, table: VarTable, field: str) -> Poly:
+def parse_field(text: Any, table: VarTable, field: str,
+                memo: dict[str, Poly] | None = None) -> Poly:
+    """Parse one polynomial field; `memo` maps text already parsed over
+    `table` to its Poly, so a document parses each distinct string once."""
     expect(isinstance(text, str),
            f"field '{field}' must be a polynomial string")
+    if memo is not None and text in memo:
+        return memo[text]
     try:
-        return parse_poly(text, table)
+        poly = parse_poly(text, table)
     except ParseError as exc:
         raise InputError(f"field '{field}': {exc.message}") from exc
+    if memo is not None:
+        memo[text] = poly
+    return poly
 
 
 def _parse_list(items: Any, table: VarTable, field: str,
-                nonempty: bool) -> list[Poly]:
+                memo: dict[str, Poly], nonempty: bool) -> list[Poly]:
     ok = isinstance(items, list) and (bool(items) or not nonempty)
     expect(ok, f"field '{field}' must be a "
                f"{'non-empty ' if nonempty else ''}list of polynomial strings")
-    return [parse_field(p, table, f"{field}[{k}]")
+    return [parse_field(p, table, f"{field}[{k}]", memo)
             for k, p in enumerate(items)]
 
 
@@ -140,15 +148,16 @@ class Identity:
         return out
 
     @staticmethod
-    def from_json(d: Any, table: VarTable, i: int) -> "Identity":
+    def from_json(d: Any, table: VarTable, i: int,
+                  memo: dict[str, Poly]) -> "Identity":
         field = f"certificate.identities[{i}]"
         expect(isinstance(d, dict), f"field '{field}' must be an object")
         label = d.get("label", f"#{i}")
         expect(isinstance(label, str),
                f"field '{field}.label' must be a string")
-        lhs = parse_field(d.get("lhs"), table, f"{field}.lhs")
+        lhs = parse_field(d.get("lhs"), table, f"{field}.lhs", memo)
         factors = _parse_list(d.get("factors"), table, f"{field}.factors",
-                              nonempty=True)
+                              memo, nonempty=True)
         return Identity(label, lhs, factors, _parse_modulo(d, field))
 
 
@@ -193,15 +202,17 @@ class Inclusion:
         return out
 
     @staticmethod
-    def from_json(d: Any, table: VarTable, i: int) -> "Inclusion":
+    def from_json(d: Any, table: VarTable, i: int,
+                  memo: dict[str, Poly]) -> "Inclusion":
         field = f"certificate.inclusions[{i}]"
         expect(isinstance(d, dict), f"field '{field}' must be an object")
-        element = parse_field(d.get("element"), table, f"{field}.element")
-        gens = _parse_list(d.get("ideal"), table, f"{field}.ideal",
+        element = parse_field(d.get("element"), table, f"{field}.element",
+                              memo)
+        gens = _parse_list(d.get("ideal"), table, f"{field}.ideal", memo,
                            nonempty=True)
-        unit = parse_field(d.get("unit"), table, f"{field}.unit")
+        unit = parse_field(d.get("unit"), table, f"{field}.unit", memo)
         cofactors = _parse_list(d.get("cofactors"), table,
-                                f"{field}.cofactors", nonempty=False)
+                                f"{field}.cofactors", memo, nonempty=False)
         return Inclusion(element, gens, unit, cofactors,
                          _parse_modulo(d, field))
 
@@ -307,9 +318,12 @@ class Verdict:
                "field 'certificate.identities' must be a list")
         expect(isinstance(inclusions, list),
                "field 'certificate.inclusions' must be a list")
-        identities = [Identity.from_json(d, table, i)
+        # each distinct string is parsed once; Polys are never mutated,
+        # so entries may share them
+        memo: dict[str, Poly] = {}
+        identities = [Identity.from_json(d, table, i, memo)
                       for i, d in enumerate(identities)]
-        inclusions = [Inclusion.from_json(d, table, i)
+        inclusions = [Inclusion.from_json(d, table, i, memo)
                       for i, d in enumerate(inclusions)]
 
         status = doc.get("verdict")
@@ -322,7 +336,7 @@ class Verdict:
         hyps = [HypothesisCheck.from_json(h, i) for i, h in enumerate(hyps)]
         failing = None
         if "failing" in doc:
-            failing = parse_field(doc["failing"], table, "failing")
+            failing = parse_field(doc["failing"], table, "failing", memo)
 
         prov = doc.get("provenance")
         expect(isinstance(prov, dict) and isinstance(prov.get("exact"), bool),

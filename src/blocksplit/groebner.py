@@ -31,7 +31,6 @@ from .ring import (
     _mono_div,
     _mono_divides,
     _mono_lcm,
-    _mono_mul,
     divide_exact,
 )
 from .certificate import Inclusion

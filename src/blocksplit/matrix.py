@@ -21,7 +21,6 @@ from .ring import (
     InvariantError,
     Poly,
     RingError,
-    TermOrder,
     VarTable,
     _mono_div,
     _mono_divides,

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .ring import (
-    Monomial,
     Poly,
     RingError,
     VarTable,

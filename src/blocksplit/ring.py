@@ -1,7 +1,12 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a dictionary mapping exponent tuples to nonzero Fraction
-coefficients, attached to a fixed, ordered variable table.  The ambient
+coefficients, attached to a fixed, ordered variable table.  Every Poly
+keeps that invariant: each coefficient is a nonzero Fraction and each
+exponent tuple has the table's width.  The public constructor checks it
+on every dict it is given; arithmetic results (sums, products, negation,
+lifts, truncations, homogeneous parts, exact quotients) are built from
+operands that already hold it and skip the re-check.  The ambient
 ring is read as the localization of Q[x1,...,xp] at the origin: units are
 exactly the elements with nonzero constant term, and series-style
 operations (truncation, square roots) treat a polynomial together with an
@@ -15,6 +20,7 @@ lifted into it by zero-padding their exponents.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -139,13 +145,14 @@ class TermOrder:
     beats every monomial free of them.
     """
 
-    __slots__ = ("kind", "block")
+    __slots__ = ("kind", "block", "_inside")
 
     def __init__(self, kind: str, block: tuple[int, ...] = ()):
         if kind not in ("grevlex", "lex", "block"):
             raise RingError(f"unknown term order {kind!r}")
         self.kind = kind
         self.block = tuple(block)
+        self._inside = frozenset(self.block)
 
     @staticmethod
     def grevlex() -> "TermOrder":
@@ -165,7 +172,7 @@ class TermOrder:
             return _grevlex_key(mono)
         if self.kind == "lex":
             return mono
-        inside = set(self.block)
+        inside = self._inside
         head = tuple(mono[i] for i in self.block)
         tail = tuple(e for i, e in enumerate(mono) if i not in inside)
         return (_grevlex_key(head), _grevlex_key(tail))
@@ -191,10 +198,6 @@ class TermOrder:
 
 GREVLEX = TermOrder.grevlex()
 LEX = TermOrder.lex()
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -250,8 +253,9 @@ class Poly:
             return self
         if target.names[: len(self.table)] != self.table.names:
             raise TableMismatchError("target table does not extend this one")
-        pad = len(target) - len(self.table)
-        return Poly(target, {mono + (0,) * pad: c for mono, c in self.terms.items()})
+        pad = (0,) * (len(target) - len(self.table))
+        return Poly._trusted(
+            target, {mono + pad: c for mono, c in self.terms.items()})
 
     # -- predicates and views ----------------------------------------------
 
@@ -274,7 +278,8 @@ class Poly:
         return min(sum(m) for m in self.terms)
 
     def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.table, {m: c for m, c in self.terms.items() if sum(m) == degree})
+        return Poly._trusted(
+            self.table, {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def lowest_form(self) -> "Poly":
         d = self.order()
@@ -304,6 +309,16 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
+    @staticmethod
+    def _trusted(table: VarTable, terms: dict[Monomial, Fraction]) -> "Poly":
+        """Wrap a dict freshly built from valid operands, without the
+        re-check: `terms` must already hold the invariant and must not be
+        the dict of any other Poly."""
+        p = object.__new__(Poly)
+        p.table = table
+        p.terms = terms
+        return p
+
     def _check(self, other: "Poly") -> None:
         if self.table != other.table:
             raise TableMismatchError("polynomials over different variable tables")
@@ -317,20 +332,15 @@ class Poly:
         return hash((self.table, self.key()))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.table, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.table, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.table, other)
         self._check(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Poly(self.table, out)
+        _accumulate(out, other.terms.items())
+        return Poly._trusted(self.table, out)
 
     __radd__ = __add__
 
@@ -346,18 +356,17 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.table)
-            return Poly(self.table, {m: c * other for m, c in self.terms.items()})
+            k = Fraction(other)
+            return Poly._trusted(
+                self.table, {m: c * k for m, c in self.terms.items()})
         self._check(other)
         out: dict[Monomial, Fraction] = {}
+        right = other.terms.items()
+        add = operator.add
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(self.table, out)
+            _accumulate(out, ((tuple(map(add, m1, m2)), c1 * c2)
+                              for m2, c2 in right))
+        return Poly._trusted(self.table, out)
 
     __rmul__ = __mul__
 
@@ -385,6 +394,21 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
+    """Add (monomial, coefficient) pairs into `out` in place, dropping a
+    monomial as soon as its coefficient cancels to zero."""
+    for mono, coeff in terms:
+        c = out.get(mono)
+        if c is None:
+            out[mono] = coeff
+        else:
+            c += coeff
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
 
 
 def _format_term(names: tuple[str, ...], mono: Monomial, coeff: Fraction) -> str:
@@ -416,7 +440,7 @@ def format_poly(f: Poly) -> str:
 
 
 # Parentheses nested deeper than this are rejected: each level costs the
-# recursive-descent parser four stack frames, and Python's default limit
+# recursive-descent parser three stack frames, and Python's default limit
 # is 1000 frames for the whole call stack.
 MAX_NESTING = 100
 
@@ -459,45 +483,73 @@ class _Parser:
         return result
 
     def expr(self) -> Poly:
+        """Add every term into one dict, dropping a monomial as soon as
+        its coefficient cancels."""
+        out: dict[Monomial, Fraction] = {}
         sign = 1
         if self.peek() in ("+", "-"):
             if self.peek() == "-":
                 sign = -1
             self.pos += 1
-        result = self.term() * sign
+        self.term(out, sign)
         while self.peek() in ("+", "-"):
-            negative = self.peek() == "-"
+            sign = -1 if self.peek() == "-" else 1
             self.pos += 1
-            t = self.term()
-            result = result - t if negative else result + t
-        return result
+            self.term(out, sign)
+        return Poly._trusted(self.table, out)
 
-    def term(self) -> Poly:
-        result = self.factor()
-        while self.peek() == "*":
+    def term(self, out: dict[Monomial, Fraction], sign: int) -> None:
+        """Add sign * (the next term) into `out`.  Numbers, variables and
+        their powers fold into one coefficient and one exponent list; only
+        parenthesized factors are multiplied out as polynomials."""
+        coeff = sign
+        mono = [0] * len(self.table)
+        product = None
+        while True:
+            if self.peek() == "(":
+                inner = self.group()
+                while self.peek() == "^":
+                    self.pos += 1
+                    inner = inner ** self.nat()
+                product = inner if product is None else product * inner
+            else:
+                value, slot = self.plain()
+                power = 1
+                while self.peek() == "^":
+                    self.pos += 1
+                    power *= self.nat()
+                if slot is None:
+                    coeff *= value ** power
+                else:
+                    mono[slot] += power
+            if self.peek() != "*":
+                break
             self.pos += 1
-            result = result * self.factor()
-        return result
+        if not coeff:
+            return
+        mono = tuple(mono)
+        if product is None:
+            _accumulate(out, ((mono, Fraction(coeff)),))
+        else:
+            add = operator.add
+            _accumulate(out, ((tuple(map(add, m, mono)), c * coeff)
+                              for m, c in product.terms.items()))
 
-    def factor(self) -> Poly:
-        result = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            result = result ** self.nat()
-        return result
+    def group(self) -> Poly:
+        """A parenthesized expression; the opening '(' is next."""
+        if self.depth == MAX_NESTING:
+            raise self.error(
+                f"parentheses nested more than {MAX_NESTING} deep")
+        self.depth += 1
+        self.pos += 1
+        inner = self.expr()
+        self.take(")")
+        self.depth -= 1
+        return inner
 
-    def atom(self) -> Poly:
+    def plain(self) -> tuple[int | Fraction, int | None]:
+        """A number or a variable: (value, None) or (1, variable slot)."""
         ch = self.peek()
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error(
-                    f"parentheses nested more than {MAX_NESTING} deep")
-            self.depth += 1
-            self.pos += 1
-            inner = self.expr()
-            self.take(")")
-            self.depth -= 1
-            return inner
         if ch.isdigit():
             num = self.nat()
             if self.peek() == "/":
@@ -505,8 +557,8 @@ class _Parser:
                 den = self.nat()
                 if den == 0:
                     raise self.error("zero denominator")
-                return Poly.const(self.table, Fraction(num, den))
-            return Poly.const(self.table, num)
+                return Fraction(num, den), None
+            return num, None
         if ch.isalpha():
             start = self.pos
             match = _VAR_NAME.match(self.text, self.pos)
@@ -515,7 +567,7 @@ class _Parser:
             if name not in self.table:
                 self.pos = start
                 raise self.error(f"undeclared variable {name!r}")
-            return Poly.var(self.table, name)
+            return 1, self.table.index(name)
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected {ch!r}")
@@ -553,7 +605,7 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
         coeff = lc_r / lc_g
         quotient[mono] = coeff
         rest = rest - g * Poly(f.table, {mono: coeff})
-    return Poly(f.table, quotient)
+    return Poly._trusted(f.table, quotient)
 
 
 def local_unit_test(f: Poly) -> bool:
@@ -565,7 +617,8 @@ def truncate(f: Poly, bound: int) -> Poly:
     """Drop every term of total degree >= bound."""
     if bound < 0:
         raise RingError("order bound must be nonnegative")
-    return Poly(f.table, {m: c for m, c in f.terms.items() if sum(m) < bound})
+    return Poly._trusted(
+        f.table, {m: c for m, c in f.terms.items() if sum(m) < bound})
 
 
 def _sqrt_fraction(c: Fraction) -> Fraction | None:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 
 import pytest
 
+import blocksplit.certificate
 from blocksplit.certificate import (
     INCONCLUSIVE,
     Identity,
@@ -87,3 +89,25 @@ def test_from_json_names_the_malformed_field(tmp_path, capsys):
         target[keys[-1]] = value
         with pytest.raises(InputError, match=re.escape(f"'{field}'")):
             Verdict.from_json(doc, table)
+
+
+def test_from_json_parses_each_string_once(monkeypatch):
+    golden = pathlib.Path(__file__).parent / "golden" / "quiver2.out"
+    report = json.loads(golden.read_text(encoding="utf-8"))
+    cert = report["certificate"]
+    strings = [s for d in cert["identities"] for s in [d["lhs"], *d["factors"]]]
+    strings += [s for d in cert["inclusions"]
+                for s in [d["element"], *d["ideal"], d["unit"],
+                          *d["cofactors"]]]
+    assert len(set(strings)) < len(strings)
+    parsed = []
+
+    def counting(text, table):
+        parsed.append(text)
+        return parse_poly(text, table)
+
+    monkeypatch.setattr(blocksplit.certificate, "parse_poly", counting)
+    verdict = Verdict.from_json(report, VarTable(report["ring"]["vars"]))
+    assert sorted(parsed) == sorted(set(strings))
+    assert verdict.failures() == []
+    assert {**report, **verdict.to_json()} == report

@@ -6,8 +6,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from blocksplit.cli import main
 
 EX2 = {

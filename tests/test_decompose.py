@@ -15,10 +15,9 @@ from blocksplit.decompose import (
     check_square_lr,
 )
 from blocksplit.groebner import Ideal
-from blocksplit.matrix import PolyMatrix, det
+from blocksplit.matrix import PolyMatrix
 from blocksplit.oracle import random_unimodular
 from blocksplit.ring import (
-    Poly,
     RingError,
     VarTable,
     parse_poly,

@@ -3,9 +3,12 @@
 The job documents in ``tests/golden/`` are a fixed sample of the
 benchmark's jobs (seed 1): two corners of the check-square grid, one
 check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
-hidden direct sum.  Each ``<case>.out`` file is the stdout the CLI
-printed for that case; any change to a report, down to whitespace or
-the order of Fitting generators, fails here.
+hidden direct sum.  ``verify-cert`` re-checks the stored 2-vertex
+report and a copy of it with one altered cofactor
+(``quiver2-tampered.json``), so its failure messages are pinned too.
+Each ``<case>.out`` file is the stdout the CLI printed for that case;
+any change to a report, down to whitespace or the order of Fitting
+generators, fails here.
 
 After an intended change of output, rewrite the stored files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -24,7 +27,7 @@ from blocksplit.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# (case, command, job document, extra flags)
+# (case, command, input document, extra flags)
 CASES = (
     ("square-dec", "check-square", "square-dec.json", ()),
     ("square-dec-jet8", "check-square", "square-dec.json",
@@ -42,13 +45,20 @@ CASES = (
     ("square-notdec-text", "check-square", "square-notdec.json",
      ("--format", "text")),
     ("quiver2-text", "check-quiver", "quiver2.json", ("--format", "text")),
+    ("verify-quiver2", "verify-cert", "quiver2.out", ()),
+    ("verify-tampered-text", "verify-cert", "quiver2-tampered.json",
+     ("--format", "text")),
 )
+
+# every other case exits 0
+EXIT = {"verify-tampered-text": 2}
 
 
 def _run(command: str, doc: str, flags) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", str(GOLDEN / doc), *flags])
+        source = "--cert" if command == "verify-cert" else "--input"
+        code = main([command, source, str(GOLDEN / doc), *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -56,7 +66,7 @@ def _run(command: str, doc: str, flags) -> tuple[int, str, str]:
                          ids=[c[0] for c in CASES])
 def test_report_matches_golden(case, command, doc, flags):
     code, out, err = _run(command, doc, flags)
-    assert (code, err) == (0, "")
+    assert (code, err) == (EXIT.get(case, 0), "")
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert out == expected
 
@@ -64,7 +74,7 @@ def test_report_matches_golden(case, command, doc, flags):
 if __name__ == "__main__":
     for case, command, doc, flags in CASES:
         code, out, err = _run(command, doc, flags)
-        if code != 0:
+        if code != EXIT.get(case, 0):
             sys.exit(f"{case}: exit {code}: {err}")
         (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
         print(f"{case}: {len(out)} bytes")

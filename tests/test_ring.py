@@ -76,6 +76,69 @@ def test_parse_errors():
     assert err is not None and err.position >= 0
 
 
+# exact error text, recorded before the parser folded plain factors
+PARSE_ERRORS = [
+    ("x + * y", "unexpected '*' (at position 4)"),
+    ("(x", "expected ')' (at position 2)"),
+    ("3/0", "zero denominator (at position 3)"),
+    ("w", "undeclared variable 'w' (at position 0)"),
+    ("x^", "expected a number (at position 2)"),
+    ("x y", "unexpected 'y' (at position 2)"),
+    ("", "unexpected end of input (at position 0)"),
+    ("--x", "unexpected '-' (at position 1)"),
+    ("1/2/3", "unexpected '/' (at position 3)"),
+    ("x-", "unexpected end of input (at position 2)"),
+    ("3x", "unexpected 'x' (at position 1)"),
+    ("x^-1", "expected a number (at position 2)"),
+    ("(x))", "unexpected ')' (at position 3)"),
+    ("x*(y", "expected ')' (at position 4)"),
+    ("x + 1/0", "zero denominator (at position 7)"),
+    ("@", "unexpected '@' (at position 0)"),
+    ("x^2^", "expected a number (at position 4)"),
+    ("  ", "unexpected end of input (at position 2)"),
+    ("x*", "unexpected end of input (at position 2)"),
+    ("1/", "expected a number (at position 2)"),
+    ("y ^ (2)", "expected a number (at position 4)"),
+    ("x2", "undeclared variable 'x2' (at position 0)"),
+    ("(" * 101 + "x" + ")" * 101,
+     "parentheses nested more than 100 deep (at position 100)"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS,
+                         ids=[f"err{i}" for i in range(len(PARSE_ERRORS))])
+def test_parse_error_text(text, message):
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert str(info.value) == message
+
+
+# canonical output, recorded before the parser folded plain factors;
+# '^' is left-associative, so 2^3^2 is (2^3)^2
+PARSE_CANONICAL = [
+    ("2^3^2*x", "64*x"),
+    ("x^2^3", "x^6"),
+    ("-(x-y)^2 + 3/4*x*y^2", "3/4*x*y^2 - x^2 + 2*x*y - y^2"),
+    ("x - x", "0"),
+    ("(x+1)^0", "1"),
+    ("0*x + 0", "0"),
+    ("(" * 100 + "x" + ")" * 100, "x"),
+    ("3/6*x", "1/2*x"),
+    ("+x - 2*y^0", "x - 2"),
+    ("(2*x)^3*y", "8*x^3*y"),
+    ("0^0", "1"),
+    ("0^2*x + 1", "1"),
+    (" 1 / 2 * x ", "1/2*x"),
+    ("(x-y)*(x+y) - x^2", "-y^2"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_CANONICAL,
+                         ids=[f"ok{i}" for i in range(len(PARSE_CANONICAL))])
+def test_parse_canonical_text(text, expected):
+    assert str(P(text)) == expected
+
+
 def test_vartable_rules():
     with pytest.raises(RingError):
         VarTable(("x", "x"))

@@ -1,7 +1,9 @@
-"""Determinants and Fitting ideals refereed by sympy.
+"""Determinants, Fitting ideals and the expression parser refereed by
+sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
-outside the minor expansion.  The test is skipped when sympy is absent.
+outside the minor expansion and the parser.  The tests are skipped when
+sympy is absent.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
-from blocksplit.ring import Poly, VarTable
+from blocksplit.ring import Poly, VarTable, parse_poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -105,3 +107,67 @@ def test_det_and_fitting_agree_with_sympy(M):
         else:
             assert len(set(got)) == len(got), j
             assert set(got) == expected, j
+
+
+def random_expression(rng, names, depth=0):
+    """Random parser input as (text, sympy expression): optional leading
+    sign, sums of products, rationals, nested parentheses and chained
+    powers.  The expression is built from the same choices, not from the
+    text, and '^' is left-associative: a^m^n means (a^m)^n."""
+    symbols = sympy.symbols(names)
+
+    def atom(depth):
+        kind = rng.random()
+        if kind < 0.3 and depth < 3:
+            text, value = expr(depth + 1)
+            return f"({text})", value, True
+        if kind < 0.6:
+            i = rng.randrange(len(names))
+            return names[i], symbols[i], False
+        num = rng.randrange(0, 12)
+        if rng.random() < 0.4:
+            den = rng.randrange(1, 9)
+            return f"{num}/{den}", sympy.Rational(num, den), False
+        return str(num), sympy.Integer(num), False
+
+    def factor(depth):
+        text, value, grouped = atom(depth)
+        for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+            n = rng.randrange(0, 3 if grouped else 4)
+            text += rng.choice(("^", " ^ ", "^ ")) + str(n)
+            value = sympy.Pow(value, n)
+        return text, value
+
+    def term(depth):
+        text, value = factor(depth)
+        for _ in range(rng.randrange(3)):
+            t, v = factor(depth)
+            text += rng.choice(("*", " * ")) + t
+            value = value * v
+        return text, value
+
+    def expr(depth):
+        text, value = term(depth)
+        lead = rng.choice(("", "", "-", "+"))
+        if lead == "-":
+            value = -value
+        text = lead + text
+        for _ in range(rng.randrange(4 if depth == 0 else 3)):
+            t, v = term(depth)
+            if rng.random() < 0.5:
+                text, value = f"{text} - {t}", value - v
+            else:
+                text, value = f"{text} + {t}", value + v
+        return text, value
+
+    return expr(depth)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_agrees_with_sympy(seed):
+    rng = random.Random(seed)
+    table = VarTable(("x", "y", "z"))
+    symbols = sympy.symbols(table.names)
+    for _ in range(40):
+        text, value = random_expression(rng, table.names)
+        assert parse_poly(text, table).terms == terms_of(value, symbols), text
