@@ -28,22 +28,26 @@ from .ring import (
     RingError,
     TermOrder,
     VarTable,
+    _divisor,
     _mono_div,
     _mono_divides,
     _mono_lcm,
+    _reduce_terms,
     divide_exact,
 )
 from .certificate import Inclusion
 
 
 class _Gen:
-    """One tracked basis element: poly == sum(vec[j] * original_gen[j])."""
+    """One tracked basis element: poly == sum(vec[j] * original_gen[j]);
+    tail is poly without its leading term, as (monomial, coefficient)
+    pairs."""
 
-    __slots__ = ("poly", "lm", "lc", "vec", "seq")
+    __slots__ = ("poly", "lm", "lc", "tail", "vec", "seq")
 
     def __init__(self, poly: Poly, order: TermOrder, vec, seq: int):
         self.poly = poly
-        self.lm, self.lc = poly.leading(order)
+        self.lm, self.lc, self.tail = _divisor(poly, order)
         self.vec = vec
         self.seq = seq
 
@@ -68,22 +72,10 @@ def _reduce(f: Poly, basis: list[_Gen], order: TermOrder):
     divisible by any basis leading monomial.
     """
     table = f.table
-    p = f
-    remainder = Poly.zero(table)
-    quotients: dict[int, Poly] = {}
-    while not p.is_zero():
-        lm, lc = p.leading(order)
-        for i, g in enumerate(basis):
-            if _mono_divides(g.lm, lm):
-                t = _term(table, _mono_div(lm, g.lm), lc / g.lc)
-                p = p - t * g.poly
-                quotients[i] = quotients.get(i, Poly.zero(table)) + t
-                break
-        else:
-            lt = _term(table, lm, lc)
-            remainder = remainder + lt
-            p = p - lt
-    return remainder, quotients
+    remainder, quotients = _reduce_terms(
+        dict(f.terms), [(g.lm, g.lc, g.tail) for g in basis], order)
+    return (Poly._trusted(table, remainder),
+            {i: Poly._trusted(table, q) for i, q in quotients.items()})
 
 
 def _combine(quotients: dict[int, Poly], basis: list[_Gen], ngens: int, table: VarTable):

@@ -19,6 +19,7 @@ lifted into it by zero-padding their exponents.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import re
@@ -131,10 +132,16 @@ class VarTable:
 
 
 _VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAT = re.compile(r"[0-9]+")
 
 
 def _grevlex_key(mono: Monomial):
     return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def _grevlex_desc_key(mono: Monomial):
+    """_grevlex_key with every integer negated: sorts largest first."""
+    return (-sum(mono), mono[::-1])
 
 
 class TermOrder:
@@ -172,10 +179,24 @@ class TermOrder:
             return _grevlex_key(mono)
         if self.kind == "lex":
             return mono
-        inside = self._inside
-        head = tuple(mono[i] for i in self.block)
-        tail = tuple(e for i, e in enumerate(mono) if i not in inside)
+        head, tail = self._split(mono)
         return (_grevlex_key(head), _grevlex_key(tail))
+
+    def desc_key(self, mono: Monomial):
+        """A key that sorts monomials largest first: `key` with every
+        integer negated, so a min-heap pops the leading monomial."""
+        if self.kind == "grevlex":
+            return _grevlex_desc_key(mono)
+        if self.kind == "lex":
+            return tuple(-e for e in mono)
+        head, tail = self._split(mono)
+        return (_grevlex_desc_key(head), _grevlex_desc_key(tail))
+
+    def _split(self, mono: Monomial):
+        """(exponents in the block, the other exponents)."""
+        inside = self._inside
+        return (tuple(mono[i] for i in self.block),
+                tuple(e for i, e in enumerate(mono) if i not in inside))
 
     def descriptor(self) -> str:
         if self.kind == "block":
@@ -201,11 +222,11 @@ LEX = TermOrder.lex()
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -550,7 +571,9 @@ class _Parser:
     def plain(self) -> tuple[int | Fraction, int | None]:
         """A number or a variable: (value, None) or (1, variable slot)."""
         ch = self.peek()
-        if ch.isdigit():
+        # ASCII only: str.isdigit and str.isalpha accept characters such
+        # as '²' and 'é' that int() and _VAR_NAME do not
+        if ch.isascii() and ch.isdigit():
             num = self.nat()
             if self.peek() == "/":
                 self.pos += 1
@@ -559,7 +582,7 @@ class _Parser:
                     raise self.error("zero denominator")
                 return Fraction(num, den), None
             return num, None
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             start = self.pos
             match = _VAR_NAME.match(self.text, self.pos)
             name = match.group(0)
@@ -574,17 +597,83 @@ class _Parser:
 
     def nat(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        match = _NAT.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        self.pos = match.end()
+        return int(match.group(0))
 
 
 def parse_poly(text: str, table: VarTable) -> Poly:
     """Parse an expression into canonical (expanded) form."""
     return _Parser(text, table).parse()
+
+
+def _reduce_terms(terms: dict[Monomial, Fraction], divisors,
+                  order: TermOrder, exact: bool = False):
+    """Divide the polynomial `terms` by `divisors`, consuming `terms`.
+
+    `divisors` lists (leading monomial, leading coefficient, tail) under
+    `order`, the tail being the divisor's other (monomial, coefficient)
+    pairs.  Each step takes the leading term c*x^m left in `terms` and the
+    first divisor, in list order, whose leading monomial divides x^m; it
+    records the quotient term and subtracts its product with the tail
+    straight into `terms`.  A leading term that no divisor divides moves to
+    the remainder, or, when `exact`, raises NonDivisibleError.
+
+    The monomials of `terms` wait in a heap, largest first; a monomial that
+    cancels leaves a stale entry, skipped when popped.  Each monomial's
+    heap key is computed once per call.  Returns (remainder, quotients):
+    plain dicts, quotients keyed by divisor index in order of first use,
+    such that the polynomial given equals sum(q_i * divisor_i) + remainder.
+    """
+    desc_key = order.desc_key
+    keys = {m: desc_key(m) for m in terms}
+    heap = [(k, m) for m, k in keys.items()]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    add, le = operator.add, operator.le
+    remainder: dict[Monomial, Fraction] = {}
+    quotients: dict[int, dict[Monomial, Fraction]] = {}
+    while heap:
+        mono = pop(heap)[1]
+        coeff = terms.pop(mono, None)
+        if coeff is None:
+            continue
+        for i, (lm, lc, tail) in enumerate(divisors):
+            if all(map(le, lm, mono)):
+                break
+        else:
+            if exact:
+                raise NonDivisibleError("not divisible")
+            remainder[mono] = coeff
+            continue
+        q = _mono_div(mono, lm)
+        factor = coeff / lc
+        quotients.setdefault(i, {})[q] = factor
+        for tm, tc in tail:
+            m = tuple(map(add, q, tm))
+            c = terms.get(m)
+            if c is None:
+                terms[m] = -factor * tc
+                k = keys.get(m)
+                if k is None:
+                    k = keys[m] = desc_key(m)
+                push(heap, (k, m))
+            else:
+                c -= factor * tc
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
+    return remainder, quotients
+
+
+def _divisor(g: Poly, order: TermOrder = GREVLEX):
+    """(leading monomial, leading coefficient, tail) of a nonzero g, the
+    divisor shape `_reduce_terms` takes."""
+    lm, lc = g.leading(order)
+    return lm, lc, tuple((m, c) for m, c in g.terms.items() if m != lm)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly:
@@ -594,18 +683,9 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
         raise NonDivisibleError("division by the zero polynomial")
     if f.is_zero():
         return Poly.zero(f.table)
-    lm_g, lc_g = g.leading()
-    quotient: dict[Monomial, Fraction] = {}
-    rest = f
-    while not rest.is_zero():
-        lm_r, lc_r = rest.leading()
-        if not _mono_divides(lm_g, lm_r):
-            raise NonDivisibleError("not divisible")
-        mono = _mono_div(lm_r, lm_g)
-        coeff = lc_r / lc_g
-        quotient[mono] = coeff
-        rest = rest - g * Poly(f.table, {mono: coeff})
-    return Poly._trusted(f.table, quotient)
+    _, quotients = _reduce_terms(dict(f.terms), (_divisor(g),), GREVLEX,
+                                 exact=True)
+    return Poly._trusted(f.table, quotients[0])
 
 
 def local_unit_test(f: Poly) -> bool:

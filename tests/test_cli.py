@@ -367,3 +367,13 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
         code, _, err = run(capsys, argv)
         assert code == 1, argv
         assert "nested too deeply" in err
+
+
+def test_non_ascii_entry_is_an_input_error(tmp_path, capsys):
+    for entry in ("x^²", "é", "x*é"):
+        doc = {"ring": {"vars": ["x", "y"]},
+               "matrix": [[entry, "y"], ["y", "x"]]}
+        path = write_doc(tmp_path, doc)
+        code, _, err = run(capsys, ["det", "--input", path])
+        assert code == 1, entry
+        assert "matrix[0][0]" in err and "internal error" not in err

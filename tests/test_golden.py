@@ -10,6 +10,13 @@ Each ``<case>.out`` file is the stdout the CLI printed for that case;
 any change to a report, down to whitespace or the order of Fitting
 generators, fails here.
 
+``member-local.json`` pins ``member_local`` witnesses (answer, unit and
+cofactors as canonical text).  Its instances are the first 50
+local-member cases of the benchmark (seed 1) and 12 constructed ones:
+f = a*g1 + b*g2 tested against (u1*g1, u2*g2) with local units u1, u2,
+which global membership misses, so the colon route (intersection, then
+exact division) finds the unit.
+
 After an intended change of output, rewrite the stored files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -18,12 +25,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
 from blocksplit.cli import main
+from blocksplit.groebner import Ideal, member_local
+from blocksplit.ring import VarTable, parse_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -40,6 +50,7 @@ CASES = (
     ("rect-zero-column", "check-rect", "rect-zero-column.json", ()),
     ("rect-not-coprime", "check-rect", "rect-not-coprime.json", ()),
     ("quiver2", "check-quiver", "quiver2.json", ()),
+    ("quiver3-check", "check-quiver", "quiver3.json", ()),
     ("quiver3-det", "det", "quiver3.json", ()),
     ("quiver3-fitting5", "fitting", "quiver3.json", ("--index", "5")),
     ("square-notdec-text", "check-square", "square-notdec.json",
@@ -71,6 +82,29 @@ def test_report_matches_golden(case, command, doc, flags):
     assert out == expected
 
 
+MEMBER_LOCAL = GOLDEN / "member-local.json"
+
+
+def _witness(case: dict) -> dict:
+    table = VarTable(case["vars"])
+    f = parse_poly(case["element"], table)
+    ideal = Ideal(table, [parse_poly(g, table) for g in case["ideal"]])
+    ok, witness = member_local(f, ideal)
+    if not ok:
+        return {"answer": False, "unit": None, "cofactors": None}
+    return {"answer": True, "unit": str(witness.unit),
+            "cofactors": [str(c) for c in witness.cofactors]}
+
+
+def test_member_local_witnesses_match_golden():
+    cases = json.loads(MEMBER_LOCAL.read_text(encoding="utf-8"))
+    for case in cases:
+        expected = {k: case[k] for k in ("answer", "unit", "cofactors")}
+        assert _witness(case) == expected, case["id"]
+    # the table must keep pinning the colon route, not only global hits
+    assert sum(c["unit"] not in (None, "1") for c in cases) >= 10
+
+
 if __name__ == "__main__":
     for case, command, doc, flags in CASES:
         code, out, err = _run(command, doc, flags)
@@ -78,3 +112,9 @@ if __name__ == "__main__":
             sys.exit(f"{case}: exit {code}: {err}")
         (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
         print(f"{case}: {len(out)} bytes")
+    cases = json.loads(MEMBER_LOCAL.read_text(encoding="utf-8"))
+    for case in cases:
+        case.update(_witness(case))
+    MEMBER_LOCAL.write_text(json.dumps(cases, indent=1) + "\n",
+                            encoding="utf-8")
+    print(f"member-local: {len(cases)} witnesses")

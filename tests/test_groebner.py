@@ -9,6 +9,8 @@ import pytest
 
 from blocksplit.groebner import (
     Ideal,
+    _Gen,
+    _reduce,
     colon,
     contains_local_unit,
     groebner_basis,
@@ -23,16 +25,21 @@ from blocksplit.groebner import (
 from blocksplit.ring import (
     GREVLEX,
     LEX,
+    NonDivisibleError,
     Poly,
     RingError,
+    TermOrder,
     VarTable,
     _mono_div,
+    _mono_divides,
     _mono_lcm,
+    divide_exact,
     parse_poly,
 )
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
+XYZ = VarTable(("x", "y", "z"))
 
 
 def P(text, table=XY):
@@ -256,3 +263,122 @@ def test_ideal_validation():
         Ideal(XY, ())
     with pytest.raises(RingError):
         Ideal(XY, (P("x1", X12),))
+
+
+# -- reduction contract --------------------------------------------------
+#
+# The two functions below are the quadratic loops that `_reduce` and
+# `divide_exact` used before reduction worked in place: each step rebuilt
+# the whole remainder and searched it for its leading term.  The in-place
+# loop must return exactly what they return, term for term.
+
+def reference_reduce(f, basis, order):
+    table = f.table
+    p = f
+    remainder = Poly.zero(table)
+    quotients = {}
+    while not p.is_zero():
+        lm, lc = p.leading(order)
+        for i, g in enumerate(basis):
+            if _mono_divides(g.lm, lm):
+                t = Poly(table, {_mono_div(lm, g.lm): lc / g.lc})
+                p = p - t * g.poly
+                quotients[i] = quotients.get(i, Poly.zero(table)) + t
+                break
+        else:
+            lt = Poly(table, {lm: lc})
+            remainder = remainder + lt
+            p = p - lt
+    return remainder, quotients
+
+
+def reference_divide_exact(f, g):
+    if g.is_zero():
+        raise NonDivisibleError("division by the zero polynomial")
+    lm_g, lc_g = g.leading()
+    quotient = Poly.zero(f.table)
+    rest = f
+    while not rest.is_zero():
+        lm_r, lc_r = rest.leading()
+        if not _mono_divides(lm_g, lm_r):
+            raise NonDivisibleError("not divisible")
+        t = Poly(f.table, {_mono_div(lm_r, lm_g): lc_r / lc_g})
+        quotient = quotient + t
+        rest = rest - g * t
+    return quotient
+
+
+ORDERS = [GREVLEX, LEX, TermOrder.elimination([0]), TermOrder.elimination([2])]
+
+
+def reduction_cases(seed, count):
+    """(f, divisors, order): divisors are a Groebner basis from
+    `Ideal.basis`, or the raw generators in the order given, as Buchberger
+    reduces against a partial basis."""
+    rng = random.Random(seed)
+    for n in range(count):
+        order = ORDERS[n % len(ORDERS)]
+        I = random_ideal(rng, XYZ)
+        f = random_poly(rng, XYZ, degree=5, terms=8)
+        if n % 3 == 2:
+            gens = [g for g in I.generators if not g.is_zero()]
+            divisors = [_Gen(g, order, None, j) for j, g in enumerate(gens)]
+        else:
+            divisors = I.basis(order, track=n % 2 == 0)
+        yield f, divisors, order
+
+
+def test_reduce_matches_reference_loop():
+    nontrivial = 0
+    for f, divisors, order in reduction_cases(53, 120):
+        remainder, quotients = _reduce(f, divisors, order)
+        ref_remainder, ref_quotients = reference_reduce(f, divisors, order)
+        assert remainder == ref_remainder
+        assert list(quotients) == list(ref_quotients)
+        assert quotients == ref_quotients
+        nontrivial += bool(quotients) and not remainder.is_zero()
+    assert nontrivial >= 20
+
+
+def test_reduce_division_identity():
+    for f, divisors, order in reduction_cases(59, 120):
+        remainder, quotients = _reduce(f, divisors, order)
+        total = remainder
+        for i, q in quotients.items():
+            assert not q.is_zero()
+            total = total + q * divisors[i].poly
+        assert total == f
+        for mono in remainder.terms:
+            assert not any(_mono_divides(g.lm, mono) for g in divisors)
+
+
+def test_reduce_by_empty_basis_is_identity():
+    f = P("x^3 - 2*x*y + 5")
+    assert _reduce(f, [], GREVLEX) == (f, {})
+    assert _reduce(Poly.zero(XY), [], GREVLEX) == (Poly.zero(XY), {})
+
+
+def test_divide_exact_matches_reference_loop():
+    rng = random.Random(61)
+    refused = 0
+    for _ in range(150):
+        a = random_poly(rng, XYZ, degree=4, terms=6)
+        b = random_poly(rng, XYZ, degree=3, terms=4, allow_zero=False)
+        if b.is_zero():
+            continue
+        assert divide_exact(a * b, b) == a
+        assert divide_exact(a * b, b) == reference_divide_exact(a * b, b)
+        c = a * b + random_poly(rng, XYZ, degree=4, terms=2)
+        try:
+            expected = reference_divide_exact(c, b)
+        except NonDivisibleError as exc:
+            refused += 1
+            with pytest.raises(NonDivisibleError) as info:
+                divide_exact(c, b)
+            assert str(info.value) == str(exc)
+        else:
+            assert divide_exact(c, b) == expected
+    assert refused >= 50
+    with pytest.raises(NonDivisibleError) as info:
+        divide_exact(P("x"), P("0"))
+    assert str(info.value) == "division by the zero polynomial"

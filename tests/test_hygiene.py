@@ -1,0 +1,56 @@
+"""Import hygiene: every name a module in ``src/`` or ``tests/`` imports
+is used in that module.
+
+A name counts as used when it is read anywhere in the module (a
+``noqa`` comment does not excuse it), or when the module lists it in
+``__all__``, which is how ``blocksplit/__init__.py`` re-exports.
+``from __future__`` imports are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(
+        imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_scanner_finds_an_unused_import():
+    source = "import os\nfrom json import dumps, loads\nprint(loads('1'))\n"
+    assert unused_imports(source) == ["line 1: os", "line 2: dumps"]
+    assert unused_imports("import os.path\nos.sep\n") == []
+    assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+@pytest.mark.parametrize("path", FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in FILES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -102,6 +102,10 @@ PARSE_ERRORS = [
     ("x2", "undeclared variable 'x2' (at position 0)"),
     ("(" * 101 + "x" + ")" * 101,
      "parentheses nested more than 100 deep (at position 100)"),
+    # non-ASCII digits and letters are not part of the grammar
+    ("x^²", "expected a number (at position 2)"),
+    ("é", "unexpected 'é' (at position 0)"),
+    ("x*é", "unexpected 'é' (at position 2)"),
 ]
 
 

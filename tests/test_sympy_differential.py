@@ -1,9 +1,9 @@
-"""Determinants, Fitting ideals and the expression parser refereed by
-sympy.
+"""Determinants, Fitting ideals, reduced Groebner bases and the
+expression parser refereed by sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
-outside the minor expansion and the parser.  The tests are skipped when
-sympy is absent.
+outside the minor expansion, the Groebner engine and the parser.  The
+tests are skipped when sympy is absent.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+from blocksplit.groebner import Ideal, groebner_basis
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
-from blocksplit.ring import Poly, VarTable, parse_poly
+from blocksplit.ring import GREVLEX, LEX, Poly, VarTable, parse_poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -54,16 +55,17 @@ def kronecker_form():
     return build_kronecker(QuiverRep(table, vertices, arrows)).matrix
 
 
+def poly_to_sympy(p, symbols):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s ** e for s, e in zip(symbols, mono)))
+        for mono, c in p.terms.items()))
+
+
 def to_sympy(M):
     symbols = sympy.symbols(M.table.names)
-
-    def expr(p):
-        return sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(s ** e for s, e in zip(symbols, mono)))
-            for mono, c in p.terms.items()))
-
-    return sympy.Matrix([[expr(M[i, j]) for j in range(M.cols)]
+    return sympy.Matrix([[poly_to_sympy(M[i, j], symbols)
+                          for j in range(M.cols)]
                          for i in range(M.rows)]), symbols
 
 
@@ -107,6 +109,39 @@ def test_det_and_fitting_agree_with_sympy(M):
         else:
             assert len(set(got)) == len(got), j
             assert set(got) == expected, j
+
+
+def random_proper_generator(rng):
+    """One to three terms of degree 1 to 3 over x, y, z: no constant
+    term, so the ideals are proper and their bases non-trivial."""
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * len(XYZ)
+        for _ in range(rng.randint(1, 3)):
+            mono[rng.randrange(len(XYZ))] += 1
+        mono = tuple(mono)
+        out[mono] = out.get(mono, Fraction(0)) + rng.choice((-3, -2, -1,
+                                                             1, 2, 3))
+    return Poly(XYZ, out)
+
+
+@pytest.mark.parametrize("order,name", [(GREVLEX, "grevlex"), (LEX, "lex")],
+                         ids=["grevlex", "lex"])
+def test_reduced_groebner_basis_agrees_with_sympy(order, name):
+    """Reduced bases are unique, so both must list the same monic
+    polynomials.  sympy is asked over QQ: over its default ZZ it returns
+    primitive integer bases, which are not monic."""
+    rng = random.Random(103)
+    symbols = sympy.symbols(XYZ.names)
+    for _ in range(30):
+        gens = [random_proper_generator(rng) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()] or [Poly.var(XYZ, "x")]
+        ours = groebner_basis(Ideal(XYZ, gens), order)
+        theirs = sympy.groebner([poly_to_sympy(g, symbols) for g in gens],
+                                *symbols, order=name, domain="QQ")
+        expected = [terms_of(e, symbols) for e in theirs.exprs]
+        assert sorted(sorted(g.terms.items()) for g in ours) == \
+            sorted(sorted(e.items()) for e in expected), gens
 
 
 def random_expression(rng, names, depth=0):
