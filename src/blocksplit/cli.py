@@ -163,8 +163,8 @@ def _load_job(args: argparse.Namespace) -> Job:
     for key in sorted(options):
         expect(key in OPTION_KEYS, f"field 'options.{key}' is not recognized")
 
-    order_name = args.order or options.get("order") or "grevlex"
-    expect(order_name in ORDERS,
+    order_name = args.order or options.get("order", "grevlex")
+    expect(isinstance(order_name, str) and order_name in ORDERS,
            "field 'options.order' must be 'grevlex' or 'lex'")
     jet = args.jet_order if args.jet_order is not None \
         else options.get("jet_order")

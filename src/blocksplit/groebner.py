@@ -13,6 +13,14 @@ the origin) are reduced to global ones through the colon trick:
 Pair handling in Buchberger follows the Gebauer-Moeller installation
 (both classical criteria), with deterministic tie-breaking so repeated
 runs produce identical bases.
+
+The same engine computes Groebner bases of submodules of R^r: a vector
+is encoded as a polynomial linear in r extra position variables, and
+under an elimination order on those variables the order is position
+over term.  Reduction never divides across positions, since a divisor's
+leading position variable must appear in the dividend's monomial; the
+only module-specific step is that no S-pair is formed between leading
+terms at different positions (see `matrix.kernel`).
 """
 
 from __future__ import annotations
@@ -92,10 +100,16 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen, order: TermOrder):
+def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
+            positions: int):
     """Gebauer-Moeller pair update: fold h into (G, B) applying both
-    Buchberger criteria.  Deterministic: all queues are ordered lists."""
-    C = [(h, g) for g in G]
+    Buchberger criteria.  Deterministic: all queues are ordered lists.
+
+    With `positions` > 0 the last that many variables mark the positions
+    of a submodule of R^positions, and h is paired only with elements
+    whose leading term sits at its own position."""
+    C = [(h, g) for g in G
+         if not positions or g.lm[-positions:] == h.lm[-positions:]]
     D: list[tuple[_Gen, _Gen]] = []
     while C:
         _, g = C.pop(0)
@@ -134,7 +148,8 @@ def _spoly(a: _Gen, b: _Gen, order: TermOrder):
     return poly, vec
 
 
-def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool):
+def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool,
+                positions: int = 0):
     table = inputs[0].poly.table
     ngens = len(inputs)
     seq = len(inputs)
@@ -150,7 +165,8 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool):
                 gen.vec,
                 tuple(-c for c in _combine(quotients, G, ngens, table)),
             )
-        G, B = _update(G, B, _Gen(remainder, order, vec, gen.seq), order)
+        G, B = _update(G, B, _Gen(remainder, order, vec, gen.seq),
+                       positions)
     while B:
         pair = min(
             B,
@@ -171,7 +187,7 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool):
                 svec,
                 tuple(-c for c in _combine(quotients, G, ngens, table)),
             )
-        G, B = _update(G, B, _Gen(remainder, order, vec, seq), order)
+        G, B = _update(G, B, _Gen(remainder, order, vec, seq), positions)
         seq += 1
     return _interreduce(G, order, track, ngens, table, seq)
 

@@ -1,13 +1,14 @@
 """Matrices over the polynomial ring: exact determinants, minor (Fitting)
-ideals, and kernel bases.
+ideals, and kernels.
 
 Determinants and Fitting ideals share one routine: a Laplace expansion
 along the first row, memoized on (row tuple, column tuple), so every
 sub-minor is computed once per call and no step divides.  The entries are
 sparse polynomials, where expansion by minors beats elimination
 (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Kernels are syzygies of the
-column family, found by a module Groebner basis under a
-position-over-term order that eliminates the target block.
+column family, read off a Groebner basis of a submodule of R^(m+n)
+under a position-over-term order; the `groebner` engine that serves
+ideals computes it, with positions encoded as extra variables.
 """
 
 from __future__ import annotations
@@ -16,17 +17,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ring import (
-    GREVLEX,
-    InvariantError,
-    Poly,
-    RingError,
-    VarTable,
-    _mono_div,
-    _mono_divides,
-    _mono_lcm,
-)
-from .groebner import Ideal
+from .ring import InvariantError, Poly, RingError, TermOrder, VarTable
+from .groebner import Ideal, _Gen, _buchberger
 
 
 class PolyMatrix:
@@ -219,135 +211,59 @@ def fitting_ideal(M: PolyMatrix, j: int) -> Ideal:
     return Ideal(M.table, gens)
 
 
-class KernelBasis:
-    """Generating set for {v : M v = 0}, each column checked exactly."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: Iterable[Sequence[Poly]]):
-        self.columns = tuple(tuple(c) for c in columns)
-
-    def __iter__(self):
-        return iter(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __repr__(self) -> str:
-        return f"KernelBasis({[tuple(str(p) for p in col) for col in self.columns]})"
+def _position_names(table: VarTable, count: int) -> list[str]:
+    """`count` names absent from `table`, jointly: e1, e2, ..., with the
+    stem lengthened by underscores until none of them is taken."""
+    stem = "e"
+    while True:
+        names = [f"{stem}{k}" for k in range(1, count + 1)]
+        if not any(name in table for name in names):
+            return names
+        stem += "_"
 
 
-class _Vec:
-    """Module element: tuple of Poly with a cached leading (position, mono)."""
+def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
+    """Syzygies of the columns of M: a generating set of {v : M v = 0},
+    each column checked exactly, sorted.
 
-    __slots__ = ("parts", "pos", "lm", "lc")
-
-    def __init__(self, parts: tuple[Poly, ...], keyfn):
-        self.parts = parts
-        best = None
-        for pos, p in enumerate(parts):
-            if p.is_zero():
-                continue
-            mono, coeff = p.leading(GREVLEX)
-            cand = keyfn(pos, mono)
-            if best is None or cand > best[0]:
-                best = (cand, pos, mono, coeff)
-        if best is None:
-            self.pos, self.lm, self.lc = -1, None, None
-        else:
-            _, self.pos, self.lm, self.lc = best
-
-    def is_zero(self) -> bool:
-        return self.pos < 0
-
-
-def _module_reduce(vec: _Vec, basis: list[_Vec], keyfn, table: VarTable) -> _Vec:
-    parts = vec.parts
-    current = vec
-    while not current.is_zero():
-        hit = None
-        for g in basis:
-            if g.pos == current.pos and _mono_divides(g.lm, current.lm):
-                hit = g
-                break
-        if hit is None:
-            break
-        t = Poly(table, {_mono_div(current.lm, hit.lm): current.lc / hit.lc})
-        parts = tuple(a - t * b for a, b in zip(current.parts, hit.parts))
-        current = _Vec(parts, keyfn)
-    return current
-
-
-def kernel(M: PolyMatrix) -> KernelBasis:
-    """Syzygies of the columns of M.
-
-    Works in R^(m+n) on the graph generators (col_j, e_j): a module
-    Groebner basis under an order that ranks the first block above the
-    second makes the elements supported purely in the second block a
-    generating set of the kernel.
+    Works in R^(m+n) on the graph generators (col_j, e_j), each vector
+    written as a polynomial linear in m+n fresh position variables.
+    Under the elimination order on those variables (position over term,
+    lower position first, grevlex inside a position) the first block
+    ranks above the second, so the elements of the Groebner basis whose
+    leading position lies in the second block are supported there and
+    generate the kernel.
     """
     table = M.table
     m, n = M.rows, M.cols
-    zero = Poly.zero(table)
-
-    def keyfn(pos: int, mono):
-        block = 1 if pos < m else 0
-        return (block, -pos, GREVLEX.key(mono))
-
-    gens = []
+    width = len(table)
+    ext = table.extend(_position_names(table, m + n))
+    order = TermOrder.elimination(range(width, width + m + n))
+    unit = [tuple(int(k == pos) for k in range(m + n))
+            for pos in range(m + n)]
+    inputs = []
     for j in range(n):
-        parts = list(M.col(j)) + [zero] * n
-        parts[m + j] = Poly.const(table, 1)
-        gens.append(_Vec(tuple(parts), keyfn))
-
-    basis: list[_Vec] = []
-    pairs: list[tuple[int, int]] = []
-
-    def queue_pairs(k: int) -> None:
-        for t in range(k):
-            if basis[k].pos == basis[t].pos:
-                pairs.append((k, t))
-
-    for g in gens:
-        r = _module_reduce(g, basis, keyfn, table)
-        if not r.is_zero():
-            basis.append(r)
-            queue_pairs(len(basis) - 1)
-    while pairs:
-        pair = min(
-            pairs,
-            key=lambda ij: (
-                GREVLEX.key(_mono_lcm(basis[ij[0]].lm, basis[ij[1]].lm)),
-                ij,
-            ),
-        )
-        pairs.remove(pair)
-        i, j = pair
-        a, b = basis[i], basis[j]
-        lcm = _mono_lcm(a.lm, b.lm)
-        ta = Poly(table, {_mono_div(lcm, a.lm): Fraction(1) / a.lc})
-        tb = Poly(table, {_mono_div(lcm, b.lm): Fraction(1) / b.lc})
-        parts = tuple(ta * x - tb * y for x, y in zip(a.parts, b.parts))
-        r = _module_reduce(_Vec(parts, keyfn), basis, keyfn, table)
-        if r.is_zero():
-            continue
-        basis.append(r)
-        queue_pairs(len(basis) - 1)
+        terms = {(0,) * width + unit[m + j]: Fraction(1)}
+        for i in range(m):
+            for mono, coeff in M.entries[i][j].terms.items():
+                terms[mono + unit[i]] = coeff
+        inputs.append(_Gen(Poly._trusted(ext, terms), order, None, j))
 
     columns = []
     seen = set()
-    for g in basis:
-        if g.pos < m:
+    for g in _buchberger(inputs, order, track=False, positions=m + n):
+        if g.lm.index(1, width) - width < m:
             continue
-        v = g.parts[m:]
+        parts: list[dict] = [{} for _ in range(m + n)]
+        for mono, coeff in g.poly.terms.items():
+            parts[mono.index(1, width) - width][mono[:width]] = coeff
+        v = tuple(Poly._trusted(table, p) for p in parts[m:])
         residual = M.apply(v)
         if any(not p.is_zero() for p in residual):
             raise InvariantError("kernel generator failed exact re-check")
-        scale = Fraction(1) / g.lc
-        v = tuple(scale * p for p in v)
         key = tuple(p.key() for p in v)
         if key not in seen:
             seen.add(key)
             columns.append(v)
     columns.sort(key=lambda v: tuple(p.key() for p in v))
-    return KernelBasis(columns)
+    return tuple(columns)

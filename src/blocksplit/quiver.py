@@ -80,7 +80,7 @@ class QuiverRep:
     Parallel arrows between the same ordered pair are allowed; they
     disappear after complete_reduce."""
 
-    __slots__ = ("table", "vertices", "arrows", "_rank")
+    __slots__ = ("table", "vertices", "arrows")
 
     def __init__(self, table: VarTable, vertices: Iterable[Vertex],
                  arrows: Iterable[Arrow]):
@@ -89,26 +89,23 @@ class QuiverRep:
         self.arrows = tuple(arrows)
         if not self.vertices:
             raise RingError("quiver needs at least one vertex")
-        self._rank = {}
+        rank = {}
         for v in self.vertices:
-            if v.id in self._rank:
+            if v.id in rank:
                 raise RingError(f"duplicate vertex id {v.id!r}")
-            self._rank[v.id] = v.rank
+            rank[v.id] = v.rank
         for a in self.arrows:
-            if a.source not in self._rank:
+            if a.source not in rank:
                 raise RingError(f"arrow source {a.source!r} not a vertex")
-            if a.target not in self._rank:
+            if a.target not in rank:
                 raise RingError(f"arrow target {a.target!r} not a vertex")
-            want = (self._rank[a.target], self._rank[a.source])
+            want = (rank[a.target], rank[a.source])
             if (a.matrix.rows, a.matrix.cols) != want:
                 raise RingError(
                     f"arrow {a.source!r} -> {a.target!r} matrix must be "
                     f"{want[0]} x {want[1]}")
             if a.matrix.table != table:
                 raise RingError("arrow matrix declared over a different VarTable")
-
-    def rank(self, vid: str) -> int:
-        return self._rank[vid]
 
     def is_complete_reduced(self) -> bool:
         seen = set()

@@ -26,7 +26,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
 Monomial = tuple[int, ...]
 
 BASE = "base"
@@ -198,11 +197,6 @@ class TermOrder:
         return (tuple(mono[i] for i in self.block),
                 tuple(e for i, e in enumerate(mono) if i not in inside))
 
-    def descriptor(self) -> str:
-        if self.kind == "block":
-            return f"block{list(self.block)}"
-        return self.kind
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TermOrder)
@@ -214,7 +208,9 @@ class TermOrder:
         return hash((self.kind, self.block))
 
     def __repr__(self) -> str:
-        return f"TermOrder({self.descriptor()})"
+        if self.kind == "block":
+            return f"TermOrder(block{list(self.block)})"
+        return f"TermOrder({self.kind})"
 
 
 GREVLEX = TermOrder.grevlex()
@@ -238,7 +234,7 @@ class Poly:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Rational] | None = None):
+    def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction] | None = None):
         self.table = table
         clean: dict[Monomial, Fraction] = {}
         if terms:
@@ -285,12 +281,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.table), Fraction(0))
-
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def order(self) -> int | None:
         """Min total degree of a term (the vanishing order); None if zero."""

@@ -201,6 +201,16 @@ def test_input_errors_name_the_field(tmp_path, capsys):
     assert code == 1 and "not valid JSON" in err
 
 
+def test_non_string_order_is_an_input_error(tmp_path, capsys):
+    for order in (["lex"], {"name": "lex"}, [], None):
+        doc = {"ring": {"vars": ["x"]}, "matrix": [["x"]],
+               "options": {"order": order}}
+        path = write_doc(tmp_path, doc)
+        code, _, err = run(capsys, ["det", "--input", path])
+        assert code == 1, order
+        assert "options.order" in err and "internal error" not in err
+
+
 def test_exact_only_commands_reject_jet(tmp_path, capsys):
     doc = {"ring": {"vars": ["x", "y"]},
            "matrix": [["x", "0"], ["0", "y"]],

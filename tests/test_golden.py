@@ -17,6 +17,14 @@ f = a*g1 + b*g2 tested against (u1*g1, u2*g2) with local units u1, u2,
 which global membership misses, so the colon route (intersection, then
 exact division) finds the unit.
 
+``rect-verdicts.json`` pins the check-rect verdict (status, failed
+hypothesis, and whether the kernel condition passed) of 42 seeded random
+jobs over Q[x1, x2], 2x3 and 2x4 in turn: sparse random entries, block
+rows (sometimes with one row added to the other), and generic linear
+forms, against the row ideals or small fixed ideal pairs.  The kernel
+condition is a property of the kernel module, not of the generating set
+that `kernel` returns, so every verdict must hold whatever the basis.
+
 After an intended change of output, rewrite the stored files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -32,7 +40,9 @@ import sys
 import pytest
 
 from blocksplit.cli import main
+from blocksplit.decompose import check_rect_lr
 from blocksplit.groebner import Ideal, member_local
+from blocksplit.matrix import PolyMatrix
 from blocksplit.ring import VarTable, parse_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -105,6 +115,33 @@ def test_member_local_witnesses_match_golden():
     assert sum(c["unit"] not in (None, "1") for c in cases) >= 10
 
 
+RECT_VERDICTS = GOLDEN / "rect-verdicts.json"
+
+
+def _rect_verdict(case: dict) -> dict:
+    table = VarTable(case["vars"])
+    A = PolyMatrix(table, [[parse_poly(e, table) for e in row]
+                           for row in case["matrix"]])
+    J1, J2 = (Ideal(table, [parse_poly(g, table) for g in case[k]])
+              for k in ("J1", "J2"))
+    verdict = check_rect_lr(A, J1, J2)
+    passed = [h.passed for h in verdict.hypotheses
+              if h.name == "kernel-condition"]
+    return {"status": verdict.status,
+            "failed_hypothesis": verdict.failed_hypothesis,
+            "kernel_condition": passed[0] if passed else None}
+
+
+def test_rect_verdicts_match_golden():
+    cases = json.loads(RECT_VERDICTS.read_text(encoding="utf-8"))
+    for case in cases:
+        expected = {k: case[k] for k in
+                    ("status", "failed_hypothesis", "kernel_condition")}
+        assert _rect_verdict(case) == expected, case["id"]
+    # both outcomes of the kernel condition stay covered
+    assert {c["kernel_condition"] for c in cases} == {True, False}
+
+
 if __name__ == "__main__":
     for case, command, doc, flags in CASES:
         code, out, err = _run(command, doc, flags)
@@ -118,3 +155,9 @@ if __name__ == "__main__":
     MEMBER_LOCAL.write_text(json.dumps(cases, indent=1) + "\n",
                             encoding="utf-8")
     print(f"member-local: {len(cases)} witnesses")
+    cases = json.loads(RECT_VERDICTS.read_text(encoding="utf-8"))
+    for case in cases:
+        case.update(_rect_verdict(case))
+    RECT_VERDICTS.write_text(json.dumps(cases, indent=1) + "\n",
+                             encoding="utf-8")
+    print(f"rect-verdicts: {len(cases)} verdicts")

@@ -1,5 +1,6 @@
 """Import hygiene: every name a module in ``src/`` or ``tests/`` imports
-is used in that module.
+is used in that module; and the benchmark's tracer still finds every
+function and method it patches by name.
 
 A name counts as used when it is read anywhere in the module (a
 ``noqa`` comment does not excuse it), or when the module lists it in
@@ -10,6 +11,7 @@ A name counts as used when it is read anywhere in the module (a
 from __future__ import annotations
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -54,3 +56,26 @@ def test_scanner_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_tracer_patches_and_restores_current_names():
+    """perfbench/tracer.py looks its targets up by name; a rename or a
+    deletion in ``src/`` must fail here, not first in a traced run."""
+    # the tracer patches these modules, so they must be loaded first
+    import blocksplit.cli
+    import blocksplit.decompose
+    import blocksplit.groebner
+    import blocksplit.matrix
+    import blocksplit.oracle
+
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    kernel = blocksplit.matrix.kernel
+    basis = blocksplit.groebner.Ideal.__dict__["basis"]
+    with tracer.Tracer():
+        assert blocksplit.matrix.kernel is not kernel
+        assert blocksplit.decompose.kernel is blocksplit.matrix.kernel
+    assert blocksplit.decompose.kernel is kernel
+    assert blocksplit.groebner.Ideal.__dict__["basis"] is basis

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,26 +165,59 @@ def test_kernel_examples():
 
     K = kernel(M([["x", "y"]]))
     assert len(K) == 1
-    v = K.columns[0]
+    v = K[0]
     koszul = (P("y"), P("-x"))
     assert v == koszul or v == tuple(-c for c in koszul)
 
     K2 = kernel(M([["x", "y", "0"], ["0", "x", "y"]]))
     assert len(K2) == 1
-    v = K2.columns[0]
+    v = K2[0]
     expect = (P("y^2"), P("-x*y"), P("x^2"))
     assert v == expect or v == tuple(-c for c in expect)
 
 
+# a 2x4 matrix whose kernel took about a minute on a module Buchberger
+# loop without pair criteria or interreduction
+SLOW_2X4 = [
+    ["-x1^2*x2^2 - 2", "2*x1^2*x2^2", "-x1^2 - 3*x1*x2",
+     "-3*x1^2*x2 - 3*x2^2"],
+    ["-3*x1", "-3*x1^2*x2^2 + 3*x2", "1", "x1*x2^2"],
+]
+
+
 def test_kernel_annihilates_random():
     rng = random.Random(71)
+    inputs = []
     for _ in range(12):
         m = rng.randrange(1, 3)
         n = rng.randrange(m, 4)
-        A = random_matrix(rng, XY, m, n)
-        for v in kernel(A):
+        inputs.append(random_matrix(rng, XY, m, n))
+    inputs.append(M(SLOW_2X4, X12))
+    for A in inputs:
+        start = time.perf_counter()
+        K = kernel(A)
+        assert time.perf_counter() - start < 10.0
+        for v in K:
             image = A.apply(v)
             assert all(c.is_zero() for c in image)
+    # the 2x4 matrix has rank 2, so its kernel needs two generators or more
+    assert len(K) >= 2
+
+
+def test_kernel_when_the_ring_declares_position_names():
+    """Positions become fresh variables; a ring that already uses the
+    names the kernel would pick (and their digit extensions) must not
+    change the answer."""
+    square = [["x", "y", "0"], ["0", "x", "y"]]
+    # ten positions: picking e1 -> e10 for a taken e1 would collide later
+    wide = [["x", "y"] + ["0"] * 7]
+    for rows, names in ((square, ("x", "y", "e1", "e10", "e_1")),
+                        (square, ("e1", "x", "e_3", "y", "e__5")),
+                        (wide, ("x", "y", "e1"))):
+        table = VarTable(names)
+        lifted = tuple(tuple(parse_poly(str(p), table) for p in col)
+                       for col in kernel(M(rows)))
+        assert kernel(M(rows, table)) == lifted
 
 
 def test_matrix_validation():
