@@ -175,8 +175,8 @@ def _load_job(args: argparse.Namespace) -> Job:
         expect(args.command not in EXACT_ONLY,
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
-    fmt = args.format or options.get("format") or "json"
-    expect(fmt in ("json", "text"),
+    fmt = args.format or options.get("format", "json")
+    expect(isinstance(fmt, str) and fmt in ("json", "text"),
            "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
     return Job(doc, table, order_name, ORDERS[order_name], jet, fmt)

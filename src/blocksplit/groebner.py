@@ -25,17 +25,18 @@ terms at different positions (see `matrix.kernel`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .ring import (
     GREVLEX,
+    Coeff,
     InvariantError,
     Monomial,
     Poly,
     RingError,
     TermOrder,
     VarTable,
+    _div,
     _divisor,
     _mono_div,
     _mono_divides,
@@ -60,7 +61,7 @@ class _Gen:
         self.seq = seq
 
 
-def _term(table: VarTable, mono: Monomial, coeff: Fraction) -> Poly:
+def _term(table: VarTable, mono: Monomial, coeff: Coeff) -> Poly:
     return Poly(table, {mono: coeff})
 
 
@@ -139,8 +140,8 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
 def _spoly(a: _Gen, b: _Gen, order: TermOrder):
     table = a.poly.table
     lcm = _mono_lcm(a.lm, b.lm)
-    ta = _term(table, _mono_div(lcm, a.lm), Fraction(1) / a.lc)
-    tb = _term(table, _mono_div(lcm, b.lm), Fraction(1) / b.lc)
+    ta = _term(table, _mono_div(lcm, a.lm), _div(1, a.lc))
+    tb = _term(table, _mono_div(lcm, b.lm), _div(1, b.lc))
     poly = ta * a.poly - tb * b.poly
     vec = None
     if a.vec is not None:
@@ -210,7 +211,7 @@ def _interreduce(G: list[_Gen], order: TermOrder, track: bool, ngens: int,
                 g.vec,
                 tuple(-c for c in _combine(quotients, others, ngens, table)),
             )
-        scale = Fraction(1) / remainder.leading(order)[1]
+        scale = _div(1, remainder.leading(order)[1])
         poly = remainder * scale
         if track:
             vec = tuple(scale * c for c in vec)

@@ -14,7 +14,6 @@ ideals computes it, with positions encoded as extra variables.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .ring import InvariantError, Poly, RingError, TermOrder, VarTable
@@ -243,7 +242,7 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
             for pos in range(m + n)]
     inputs = []
     for j in range(n):
-        terms = {(0,) * width + unit[m + j]: Fraction(1)}
+        terms = {(0,) * width + unit[m + j]: 1}
         for i in range(m):
             for mono, coeff in M.entries[i][j].terms.items():
                 terms[mono + unit[i]] = coeff

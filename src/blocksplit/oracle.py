@@ -3,7 +3,7 @@
 Ideal membership modulo m^N is a finite-dimensional linear-algebra
 question: f lies in I + m^N iff the truncation of f is a rational linear
 combination of truncated monomial multiples of the generators.  The row
-reduction here is exact (Fraction pivots, no tolerances) and shares no
+reduction here is exact (rational pivots, no tolerances) and shares no
 code with the Groebner engine, so the two can referee each other.
 
 A jet answer is one-sided evidence: true at order N means "consistent
@@ -16,13 +16,14 @@ determinant one for invariance tests.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Iterable
 
 from .ring import (
+    Coeff,
     Poly,
     RingError,
     VarTable,
+    _div,
     iter_monomials,
     truncate,
 )
@@ -46,7 +47,7 @@ class JetSpace:
     def dim(self) -> int:
         return len(self.monomials)
 
-    def vector(self, f: Poly) -> dict[int, Fraction]:
+    def vector(self, f: Poly) -> dict[int, Coeff]:
         """Sparse coordinate vector of f mod m^N."""
         vec = {}
         for mono, coeff in f.terms.items():
@@ -55,7 +56,7 @@ class JetSpace:
         return vec
 
 
-def _eliminate(row: dict[int, Fraction], comb: dict, pivots: dict):
+def _eliminate(row: dict[int, Coeff], comb: dict, pivots: dict):
     """Reduce row against current pivot rows, carrying the combination.
 
     Eliminating one column can introduce entries in later pivot columns,
@@ -67,27 +68,27 @@ def _eliminate(row: dict[int, Fraction], comb: dict, pivots: dict):
         factor = row[hit]
         prow, pcomb = pivots[hit]
         for c, v in prow.items():
-            new = row.get(c, Fraction(0)) - factor * v
+            new = row.get(c, 0) - factor * v
             if new:
                 row[c] = new
             else:
                 row.pop(c, None)
         for k, v in pcomb.items():
-            new = comb.get(k, Fraction(0)) - factor * v
+            new = comb.get(k, 0) - factor * v
             if new:
                 comb[k] = new
             else:
                 comb.pop(k, None)
 
 
-def _insert(row: dict[int, Fraction], comb: dict, pivots: dict) -> None:
+def _insert(row: dict[int, Coeff], comb: dict, pivots: dict) -> None:
     row, comb = _eliminate(row, comb, pivots)
     if not row:
         return
     col = min(row)
     scale = row[col]
-    row = {c: v / scale for c, v in row.items()}
-    comb = {k: v / scale for k, v in comb.items()}
+    row = {c: _div(v, scale) for c, v in row.items()}
+    comb = {k: _div(v, scale) for k, v in comb.items()}
     pivots[col] = (row, comb)
 
 
@@ -104,10 +105,10 @@ def jet_member_witness(f: Poly, generators: Iterable[Poly], N: int):
         for mono in space.monomials:
             if sum(mono) + o >= N:
                 continue
-            shifted = truncate(Poly(f.table, {mono: Fraction(1)}) * g, N)
+            shifted = truncate(Poly(f.table, {mono: 1}) * g, N)
             if shifted.is_zero():
                 continue
-            _insert(space.vector(shifted), {(gi, mono): Fraction(1)}, pivots)
+            _insert(space.vector(shifted), {(gi, mono): 1}, pivots)
     row, comb = _eliminate(space.vector(f), {}, pivots)
     if row:
         return False, None
@@ -131,7 +132,7 @@ def _random_poly(rng: random.Random, table: VarTable, degree: int, terms: int,
         mono = pool[rng.randrange(len(pool))]
         coeff = rng.randint(-coeff_bound, coeff_bound)
         if coeff:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
     return Poly(table, acc)
 
 

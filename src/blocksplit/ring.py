@@ -1,16 +1,23 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a dictionary mapping exponent tuples to nonzero Fraction
+A polynomial is a dictionary mapping exponent tuples to nonzero rational
 coefficients, attached to a fixed, ordered variable table.  Every Poly
-keeps that invariant: each coefficient is a nonzero Fraction and each
-exponent tuple has the table's width.  The public constructor checks it
-on every dict it is given; arithmetic results (sums, products, negation,
-lifts, truncations, homogeneous parts, exact quotients) are built from
-operands that already hold it and skip the re-check.  The ambient
-ring is read as the localization of Q[x1,...,xp] at the origin: units are
-exactly the elements with nonzero constant term, and series-style
-operations (truncation, square roots) treat a polynomial together with an
-explicit order bound as a jet.
+keeps that invariant: each coefficient is nonzero and canonical (an int
+when integral, a Fraction with denominator > 1 otherwise, never a float)
+and each exponent tuple has the table's width.  An int and the equal
+Fraction hash, compare and print alike, so keys and text forms do not
+depend on which one is stored; ints keep the common integral arithmetic
+off Fraction.  Coefficients are normalized only where they are created
+(the constructor, the accumulation of sums and products, scalar
+multiplication, the parser and the division loop), and a quotient of two
+coefficients is formed by `_div`, which stays exact.  The public
+constructor checks the invariant on every dict it is given; arithmetic
+results (sums, products, negation, lifts, truncations, homogeneous parts,
+exact quotients) are built from operands that already hold it and skip
+the re-check.  The ambient ring is read as the localization of
+Q[x1,...,xp] at the origin: units are exactly the elements with nonzero
+constant term, and series-style operations (truncation, square roots)
+treat a polynomial together with an explicit order bound as a jet.
 
 Variable tables are immutable; "extending the ring by new variables"
 creates a fresh table with the old names as a prefix, and polynomials are
@@ -27,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
+Coeff = int | Fraction
 
 BASE = "base"
 EXT = "ext"
@@ -131,7 +139,10 @@ class VarTable:
 
 
 _VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NAT = re.compile(r"[0-9]+")
+# The parser's tokens: an ASCII number, an ASCII name or any other single
+# character outside `\s`, which is exactly the set for which str.isspace()
+# holds; the scan skips those between tokens.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
 
 
 def _grevlex_key(mono: Monomial):
@@ -151,7 +162,7 @@ class TermOrder:
     beats every monomial free of them.
     """
 
-    __slots__ = ("kind", "block", "_inside")
+    __slots__ = ("kind", "block", "_inside", "_span")
 
     def __init__(self, kind: str, block: tuple[int, ...] = ()):
         if kind not in ("grevlex", "lex", "block"):
@@ -159,6 +170,10 @@ class TermOrder:
         self.kind = kind
         self.block = tuple(block)
         self._inside = frozenset(self.block)
+        # an ascending run of indices is split by slicing
+        lo = self.block[0] if self.block else 0
+        contiguous = self.block == tuple(range(lo, lo + len(self.block)))
+        self._span = (lo, lo + len(self.block)) if contiguous else None
 
     @staticmethod
     def grevlex() -> "TermOrder":
@@ -193,6 +208,9 @@ class TermOrder:
 
     def _split(self, mono: Monomial):
         """(exponents in the block, the other exponents)."""
+        if self._span is not None:
+            lo, hi = self._span
+            return mono[lo:hi], mono[:lo] + mono[hi:]
         inside = self._inside
         return (tuple(mono[i] for i in self.block),
                 tuple(e for i, e in enumerate(mono) if i not in inside))
@@ -229,18 +247,42 @@ def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _coeff(value) -> Coeff:
+    """`value` as a canonical coefficient: an int when integral, else a
+    Fraction.  A float is refused rather than read as its binary-rounded
+    rational."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise RingError(f"float coefficient {value!r}; use int or Fraction")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b of two canonical coefficients, itself
+    canonical (`/` on two ints would give a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
 class Poly:
-    """An exact polynomial: {exponent tuple -> nonzero Fraction} over a table."""
+    """An exact polynomial over a table: {exponent tuple -> nonzero
+    coefficient}, each coefficient an int when integral and a Fraction
+    otherwise."""
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, table: VarTable, terms: Mapping[Monomial, Coeff] | None = None):
         self.table = table
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coeff] = {}
         if terms:
             width = len(table)
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff == 0:
                     continue
                 if len(mono) != width:
@@ -256,13 +298,13 @@ class Poly:
 
     @staticmethod
     def const(table: VarTable, value) -> "Poly":
-        return Poly(table, {(0,) * len(table): Fraction(value)})
+        return Poly(table, {(0,) * len(table): value})
 
     @staticmethod
     def var(table: VarTable, name: str, power: int = 1) -> "Poly":
         mono = [0] * len(table)
         mono[table.index(name)] = power
-        return Poly(table, {tuple(mono): Fraction(1)})
+        return Poly(table, {tuple(mono): 1})
 
     def lift(self, target: VarTable) -> "Poly":
         """Reinterpret over an extended table (old names must be a prefix)."""
@@ -279,8 +321,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.table), Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * len(self.table), 0)
 
     def order(self) -> int | None:
         """Min total degree of a term (the vanishing order); None if zero."""
@@ -302,13 +344,13 @@ class Poly:
             return -1
         return max(m[i] for m in self.terms)
 
-    def leading(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Fraction]:
+    def leading(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
 
-    def trailing(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Fraction]:
+    def trailing(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no trailing term")
         mono = min(self.terms, key=order.key)
@@ -321,7 +363,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _trusted(table: VarTable, terms: dict[Monomial, Fraction]) -> "Poly":
+    def _trusted(table: VarTable, terms: dict[Monomial, Coeff]) -> "Poly":
         """Wrap a dict freshly built from valid operands, without the
         re-check: `terms` must already hold the invariant and must not be
         the dict of any other Poly."""
@@ -367,11 +409,15 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.table)
-            k = Fraction(other)
-            return Poly._trusted(
-                self.table, {m: c * k for m, c in self.terms.items()})
+            k = _coeff(other)
+            out = {}
+            for m, c in self.terms.items():
+                c *= k
+                out[m] = c if type(c) is int or c.denominator != 1 \
+                    else c.numerator
+            return Poly._trusted(self.table, out)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         right = other.terms.items()
         add = operator.add
         for m1, c1 in self.terms.items():
@@ -396,7 +442,7 @@ class Poly:
 
     def scale_to_monic(self, order: TermOrder = GREVLEX) -> "Poly":
         _, c = self.leading(order)
-        return self * (1 / c)
+        return self * _div(1, c)
 
     # -- formatting ----------------------------------------------------------
 
@@ -407,22 +453,25 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _accumulate(out: dict[Monomial, Fraction], terms) -> None:
-    """Add (monomial, coefficient) pairs into `out` in place, dropping a
-    monomial as soon as its coefficient cancels to zero."""
+def _accumulate(out: dict[Monomial, Coeff], terms) -> None:
+    """Add (monomial, nonzero coefficient) pairs into `out` in place,
+    dropping a monomial as soon as its coefficient cancels to zero and
+    storing an integral Fraction as an int."""
     for mono, coeff in terms:
         c = out.get(mono)
         if c is None:
-            out[mono] = coeff
+            out[mono] = coeff if type(coeff) is int \
+                or coeff.denominator != 1 else coeff.numerator
         else:
             c += coeff
             if c:
-                out[mono] = c
+                out[mono] = c if type(c) is int or c.denominator != 1 \
+                    else c.numerator
             else:
                 del out[mono]
 
 
-def _format_term(names: tuple[str, ...], mono: Monomial, coeff: Fraction) -> str:
+def _format_term(names: tuple[str, ...], mono: Monomial, coeff: Coeff) -> str:
     vars_part = "*".join(
         name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
     )
@@ -463,84 +512,87 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := atom ('^' nat)*
     atom   := rational | var | '(' expr ')'
+
+    One regex pass splits the text into tokens; the descent walks the
+    token list, which ends in the sentinel "".  Token positions are needed
+    only for an error message, and are found by a second pass then.
     """
 
     def __init__(self, text: str, table: VarTable):
         self.text = text
         self.table = table
-        self.pos = 0
+        self.slots = table._index
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.i = 0
         self.depth = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
+    def error(self, message: str, end_of: int | None = None) -> ParseError:
+        """A ParseError at the start of the current token or, given
+        `end_of`, just past that token."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        if end_of is None:
+            return ParseError(message, starts[self.i])
+        return ParseError(message, starts[end_of] + len(self.toks[end_of]))
 
     def parse(self) -> Poly:
         result = self.expr()
-        if self.peek():
-            raise self.error(f"unexpected {self.peek()!r}")
+        tok = self.toks[self.i]
+        if tok:
+            raise self.error(f"unexpected {tok[0]!r}")
         return result
 
     def expr(self) -> Poly:
         """Add every term into one dict, dropping a monomial as soon as
         its coefficient cancels."""
-        out: dict[Monomial, Fraction] = {}
+        toks = self.toks
+        out: dict[Monomial, Coeff] = {}
         sign = 1
-        if self.peek() in ("+", "-"):
-            if self.peek() == "-":
+        if toks[self.i] in ("+", "-"):
+            if toks[self.i] == "-":
                 sign = -1
-            self.pos += 1
+            self.i += 1
         self.term(out, sign)
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
+        while toks[self.i] in ("+", "-"):
+            sign = -1 if toks[self.i] == "-" else 1
+            self.i += 1
             self.term(out, sign)
         return Poly._trusted(self.table, out)
 
-    def term(self, out: dict[Monomial, Fraction], sign: int) -> None:
+    def term(self, out: dict[Monomial, Coeff], sign: int) -> None:
         """Add sign * (the next term) into `out`.  Numbers, variables and
         their powers fold into one coefficient and one exponent list; only
         parenthesized factors are multiplied out as polynomials."""
+        toks = self.toks
         coeff = sign
         mono = [0] * len(self.table)
         product = None
         while True:
-            if self.peek() == "(":
+            if toks[self.i] == "(":
                 inner = self.group()
-                while self.peek() == "^":
-                    self.pos += 1
+                while toks[self.i] == "^":
+                    self.i += 1
                     inner = inner ** self.nat()
                 product = inner if product is None else product * inner
             else:
                 value, slot = self.plain()
                 power = 1
-                while self.peek() == "^":
-                    self.pos += 1
+                while toks[self.i] == "^":
+                    self.i += 1
                     power *= self.nat()
                 if slot is None:
                     coeff *= value ** power
                 else:
                     mono[slot] += power
-            if self.peek() != "*":
+            if toks[self.i] != "*":
                 break
-            self.pos += 1
+            self.i += 1
         if not coeff:
             return
         mono = tuple(mono)
         if product is None:
-            _accumulate(out, ((mono, Fraction(coeff)),))
+            _accumulate(out, ((mono, coeff),))
         else:
             add = operator.add
             _accumulate(out, ((tuple(map(add, m, mono)), c * coeff)
@@ -552,46 +604,46 @@ class _Parser:
             raise self.error(
                 f"parentheses nested more than {MAX_NESTING} deep")
         self.depth += 1
-        self.pos += 1
+        self.i += 1
         inner = self.expr()
-        self.take(")")
+        if self.toks[self.i] != ")":
+            raise self.error("expected ')'")
+        self.i += 1
         self.depth -= 1
         return inner
 
-    def plain(self) -> tuple[int | Fraction, int | None]:
+    def plain(self) -> tuple[Coeff, int | None]:
         """A number or a variable: (value, None) or (1, variable slot)."""
-        ch = self.peek()
-        # ASCII only: str.isdigit and str.isalpha accept characters such
-        # as '²' and 'é' that int() and _VAR_NAME do not
-        if ch.isascii() and ch.isdigit():
-            num = self.nat()
-            if self.peek() == "/":
-                self.pos += 1
+        tok = self.toks[self.i]
+        slot = self.slots.get(tok)
+        if slot is not None:
+            self.i += 1
+            return 1, slot
+        # a token starting with an ASCII digit or letter is a whole number
+        # or name; any other token is one character
+        ch = tok[:1]
+        if "0" <= ch <= "9":
+            self.i += 1
+            num = int(tok)
+            if self.toks[self.i] == "/":
+                self.i += 1
                 den = self.nat()
                 if den == 0:
-                    raise self.error("zero denominator")
-                return Fraction(num, den), None
+                    raise self.error("zero denominator", end_of=self.i - 1)
+                return _div(num, den), None
             return num, None
-        if ch.isascii() and ch.isalpha():
-            start = self.pos
-            match = _VAR_NAME.match(self.text, self.pos)
-            name = match.group(0)
-            self.pos = match.end()
-            if name not in self.table:
-                self.pos = start
-                raise self.error(f"undeclared variable {name!r}")
-            return 1, self.table.index(name)
-        if ch == "":
+        if "A" <= ch <= "Z" or "a" <= ch <= "z":
+            raise self.error(f"undeclared variable {tok!r}")
+        if not ch:
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected {ch!r}")
 
     def nat(self) -> int:
-        self.skip_ws()
-        match = _NAT.match(self.text, self.pos)
-        if match is None:
+        tok = self.toks[self.i]
+        if not "0" <= tok[:1] <= "9":
             raise self.error("expected a number")
-        self.pos = match.end()
-        return int(match.group(0))
+        self.i += 1
+        return int(tok)
 
 
 def parse_poly(text: str, table: VarTable) -> Poly:
@@ -599,7 +651,7 @@ def parse_poly(text: str, table: VarTable) -> Poly:
     return _Parser(text, table).parse()
 
 
-def _reduce_terms(terms: dict[Monomial, Fraction], divisors,
+def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
                   order: TermOrder, exact: bool = False):
     """Divide the polynomial `terms` by `divisors`, consuming `terms`.
 
@@ -623,8 +675,8 @@ def _reduce_terms(terms: dict[Monomial, Fraction], divisors,
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     add, le = operator.add, operator.le
-    remainder: dict[Monomial, Fraction] = {}
-    quotients: dict[int, dict[Monomial, Fraction]] = {}
+    remainder: dict[Monomial, Coeff] = {}
+    quotients: dict[int, dict[Monomial, Coeff]] = {}
     while heap:
         mono = pop(heap)[1]
         coeff = terms.pop(mono, None)
@@ -639,13 +691,15 @@ def _reduce_terms(terms: dict[Monomial, Fraction], divisors,
             remainder[mono] = coeff
             continue
         q = _mono_div(mono, lm)
-        factor = coeff / lc
+        factor = _div(coeff, lc)
         quotients.setdefault(i, {})[q] = factor
         for tm, tc in tail:
             m = tuple(map(add, q, tm))
             c = terms.get(m)
             if c is None:
-                terms[m] = -factor * tc
+                c = -factor * tc
+                terms[m] = c if type(c) is int or c.denominator != 1 \
+                    else c.numerator
                 k = keys.get(m)
                 if k is None:
                     k = keys[m] = desc_key(m)
@@ -653,7 +707,8 @@ def _reduce_terms(terms: dict[Monomial, Fraction], divisors,
             else:
                 c -= factor * tc
                 if c:
-                    terms[m] = c
+                    terms[m] = c if type(c) is int or c.denominator != 1 \
+                        else c.numerator
                 else:
                     del terms[m]
     return remainder, quotients
@@ -691,14 +746,14 @@ def truncate(f: Poly, bound: int) -> Poly:
         f.table, {m: c for m, c in f.terms.items() if sum(m) < bound})
 
 
-def _sqrt_fraction(c: Fraction) -> Fraction | None:
+def _sqrt_fraction(c: Coeff) -> Coeff | None:
     if c < 0:
         return None
     num = math.isqrt(c.numerator)
     den = math.isqrt(c.denominator)
     if num * num != c.numerator or den * den != c.denominator:
         return None
-    return Fraction(num, den)
+    return _div(num, den)
 
 
 def _normalize_sign(g: Poly) -> Poly:
@@ -738,7 +793,7 @@ def sqrt_exact(f: Poly) -> Poly | None:
         if key >= last_key:
             return None
         last_key = key
-        t = Poly(f.table, {mono: lc_r / (2 * root_lc)})
+        t = Poly(f.table, {mono: _div(lc_r, 2 * root_lc)})
         g = g + t
         rest = f - g * g
     if not (g * g == f):

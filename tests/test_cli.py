@@ -211,6 +211,16 @@ def test_non_string_order_is_an_input_error(tmp_path, capsys):
         assert "options.order" in err and "internal error" not in err
 
 
+def test_non_string_or_empty_format_is_an_input_error(tmp_path, capsys):
+    for fmt in ([], {}, None, "", 0, False, ["json"]):
+        doc = {"ring": {"vars": ["x"]}, "matrix": [["x"]],
+               "options": {"format": fmt}}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, ["det", "--input", path])
+        assert code == 1 and out == "", fmt
+        assert "options.format" in err and "internal error" not in err
+
+
 def test_exact_only_commands_reject_jet(tmp_path, capsys):
     doc = {"ring": {"vars": ["x", "y"]},
            "matrix": [["x", "0"], ["0", "y"]],

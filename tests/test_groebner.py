@@ -97,8 +97,8 @@ def test_basis_buchberger_criterion():
                 m1, c1 = g1.leading(GREVLEX)
                 m2, c2 = g2.leading(GREVLEX)
                 lcm = _mono_lcm(m1, m2)
-                s = (Poly(XY, {_mono_div(lcm, m1): 1 / c1}) * g1
-                     - Poly(XY, {_mono_div(lcm, m2): 1 / c2}) * g2)
+                s = (Poly(XY, {_mono_div(lcm, m1): Fraction(1) / c1}) * g1
+                     - Poly(XY, {_mono_div(lcm, m2): Fraction(1) / c2}) * g2)
                 remainder, _ = normal_form(s, I, GREVLEX)
                 assert remainder.is_zero()
 
@@ -281,7 +281,7 @@ def reference_reduce(f, basis, order):
         lm, lc = p.leading(order)
         for i, g in enumerate(basis):
             if _mono_divides(g.lm, lm):
-                t = Poly(table, {_mono_div(lm, g.lm): lc / g.lc})
+                t = Poly(table, {_mono_div(lm, g.lm): Fraction(lc) / g.lc})
                 p = p - t * g.poly
                 quotients[i] = quotients.get(i, Poly.zero(table)) + t
                 break
@@ -302,7 +302,7 @@ def reference_divide_exact(f, g):
         lm_r, lc_r = rest.leading()
         if not _mono_divides(lm_g, lm_r):
             raise NonDivisibleError("not divisible")
-        t = Poly(f.table, {_mono_div(lm_r, lm_g): lc_r / lc_g})
+        t = Poly(f.table, {_mono_div(lm_r, lm_g): Fraction(lc_r) / lc_g})
         quotient = quotient + t
         rest = rest - g * t
     return quotient

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from blocksplit.oracle import jet_member_witness
 from blocksplit.ring import (
     GREVLEX,
     LEX,
@@ -16,7 +17,12 @@ from blocksplit.ring import (
     RingError,
     SeriesSqrtError,
     TableMismatchError,
+    TermOrder,
     VarTable,
+    _divisor,
+    _grevlex_desc_key,
+    _grevlex_key,
+    _reduce_terms,
     divide_exact,
     format_poly,
     local_unit_test,
@@ -302,3 +308,86 @@ def test_leading_trailing():
     assert mono == (2, 0)
     assert f.order() == 2
     assert f.lowest_form() == P("x^2")
+
+
+def canonical(terms):
+    """`terms`, after checking each coefficient is canonical: an int when
+    integral, else a Fraction with denominator > 1."""
+    for c in terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    return terms
+
+
+def test_coefficients_are_int_unless_fractional():
+    f = P("6/3*x + 1/2*y - 3/2*y + 4")
+    assert canonical(f.terms) == {(1, 0): 2, (0, 1): -1, (0, 0): 4}
+    assert all(type(c) is int for c in f.terms.values())
+    g = Poly(XY, {(1, 0): Fraction(4, 2), (0, 0): Fraction(1, 3),
+                  (0, 1): True})
+    assert canonical(g.terms) == {(1, 0): 2, (0, 0): Fraction(1, 3),
+                                  (0, 1): 1}
+    # an int and the equal Fraction hash, compare and print alike
+    assert hash(P("2*x")) == hash(Poly(XY, {(1, 0): Fraction(2)}))
+    assert str(P("x") * Fraction(4, 2)) == "2*x"
+    # products and sums of Fractions that come out integral
+    h = P("1/2*x + 1/3") * P("2*x + 3")
+    assert canonical(h.terms) == {(2, 0): 1, (1, 0): Fraction(13, 6),
+                                  (0, 0): 1}
+    assert canonical((P("1/2*x") + P("1/2*x")).terms) == {(1, 0): 1}
+    assert canonical((P("1/2*x") * 2).terms) == {(1, 0): 1}
+    assert canonical(Poly.const(XY, Fraction(6, 3)).terms) == {(0, 0): 2}
+
+
+def test_float_coefficient_is_refused():
+    with pytest.raises(RingError, match="float coefficient"):
+        Poly(XY, {(1, 0): 0.5})
+    with pytest.raises(RingError, match="float coefficient"):
+        Poly.const(XY, 1.0)
+
+
+def test_divisions_stay_exact():
+    assert canonical(P("2*x + 1").scale_to_monic().terms) == \
+        {(1, 0): 1, (0, 0): Fraction(1, 2)}
+    root = sqrt_exact(P("x^2 + x + 1/4"))
+    assert root == P("x + 1/2")
+    canonical(root.terms)
+    series = sqrt_series(P("1 + x"), 4)
+    assert series == P("1 + 1/2*x - 1/8*x^2 + 1/16*x^3")
+    canonical(series.terms)
+    ok, cofactors = jet_member_witness(P("x + y"), (P("2*x + 2*y"),), 3)
+    assert ok and cofactors == (P("1/2"),)
+    canonical(cofactors[0].terms)
+
+
+@pytest.mark.parametrize("f,g,q,r", [
+    ("x^2*y + 3*x + 1", "2*x*y + 1", "1/2*x", "5/2*x + 1"),
+    # a tail entry that is updated, and one that is new, come out integral
+    ("x^2*y + 3/2*x", "2*x*y + 1", "1/2*x", "x"),
+    ("x^2*y", "2*x*y + 2", "1/2*x", "-x"),
+])
+def test_reduce_terms_with_leading_coefficient_two(f, g, q, r):
+    f, g = P(f), P(g)
+    remainder, quotients = _reduce_terms(dict(f.terms), (_divisor(g),),
+                                         GREVLEX)
+    assert canonical(quotients[0]) == P(q).terms
+    assert canonical(remainder) == P(r).terms
+    assert P(q) * g + P(r) == f
+
+
+def split_reference(block, mono):
+    inside = set(block)
+    return (tuple(mono[i] for i in block),
+            tuple(e for i, e in enumerate(mono) if i not in inside))
+
+
+@pytest.mark.parametrize("block", [(), (0,), (2, 3, 4), (4, 5), (0, 1, 2),
+                                   (0, 5), (1, 3, 4), (3, 1)])
+def test_block_order_keys_match_generic_split(block):
+    rng = random.Random(len(block) * 7 + sum(block))
+    order = TermOrder("block", block)
+    for _ in range(200):
+        mono = tuple(rng.randrange(4) for _ in range(6))
+        head, tail = split_reference(block, mono)
+        assert order.key(mono) == (_grevlex_key(head), _grevlex_key(tail))
+        assert order.desc_key(mono) == (_grevlex_desc_key(head),
+                                        _grevlex_desc_key(tail))

@@ -2,9 +2,10 @@
 
 Sums, products, negation, scaling, lifts, truncations and homogeneous
 parts are built without the validating constructor.  Each result must
-still equal its re-validated copy, hold only nonzero Fraction
-coefficients on exponent tuples of the table's width, and own a dict of
-its own.  The test is skipped when hypothesis is absent.
+still equal its re-validated copy, hold only nonzero canonical
+coefficients (an int when integral, a Fraction with denominator > 1
+otherwise, never a float) on exponent tuples of the table's width, and
+own a dict of its own.  The test is skipped when hypothesis is absent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from blocksplit.ring import Poly, VarTable, divide_exact, truncate
+from blocksplit.ring import Poly, VarTable, divide_exact, parse_poly, truncate
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -35,7 +36,8 @@ def assert_invariant(r: Poly, *operands: Poly) -> None:
     assert r == Poly(r.table, r.terms)
     width = len(r.table)
     for mono, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert c != 0
         assert type(mono) is tuple and len(mono) == width
     for p in operands:
         assert r.terms is not p.terms
@@ -50,4 +52,6 @@ def test_arithmetic_results_hold_the_invariant(a, b, k, degree):
         assert_invariant(r, a, b)
     if not b.is_zero():
         assert_invariant(divide_exact(a * b, b), a, b)
+        assert_invariant(b.scale_to_monic(), a, b)
+    assert_invariant(parse_poly(str(a), XYZ), a, b)
 
