@@ -66,8 +66,13 @@ def _load_json(path: str, what: str) -> Any:
     except OSError as exc:
         raise InputError(
             f"cannot read the {what} file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"the {what} file is not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"the {what} file is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"the {what} file holds a number of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise InputError(f"the {what} file is nested too deeply") from exc
 

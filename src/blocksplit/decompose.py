@@ -67,11 +67,10 @@ def _coprime_witnessed(I: Ideal, J: Ideal, jet_order: int | None,
     return _subset_witnessed(meet, prod, jet_order, order)
 
 
-def _square_scope(f1: Poly, f2: Poly) -> str:
-    return (
-        "relative to the factor pair (f1, f2): NotDecomposable rules out "
-        "exactly the block decompositions with det(A_i) = f_i up to units"
-    )
+_SQUARE_SCOPE = (
+    "relative to the factor pair (f1, f2): NotDecomposable rules out "
+    "exactly the block decompositions with det(A_i) = f_i up to units"
+)
 
 
 def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
@@ -150,14 +149,13 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
             break
     nontrivial = HypothesisCheck("factor-nontriviality", ok, detail)
     return _split_by_factors(A, f1, f2, "det(A)", nontrivial,
-                            _square_scope(f1, f2), jet_order, order)
+                            _SQUARE_SCOPE, jet_order, order)
 
 
-def _rect_scope() -> str:
-    return (
-        "relative to the ideal pair (J1, J2): NotDecomposable rules out "
-        "exactly the block decompositions with I_m(A_i) = J_i up to units"
-    )
+_RECT_SCOPE = (
+    "relative to the ideal pair (J1, J2): NotDecomposable rules out "
+    "exactly the block decompositions with I_m(A_i) = J_i up to units"
+)
 
 
 def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
@@ -170,7 +168,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
         raise RingError("rectangular check needs rows <= cols")
     if J1.table != A.table or J2.table != A.table:
         raise RingError("ideals declared over a different VarTable")
-    scope = _rect_scope()
+    scope = _RECT_SCOPE
     hyps: list[HypothesisCheck] = []
     identities: list[Identity] = []
     inclusions: list[Inclusion] = []

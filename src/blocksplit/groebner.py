@@ -69,10 +69,6 @@ def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_scale(vec, factor: Poly):
-    return tuple(factor * x for x in vec)
-
-
 def _reduce(f: Poly, basis: list[_Gen], order: TermOrder):
     """Full normal form of f modulo basis.
 
@@ -168,13 +164,16 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool,
             )
         G, B = _update(G, B, _Gen(remainder, order, vec, gen.seq),
                        positions)
+    key = order.key
     while B:
-        pair = min(
+        # smallest lcm first, then the lowest (a.seq, b.seq); `key` sorts
+        # the largest monomial first, so the pair wanted has the largest
+        pair = max(
             B,
             key=lambda ab: (
-                order.key(_mono_lcm(ab[0].lm, ab[1].lm)),
-                ab[0].seq,
-                ab[1].seq,
+                key(_mono_lcm(ab[0].lm, ab[1].lm)),
+                -ab[0].seq,
+                -ab[1].seq,
             ),
         )
         B.remove(pair)
@@ -198,7 +197,8 @@ def _interreduce(G: list[_Gen], order: TermOrder, track: bool, ngens: int,
     """Minimal generators, tail-reduced against each other, leading
     coefficient 1; sorted by descending leading monomial."""
     minimal: list[_Gen] = []
-    for g in sorted(G, key=lambda g: order.key(g.lm)):
+    # scan by ascending leading monomial
+    for g in sorted(G, key=lambda g: order.key(g.lm), reverse=True):
         if not any(_mono_divides(h.lm, g.lm) for h in minimal):
             minimal.append(g)
     reduced: list[_Gen] = []
@@ -216,7 +216,7 @@ def _interreduce(G: list[_Gen], order: TermOrder, track: bool, ngens: int,
         if track:
             vec = tuple(scale * c for c in vec)
         reduced.append(_Gen(poly, order, vec, g.seq))
-    reduced.sort(key=lambda g: order.key(g.lm), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.lm))
     return reduced
 
 
@@ -224,9 +224,8 @@ class Ideal:
     """Finitely generated ideal, with per-order cached Groebner bases.
 
     The zero ideal is represented by the single generator 0; otherwise
-    zero generators are dropped.  The cache is write-once per (order,
-    tracking) key so concurrent readers see either nothing or a finished
-    basis.
+    zero generators are dropped.  The cache holds one basis per (order,
+    tracking) key.
     """
 
     __slots__ = ("table", "generators", "_cache")
@@ -294,15 +293,12 @@ def member_global(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
     return False, None
 
 
-def _drop_slot(f: Poly, target: VarTable, slot: int) -> Poly:
-    terms = {}
-    for mono, coeff in f.terms.items():
-        terms[mono[:slot] + mono[slot + 1:]] = coeff
-    return Poly(target, terms)
+def _drop_last(f: Poly, target: VarTable) -> Poly:
+    return Poly(target, {mono[:-1]: coeff for mono, coeff in f.terms.items()})
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J, by eliminating a fresh t from t*I + (1-t)*J."""
+    """I cap J, by eliminating a fresh trailing t from t*I + (1-t)*J."""
     table = I.table
     if J.table != table:
         raise RingError("ideal intersection needs a common VarTable")
@@ -310,17 +306,15 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(table, (Poly.zero(table),))
     tname = table.fresh_name("t")
     ext = table.extend([tname])
-    slot = ext.index(tname)
     t = Poly.var(ext, tname)
     one_minus_t = Poly.const(ext, 1) - t
     gens = [t * g.lift(ext) for g in I.generators]
     gens += [one_minus_t * h.lift(ext) for h in J.generators]
-    order = TermOrder.elimination([slot])
-    basis = Ideal(ext, gens).basis(order)
+    basis = Ideal(ext, gens).basis(TermOrder.elimination(1))
     kept = [g.poly for g in basis if g.poly.degree_in(tname) == 0]
     if not kept:
         return Ideal(table, (Poly.zero(table),))
-    return Ideal(table, [_drop_slot(p, table, slot) for p in kept])
+    return Ideal(table, [_drop_last(p, table) for p in kept])
 
 
 def colon(I: Ideal, f: Poly) -> Ideal:

@@ -106,15 +106,6 @@ class PolyMatrix:
             [[factor * e for e in row] for row in self.entries],
         )
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.table,
-            [
-                [self.entries[i][j] for i in range(self.rows)]
-                for j in range(self.cols)
-            ],
-        )
-
     def lift(self, target: VarTable) -> "PolyMatrix":
         return PolyMatrix(
             target,
@@ -226,18 +217,18 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
     each column checked exactly, sorted.
 
     Works in R^(m+n) on the graph generators (col_j, e_j), each vector
-    written as a polynomial linear in m+n fresh position variables.
-    Under the elimination order on those variables (position over term,
-    lower position first, grevlex inside a position) the first block
-    ranks above the second, so the elements of the Groebner basis whose
-    leading position lies in the second block are supported there and
-    generate the kernel.
+    written as a polynomial linear in m+n fresh position variables,
+    appended after the ring's own.  Under the elimination order on those
+    trailing variables (position over term, lower position first, grevlex
+    inside a position) the first block ranks above the second, so the
+    elements of the Groebner basis whose leading position lies in the
+    second block are supported there and generate the kernel.
     """
     table = M.table
     m, n = M.rows, M.cols
     width = len(table)
     ext = table.extend(_position_names(table, m + n))
-    order = TermOrder.elimination(range(width, width + m + n))
+    order = TermOrder.elimination(m + n)
     unit = [tuple(int(k == pos) for k in range(m + n))
             for pos in range(m + n)]
     inputs = []

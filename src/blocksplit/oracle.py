@@ -44,9 +44,6 @@ class JetSpace:
         self.monomials = tuple(iter_monomials(len(table), bound))
         self._index = {mono: i for i, mono in enumerate(self.monomials)}
 
-    def dim(self) -> int:
-        return len(self.monomials)
-
     def vector(self, f: Poly) -> dict[int, Coeff]:
         """Sparse coordinate vector of f mod m^N."""
         vec = {}

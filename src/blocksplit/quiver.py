@@ -240,12 +240,11 @@ def conj_pencil(mats: list[PolyMatrix]) -> KroneckerForm:
     return KroneckerForm(acc, base, (0,), (size,), roles, ("y",))
 
 
-def _quiver_scope() -> str:
-    return (
-        "relative to the split (f1, f2) of the Kronecker-form determinant: "
-        "NotDecomposable rules out exactly the vertex-wise splittings with "
-        "det = f1 * f2"
-    )
+_QUIVER_SCOPE = (
+    "relative to the split (f1, f2) of the Kronecker-form determinant: "
+    "NotDecomposable rules out exactly the vertex-wise splittings with "
+    "det = f1 * f2"
+)
 
 
 def check_quiver(Q: QuiverRep, f1: Poly, f2: Poly,
@@ -275,12 +274,11 @@ def check_quiver(Q: QuiverRep, f1: Poly, f2: Poly,
             break
     y_check = HypothesisCheck("y-profile", ok, detail)
     return _split_by_factors(form.matrix, f1, f2, "det of the Kronecker form",
-                             y_check, _quiver_scope(), jet_order, order)
+                             y_check, _QUIVER_SCOPE, jet_order, order)
 
 
-def _conj_scope() -> str:
-    return ("diagonalizability of a 2x2 matrix under conjugation; the "
-            "verdict is absolute (not relative to a factor pair)")
+_CONJ_SCOPE = ("diagonalizability of a 2x2 matrix under conjugation; the "
+               "verdict is absolute (not relative to a factor pair)")
 
 
 def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
@@ -298,7 +296,7 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
     table = A.table
     tr = A.trace()
     disc = tr * tr - det(A) * 4
-    scope = _conj_scope()
+    scope = _CONJ_SCOPE
     hyps: list[HypothesisCheck] = []
     identities: list[Identity] = []
     inclusions: list[Inclusion] = []

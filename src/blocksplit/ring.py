@@ -21,7 +21,10 @@ treat a polynomial together with an explicit order bound as a jet.
 
 Variable tables are immutable; "extending the ring by new variables"
 creates a fresh table with the old names as a prefix, and polynomials are
-lifted into it by zero-padding their exponents.
+lifted into it by zero-padding their exponents.  So the variables to
+eliminate are always the trailing ones: each monomial order (grevlex, lex,
+or elimination of a trailing block) has one sort key, which puts the
+largest monomial first.
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ import heapq
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
 Coeff = int | Fraction
-
-BASE = "base"
-EXT = "ext"
 
 
 class RingError(Exception):
@@ -69,30 +70,23 @@ class InvariantError(RingError):
 
 
 class VarTable:
-    """Ordered list of variable names, each tagged base-ring or extension.
+    """Ordered list of variable names.
 
     The order is fixed at creation; extensions always append.  Two tables
-    compare equal iff names and tags agree, so lifted polynomials from
+    compare equal iff their names agree, so lifted polynomials from
     independently built but identical extensions interoperate.
     """
 
-    __slots__ = ("names", "kinds", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Iterable[str], kinds: Iterable[str] | None = None):
+    def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        if kinds is None:
-            kinds = (BASE,) * len(names)
-        else:
-            kinds = tuple(kinds)
-        if len(kinds) != len(names):
-            raise RingError("one kind tag per variable required")
         if len(set(names)) != len(names):
             raise RingError("variable names must be unique")
         for name in names:
             if not _VAR_NAME.fullmatch(name):
                 raise RingError(f"invalid variable name {name!r}")
         self.names = names
-        self.kinds = kinds
         self._index = {name: i for i, name in enumerate(names)}
 
     def __len__(self) -> int:
@@ -102,14 +96,10 @@ class VarTable:
         return name in self._index
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VarTable)
-            and self.names == other.names
-            and self.kinds == other.kinds
-        )
+        return isinstance(other, VarTable) and self.names == other.names
 
     def __hash__(self) -> int:
-        return hash((self.names, self.kinds))
+        return hash(self.names)
 
     def __repr__(self) -> str:
         return f"VarTable({list(self.names)})"
@@ -120,13 +110,13 @@ class VarTable:
         except KeyError:
             raise RingError(f"undeclared variable {name!r}") from None
 
-    def extend(self, names: Iterable[str], kind: str = EXT) -> "VarTable":
+    def extend(self, names: Iterable[str]) -> "VarTable":
         """New table with `names` appended; existing names keep their slots."""
         names = tuple(names)
         for name in names:
             if name in self._index:
                 raise RingError(f"variable {name!r} already declared")
-        return VarTable(self.names + names, self.kinds + (kind,) * len(names))
+        return VarTable(self.names + names)
 
     def fresh_name(self, stem: str) -> str:
         """Deterministic name not present in the table: stem, stem0, stem1, ..."""
@@ -146,74 +136,45 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
 
 
 def _grevlex_key(mono: Monomial):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def _grevlex_desc_key(mono: Monomial):
-    """_grevlex_key with every integer negated: sorts largest first."""
+    """Sorts largest first under grevlex: higher total degree first, then
+    the smaller exponent in the last variable where two monomials differ."""
     return (-sum(mono), mono[::-1])
 
 
-class TermOrder:
-    """Monomial order: grevlex, lex, or a block-elimination order.
+def _lex_key(mono: Monomial):
+    return tuple(-e for e in mono)
 
-    A block order compares the restriction to the eliminated variables
-    first (by grevlex), so any monomial containing an eliminated variable
-    beats every monomial free of them.
+
+class TermOrder:
+    """Monomial order: grevlex, lex, or the elimination order on the
+    trailing `block` variables.
+
+    `key` is the order's one sort key, and it sorts the largest monomial
+    first: `min(monos, key=order.key)` is the leading monomial, and a
+    min-heap on it pops monomials in descending order.  The elimination
+    order compares the trailing `block` exponents first (by grevlex) and
+    the others next (by grevlex), so any monomial containing an eliminated
+    variable beats every monomial free of them.
     """
 
-    __slots__ = ("kind", "block", "_inside", "_span")
+    __slots__ = ("kind", "block", "key")
 
-    def __init__(self, kind: str, block: tuple[int, ...] = ()):
-        if kind not in ("grevlex", "lex", "block"):
-            raise RingError(f"unknown term order {kind!r}")
+    def __init__(self, kind: str, block: int = 0):
+        if kind == "block" and block > 0:
+            cut = -block
+            self.key = lambda mono: (_grevlex_key(mono[cut:]),
+                                     _grevlex_key(mono[:cut]))
+        elif kind in ("grevlex", "lex") and block == 0:
+            self.key = _grevlex_key if kind == "grevlex" else _lex_key
+        else:
+            raise RingError(f"unknown term order {kind!r} on block {block!r}")
         self.kind = kind
-        self.block = tuple(block)
-        self._inside = frozenset(self.block)
-        # an ascending run of indices is split by slicing
-        lo = self.block[0] if self.block else 0
-        contiguous = self.block == tuple(range(lo, lo + len(self.block)))
-        self._span = (lo, lo + len(self.block)) if contiguous else None
+        self.block = block
 
     @staticmethod
-    def grevlex() -> "TermOrder":
-        return TermOrder("grevlex")
-
-    @staticmethod
-    def lex() -> "TermOrder":
-        return TermOrder("lex")
-
-    @staticmethod
-    def elimination(block: Iterable[int]) -> "TermOrder":
-        """Block order with the given variable indices in the leading block."""
-        return TermOrder("block", tuple(sorted(block)))
-
-    def key(self, mono: Monomial):
-        if self.kind == "grevlex":
-            return _grevlex_key(mono)
-        if self.kind == "lex":
-            return mono
-        head, tail = self._split(mono)
-        return (_grevlex_key(head), _grevlex_key(tail))
-
-    def desc_key(self, mono: Monomial):
-        """A key that sorts monomials largest first: `key` with every
-        integer negated, so a min-heap pops the leading monomial."""
-        if self.kind == "grevlex":
-            return _grevlex_desc_key(mono)
-        if self.kind == "lex":
-            return tuple(-e for e in mono)
-        head, tail = self._split(mono)
-        return (_grevlex_desc_key(head), _grevlex_desc_key(tail))
-
-    def _split(self, mono: Monomial):
-        """(exponents in the block, the other exponents)."""
-        if self._span is not None:
-            lo, hi = self._span
-            return mono[lo:hi], mono[:lo] + mono[hi:]
-        inside = self._inside
-        return (tuple(mono[i] for i in self.block),
-                tuple(e for i, e in enumerate(mono) if i not in inside))
+    def elimination(block: int) -> "TermOrder":
+        """Elimination order on the trailing `block` variables."""
+        return TermOrder("block", block)
 
     def __eq__(self, other) -> bool:
         return (
@@ -227,12 +188,12 @@ class TermOrder:
 
     def __repr__(self) -> str:
         if self.kind == "block":
-            return f"TermOrder(block{list(self.block)})"
+            return f"TermOrder(block, trailing {self.block})"
         return f"TermOrder({self.kind})"
 
 
-GREVLEX = TermOrder.grevlex()
-LEX = TermOrder.lex()
+GREVLEX = TermOrder("grevlex")
+LEX = TermOrder("lex")
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -347,13 +308,13 @@ class Poly:
     def leading(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        mono = max(self.terms, key=order.key)
+        mono = min(self.terms, key=order.key)
         return mono, self.terms[mono]
 
     def trailing(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no trailing term")
-        mono = min(self.terms, key=order.key)
+        mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
 
     def key(self) -> tuple:
@@ -372,7 +333,10 @@ class Poly:
         p.terms = terms
         return p
 
-    def _check(self, other: "Poly") -> None:
+    def _check(self, other) -> None:
+        if not isinstance(other, Poly):
+            raise RingError(f"{type(other).__name__} operand {other!r}; "
+                            "use int, Fraction or Poly")
         if self.table != other.table:
             raise TableMismatchError("polynomials over different variable tables")
 
@@ -440,10 +404,6 @@ class Poly:
                 square = square * square
         return result
 
-    def scale_to_monic(self, order: TermOrder = GREVLEX) -> "Poly":
-        _, c = self.leading(order)
-        return self * _div(1, c)
-
     # -- formatting ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -484,14 +444,22 @@ def _format_term(names: tuple[str, ...], mono: Monomial, coeff: Coeff) -> str:
 
 
 def format_poly(f: Poly) -> str:
-    """Canonical text form: grevlex-descending terms, '^' powers, '/' rationals."""
+    """Canonical text form: grevlex-descending terms, '^' powers, '/' rationals.
+
+    A coefficient longer than the interpreter's limit on integer-to-string
+    conversion raises RingError; the limit itself is left as it is."""
     if not f.terms:
         return "0"
-    monos = sorted(f.terms, key=GREVLEX.key, reverse=True)
+    monos = sorted(f.terms, key=GREVLEX.key)
     pieces = []
     for i, mono in enumerate(monos):
         coeff = f.terms[mono]
-        body = _format_term(f.table.names, mono, coeff)
+        try:
+            body = _format_term(f.table.names, mono, coeff)
+        except ValueError:
+            raise RingError(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                "digits, too long to print") from None
         if i == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -623,8 +591,7 @@ class _Parser:
         # or name; any other token is one character
         ch = tok[:1]
         if "0" <= ch <= "9":
-            self.i += 1
-            num = int(tok)
+            num = self.number()
             if self.toks[self.i] == "/":
                 self.i += 1
                 den = self.nat()
@@ -639,11 +606,20 @@ class _Parser:
         raise self.error(f"unexpected {ch!r}")
 
     def nat(self) -> int:
-        tok = self.toks[self.i]
-        if not "0" <= tok[:1] <= "9":
+        if not "0" <= self.toks[self.i][:1] <= "9":
             raise self.error("expected a number")
+        return self.number()
+
+    def number(self) -> int:
+        """The number token at the cursor, read as an int."""
+        try:
+            value = int(self.toks[self.i])
+        except ValueError:  # past the interpreter's digit limit
+            raise self.error(
+                f"number has more than {sys.get_int_max_str_digits()} "
+                "digits") from None
         self.i += 1
-        return int(tok)
+        return value
 
 
 def parse_poly(text: str, table: VarTable) -> Poly:
@@ -669,8 +645,8 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
     plain dicts, quotients keyed by divisor index in order of first use,
     such that the polynomial given equals sum(q_i * divisor_i) + remainder.
     """
-    desc_key = order.desc_key
-    keys = {m: desc_key(m) for m in terms}
+    key = order.key
+    keys = {m: key(m) for m in terms}
     heap = [(k, m) for m, k in keys.items()]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -702,7 +678,7 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
                     else c.numerator
                 k = keys.get(m)
                 if k is None:
-                    k = keys[m] = desc_key(m)
+                    k = keys[m] = key(m)
                 push(heap, (k, m))
             else:
                 c -= factor * tc
@@ -768,9 +744,9 @@ def sqrt_exact(f: Poly) -> Poly | None:
 
     Peels terms off the top: the leading monomial of the root is forced,
     and every later term is forced by the highest uncancelled term of the
-    residual.  Candidate monomials must strictly decrease (grevlex), which
-    bounds the search; the result is verified by squaring.  Sign is fixed
-    so the trailing term is positive.
+    residual.  Candidate monomials must strictly decrease (grevlex: their
+    sort keys strictly increase), which bounds the search; the result is
+    verified by squaring.  Sign is fixed so the trailing term is positive.
     """
     if f.is_zero():
         return Poly.zero(f.table)
@@ -790,7 +766,7 @@ def sqrt_exact(f: Poly) -> Poly | None:
             return None
         mono = _mono_div(lm_r, half)
         key = GREVLEX.key(mono)
-        if key >= last_key:
+        if key <= last_key:
             return None
         last_key = key
         t = Poly(f.table, {mono: _div(lc_r, 2 * root_lc)})
@@ -865,5 +841,5 @@ def iter_monomials(nvars: int, below: int) -> Iterator[Monomial]:
 
     if below > 0:
         rec([], below - 1, nvars)
-    monos.sort(key=_grevlex_key)
+    monos.sort(key=_grevlex_key, reverse=True)
     return iter(monos)

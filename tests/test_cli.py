@@ -397,3 +397,58 @@ def test_non_ascii_entry_is_an_input_error(tmp_path, capsys):
         code, _, err = run(capsys, ["det", "--input", path])
         assert code == 1, entry
         assert "matrix[0][0]" in err and "internal error" not in err
+
+
+LONG = "1" * 5000  # past the interpreter's 4300-digit limit on int <-> str
+
+
+def test_oversized_numbers_in_a_job_are_input_errors(tmp_path, capsys):
+    """A number too long to read, in a polynomial string or as a JSON
+    number, and a computed coefficient too long to print, exit 1; the
+    interpreter's digit limit is left as it is."""
+    for entry, message in ((LONG, "more than 4300 digits"),
+                           (f"x + {LONG}*x^2", "more than 4300 digits"),
+                           (f"x^{LONG}", "more than 4300 digits"),
+                           (f"1/{LONG}", "more than 4300 digits"),
+                           ("10^5000", "too long to print"),
+                           ("x - 10^2500*10^2500", "too long to print")):
+        doc = {"ring": {"vars": ["x"]}, "matrix": [[entry]]}
+        path = write_doc(tmp_path, doc)
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, ["det", "--input", path,
+                                          "--format", fmt])
+            assert code == 1, (entry[:20], fmt)
+            assert message in err and "internal error" not in err
+            assert out == ""
+    path = tmp_path / "number.json"
+    path.write_text('{"ring": {"vars": ["x"]}, "matrix": [["x"]], '
+                    f'"index": {LONG}}}')
+    code, _, err = run(capsys, ["fitting", "--input", str(path)])
+    assert code == 1 and "more than 4300 digits" in err
+
+
+def test_oversized_numbers_in_a_certificate(tmp_path, capsys):
+    report = _ex2_report(tmp_path, capsys)
+    report["certificate"]["inclusions"][0]["cofactors"][0] = LONG
+    code, _, err = _verify(tmp_path, capsys, report)
+    assert code == 1
+    assert "inclusions[0]" in err and "more than 4300 digits" in err
+    # a long computed number parses, and the entry it spoils fails the
+    # re-check like any other wrong cofactor
+    report["certificate"]["inclusions"][0]["cofactors"][0] = "10^5000"
+    code, out, err = _verify(tmp_path, capsys, report)
+    assert code == 2 and err == ""
+    assert json.loads(out)["failures"]
+    cert = tmp_path / "number.json"
+    cert.write_text(json.dumps(report)[:-1] + f', "extra": {LONG}}}')
+    code, _, err = run(capsys, ["verify-cert", "--cert", str(cert)])
+    assert code == 1 and "more than 4300 digits" in err
+
+
+def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ring": {"vars": ["x"]}, "matrix": [["\xff"]]}')
+    for argv in (["det", "--input", str(path)],
+                 ["verify-cert", "--cert", str(path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "not UTF-8 text" in err, argv

@@ -80,7 +80,7 @@ def test_basis_examples():
     assert set(map(str, basis)) == {"x^2 + y", "x*y", "y^2"}
     f = P("2*x^2 - 4*y")
     basis = groebner_basis(Ideal(XY, (f,)))
-    assert len(basis) == 1 and basis[0] == f.scale_to_monic(GREVLEX)
+    assert len(basis) == 1 and basis[0] == f * (Fraction(1) / f.leading()[1])
 
 
 def test_basis_buchberger_criterion():
@@ -308,7 +308,7 @@ def reference_divide_exact(f, g):
     return quotient
 
 
-ORDERS = [GREVLEX, LEX, TermOrder.elimination([0]), TermOrder.elimination([2])]
+ORDERS = [GREVLEX, LEX, TermOrder.elimination(1), TermOrder.elimination(2)]
 
 
 def reduction_cases(seed, count):

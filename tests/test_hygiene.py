@@ -1,6 +1,8 @@
 """Import hygiene: every name a module in ``src/`` or ``tests/`` imports
-is used in that module; and the benchmark's tracer still finds every
-function and method it patches by name.
+is used in that module; every private function, method and class in
+``src/`` is named somewhere in ``src/`` besides its definition; and the
+benchmark's tracer still finds every function and method it patches by
+name.
 
 A name counts as used when it is read anywhere in the module (a
 ``noqa`` comment does not excuse it), or when the module lists it in
@@ -56,6 +58,45 @@ def test_scanner_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed functions, methods and classes (dunders excluded)
+    whose name is read nowhere in `sources`, as "file: name".  A name
+    counts as read when it appears as a variable, an attribute or an
+    imported name."""
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.append((path, name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{path}: {name}" for path, name in defined if name not in named]
+
+
+def test_scanner_finds_an_unreferenced_private_def():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n"
+                "class _Box:\n    def _peek(self):\n        pass\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "from a import _used\n_Box()._peek\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py: _dead"]
+
+
+def test_every_private_def_in_src_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_tracer_patches_and_restores_current_names():

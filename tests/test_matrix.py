@@ -226,5 +226,5 @@ def test_matrix_validation():
     with pytest.raises(RingError):
         M([["x"]]) + M([["x", "y"]])
     A = M([["x", "y"], ["0", "x"]])
-    assert A.transpose()[0, 1] == P("0")
+    assert A.col(0) == (P("x"), P("0"))
     assert A.trace() == P("2*x")

@@ -141,7 +141,7 @@ def test_kronecker_linear_in_fresh_vars():
             [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)]))
         form = build_kronecker(Q)
         t = form.table
-        fresh = [i for i, kind in enumerate(t.kinds) if kind == "ext"]
+        fresh = range(len(form.base_table), len(t))
         for i in range(form.matrix.rows):
             for j in range(form.matrix.cols):
                 for mono in form.matrix[i, j].terms:

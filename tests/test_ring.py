@@ -20,8 +20,6 @@ from blocksplit.ring import (
     TermOrder,
     VarTable,
     _divisor,
-    _grevlex_desc_key,
-    _grevlex_key,
     _reduce_terms,
     divide_exact,
     format_poly,
@@ -345,8 +343,16 @@ def test_float_coefficient_is_refused():
         Poly.const(XY, 1.0)
 
 
+@pytest.mark.parametrize("make", [lambda x: x * 2.0, lambda x: 2.0 * x,
+                                  lambda x: x + 0.5, lambda x: 0.5 - x],
+                         ids=["x*2.0", "2.0*x", "x+0.5", "0.5-x"])
+def test_float_operand_is_refused(make):
+    with pytest.raises(RingError, match="float"):
+        make(P("x"))
+
+
 def test_divisions_stay_exact():
-    assert canonical(P("2*x + 1").scale_to_monic().terms) == \
+    assert canonical((P("2*x + 1") * Fraction(1, 2)).terms) == \
         {(1, 0): 1, (0, 0): Fraction(1, 2)}
     root = sqrt_exact(P("x^2 + x + 1/4"))
     assert root == P("x + 1/2")
@@ -380,14 +386,15 @@ def split_reference(block, mono):
             tuple(e for i, e in enumerate(mono) if i not in inside))
 
 
-@pytest.mark.parametrize("block", [(), (0,), (2, 3, 4), (4, 5), (0, 1, 2),
-                                   (0, 5), (1, 3, 4), (3, 1)])
+@pytest.mark.parametrize("block", [(6, 1), (6, 2), (6, 3), (6, 5), (6, 6),
+                                   (1, 1), (3, 2), (5, 4)])
 def test_block_order_keys_match_generic_split(block):
-    rng = random.Random(len(block) * 7 + sum(block))
-    order = TermOrder("block", block)
+    """Elimination of the trailing k of `width` variables keys a monomial
+    by grevlex on those k, then by grevlex on the rest."""
+    width, k = block
+    rng = random.Random(width * 7 + k)
+    order = TermOrder.elimination(k)
     for _ in range(200):
-        mono = tuple(rng.randrange(4) for _ in range(6))
-        head, tail = split_reference(block, mono)
-        assert order.key(mono) == (_grevlex_key(head), _grevlex_key(tail))
-        assert order.desc_key(mono) == (_grevlex_desc_key(head),
-                                        _grevlex_desc_key(tail))
+        mono = tuple(rng.randrange(4) for _ in range(width))
+        head, tail = split_reference(range(width - k, width), mono)
+        assert order.key(mono) == (GREVLEX.key(head), GREVLEX.key(tail))

@@ -1,5 +1,5 @@
-"""Determinants, Fitting ideals, reduced Groebner bases and the
-expression parser refereed by sympy.
+"""Determinants, Fitting ideals, reduced Groebner bases, the expression
+parser and the monomial orders refereed by sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
 outside the minor expansion, the Groebner engine and the parser.  The
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,19 @@ import pytest
 from blocksplit.groebner import Ideal, groebner_basis
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
-from blocksplit.ring import GREVLEX, LEX, Poly, VarTable, parse_poly
+from blocksplit.ring import (
+    GREVLEX,
+    LEX,
+    Poly,
+    TermOrder,
+    VarTable,
+    format_poly,
+    parse_poly,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.orderings import ProductOrder, grevlex, lex  # noqa: E402
 
 XYZ = VarTable(("x", "y", "z"))
 
@@ -206,3 +216,51 @@ def test_parse_agrees_with_sympy(seed):
     for _ in range(40):
         text, value = random_expression(rng, table.names)
         assert parse_poly(text, table).terms == terms_of(value, symbols), text
+
+
+ABCDE = VarTable(("a", "b", "c", "d", "e"))
+
+
+def random_support(rng, table, count):
+    """A polynomial with up to `count` terms, every exponent 0 to 2, so
+    that many monomials tie in total degree, overall and on a block."""
+    terms = {}
+    for _ in range(count):
+        mono = tuple(rng.randrange(3) for _ in range(len(table)))
+        terms[mono] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    return Poly(table, terms)
+
+
+def order_pairs():
+    """(blocksplit order, the same order in sympy): grevlex, lex, and the
+    elimination of the trailing k variables, which compares grevlex on
+    them first and grevlex on the others next."""
+    width = len(ABCDE)
+    pairs = [pytest.param(GREVLEX, grevlex, id="grevlex"),
+             pytest.param(LEX, lex, id="lex")]
+    for k in (1, 2, 3):
+        ours = TermOrder.elimination(k)
+        theirs = ProductOrder((grevlex, lambda m, k=k: m[-k:]),
+                              (grevlex, lambda m, k=k: m[:-k]))
+        pairs.append(pytest.param(ours, theirs, id=f"trailing-{k}"))
+    return pairs
+
+
+@pytest.mark.parametrize("order,theirs", order_pairs())
+def test_leading_term_agrees_with_sympy_orders(order, theirs):
+    rng = random.Random(107)
+    for _ in range(300):
+        f = random_support(rng, ABCDE, rng.randint(1, 8))
+        assert f.leading(order)[0] == max(f.terms, key=theirs), f
+        assert f.trailing(order)[0] == min(f.terms, key=theirs), f
+
+
+def test_format_lists_terms_in_sympy_grevlex_descending_order():
+    rng = random.Random(109)
+    for _ in range(300):
+        f = random_support(rng, ABCDE, rng.randint(1, 8))
+        text = format_poly(f)
+        pieces = re.split(r" [+-] ", text.removeprefix("-"))
+        monos = [next(iter(parse_poly(piece, ABCDE).terms))
+                 for piece in pieces]
+        assert monos == sorted(f.terms, key=grevlex, reverse=True), text
