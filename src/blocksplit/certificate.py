@@ -221,12 +221,12 @@ class Verdict:
     """Outcome of a decision procedure plus its full certificate."""
 
     __slots__ = ("status", "hypotheses", "identities", "inclusions",
-                 "failing", "failed_hypothesis", "scope", "exact", "order")
+                 "failing", "failed_hypothesis", "scope", "order")
 
     def __init__(self, status: str, hypotheses, identities, inclusions,
                  scope: str, failing: Poly | None = None,
                  failed_hypothesis: str | None = None,
-                 exact: bool = True, order: int | None = None):
+                 order: int | None = None):
         self.status = status
         self.hypotheses = list(hypotheses)
         self.identities = list(identities)
@@ -234,8 +234,12 @@ class Verdict:
         self.scope = scope
         self.failing = failing
         self.failed_hypothesis = failed_hypothesis
-        self.exact = exact
         self.order = order
+
+    @property
+    def exact(self) -> bool:
+        """An exact verdict has no jet order."""
+        return self.order is None
 
     def failures(self) -> list[str]:
         """Every certified fact that does not re-check by plain ring
@@ -341,9 +345,8 @@ class Verdict:
         prov = doc.get("provenance")
         expect(isinstance(prov, dict) and isinstance(prov.get("exact"), bool),
                "field 'provenance' must be an object with boolean 'exact'")
-        exact = prov["exact"]
         jet = prov.get("jet_order")
-        if exact:
+        if prov["exact"]:
             expect(jet is None, "field 'provenance.jet_order' must be "
                                 "absent when 'provenance.exact' is true")
         else:
@@ -354,4 +357,4 @@ class Verdict:
         return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
                        failing=failing,
                        failed_hypothesis=doc.get("failed_hypothesis"),
-                       exact=exact, order=jet)
+                       order=jet)

@@ -2,10 +2,12 @@
 
 One JSON job document per invocation describes the ring, the target
 (matrix, quiver, or tuple of matrices), optional candidate factors or
-ideals, and options.  Every verdict-producing command re-verifies its
-certificate before emitting anything, and every emitted report is
-accepted by ``verify-cert``, which re-checks the witnesses using plain
-ring arithmetic only.
+ideals, and options.  Each job command is one entry of ``COMMANDS``; its
+handler returns a Verdict or the report's own keys, and ``_dispatch``
+assembles every report: it re-verifies a verdict's certificate before
+emitting anything and adds the command, ring and provenance.  Every
+emitted report is accepted by ``verify-cert``, which re-checks the
+witnesses using plain ring arithmetic only.
 
 Exit codes: 0 = a verdict or result was produced (any status),
 1 = input error, 2 = internal invariant violation (or, for
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .certificate import InputError, Verdict, expect, parse_field
@@ -49,10 +51,6 @@ from .ring import (
 TOOL = "blocksplit"
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
-# commands whose math is plain arithmetic; a jet order would be ignored,
-# and ignoring an option silently is worse than refusing it
-EXACT_ONLY = ("det", "fitting", "build-kronecker", "check-rect", "check-conj")
 
 TOP_KEYS = ("ring", "matrix", "quiver", "matrices", "factors", "ideals",
             "index", "options")
@@ -177,7 +175,7 @@ def _load_job(args: argparse.Namespace) -> Job:
         expect(isinstance(jet, int) and not isinstance(jet, bool) and jet >= 1,
                "field 'options.jet_order' (or --jet-order) must be an "
                "integer >= 1")
-        expect(args.command not in EXACT_ONLY,
+        expect(not COMMANDS[args.command].exact_only,
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
     fmt = args.format or options.get("format", "json")
@@ -248,29 +246,16 @@ def _target_matrix(job: Job, command: str) -> PolyMatrix:
 # report assembly
 
 
-def _provenance(job: Job, exact: bool, jet_order: int | None) -> dict:
-    out = {"tool": TOOL, "version": __version__,
-           "order": job.order_name, "exact": exact}
-    if jet_order is not None:
-        out["jet_order"] = jet_order
-    return out
-
-
 def _matrix_json(M: PolyMatrix) -> list[list[str]]:
     return [[format_poly(M[i, j]) for j in range(M.cols)]
             for i in range(M.rows)]
 
 
-def _verdict_report(command: str, table: VarTable, verdict: Verdict,
-                    job: Job) -> dict:
+def _verdict_report(verdict: Verdict) -> dict:
     if not verdict.verify():
         raise InvariantError(
             "the verdict failed its pre-emission certificate re-check")
-    report = verdict.to_json()
-    report["command"] = command
-    report["ring"] = {"vars": list(table.names)}
-    report["provenance"] = _provenance(job, verdict.exact, verdict.order)
-    return report
+    return verdict.to_json()
 
 
 def _render_text(report: dict) -> str:
@@ -354,20 +339,16 @@ def _emit(report: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+# a command's ring table and either its Verdict or its report's own keys
+Outcome = tuple[VarTable, Verdict | dict]
 
-def _cmd_det(args: argparse.Namespace, job: Job) -> int:
+
+def _cmd_det(args: argparse.Namespace, job: Job) -> Outcome:
     M = _target_matrix(job, "det")
-    report = {
-        "command": "det",
-        "ring": {"vars": list(M.table.names)},
-        "determinant": format_poly(det(M)),
-        "provenance": _provenance(job, True, None),
-    }
-    _emit(report, job.fmt)
-    return 0
+    return M.table, {"determinant": format_poly(det(M))}
 
 
-def _cmd_fitting(args: argparse.Namespace, job: Job) -> int:
+def _cmd_fitting(args: argparse.Namespace, job: Job) -> Outcome:
     M = _target_matrix(job, "fitting")
     j = args.index if args.index is not None else job.doc.get("index")
     expect(j is not None, "field 'index' (or --index) is required for "
@@ -375,51 +356,35 @@ def _cmd_fitting(args: argparse.Namespace, job: Job) -> int:
     expect(isinstance(j, int) and not isinstance(j, bool),
            "field 'index' must be an integer")
     I = fitting_ideal(M, j)
-    report = {
-        "command": "fitting",
-        "ring": {"vars": list(M.table.names)},
-        "index": j,
-        "generators": [format_poly(g) for g in I.generators],
-        "provenance": _provenance(job, True, None),
-    }
-    _emit(report, job.fmt)
-    return 0
+    return M.table, {"index": j,
+                     "generators": [format_poly(g) for g in I.generators]}
 
 
-def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> int:
+def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> Outcome:
     form = _target_form(job, "build-kronecker")
-    report = {
-        "command": "build-kronecker",
-        "ring": {"vars": list(form.table.names)},
+    return form.table, {
         "base_vars": list(form.base_table.names),
         "matrix": _matrix_json(form.matrix),
         "block_offsets": list(form.offsets),
         "block_sizes": list(form.sizes),
         "variable_roles": dict(form.var_roles),
-        "provenance": _provenance(job, True, None),
     }
-    _emit(report, job.fmt)
-    return 0
 
 
-def _cmd_check_square(args: argparse.Namespace, job: Job) -> int:
+def _cmd_check_square(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     f1, f2 = _parse_factors(job.doc, job.table)
-    verdict = check_square_lr(A, f1, f2, jet_order=job.jet_order,
-                              order=job.order)
-    _emit(_verdict_report("check-square", A.table, verdict, job), job.fmt)
-    return 0
+    return A.table, check_square_lr(A, f1, f2, jet_order=job.jet_order,
+                                    order=job.order)
 
 
-def _cmd_check_rect(args: argparse.Namespace, job: Job) -> int:
+def _cmd_check_rect(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     J1, J2 = _parse_ideals(job.doc, job.table)
-    verdict = check_rect_lr(A, J1, J2, order=job.order)
-    _emit(_verdict_report("check-rect", A.table, verdict, job), job.fmt)
-    return 0
+    return A.table, check_rect_lr(A, J1, J2, order=job.order)
 
 
-def _cmd_check_conj(args: argparse.Namespace, job: Job) -> int:
+def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     expect(A.rows == 2 and A.cols == 2,
            "field 'matrix' must be 2x2 for 'check-conj'")
@@ -430,22 +395,53 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> int:
            and probe >= 1,
            "field 'options.probe_order' (or --probe-order) must be an "
            "integer >= 1")
-    verdict = check_conj_2x2(A, probe_order=probe, order=job.order)
-    _emit(_verdict_report("check-conj", A.table, verdict, job), job.fmt)
-    return 0
+    return A.table, check_conj_2x2(A, probe_order=probe, order=job.order)
 
 
-def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> int:
+def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
     expect("quiver" in job.doc,
            "field 'quiver' is required for 'check-quiver'")
-    Q = complete_reduce(_parse_quiver(job.doc["quiver"], job.table))
-    form = build_kronecker(Q)
+    form = build_kronecker(
+        complete_reduce(_parse_quiver(job.doc["quiver"], job.table)))
     # the factors may mention the fresh x_i_j / y_i variables
     f1, f2 = _parse_factors(job.doc, form.table)
-    verdict = check_quiver(Q, f1, f2, jet_order=job.jet_order,
-                           order=job.order)
-    _emit(_verdict_report("check-quiver", form.table, verdict, job), job.fmt)
-    return 0
+    return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order,
+                                    order=job.order)
+
+
+class Command(NamedTuple):
+    """A job command.  An exact-only command's math is plain arithmetic:
+    a jet order would be ignored, and ignoring an option silently is worse
+    than refusing it.  `extra` lists further integer options as (flag,
+    metavar, help)."""
+
+    run: Callable[[argparse.Namespace, Job], Outcome]
+    exact_only: bool
+    help: str
+    extra: tuple = ()
+
+
+COMMANDS = {
+    "det": Command(_cmd_det, True, "determinant of the target matrix (or "
+                   "of a quiver's Kronecker form)"),
+    "fitting": Command(_cmd_fitting, True, "generators of the j-th Fitting "
+                       "ideal of the target",
+                       (("--index", "J", "Fitting ideal index"),)),
+    "check-square": Command(_cmd_check_square, False, "left-right "
+                            "decomposability of a square matrix against a "
+                            "factor pair"),
+    "check-rect": Command(_cmd_check_rect, True, "left-right "
+                          "decomposability of a rectangular matrix against "
+                          "an ideal pair"),
+    "check-conj": Command(_cmd_check_conj, True, "conjugation "
+                          "diagonalizability of a 2x2 matrix",
+                          (("--probe-order", "N", "series depth for the "
+                            "square-root probe (default 8)"),)),
+    "build-kronecker": Command(_cmd_build_kronecker, True, "Kronecker form "
+                               "of a quiver representation or matrix tuple"),
+    "check-quiver": Command(_cmd_check_quiver, False, "decomposability of a "
+                            "quiver representation via its Kronecker form"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +479,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_COMMAND_HELP = {
-    "det": "determinant of the target matrix (or of a quiver's "
-           "Kronecker form)",
-    "fitting": "generators of the j-th Fitting ideal of the target",
-    "check-square": "left-right decomposability of a square matrix "
-                    "against a factor pair",
-    "check-rect": "left-right decomposability of a rectangular matrix "
-                  "against an ideal pair",
-    "check-conj": "conjugation diagonalizability of a 2x2 matrix",
-    "build-kronecker": "Kronecker form of a quiver representation or "
-                       "matrix tuple",
-    "check-quiver": "decomposability of a quiver representation via its "
-                    "Kronecker form",
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog=TOOL,
@@ -509,9 +489,8 @@ def _build_parser() -> _Parser:
                         version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    for name in ("det", "fitting", "check-square", "check-rect",
-                 "check-conj", "build-kronecker", "check-quiver"):
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name])
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--input", required=True, metavar="PATH",
                         help="job document (JSON)")
         sp.add_argument("--order", choices=("grevlex", "lex"),
@@ -521,14 +500,8 @@ def _build_parser() -> _Parser:
                         help="decide modulo m^N instead of exactly")
         sp.add_argument("--format", choices=("json", "text"),
                         help="output format (default json)")
-        if name == "fitting":
-            sp.add_argument("--index", type=int, metavar="J",
-                            help="Fitting ideal index")
-        if name == "check-conj":
-            sp.add_argument("--probe-order", dest="probe_order", type=int,
-                            metavar="N",
-                            help="series depth for the square-root probe "
-                                 "(default 8)")
+        for flag, metavar, text in command.extra:
+            sp.add_argument(flag, type=int, metavar=metavar, help=text)
     sp = sub.add_parser("verify-cert",
                         help="re-check an emitted certificate using plain "
                              "ring arithmetic")
@@ -539,22 +512,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "det": _cmd_det,
-    "fitting": _cmd_fitting,
-    "build-kronecker": _cmd_build_kronecker,
-    "check-square": _cmd_check_square,
-    "check-rect": _cmd_check_rect,
-    "check-conj": _cmd_check_conj,
-    "check-quiver": _cmd_check_quiver,
-}
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify-cert":
         return _cmd_verify_cert(args)
     job = _load_job(args)
-    return _HANDLERS[args.command](args, job)
+    table, result = COMMANDS[args.command].run(args, job)
+    jet_order = None
+    if isinstance(result, Verdict):
+        jet_order = result.order
+        result = _verdict_report(result)
+    result["command"] = args.command
+    result["ring"] = {"vars": list(table.names)}
+    result["provenance"] = {"tool": TOOL, "version": __version__,
+                            "order": job.order_name,
+                            "exact": jet_order is None}
+    if jet_order is not None:
+        result["provenance"]["jet_order"] = jet_order
+    _emit(result, job.fmt)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

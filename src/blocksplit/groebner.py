@@ -43,6 +43,7 @@ from .ring import (
     _mono_lcm,
     _reduce_terms,
     divide_exact,
+    local_unit_test,
 )
 from .certificate import Inclusion
 
@@ -345,7 +346,7 @@ def member_local(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
         return True, witness
     quot = colon(I, f)
     for candidate in quot.generators:
-        if candidate.constant_term() != 0:
+        if local_unit_test(candidate):
             unit = candidate
             inside, inner = member_global(unit * f, I, order)
             if not inside:
@@ -394,4 +395,4 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 def contains_local_unit(I: Ideal) -> bool:
     """Is I the whole local ring?  True iff some generator is a unit at 0."""
-    return any(g.constant_term() != 0 for g in I.generators)
+    return any(local_unit_test(g) for g in I.generators)

@@ -13,10 +13,12 @@ per vertex.  Decomposability of the representation is decided through
 the Fitting-ideal criterion on that single square matrix, relative to a
 supplied splitting det = f1 * f2.
 
-The 2x2 conjugation check is a self-contained fast path: it classifies
-the discriminant tr(A)^2 - 4 det(A) (polynomial square / square only
-after extending coefficients / square only as a power series / provably
-no square root at all) and only claims a verdict in the provable cases.
+The 2x2 conjugation check is a fast path: it classifies the
+discriminant tr(A)^2 - 4 det(A) (polynomial square / square only after
+extending coefficients / square only as a power series / provably no
+square root at all) and only claims a verdict in the provable cases.  A
+polynomial square decides through the same checklist runner as the
+other checks.
 """
 
 from __future__ import annotations
@@ -31,22 +33,21 @@ from .ring import (
     TermOrder,
     SeriesSqrtError,
     VarTable,
+    local_unit_test,
     sqrt_exact,
     sqrt_series,
     y_profile,
 )
 from .certificate import (
-    DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
     HypothesisCheck,
     Identity,
-    Inclusion,
     Verdict,
 )
-from .groebner import Ideal, member_local
+from .groebner import Ideal
 from .matrix import PolyMatrix, det
-from .decompose import _split_by_factors
+from .decompose import _decide, _split_by_factors
 
 
 class Vertex:
@@ -247,15 +248,15 @@ _QUIVER_SCOPE = (
 )
 
 
-def check_quiver(Q: QuiverRep, f1: Poly, f2: Poly,
+def check_quiver(form: KroneckerForm, f1: Poly, f2: Poly,
                  jet_order: int | None = None,
                  order: TermOrder = GREVLEX) -> Verdict:
-    """Decomposability of a complete reduced representation, relative to
-    the supplied splitting of det of its Kronecker form.
+    """Decomposability of a complete reduced representation, given as its
+    Kronecker form (see build_kronecker), relative to the supplied
+    splitting of det of that form.
 
     The pure-y monomial bound is the strict one (0 < l_i < m_i for every
     vertex), which is recorded in the hypothesis detail."""
-    form = build_kronecker(Q)
     if f1.table != form.table or f2.table != form.table:
         raise RingError("factors must live over the Kronecker-extended table")
     ok = True
@@ -293,66 +294,51 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
     senses, NotDecomposable."""
     if A.rows != 2 or A.cols != 2:
         raise RingError("conjugation check needs a 2x2 matrix")
-    table = A.table
     tr = A.trace()
     disc = tr * tr - det(A) * 4
-    scope = _CONJ_SCOPE
-    hyps: list[HypothesisCheck] = []
-    identities: list[Identity] = []
-    inclusions: list[Inclusion] = []
-
-    nondegenerate = not disc.is_zero()
-    hyps.append(HypothesisCheck(
-        "nondegenerate-discriminant", nondegenerate,
-        "tr(A)^2 - 4 det(A) is nonzero"))
-    if not nondegenerate:
-        return Verdict(INCONCLUSIVE, hyps, identities, inclusions, scope,
-                       failed_hypothesis="nondegenerate-discriminant")
-
-    root = sqrt_exact(disc)
-    if root is not None:
-        identities.append(Identity("discriminant-square", disc, (root, root)))
-        target = Ideal(table, (root,))
-        entries = []
-        for element in (A[0, 1], A[1, 0], A[0, 0] - A[1, 1]):
-            ok, w = member_local(element, target, order)
-            if not ok:
-                return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions,
-                               scope, failing=element)
-            entries.append(w)
-        inclusions.extend(entries)
-        return Verdict(DECOMPOSABLE, hyps, identities, inclusions, scope)
+    nondegenerate = HypothesisCheck(
+        "nondegenerate-discriminant", not disc.is_zero(),
+        "tr(A)^2 - 4 det(A) is nonzero")
+    root = sqrt_exact(disc) if nondegenerate.passed else None
+    if root is not None or not nondegenerate.passed:
+        square = [] if root is None else [
+            Identity("discriminant-square", disc, (root, root))]
+        return _decide(
+            [(nondegenerate, square, [])],
+            lambda: ((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
+                     Ideal(A.table, (root,))),
+            _CONJ_SCOPE, None, order)
 
     # No polynomial square root; classify how badly that fails.
-    def provably_nonsquare(reason: str) -> Verdict:
-        hyps.append(HypothesisCheck(
-            "discriminant-nonsquare-established", True,
-            f"no square root exists over any coefficient extension or "
-            f"power-series completion: {reason}"))
-        return Verdict(NOT_DECOMPOSABLE, hyps, identities, inclusions, scope,
-                       failing=disc)
-
-    low_degree = disc.order()
-    if low_degree % 2 == 1:
-        return provably_nonsquare("the lowest-degree part has odd degree")
     low = disc.lowest_form()
     lead = low.leading()[1]
     unit_scaled = disc * (Fraction(1) / lead)
-    if sqrt_exact(low * (Fraction(1) / lead)) is None:
-        return provably_nonsquare(
-            "the lowest-degree form is not a square even up to a constant")
-    try:
-        sqrt_series(unit_scaled, probe_order)
-    except SeriesSqrtError:
-        return provably_nonsquare(
-            "the forced power-series root hits a division obstruction")
+    reason = None
+    if disc.order() % 2 == 1:
+        reason = "the lowest-degree part has odd degree"
+    elif sqrt_exact(low * (Fraction(1) / lead)) is None:
+        reason = "the lowest-degree form is not a square even up to a constant"
+    elif not local_unit_test(disc):
+        # the root of a unit divides by a constant at every step, so only
+        # a discriminant vanishing at the origin can meet an obstruction
+        try:
+            sqrt_series(unit_scaled, probe_order)
+        except SeriesSqrtError:
+            reason = "the forced power-series root hits a division obstruction"
+    if reason is not None:
+        established = HypothesisCheck(
+            "discriminant-nonsquare-established", True,
+            f"no square root exists over any coefficient extension or "
+            f"power-series completion: {reason}")
+        return Verdict(NOT_DECOMPOSABLE, [nondegenerate, established], [], [],
+                       _CONJ_SCOPE, failing=disc)
     if sqrt_exact(unit_scaled) is not None:
-        reason = "square-root-needs-coefficient-extension"
+        name = "square-root-needs-coefficient-extension"
     else:
-        reason = "square-root-only-as-power-series"
-    hyps.append(HypothesisCheck(
-        reason, False,
+        name = "square-root-only-as-power-series"
+    open_root = HypothesisCheck(
+        name, False,
         "the discriminant has no square root in the polynomial ring, but "
-        "one cannot be ruled out after extension/completion"))
-    return Verdict(INCONCLUSIVE, hyps, identities, inclusions, scope,
-                   failed_hypothesis=reason)
+        "one cannot be ruled out after extension/completion")
+    return Verdict(INCONCLUSIVE, [nondegenerate, open_root], [], [],
+                   _CONJ_SCOPE, failed_hypothesis=name)

@@ -216,7 +216,7 @@ def test_criterion_5_star_negative_case():
                 (head * P("y_3", t), P("y_2", t)),
             ]
             for f1, f2 in splits:
-                verdict = check_quiver(complete_reduce(star_quiver(c)), f1, f2)
+                verdict = check_quiver(form, f1, f2)
                 assert verdict.status == INCONCLUSIVE
                 assert verdict.failed_hypothesis == "y-profile"
                 assert verdict.verify()

@@ -57,13 +57,12 @@ def test_strength_must_match_provenance():
     ident = Identity("square", x * x, (x, x))
     assert inc.verify() and ident.verify()
 
-    exact = Verdict(INCONCLUSIVE, [], [ident], [inc], "", exact=True)
+    exact = Verdict(INCONCLUSIVE, [], [ident], [inc], "")
     assert exact.failures() == [
         "inclusion 0: a congruence modulo m^1 in an exact certificate",
         "verdict shape: Inconclusive must name a failed hypothesis from "
         "the checklist"]
-    jet = Verdict(INCONCLUSIVE, [], [ident], [inc], "", exact=False,
-                  order=3)
+    jet = Verdict(INCONCLUSIVE, [], [ident], [inc], "", order=3)
     assert jet.failures()[:2] == [
         "identity 'square': an exact claim in a certificate of jet order 3",
         "inclusion 0: modulo m^1 in a certificate of jet order 3"]

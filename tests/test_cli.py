@@ -5,7 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
+import pytest
+
+import blocksplit.quiver
+from blocksplit.certificate import Verdict
 from blocksplit.cli import main
 
 EX2 = {
@@ -72,21 +77,24 @@ def test_round_trip_verify(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+# one Decomposable job per verdict command
+VERDICT_DOCS = {
+    "check-square": EX2,
+    "check-conj": {
+        "ring": {"vars": ["x1", "x2"]},
+        "matrix": [["x2", "x1^2"], ["x1^2", "x2"]],
+    },
+    "check-rect": {
+        "ring": {"vars": ["x1", "x2"]},
+        "matrix": [["x1", "0"], ["0", "x2"]],
+        "ideals": {"J1": ["x1"], "J2": ["x2"]},
+    },
+    "check-quiver": STRING_QUIVER,
+}
+
+
 def test_round_trip_all_verdict_commands(tmp_path, capsys):
-    docs = {
-        "check-square": EX2,
-        "check-conj": {
-            "ring": {"vars": ["x1", "x2"]},
-            "matrix": [["x2", "x1^2"], ["x1^2", "x2"]],
-        },
-        "check-rect": {
-            "ring": {"vars": ["x1", "x2"]},
-            "matrix": [["x1", "0"], ["0", "x2"]],
-            "ideals": {"J1": ["x1"], "J2": ["x2"]},
-        },
-        "check-quiver": STRING_QUIVER,
-    }
-    for command, doc in docs.items():
+    for command, doc in VERDICT_DOCS.items():
         path = write_doc(tmp_path, doc, f"{command}.json")
         code, out, err = run(capsys, [command, "--input", path])
         assert code == 0, (command, err)
@@ -268,6 +276,77 @@ def test_conj_cli_example(tmp_path, capsys):
     report = run_json(capsys, ["check-conj", "--input", path])
     assert report["verdict"] == "NotDecomposable"
     assert "failing" in report
+
+
+@pytest.mark.parametrize("command", sorted(VERDICT_DOCS))
+def test_verdict_failing_its_recheck_is_never_emitted(tmp_path, capsys,
+                                                      monkeypatch, command):
+    monkeypatch.setattr(Verdict, "failures", lambda self: ["forced"])
+    path = write_doc(tmp_path, VERDICT_DOCS[command])
+    assert run(capsys, [command, "--input", path]) == (
+        2, "", "internal error: the verdict failed its pre-emission "
+               "certificate re-check\n")
+
+
+# x^2 + y^3 has no series square root; the obstruction shows at degree 3,
+# which a probe of order 1 does not reach
+OBSTRUCTED_CONJ = {"ring": {"vars": ["x", "y"]},
+                   "matrix": [["x", "1/4"], ["y^3", "0"]]}
+
+
+def test_probe_order_flag_and_option(tmp_path, capsys):
+    def verdict(doc, flags=()):
+        path = write_doc(tmp_path, doc)
+        report = run_json(capsys, ["check-conj", "--input", path, *flags])
+        return report["verdict"], report.get("failed_hypothesis")
+
+    shallow = ("Inconclusive", "square-root-only-as-power-series")
+    assert verdict(OBSTRUCTED_CONJ) == ("NotDecomposable", None)
+    assert verdict(OBSTRUCTED_CONJ, ["--probe-order", "1"]) == shallow
+    doc = dict(OBSTRUCTED_CONJ, options={"probe_order": 1})
+    assert verdict(doc) == shallow
+    assert verdict(doc, ["--probe-order", "2"]) == ("NotDecomposable", None)
+
+
+@pytest.mark.parametrize("options, flags", [
+    ({"probe_order": 0}, []),
+    ({"probe_order": True}, []),
+    ({"probe_order": "8"}, []),
+    ({}, ["--probe-order", "0"]),
+])
+def test_probe_order_must_be_a_positive_integer(tmp_path, capsys, options,
+                                                flags):
+    path = write_doc(tmp_path, dict(OBSTRUCTED_CONJ, options=options))
+    assert run(capsys, ["check-conj", "--input", path, *flags]) == (
+        1, "", "error: field 'options.probe_order' (or --probe-order) must "
+               "be an integer >= 1\n")
+
+
+def test_probe_order_flag_must_parse_as_an_integer(tmp_path, capsys):
+    path = write_doc(tmp_path, OBSTRUCTED_CONJ)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-conj", "--input", path, "--probe-order", "true"])
+    assert exc.value.code == 1
+    assert "--probe-order" in capsys.readouterr().err
+
+
+def test_unit_discriminant_skips_the_series_probe(tmp_path, capsys,
+                                                  monkeypatch):
+    # disc = 1 + x1 + x2 + x3 + x4: a unit with no polynomial square root,
+    # whose series root exists to every order
+    def probe(*_):
+        raise AssertionError("the series probe ran on a unit discriminant")
+
+    monkeypatch.setattr(blocksplit.quiver, "sqrt_series", probe)
+    doc = {"ring": {"vars": ["x1", "x2", "x3", "x4"]},
+           "matrix": [["0", "1/4"], ["1 + x1 + x2 + x3 + x4", "0"]]}
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    report = run_json(capsys, ["check-conj", "--input", path,
+                               "--probe-order", "12"])
+    assert time.perf_counter() - start < 5.0
+    assert report["verdict"] == "Inconclusive"
+    assert report["failed_hypothesis"] == "square-root-only-as-power-series"
 
 
 def test_quiver_star_inconclusive_cli(tmp_path, capsys):

@@ -10,7 +10,7 @@ from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
-    _coprime_witnessed,
+    _coprimality,
     check_rect_lr,
     check_square_lr,
 )
@@ -18,6 +18,7 @@ from blocksplit.groebner import Ideal
 from blocksplit.matrix import PolyMatrix
 from blocksplit.oracle import random_unimodular
 from blocksplit.ring import (
+    GREVLEX,
     RingError,
     VarTable,
     parse_poly,
@@ -188,9 +189,9 @@ def test_rect_shape_error():
 
 def test_coprime_witnessed_examples():
     def coprime(I, J):
-        ok, _, entries = _coprime_witnessed(I, J, None)
+        check, _, entries = _coprimality("coprime", "", I, J, None, GREVLEX)
         assert all(inc.verify() for inc in entries)
-        return ok
+        return check.passed
 
     assert coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("y"),)))
     assert not coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("x*(1 + x)"),)))

@@ -181,7 +181,7 @@ def test_check_quiver_string_decomposable():
     t = form.table
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
     f2 = parse_poly("y_1*y_2 + x_1_2*x_2_1", t)
-    v = check_quiver(Q, f1, f2)
+    v = check_quiver(form, f1, f2)
     assert v.status == DECOMPOSABLE
     assert v.verify()
 
@@ -195,7 +195,7 @@ def test_check_quiver_direct_sum():
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
     f2 = parse_poly("y_1*y_2 - 2*x_1_2*x_2_1", t)
     assert det(form.matrix) == f1 * f2
-    v = check_quiver(Q, f1, f2)
+    v = check_quiver(form, f1, f2)
     assert v.status == DECOMPOSABLE and v.verify()
 
 
@@ -210,7 +210,7 @@ def test_check_quiver_star_inconclusive():
         ("(y_1 - x_1_1)*y_2", "(y_1 + x_1_1)*y_3"),
     ]
     for a, b in splits:
-        v = check_quiver(Q, parse_poly(a, t), parse_poly(b, t))
+        v = check_quiver(form, parse_poly(a, t), parse_poly(b, t))
         assert v.status == INCONCLUSIVE
         assert v.failed_hypothesis == "y-profile"
         assert v.verify()
@@ -219,8 +219,9 @@ def test_check_quiver_star_inconclusive():
 def test_check_quiver_det_mismatch_is_inconclusive():
     Q = complete_reduce(string_quiver([["0", "1"], ["1", "0"]],
                                       [["1", "0"], ["0", "1"]]))
-    t = build_kronecker(Q).table
-    v = check_quiver(Q, parse_poly("y_1", t), parse_poly("y_2", t))
+    form = build_kronecker(Q)
+    t = form.table
+    v = check_quiver(form, parse_poly("y_1", t), parse_poly("y_2", t))
     assert v.status == INCONCLUSIVE
     assert v.failed_hypothesis == "determinant-factorization"
 
@@ -325,7 +326,7 @@ def test_conj_agrees_with_quiver_path():
         f1 = y + (b - r) * Fraction(1, 2)
         f2 = y + (b + r) * Fraction(1, 2)
         assert f1 * f2 == det(form.matrix)
-        quiver_v = check_quiver(Q, f1, f2)
+        quiver_v = check_quiver(form, f1, f2)
         if conj.status != INCONCLUSIVE and quiver_v.status != INCONCLUSIVE:
             assert conj.status == quiver_v.status, str(A.entries)
 
@@ -339,7 +340,7 @@ def test_check_quiver_equivalence_invariance():
     t = form.table
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
     f2 = parse_poly("y_1*y_2 + x_1_2*x_2_1", t)
-    base = check_quiver(Q, f1, f2).status
+    base = check_quiver(form, f1, f2).status
     for _ in range(3):
         U1 = random_unimodular(rng, EMPTY, 2)
         U2 = random_unimodular(rng, EMPTY, 2)
@@ -348,7 +349,7 @@ def test_check_quiver_equivalence_invariance():
         Q2 = complete_reduce(QuiverRep(
             EMPTY, [Vertex("1", 2), Vertex("2", 2)],
             [Arrow("1", "2", A2), Arrow("2", "1", B2)]))
-        v = check_quiver(Q2, f1, f2)
+        v = check_quiver(build_kronecker(Q2), f1, f2)
         assert v.status == base
         assert v.verify()
 
