@@ -5,8 +5,9 @@ One JSON job document per invocation describes the ring, the target
 ideals, and options.  Each job command is one entry of ``COMMANDS``; its
 handler returns a Verdict or the report's own keys, and ``_dispatch``
 assembles every report: it re-verifies a verdict's certificate before
-emitting anything and adds the command, ring and provenance.  Every
-emitted report is accepted by ``verify-cert``, which re-checks the
+emitting anything and adds the command, ring and provenance (whose
+``"order"`` is always grevlex, the one order membership is decided in).
+Every emitted report is accepted by ``verify-cert``, which re-checks the
 witnesses using plain ring arithmetic only.
 
 Exit codes: 0 = a verdict or result was produced (any status),
@@ -37,24 +38,13 @@ from .quiver import (
     complete_reduce,
     conj_pencil,
 )
-from .ring import (
-    GREVLEX,
-    LEX,
-    InvariantError,
-    Poly,
-    RingError,
-    TermOrder,
-    VarTable,
-    format_poly,
-)
+from .ring import InvariantError, Poly, RingError, VarTable, format_poly
 
 TOOL = "blocksplit"
 
-ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
 TOP_KEYS = ("ring", "matrix", "quiver", "matrices", "factors", "ideals",
             "index", "options")
-OPTION_KEYS = ("order", "jet_order", "format", "probe_order")
+OPTION_KEYS = ("jet_order", "format", "probe_order")
 
 
 def _load_json(path: str, what: str) -> Any:
@@ -140,20 +130,14 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
         raise InputError(f"field 'quiver': {exc}") from exc
 
 
-class Job:
+class Job(NamedTuple):
     """Parsed job document plus resolved options (flags win over the
     document's ``options`` block)."""
 
-    __slots__ = ("doc", "table", "order_name", "order", "jet_order", "fmt")
-
-    def __init__(self, doc: dict, table: VarTable, order_name: str,
-                 order: TermOrder, jet_order: int | None, fmt: str):
-        self.doc = doc
-        self.table = table
-        self.order_name = order_name
-        self.order = order
-        self.jet_order = jet_order
-        self.fmt = fmt
+    doc: dict
+    table: VarTable
+    jet_order: int | None
+    fmt: str
 
 
 def _load_job(args: argparse.Namespace) -> Job:
@@ -166,9 +150,6 @@ def _load_job(args: argparse.Namespace) -> Job:
     for key in sorted(options):
         expect(key in OPTION_KEYS, f"field 'options.{key}' is not recognized")
 
-    order_name = args.order or options.get("order", "grevlex")
-    expect(isinstance(order_name, str) and order_name in ORDERS,
-           "field 'options.order' must be 'grevlex' or 'lex'")
     jet = args.jet_order if args.jet_order is not None \
         else options.get("jet_order")
     if jet is not None:
@@ -182,7 +163,7 @@ def _load_job(args: argparse.Namespace) -> Job:
     expect(isinstance(fmt, str) and fmt in ("json", "text"),
            "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
-    return Job(doc, table, order_name, ORDERS[order_name], jet, fmt)
+    return Job(doc, table, jet, fmt)
 
 
 def _require_matrix(job: Job) -> PolyMatrix:
@@ -374,14 +355,13 @@ def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> Outcome:
 def _cmd_check_square(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     f1, f2 = _parse_factors(job.doc, job.table)
-    return A.table, check_square_lr(A, f1, f2, jet_order=job.jet_order,
-                                    order=job.order)
+    return A.table, check_square_lr(A, f1, f2, jet_order=job.jet_order)
 
 
 def _cmd_check_rect(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     J1, J2 = _parse_ideals(job.doc, job.table)
-    return A.table, check_rect_lr(A, J1, J2, order=job.order)
+    return A.table, check_rect_lr(A, J1, J2)
 
 
 def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
@@ -395,7 +375,7 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
            and probe >= 1,
            "field 'options.probe_order' (or --probe-order) must be an "
            "integer >= 1")
-    return A.table, check_conj_2x2(A, probe_order=probe, order=job.order)
+    return A.table, check_conj_2x2(A, probe_order=probe)
 
 
 def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
@@ -405,8 +385,7 @@ def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
         complete_reduce(_parse_quiver(job.doc["quiver"], job.table)))
     # the factors may mention the fresh x_i_j / y_i variables
     f1, f2 = _parse_factors(job.doc, form.table)
-    return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order,
-                                    order=job.order)
+    return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order)
 
 
 class Command(NamedTuple):
@@ -493,8 +472,6 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--input", required=True, metavar="PATH",
                         help="job document (JSON)")
-        sp.add_argument("--order", choices=("grevlex", "lex"),
-                        help="monomial order for Groebner computations")
         sp.add_argument("--jet-order", dest="jet_order", type=int,
                         metavar="N",
                         help="decide modulo m^N instead of exactly")
@@ -524,7 +501,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     result["command"] = args.command
     result["ring"] = {"vars": list(table.names)}
     result["provenance"] = {"tool": TOOL, "version": __version__,
-                            "order": job.order_name,
+                            "order": "grevlex",
                             "exact": jet_order is None}
     if jet_order is not None:
         result["provenance"]["jet_order"] = jet_order

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .ring import GREVLEX, Poly, RingError, TermOrder, local_unit_test, truncate
+from .ring import Poly, RingError, local_unit_test, truncate
 from .certificate import (
     DECOMPOSABLE,
     INCONCLUSIVE,
@@ -47,8 +47,7 @@ from .oracle import jet_member_witness
 Step = tuple[HypothesisCheck, list[Identity], list[Inclusion]]
 
 
-def _local_inclusion(elements: Iterable[Poly], J: Ideal,
-                     jet_order: int | None, order: TermOrder):
+def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
     """Element-by-element local inclusion in J: (first element outside J,
     []) or (None, one Inclusion per element); jet_order switches to
     congruences modulo m^N."""
@@ -56,7 +55,7 @@ def _local_inclusion(elements: Iterable[Poly], J: Ideal,
     entries = []
     for g in elements:
         if jet_order is None:
-            ok, entry = member_local(g, J, order)
+            ok, entry = member_local(g, J)
         else:
             ok, cofactors = jet_member_witness(g, J.generators, jet_order)
             entry = Inclusion(g, J.generators, one, cofactors,
@@ -68,16 +67,16 @@ def _local_inclusion(elements: Iterable[Poly], J: Ideal,
 
 
 def _coprimality(name: str, detail: str, I: Ideal, J: Ideal,
-                 jet_order: int | None, order: TermOrder) -> Step:
+                 jet_order: int | None) -> Step:
     """Local coprimality I cap J <= I*J as a checklist step."""
     failing, entries = _local_inclusion(
-        intersect(I, J).generators, ideal_product(I, J), jet_order, order)
+        intersect(I, J).generators, ideal_product(I, J), jet_order)
     return HypothesisCheck(name, failing is None, detail), [], entries
 
 
 def _decide(steps: Iterable[Step],
             decisive: Callable[[], tuple[Iterable[Poly], Ideal]], scope: str,
-            jet_order: int | None, order: TermOrder) -> Verdict:
+            jet_order: int | None) -> Verdict:
     """The checklist runner every check decides through.  `steps` yields
     one hypothesis at a time; the first that fails ends the run as
     Inconclusive, so nothing after it is computed.  Then `decisive()`
@@ -94,7 +93,7 @@ def _decide(steps: Iterable[Step],
         identities.extend(step_identities)
         inclusions.extend(step_inclusions)
     elements, target = decisive()
-    failing, entries = _local_inclusion(elements, target, jet_order, order)
+    failing, entries = _local_inclusion(elements, target, jet_order)
     status = DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE
     return Verdict(status, hyps, identities, inclusions + entries, scope,
                    failing=failing, order=jet_order)
@@ -108,7 +107,7 @@ _SQUARE_SCOPE = (
 
 def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
                       hypothesis: HypothesisCheck, scope: str,
-                      jet_order: int | None, order: TermOrder) -> Verdict:
+                      jet_order: int | None) -> Verdict:
     """The checklist shared by the square and quiver checks on a square
     matrix A: det(A) = f1*f2, then `hypothesis` (the one that differs
     between them), local coprimality of (f1) and (f2), and last the
@@ -129,17 +128,15 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
         yield hypothesis, [], []
         yield _coprimality("factor-coprimality",
                            "(f1) cap (f2) <= (f1*f2) at the origin",
-                           Ideal(A.table, (f1,)), Ideal(A.table, (f2,)),
-                           jet_order, order)
+                           Ideal(A.table, (f1,)), Ideal(A.table, (f2,)), jet_order)
 
     return _decide(steps(), lambda: (fitting_ideal(A, A.rows - 1).generators,
                                      Ideal(A.table, (f1, f2))),
-                   scope, jet_order, order)
+                   scope, jet_order)
 
 
 def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
-                    jet_order: int | None = None,
-                    order: TermOrder = GREVLEX) -> Verdict:
+                    jet_order: int | None = None) -> Verdict:
     """Square criterion: under det(A) = f1*f2 with both factors nonzero
     non-units and locally coprime, A splits into blocks with determinants
     f1 and f2 iff I_{m-1}(A) lies in (f1) + (f2) locally."""
@@ -160,7 +157,7 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
             break
     nontrivial = HypothesisCheck("factor-nontriviality", ok, detail)
     return _split_by_factors(A, f1, f2, "det(A)", nontrivial,
-                             _SQUARE_SCOPE, jet_order, order)
+                             _SQUARE_SCOPE, jet_order)
 
 
 _RECT_SCOPE = (
@@ -169,8 +166,7 @@ _RECT_SCOPE = (
 )
 
 
-def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
-                  order: TermOrder = GREVLEX) -> Verdict:
+def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
     """Rectangular criterion (m <= n): under nonzero I_m(A), kernel inside
     I_m(A)R^n, and I_m(A) = J1*J2 with nontrivial locally coprime factors,
     A splits with I_m(A_i) = J_i iff I_{m-1}(A) lies in J1 + J2 locally."""
@@ -189,7 +185,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
 
         ker = kernel(A)
         failing, entries = _local_inclusion(
-            (c for column in ker for c in column), Im, None, order)
+            (c for column in ker for c in column), Im, None)
         detail = (f"all {len(ker)} kernel generators have components in "
                   "I_m(A) locally" if failing is None else
                   f"kernel component {failing} escapes I_m(A) locally")
@@ -208,16 +204,15 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal,
         yield HypothesisCheck("ideal-nontriviality", ok, detail), [], []
 
         prod = ideal_product(J1, J2)
-        fwd, fwd_entries = _local_inclusion(Im.generators, prod, None, order)
-        bwd, bwd_entries = _local_inclusion(prod.generators, Im, None, order)
+        fwd, fwd_entries = _local_inclusion(Im.generators, prod, None)
+        bwd, bwd_entries = _local_inclusion(prod.generators, Im, None)
         yield (HypothesisCheck(
             "product-identity", fwd is None and bwd is None,
             "I_m(A) = J1*J2 as ideals at the origin"),
             [], fwd_entries + bwd_entries)
         yield _coprimality("ideal-coprimality",
-                           "J1 cap J2 <= J1*J2 at the origin", J1, J2, None,
-                           order)
+                           "J1 cap J2 <= J1*J2 at the origin", J1, J2, None)
 
     return _decide(steps(), lambda: (fitting_ideal(A, m - 1).generators,
                                      ideal_sum(J1, J2)),
-                   _RECT_SCOPE, None, order)
+                   _RECT_SCOPE, None)

@@ -2,10 +2,12 @@
 normal forms, intersection, colon, and membership tests both in the
 polynomial ring and in its localization at the origin.
 
-Every positive membership answer carries an Inclusion certificate whose
-re-expansion reproduces the tested element exactly; callers are expected
-to re-check witnesses before trusting them.  Local questions (f in I at
-the origin) are reduced to global ones through the colon trick:
+Membership is decided under grevlex; any order gives the same answers,
+and the order only shapes the cofactors.  Every positive membership
+answer carries an Inclusion certificate whose re-expansion reproduces
+the tested element exactly; callers are expected to re-check witnesses
+before trusting them.  Local questions (f in I at the origin) are
+reduced to global ones through the colon trick:
 
     f in I_loc  <=>  (I : f) contains a polynomial with nonzero constant
                      term, i.e. 1 in (I : f) + m.
@@ -66,10 +68,6 @@ def _term(table: VarTable, mono: Monomial, coeff: Coeff) -> Poly:
     return Poly(table, {mono: coeff})
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _reduce(f: Poly, basis: list[_Gen], order: TermOrder):
     """Full normal form of f modulo basis.
 
@@ -92,6 +90,16 @@ def _combine(quotients: dict[int, Poly], basis: list[_Gen], ngens: int, table: V
             if not component.is_zero():
                 vec[j] = vec[j] + q * component
     return tuple(vec)
+
+
+def _tracked(vec, quotients: dict[int, Poly], basis: list[_Gen]):
+    """Cofactor vector of a remainder: `vec`, that of the element reduced,
+    minus the quotients' combination of the basis vectors; None when the
+    element is untracked."""
+    if vec is None:
+        return None
+    combined = _combine(quotients, basis, len(vec), vec[0].table)
+    return tuple(v - c for v, c in zip(vec, combined))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -146,10 +154,9 @@ def _spoly(a: _Gen, b: _Gen, order: TermOrder):
     return poly, vec
 
 
-def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool,
-                positions: int = 0):
-    table = inputs[0].poly.table
-    ngens = len(inputs)
+def _buchberger(inputs: list[_Gen], order: TermOrder, positions: int = 0):
+    """Reduced Groebner basis of the inputs; tracked (every element with
+    its cofactor vector) exactly when the inputs carry one."""
     seq = len(inputs)
     G: list[_Gen] = []
     B: list[tuple[_Gen, _Gen]] = []
@@ -157,14 +164,8 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool,
         remainder, quotients = _reduce(gen.poly, G, order)
         if remainder.is_zero():
             continue
-        vec = None
-        if track:
-            vec = _vec_add(
-                gen.vec,
-                tuple(-c for c in _combine(quotients, G, ngens, table)),
-            )
-        G, B = _update(G, B, _Gen(remainder, order, vec, gen.seq),
-                       positions)
+        h = _Gen(remainder, order, _tracked(gen.vec, quotients, G), gen.seq)
+        G, B = _update(G, B, h, positions)
     key = order.key
     while B:
         # smallest lcm first, then the lowest (a.seq, b.seq); `key` sorts
@@ -182,19 +183,13 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, track: bool,
         remainder, quotients = _reduce(s, G, order)
         if remainder.is_zero():
             continue
-        vec = None
-        if track:
-            vec = _vec_add(
-                svec,
-                tuple(-c for c in _combine(quotients, G, ngens, table)),
-            )
-        G, B = _update(G, B, _Gen(remainder, order, vec, seq), positions)
+        h = _Gen(remainder, order, _tracked(svec, quotients, G), seq)
+        G, B = _update(G, B, h, positions)
         seq += 1
-    return _interreduce(G, order, track, ngens, table, seq)
+    return _interreduce(G, order)
 
 
-def _interreduce(G: list[_Gen], order: TermOrder, track: bool, ngens: int,
-                 table: VarTable, seq: int) -> list[_Gen]:
+def _interreduce(G: list[_Gen], order: TermOrder) -> list[_Gen]:
     """Minimal generators, tail-reduced against each other, leading
     coefficient 1; sorted by descending leading monomial."""
     minimal: list[_Gen] = []
@@ -206,17 +201,11 @@ def _interreduce(G: list[_Gen], order: TermOrder, track: bool, ngens: int,
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         remainder, quotients = _reduce(g.poly, others, order)
-        vec = None
-        if track:
-            vec = _vec_add(
-                g.vec,
-                tuple(-c for c in _combine(quotients, others, ngens, table)),
-            )
+        vec = _tracked(g.vec, quotients, others)
         scale = _div(1, remainder.leading(order)[1])
-        poly = remainder * scale
-        if track:
+        if vec is not None:
             vec = tuple(scale * c for c in vec)
-        reduced.append(_Gen(poly, order, vec, g.seq))
+        reduced.append(_Gen(remainder * scale, order, vec, g.seq))
     reduced.sort(key=lambda g: order.key(g.lm))
     return reduced
 
@@ -253,16 +242,13 @@ class Ideal:
             return self._cache[(order, True)]
         key = (order, track)
         if key not in self._cache:
+            n = len(self.generators)
             inputs = []
             for j, g in enumerate(self.generators):
-                vec = None
-                if track:
-                    vec = tuple(
-                        Poly.const(self.table, 1 if i == j else 0)
-                        for i in range(len(self.generators))
-                    )
+                vec = tuple(Poly.const(self.table, int(i == j))
+                            for i in range(n)) if track else None
                 inputs.append(_Gen(g, order, vec, j))
-            self._cache[key] = _buchberger(inputs, order, track)
+            self._cache[key] = _buchberger(inputs, order)
         return self._cache[key]
 
     def __repr__(self) -> str:
@@ -274,20 +260,20 @@ def groebner_basis(I: Ideal, order: TermOrder = GREVLEX) -> list[Poly]:
     return [g.poly for g in I.basis(order)]
 
 
-def normal_form(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
-    """Remainder of f modulo I plus cofactors c aligned with I's generators:
-    f = sum(c_i g_i) + remainder."""
+def normal_form(f: Poly, I: Ideal):
+    """Remainder of f modulo I under grevlex plus cofactors c aligned with
+    I's generators: f = sum(c_i g_i) + remainder."""
     if I.is_zero():
         return f, (Poly.zero(f.table),)
-    basis = I.basis(order, track=True)
-    remainder, quotients = _reduce(f, basis, order)
+    basis = I.basis(GREVLEX, track=True)
+    remainder, quotients = _reduce(f, basis, GREVLEX)
     return remainder, _combine(quotients, basis, len(I.generators), f.table)
 
 
-def member_global(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
+def member_global(f: Poly, I: Ideal):
     """Does f lie in I inside the polynomial ring?  (answer, Inclusion with
     unit 1, or None)."""
-    remainder, cofactors = normal_form(f, I, order)
+    remainder, cofactors = normal_form(f, I)
     if remainder.is_zero():
         return True, Inclusion(f, I.generators, Poly.const(f.table, 1),
                                cofactors)
@@ -328,7 +314,7 @@ def colon(I: Ideal, f: Poly) -> Ideal:
     return Ideal(I.table, [divide_exact(g, f) for g in meet.generators])
 
 
-def member_local(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
+def member_local(f: Poly, I: Ideal):
     """Does f lie in I after localizing at the origin?
 
     Decided through 1 in (I : f) + m: the colon ideal reaches outside the
@@ -341,28 +327,28 @@ def member_local(f: Poly, I: Ideal, order: TermOrder = GREVLEX):
         return True, Inclusion(f, I.generators, Poly.const(f.table, 1), zeros)
     if I.is_zero():
         return False, None
-    ok, witness = member_global(f, I, order)
+    ok, witness = member_global(f, I)
     if ok:
         return True, witness
     quot = colon(I, f)
     for candidate in quot.generators:
         if local_unit_test(candidate):
             unit = candidate
-            inside, inner = member_global(unit * f, I, order)
+            inside, inner = member_global(unit * f, I)
             if not inside:
                 raise InvariantError("colon certificate failed to re-verify")
             return True, Inclusion(f, I.generators, unit, inner.cofactors)
     return False, None
 
 
-def subset_local(I: Ideal, J: Ideal, order: TermOrder = GREVLEX):
+def subset_local(I: Ideal, J: Ideal):
     """Is every generator of I in J locally?
 
     Returns (True, [Inclusion per generator]) or (False, first failing
     generator)."""
     witnesses = []
     for g in I.generators:
-        ok, witness = member_local(g, J, order)
+        ok, witness = member_local(g, J)
         if not ok:
             return False, g
         witnesses.append(witness)

@@ -59,9 +59,6 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def col(self, j: int) -> tuple[Poly, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyMatrix)
@@ -82,9 +79,6 @@ class PolyMatrix:
                 for ra, rb in zip(self.entries, other.entries)
             ],
         )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(Poly.const(other.table, -1))
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -241,7 +235,7 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
 
     columns = []
     seen = set()
-    for g in _buchberger(inputs, order, track=False, positions=m + n):
+    for g in _buchberger(inputs, order, positions=m + n):
         if g.lm.index(1, width) - width < m:
             continue
         parts: list[dict] = [{} for _ in range(m + n)]

@@ -23,6 +23,7 @@ from .ring import (
     Poly,
     RingError,
     VarTable,
+    _check_jet_size,
     _div,
     iter_monomials,
     truncate,
@@ -32,13 +33,15 @@ from .matrix import PolyMatrix
 
 
 class JetSpace:
-    """Monomial basis of R/m^N: all monomials of total degree < N."""
+    """Monomial basis of R/m^N: all monomials of total degree < N, at most
+    MAX_JET_MONOMIALS of them."""
 
     __slots__ = ("table", "bound", "monomials", "_index")
 
     def __init__(self, table: VarTable, bound: int):
         if bound < 1:
             raise RingError("jet order must be at least 1")
+        _check_jet_size("jet order", bound, len(table))
         self.table = table
         self.bound = bound
         self.monomials = tuple(iter_monomials(len(table), bound))

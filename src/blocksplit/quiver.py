@@ -27,10 +27,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .ring import (
-    GREVLEX,
     Poly,
     RingError,
-    TermOrder,
     SeriesSqrtError,
     VarTable,
     local_unit_test,
@@ -249,8 +247,7 @@ _QUIVER_SCOPE = (
 
 
 def check_quiver(form: KroneckerForm, f1: Poly, f2: Poly,
-                 jet_order: int | None = None,
-                 order: TermOrder = GREVLEX) -> Verdict:
+                 jet_order: int | None = None) -> Verdict:
     """Decomposability of a complete reduced representation, given as its
     Kronecker form (see build_kronecker), relative to the supplied
     splitting of det of that form.
@@ -275,15 +272,14 @@ def check_quiver(form: KroneckerForm, f1: Poly, f2: Poly,
             break
     y_check = HypothesisCheck("y-profile", ok, detail)
     return _split_by_factors(form.matrix, f1, f2, "det of the Kronecker form",
-                             y_check, _QUIVER_SCOPE, jet_order, order)
+                             y_check, _QUIVER_SCOPE, jet_order)
 
 
 _CONJ_SCOPE = ("diagonalizability of a 2x2 matrix under conjugation; the "
                "verdict is absolute (not relative to a factor pair)")
 
 
-def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
-                   order: TermOrder = GREVLEX) -> Verdict:
+def check_conj_2x2(A: PolyMatrix, probe_order: int = 8) -> Verdict:
     """Conjugation-diagonalizability of a 2x2 matrix over the local ring.
 
     Decomposable iff the discriminant tr^2 - 4 det is a polynomial square
@@ -307,7 +303,7 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8,
             [(nondegenerate, square, [])],
             lambda: ((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
                      Ideal(A.table, (root,))),
-            _CONJ_SCOPE, None, order)
+            _CONJ_SCOPE, None)
 
     # No polynomial square root; classify how badly that fails.
     low = disc.lowest_form()

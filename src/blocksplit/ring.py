@@ -22,9 +22,9 @@ treat a polynomial together with an explicit order bound as a jet.
 Variable tables are immutable; "extending the ring by new variables"
 creates a fresh table with the old names as a prefix, and polynomials are
 lifted into it by zero-padding their exponents.  So the variables to
-eliminate are always the trailing ones: each monomial order (grevlex, lex,
-or elimination of a trailing block) has one sort key, which puts the
-largest monomial first.
+eliminate are always the trailing ones.  Membership is decided under
+grevlex, and `intersect` and `kernel` eliminate a trailing block; each
+order has one sort key, which puts the largest monomial first.
 """
 
 from __future__ import annotations
@@ -141,12 +141,8 @@ def _grevlex_key(mono: Monomial):
     return (-sum(mono), mono[::-1])
 
 
-def _lex_key(mono: Monomial):
-    return tuple(-e for e in mono)
-
-
 class TermOrder:
-    """Monomial order: grevlex, lex, or the elimination order on the
+    """Monomial order: grevlex (`block` 0), or the elimination order on the
     trailing `block` variables.
 
     `key` is the order's one sort key, and it sorts the largest monomial
@@ -157,43 +153,35 @@ class TermOrder:
     variable beats every monomial free of them.
     """
 
-    __slots__ = ("kind", "block", "key")
+    __slots__ = ("block", "key")
 
-    def __init__(self, kind: str, block: int = 0):
-        if kind == "block" and block > 0:
+    def __init__(self, block: int = 0):
+        self.block = block
+        if block:
             cut = -block
             self.key = lambda mono: (_grevlex_key(mono[cut:]),
                                      _grevlex_key(mono[:cut]))
-        elif kind in ("grevlex", "lex") and block == 0:
-            self.key = _grevlex_key if kind == "grevlex" else _lex_key
         else:
-            raise RingError(f"unknown term order {kind!r} on block {block!r}")
-        self.kind = kind
-        self.block = block
+            self.key = _grevlex_key
 
     @staticmethod
     def elimination(block: int) -> "TermOrder":
         """Elimination order on the trailing `block` variables."""
-        return TermOrder("block", block)
+        return TermOrder(block)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TermOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
+        return isinstance(other, TermOrder) and self.block == other.block
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.block))
+        return hash(self.block)
 
     def __repr__(self) -> str:
-        if self.kind == "block":
+        if self.block:
             return f"TermOrder(block, trailing {self.block})"
-        return f"TermOrder({self.kind})"
+        return "TermOrder(grevlex)"
 
 
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
+GREVLEX = TermOrder()
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -777,37 +765,55 @@ def sqrt_exact(f: Poly) -> Poly | None:
     return _normalize_sign(g)
 
 
+# The most monomials of degree < N, in the variables in play, that a jet of
+# order N may span (the jet oracle lists them; a series root may fill them).
+MAX_JET_MONOMIALS = 500
+
+
+def _check_jet_size(what: str, bound: int, nvars: int) -> None:
+    """Refuse an order `bound` over `nvars` variables past the cap."""
+    if bound > 0 and math.comb(bound - 1 + nvars, nvars) > MAX_JET_MONOMIALS:
+        raise RingError(f"{what} {bound} over {nvars} variable"
+                        f"{'s' * (nvars != 1)} spans more than "
+                        f"{MAX_JET_MONOMIALS} monomials")
+
+
 def sqrt_series(f: Poly, bound: int) -> Poly:
     """Series square root to the given order, built degree by degree.
 
     Requires the lowest homogeneous part of f to be a perfect square (even
     vanishing order).  Returns g with deg g < bound + ord(f)/2 and
     g**2 == f modulo terms of total degree >= bound + ord(f); raises
-    SeriesSqrtError when no such series exists.
+    SeriesSqrtError when no such series exists, and RingError when the
+    order spans too many monomials in the variables of f.
     """
     if bound < 0:
         raise RingError("order bound must be nonnegative")
     if f.is_zero():
         return Poly.zero(f.table)
+    _check_jet_size("series order", bound, sum(map(any, zip(*f.terms))))
     d = f.order()
     if d % 2:
         raise SeriesSqrtError("vanishing order is odd")
     base = sqrt_exact(f.lowest_form())
     if base is None:
         raise SeriesSqrtError("lowest homogeneous part is not a perfect square")
-    s = d // 2
     g = base
+    # rest is f - g^2 below the degree d + bound, updated by each correction
+    rest = truncate(f - g * g, d + bound)
     for j in range(1, bound):
         # Forced correction: the degree d+j part of f - g^2, divided by 2*base.
-        residual = (f - g * g).homogeneous_part(d + j)
+        residual = rest.homogeneous_part(d + j)
         if residual.is_zero():
             continue
         try:
-            g = g + divide_exact(residual, base) * Fraction(1, 2)
+            t = divide_exact(residual, base) * Fraction(1, 2)
         except NonDivisibleError:
             raise SeriesSqrtError(
                 f"no series square root: obstruction at degree {d + j}"
             ) from None
+        rest = rest - truncate(t * (g + g + t), d + bound)
+        g = g + t
     return _normalize_sign(g)
 
 

@@ -12,6 +12,7 @@ import pytest
 import blocksplit.quiver
 from blocksplit.certificate import Verdict
 from blocksplit.cli import main
+from blocksplit.ring import MAX_JET_MONOMIALS
 
 EX2 = {
     "ring": {"vars": ["x1", "x2"]},
@@ -174,11 +175,14 @@ def test_jet_mode_is_flagged(tmp_path, capsys):
 
 
 def test_order_flag(tmp_path, capsys):
+    # grevlex is the one monomial order; there is no flag to choose another
     path = write_doc(tmp_path, EX2)
-    report = run_json(capsys, ["check-square", "--input", path,
-                               "--order", "lex"])
-    assert report["verdict"] == "Decomposable"
-    assert report["provenance"]["order"] == "lex"
+    with pytest.raises(SystemExit) as exc:
+        main(["check-square", "--input", path, "--order", "lex"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: blocksplit")
+    assert err.endswith("error: unrecognized arguments: --order lex\n")
 
 
 def test_input_errors_name_the_field(tmp_path, capsys):
@@ -210,13 +214,13 @@ def test_input_errors_name_the_field(tmp_path, capsys):
 
 
 def test_non_string_order_is_an_input_error(tmp_path, capsys):
-    for order in (["lex"], {"name": "lex"}, [], None):
+    # no job option chooses the monomial order, not even grevlex itself
+    for order in ("grevlex", "lex", ["lex"], {"name": "lex"}, [], None):
         doc = {"ring": {"vars": ["x"]}, "matrix": [["x"]],
                "options": {"order": order}}
         path = write_doc(tmp_path, doc)
-        code, _, err = run(capsys, ["det", "--input", path])
-        assert code == 1, order
-        assert "options.order" in err and "internal error" not in err
+        assert run(capsys, ["det", "--input", path]) == (
+            1, "", "error: field 'options.order' is not recognized\n"), order
 
 
 def test_non_string_or_empty_format_is_an_input_error(tmp_path, capsys):
@@ -349,6 +353,28 @@ def test_unit_discriminant_skips_the_series_probe(tmp_path, capsys,
     assert report["failed_hypothesis"] == "square-root-only-as-power-series"
 
 
+# x1^2 * (1 + x2 + x3 + x4) has a series square root to every order, so
+# the probe runs to the full order it is given
+DEEP_CONJ = {"ring": {"vars": ["x1", "x2", "x3", "x4"]},
+             "matrix": [["0", "1/4"],
+                        ["x1^2 + x1^2*x2 + x1^2*x3 + x1^2*x4", "0"]]}
+
+
+@pytest.mark.parametrize("command, doc, flag, what", [
+    ("check-square", EX2, "--jet-order", "jet order 100000 over 2"),
+    ("check-conj", DEEP_CONJ, "--probe-order", "series order 100000 over 4"),
+])
+def test_oversized_jet_and_probe_orders_exit_1_at_once(tmp_path, capsys,
+                                                       command, doc, flag,
+                                                       what):
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    result = run(capsys, [command, "--input", path, flag, "100000"])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", f"error: {what} variables spans more than "
+                             f"{MAX_JET_MONOMIALS} monomials\n")
+
+
 def test_quiver_star_inconclusive_cli(tmp_path, capsys):
     doc = {
         "ring": {"vars": []},
@@ -379,14 +405,14 @@ def test_console_script():
 
 def test_options_block_and_flag_precedence(tmp_path, capsys):
     doc = dict(EX2)
-    doc["options"] = {"order": "lex", "format": "text"}
+    doc["options"] = {"format": "text"}
     path = write_doc(tmp_path, doc)
     code, out, _ = run(capsys, ["check-square", "--input", path])
     assert code == 0 and out.startswith("blocksplit check-square")
     # the command-line flag wins over the document option
     report = run_json(capsys, ["check-square", "--input", path,
                                "--format", "json"])
-    assert report["provenance"]["order"] == "lex"
+    assert report["verdict"] == "Decomposable"
 
 
 def _ex2_report(tmp_path, capsys, *flags):

@@ -17,12 +17,7 @@ from blocksplit.decompose import (
 from blocksplit.groebner import Ideal
 from blocksplit.matrix import PolyMatrix
 from blocksplit.oracle import random_unimodular
-from blocksplit.ring import (
-    GREVLEX,
-    RingError,
-    VarTable,
-    parse_poly,
-)
+from blocksplit.ring import RingError, VarTable, parse_poly
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
@@ -189,7 +184,7 @@ def test_rect_shape_error():
 
 def test_coprime_witnessed_examples():
     def coprime(I, J):
-        check, _, entries = _coprimality("coprime", "", I, J, None, GREVLEX)
+        check, _, entries = _coprimality("coprime", "", I, J, None)
         assert all(inc.verify() for inc in entries)
         return check.passed
 

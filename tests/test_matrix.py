@@ -226,5 +226,5 @@ def test_matrix_validation():
     with pytest.raises(RingError):
         M([["x"]]) + M([["x", "y"]])
     A = M([["x", "y"], ["0", "x"]])
-    assert A.col(0) == (P("x"), P("0"))
+    assert tuple(row[0] for row in A.entries) == (P("x"), P("0"))
     assert A.trace() == P("2*x")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import det
 from blocksplit.oracle import (
@@ -13,7 +15,15 @@ from blocksplit.oracle import (
     jet_member_witness,
     random_unimodular,
 )
-from blocksplit.ring import Poly, VarTable, iter_monomials, parse_poly, truncate
+from blocksplit.ring import (
+    MAX_JET_MONOMIALS,
+    Poly,
+    RingError,
+    VarTable,
+    iter_monomials,
+    parse_poly,
+    truncate,
+)
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
@@ -47,6 +57,16 @@ def test_jet_space_dimension():
     assert len(space.monomials) == 6
     single = JetSpace(VarTable(("x",)), 5)
     assert len(single.monomials) == 5
+
+
+def test_jet_space_is_capped():
+    # two variables: N*(N+1)/2 monomials below degree N
+    N = max(n for n in range(1, MAX_JET_MONOMIALS)
+            if n * (n + 1) // 2 <= MAX_JET_MONOMIALS)
+    assert len(JetSpace(XY, N).monomials) == N * (N + 1) // 2
+    with pytest.raises(RingError, match=f"jet order {N + 1} over 2 "
+                       "variables spans more than"):
+        JetSpace(XY, N + 1)
 
 
 def test_jet_member_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from blocksplit.oracle import jet_member_witness
 from blocksplit.ring import (
     GREVLEX,
-    LEX,
+    MAX_JET_MONOMIALS,
     NonDivisibleError,
     ParseError,
     Poly,
@@ -259,6 +260,32 @@ def test_sqrt_series_examples():
         sqrt_series(P("x^2 + y^2"), 4)
 
 
+def largest_order(nvars):
+    """The largest order whose monomials over nvars variables fit the cap."""
+    N = 1
+    while math.comb(N + nvars, nvars) <= MAX_JET_MONOMIALS:
+        N += 1
+    return N
+
+
+def test_sqrt_series_order_is_capped_by_the_variables_of_f():
+    # x^2*(1 + y) has its series root to every order, in x and y only:
+    # the third variable of the table does not count
+    xyz = VarTable(("x", "y", "z"))
+    f = parse_poly("x^2 + x^2*y", xyz)
+    N = largest_order(2)
+    s = sqrt_series(f, N)
+    assert truncate(s * s - f, N + 2).is_zero()
+    with pytest.raises(RingError, match=f"series order {N + 1} over 2 "
+                       "variables spans more than"):
+        sqrt_series(f, N + 1)
+    # a dense root: every monomial below the order is in its support
+    f = P("x^2 + x^3 + x^2*y")
+    s = sqrt_series(f, 12)
+    assert len(s.terms) == math.comb(12 + 1, 2)
+    assert truncate(s * s - f, 12 + 2).is_zero()
+
+
 def test_sqrt_series_congruence_random():
     rng = random.Random(19)
     checked = 0
@@ -302,8 +329,8 @@ def test_leading_trailing():
     f = P("x^2 + y^3")
     mono, coeff = f.leading(GREVLEX)
     assert mono == (0, 3) and coeff == 1
-    mono, coeff = f.leading(LEX)
-    assert mono == (2, 0)
+    mono, coeff = f.trailing(GREVLEX)
+    assert mono == (2, 0) and coeff == 1
     assert f.order() == 2
     assert f.lowest_form() == P("x^2")
 
