@@ -4,15 +4,18 @@ re-check that both the emitting path and ``verify-cert`` run.
 A certificate is plain ring arithmetic.  An identity lhs == f_1 * ... * f_k
 is re-checked by multiplying out; an inclusion unit*element ==
 sum(cofactor_i * generator_i), with unit invertible at the origin, by
-re-expanding.  Entries of a jet verdict state congruences modulo m^N instead
-of equalities, and their strength must match the verdict's provenance: an
-exact verdict holds no congruence, and a jet verdict of order N only
-congruences modulo m^N.
+re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
+puts every (n-1)-minor of A in (f1, f2) at once, by one matrix product
+and a determinant.  Entries of a jet verdict state congruences modulo m^N
+instead of equalities, and their strength must match the verdict's
+provenance: an exact verdict holds no congruence, and a jet verdict of
+order N only congruences modulo m^N.
 
 Decoding validates every field and raises InputError naming the first
 malformed one; ``failures()`` then lists what does not re-check, as the
 messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
-matrix code, so the check stays independent of how a verdict arose.
+matrix code (the determinant is `ring.minor`, the expansion that `det`
+runs too), so the check stays independent of how a verdict arose.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .ring import (
     VarTable,
     format_poly,
     local_unit_test,
+    minor,
     parse_poly,
     truncate,
 )
@@ -68,6 +72,20 @@ def _parse_list(items: Any, table: VarTable, field: str,
                f"{'non-empty ' if nonempty else ''}list of polynomial strings")
     return [parse_field(p, table, f"{field}[{k}]", memo)
             for k, p in enumerate(items)]
+
+
+def _parse_square(rows: Any, table: VarTable, field: str,
+                  memo: dict[str, Poly], size: int | None) -> list[list[Poly]]:
+    """A square matrix of polynomial strings, `size` x `size` when given."""
+    ok = (isinstance(rows, list) and bool(rows)
+          and (size is None or len(rows) == size)
+          and all(isinstance(row, list) and len(row) == len(rows)
+                  for row in rows))
+    shape = f"{size} x {size}" if size is not None else "non-empty square"
+    expect(ok, f"field '{field}' must be a {shape} list of rows of "
+               "polynomial strings")
+    return [[parse_field(e, table, f"{field}[{i}][{j}]", memo)
+             for j, e in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def _parse_modulo(d: dict, field: str) -> int | None:
@@ -217,20 +235,110 @@ class Inclusion:
                          _parse_modulo(d, field))
 
 
+class AdjugateInclusion:
+    """Certified inclusion of I_{n-1}(A) in (f1, f2) at the origin, as one
+    identity: unit*adj(A) == f1*C1 + f2*C2, with unit invertible at 0.
+    Exact only.
+
+    adj(A) is never formed.  det(A) is recomputed from A and must equal
+    f1*f2 != 0; then A*(f1*C1 + f2*C2) == unit*f1*f2*I must hold.  Since
+    A*adj(A) = det(A)*I and det(A) != 0 makes A injective over the fraction
+    field, that forces f1*C1 + f2*C2 = unit*adj(A), and the entries of
+    adj(A) are the signed (n-1)-minors that generate I_{n-1}(A)."""
+
+    __slots__ = ("matrix", "f1", "f2", "unit", "c1", "c2")
+
+    def __init__(self, matrix, f1: Poly, f2: Poly, unit: Poly, c1, c2):
+        self.matrix = tuple(tuple(row) for row in matrix)
+        self.f1 = f1
+        self.f2 = f2
+        self.unit = unit
+        self.c1 = tuple(tuple(row) for row in c1)
+        self.c2 = tuple(tuple(row) for row in c2)
+
+    def failures(self) -> list[str]:
+        A, n = self.matrix, len(self.matrix)
+        grids = (A, self.c1, self.c2)
+        sizes = {len(g) for g in grids} | {len(r) for g in grids for r in g}
+        if sizes != {n} or not n:
+            return ["adjugate: A, C1 and C2 must be square of one size"]
+        if not local_unit_test(self.unit):
+            return ["adjugate: the unit has zero constant term"]
+        det = self.f1 * self.f2
+        if det.is_zero():
+            return ["adjugate: f1*f2 is zero"]
+        full = tuple(range(n))
+        if minor(A, {}, full, full) != det:
+            return ["adjugate: det(A) does not equal f1*f2"]
+        # f1*C1 + f2*C2 is unit*adj(A) iff A*(f1*C1 + f2*C2) is
+        # unit*det(A)*I; A*C1 and A*C2 are formed first, while their
+        # entries are small, and multiplied by f1 and f2 only then
+        zero = Poly.zero(det.table)
+        diagonal = self.unit * det
+        for i, row in enumerate(A):
+            for j in range(n):
+                lhs = zero
+                for f, C in ((self.f1, self.c1), (self.f2, self.c2)):
+                    entry = zero
+                    for a, c_row in zip(row, C):
+                        if not a.is_zero():
+                            entry = entry + a * c_row[j]
+                    lhs = lhs + f * entry
+                if lhs != (diagonal if i == j else zero):
+                    return ["adjugate: A*(f1*C1 + f2*C2) does not equal "
+                            "unit*f1*f2*I"]
+        return []
+
+    def verify(self) -> bool:
+        return not self.failures()
+
+    def to_json(self) -> dict:
+        def grid(rows):
+            return [[format_poly(e) for e in row] for row in rows]
+        return {"matrix": grid(self.matrix),
+                "factors": [format_poly(self.f1), format_poly(self.f2)],
+                "unit": format_poly(self.unit),
+                "cofactors": [grid(self.c1), grid(self.c2)]}
+
+    @staticmethod
+    def from_json(d: Any, table: VarTable,
+                  memo: dict[str, Poly]) -> "AdjugateInclusion":
+        field = "certificate.adjugate"
+        expect(isinstance(d, dict), f"field '{field}' must be an object")
+        A = _parse_square(d.get("matrix"), table, f"{field}.matrix", memo,
+                          None)
+        factors = d.get("factors")
+        expect(isinstance(factors, list) and len(factors) == 2,
+               f"field '{field}.factors' must be a list of exactly two "
+               "polynomial strings")
+        f1, f2 = _parse_list(factors, table, f"{field}.factors", memo,
+                             nonempty=True)
+        unit = parse_field(d.get("unit"), table, f"{field}.unit", memo)
+        cofactors = d.get("cofactors")
+        expect(isinstance(cofactors, list) and len(cofactors) == 2,
+               f"field '{field}.cofactors' must be a list of exactly two "
+               "matrices")
+        c1, c2 = (_parse_square(c, table, f"{field}.cofactors[{k}]", memo,
+                                len(A)) for k, c in enumerate(cofactors))
+        return AdjugateInclusion(A, f1, f2, unit, c1, c2)
+
+
 class Verdict:
     """Outcome of a decision procedure plus its full certificate."""
 
     __slots__ = ("status", "hypotheses", "identities", "inclusions",
-                 "failing", "failed_hypothesis", "scope", "order")
+                 "adjugate", "failing", "failed_hypothesis", "scope", "order")
 
     def __init__(self, status: str, hypotheses, identities, inclusions,
                  scope: str, failing: Poly | None = None,
                  failed_hypothesis: str | None = None,
-                 order: int | None = None):
+                 order: int | None = None,
+                 adjugate: AdjugateInclusion | None = None):
         self.status = status
         self.hypotheses = list(hypotheses)
         self.identities = list(identities)
         self.inclusions = list(inclusions)
+        self.adjugate = adjugate
         self.scope = scope
         self.failing = failing
         self.failed_hypothesis = failed_hypothesis
@@ -253,6 +361,9 @@ class Verdict:
         for i, inc in enumerate(self.inclusions):
             out.extend(inc.failures(f"inclusion {i}"))
             out.extend(self._strength(f"inclusion {i}", inc.modulo_order))
+        if self.adjugate is not None:
+            out.extend(self.adjugate.failures())
+            out.extend(self._strength("adjugate", None))
         out.extend(self._shape())
         return out
 
@@ -291,6 +402,10 @@ class Verdict:
         if self.status == NOT_DECOMPOSABLE and self.failing is None:
             out.append("verdict shape: NotDecomposable without a failing "
                        "element")
+        if (self.status == DECOMPOSABLE and self.adjugate is None
+                and not (self.identities or self.inclusions)):
+            out.append("verdict shape: Decomposable with an empty "
+                       "certificate")
         return out
 
     def to_json(self) -> dict:
@@ -305,6 +420,8 @@ class Verdict:
                 "inclusions": [d.to_json() for d in self.inclusions],
             },
         }
+        if self.adjugate is not None:
+            out["certificate"]["adjugate"] = self.adjugate.to_json()
         if self.failing is not None:
             out["failing"] = format_poly(self.failing)
         if self.failed_hypothesis is not None:
@@ -329,6 +446,9 @@ class Verdict:
                       for i, d in enumerate(identities)]
         inclusions = [Inclusion.from_json(d, table, i, memo)
                       for i, d in enumerate(inclusions)]
+        adjugate = cert.get("adjugate")
+        if adjugate is not None:
+            adjugate = AdjugateInclusion.from_json(adjugate, table, memo)
 
         status = doc.get("verdict")
         expect(isinstance(status, str), "field 'verdict' must be a string")
@@ -357,4 +477,4 @@ class Verdict:
         return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
                        failing=failing,
                        failed_hypothesis=doc.get("failed_hypothesis"),
-                       order=jet)
+                       order=jet, adjugate=adjugate)

@@ -272,6 +272,16 @@ def _render_text(report: dict) -> str:
                     f"  {d['element']} in ({', '.join(d['ideal'])})"
                     f"  [unit: {d['unit']}; cofactors: "
                     f"{', '.join(d['cofactors'])}]{tail}")
+        adjugate = cert.get("adjugate")
+        if adjugate is not None:
+            f1, f2 = adjugate["factors"]
+            lines.append(f"adjugate: ({adjugate['unit']}) * adj(A) = "
+                         f"({f1}) * C1 + ({f2}) * C2")
+            c1, c2 = adjugate["cofactors"]
+            for name, rows in (("A", adjugate["matrix"]), ("C1", c1),
+                               ("C2", c2)):
+                lines.append(f"  {name}:")
+                lines.extend(f"    [{', '.join(row)}]" for row in rows)
     if "determinant" in report:
         lines.append(f"determinant: {report['determinant']}")
     if "index" in report:
@@ -437,7 +447,8 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
         "command": "verify-cert",
         "valid": not failures,
         "checked": {"identities": len(verdict.identities),
-                    "inclusions": len(verdict.inclusions)},
+                    "inclusions": len(verdict.inclusions),
+                    "adjugates": int(verdict.adjugate is not None)},
         "failures": failures,
         "provenance": {"tool": TOOL, "version": __version__},
     }

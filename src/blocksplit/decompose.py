@@ -14,8 +14,11 @@ established along the way (identities, ideal inclusions) are collected
 into a certificate of plain ring arithmetic: an identity is re-checked by
 multiplication, an inclusion by expanding
 unit*element == sum(cofactor_i * generator_i) with unit invertible at 0.
-Certificates for inexact (jet) runs state congruences modulo m^N instead
-of equalities and are never presented as exact.
+An exact Decomposable verdict on a square matrix certifies its decisive
+inclusion, of every (n-1)-minor in (f1, f2), with one adjugate identity
+instead of one inclusion per minor.  Certificates for inexact (jet) runs
+state congruences modulo m^N instead of equalities and are never
+presented as exact.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .certificate import (
     DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
+    AdjugateInclusion,
     HypothesisCheck,
     Identity,
     Inclusion,
@@ -40,8 +44,8 @@ from .groebner import (
     intersect,
     member_local,
 )
-from .matrix import PolyMatrix, det, fitting_ideal, kernel
-from .oracle import jet_member_witness
+from .matrix import PolyMatrix, adjugate, det, fitting_ideal, kernel
+from .oracle import JetEchelon
 
 # One hypothesis of a checklist and the facts it certifies when it passes.
 Step = tuple[HypothesisCheck, list[Identity], list[Inclusion]]
@@ -50,14 +54,16 @@ Step = tuple[HypothesisCheck, list[Identity], list[Inclusion]]
 def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
     """Element-by-element local inclusion in J: (first element outside J,
     []) or (None, one Inclusion per element); jet_order switches to
-    congruences modulo m^N."""
+    congruences modulo m^N, every element tested against one echelon."""
     one = Poly.const(J.table, 1)
+    echelon = (None if jet_order is None
+               else JetEchelon(J.generators, J.table, jet_order))
     entries = []
     for g in elements:
-        if jet_order is None:
+        if echelon is None:
             ok, entry = member_local(g, J)
         else:
-            ok, cofactors = jet_member_witness(g, J.generators, jet_order)
+            ok, cofactors = echelon.witness(g)
             entry = Inclusion(g, J.generators, one, cofactors,
                               jet_order) if ok else None
         if not ok:
@@ -76,12 +82,16 @@ def _coprimality(name: str, detail: str, I: Ideal, J: Ideal,
 
 def _decide(steps: Iterable[Step],
             decisive: Callable[[], tuple[Iterable[Poly], Ideal]], scope: str,
-            jet_order: int | None) -> Verdict:
+            jet_order: int | None,
+            condense: Callable[[list[Inclusion]], AdjugateInclusion]
+            | None = None) -> Verdict:
     """The checklist runner every check decides through.  `steps` yields
     one hypothesis at a time; the first that fails ends the run as
     Inconclusive, so nothing after it is computed.  Then `decisive()`
     gives the elements whose local inclusion in an ideal decides
-    Decomposable against NotDecomposable."""
+    Decomposable against NotDecomposable.  `condense`, when given, turns
+    the inclusions of a Decomposable verdict's decisive elements into one
+    AdjugateInclusion that certifies them all."""
     hyps: list[HypothesisCheck] = []
     identities: list[Identity] = []
     inclusions: list[Inclusion] = []
@@ -95,8 +105,49 @@ def _decide(steps: Iterable[Step],
     elements, target = decisive()
     failing, entries = _local_inclusion(elements, target, jet_order)
     status = DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE
+    adjugate = None
+    if failing is None and condense is not None:
+        adjugate, entries = condense(entries), []
     return Verdict(status, hyps, identities, inclusions + entries, scope,
-                   failing=failing, order=jet_order)
+                   failing=failing, order=jet_order, adjugate=adjugate)
+
+
+def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
+                        entries: list[Inclusion]) -> AdjugateInclusion:
+    """One AdjugateInclusion u*adj(A) = f1*C1 + f2*C2 from `entries`, the
+    inclusions u_e*g = c1*f1 + c2*f2 of every Fitting generator g of
+    I_{n-1}(A).  Each entry of adj(A) is a signed minor, so it is +-g for
+    one of them, whose cofactors it takes, negated where the sign
+    differs and scaled by u/u_e; u is the product of the distinct units
+    other than 1.  The minors are read from `memo`."""
+    by_key = {inc.element.key(): inc for inc in entries}
+    one = Poly.const(A.table, 1)
+    units = {inc.unit.key(): inc.unit for inc in entries if inc.unit != one}
+    unit = one
+    for u in units.values():
+        unit = unit * u
+    # u/u_e for each unit u_e in use: the product of the other units
+    scales = {}
+    for key in (one.key(), *units):
+        scales[key] = one
+        for k, u in units.items():
+            if k != key:
+                scales[key] = scales[key] * u
+
+    def cofactors(a: Poly) -> tuple[Poly, Poly]:
+        if a.is_zero():
+            return a, a
+        inc, sign = by_key.get(a.key()), 1
+        if inc is None:
+            inc, sign = by_key[(-a).key()], -1
+        scale = scales[inc.unit.key()] * sign
+        c1, c2 = inc.cofactors
+        return scale * c1, scale * c2
+
+    pairs = [[cofactors(a) for a in row] for row in adjugate(A, memo).entries]
+    return AdjugateInclusion(A.entries, f1, f2, unit,
+                             [[c1 for c1, _ in row] for row in pairs],
+                             [[c2 for _, c2 in row] for row in pairs])
 
 
 _SQUARE_SCOPE = (
@@ -112,9 +163,13 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     matrix A: det(A) = f1*f2, then `hypothesis` (the one that differs
     between them), local coprimality of (f1) and (f2), and last the
     inclusion of I_{n-1}(A) in (f1) + (f2) that decides the verdict.
-    `subject` names det(A) in the first hypothesis's detail."""
+    `subject` names det(A) in the first hypothesis's detail.  An exact
+    Decomposable verdict certifies that inclusion with one adjugate
+    identity; det(A), the Fitting ideal and adj(A) share one minor memo."""
+    memo: dict = {}
+
     def steps():
-        d = det(A)
+        d = det(A, memo)
         diff = d - f1 * f2
         if jet_order is None:
             ok, relation = diff.is_zero(), "="
@@ -130,9 +185,14 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
                            "(f1) cap (f2) <= (f1*f2) at the origin",
                            Ideal(A.table, (f1,)), Ideal(A.table, (f2,)), jet_order)
 
-    return _decide(steps(), lambda: (fitting_ideal(A, A.rows - 1).generators,
-                                     Ideal(A.table, (f1, f2))),
-                   scope, jet_order)
+    # a congruence of products modulo m^N says nothing of adj(A) modulo
+    # m^N, so a jet verdict keeps one inclusion per minor
+    condense = None if jet_order is not None else (
+        lambda entries: _adjugate_inclusion(A, memo, f1, f2, entries))
+    return _decide(steps(),
+                   lambda: (fitting_ideal(A, A.rows - 1, memo).generators,
+                            Ideal(A.table, (f1, f2))),
+                   scope, jet_order, condense)
 
 
 def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,

@@ -1,11 +1,11 @@
 """Matrices over the polynomial ring: exact determinants, minor (Fitting)
 ideals, and kernels.
 
-Determinants and Fitting ideals share one routine: a Laplace expansion
-along the first row, memoized on (row tuple, column tuple), so every
-sub-minor is computed once per call and no step divides.  The entries are
-sparse polynomials, where expansion by minors beats elimination
-(Gentleman & Johnson, ACM TOMS 2(3), 1976).  Kernels are syzygies of the
+Determinants, Fitting ideals and adjugates share one routine,
+`ring.minor`: a Laplace expansion along the first row, memoized on (row
+tuple, column tuple), so every sub-minor is computed once per memo and no
+step divides.  The certificate layer re-checks determinants with the same
+routine.  Kernels are syzygies of the
 column family, read off a Groebner basis of a submodule of R^(m+n)
 under a position-over-term order; the `groebner` engine that serves
 ideals computes it, with positions encoded as extra variables.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .ring import InvariantError, Poly, RingError, TermOrder, VarTable
+from .ring import InvariantError, Poly, RingError, TermOrder, VarTable, minor
 from .groebner import Ideal, _Gen, _buchberger
 
 
@@ -133,58 +133,31 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
-def _minor(M: PolyMatrix, memo: dict, rows: tuple, cols: tuple) -> Poly:
-    """Determinant of the submatrix of M on increasing index tuples of
-    equal length, memoized in `memo` under (rows, cols).
-
-    Laplace expansion along the first row of the row set: the sub-minors
-    it needs sit on the row suffix, so every larger minor that shares
-    them reads them from the memo.  Zero entries and zero sub-minors
-    contribute no product.  The memo is a plain argument, not a closure
-    over a recursive function, so it is freed when the caller drops it
-    rather than at the next cyclic garbage collection.
-    """
-    if len(rows) == 1:
-        return M.entries[rows[0]][cols[0]]
-    value = memo.get((rows, cols))
-    if value is None:
-        top, rest = M.entries[rows[0]], rows[1:]
-        value = Poly.zero(M.table)
-        for k, c in enumerate(cols):
-            if top[c].is_zero():
-                continue
-            sub = _minor(M, memo, rest, cols[:k] + cols[k + 1:])
-            if sub.is_zero():
-                continue
-            term = top[c] * sub
-            value = value - term if k % 2 else value + term
-        memo[(rows, cols)] = value
-    return value
-
-
-def det(M: PolyMatrix) -> Poly:
-    """Exact determinant: the full minor of the memoized expansion."""
+def det(M: PolyMatrix, memo: dict | None = None) -> Poly:
+    """Exact determinant: the full minor of the memoized expansion.  A
+    `memo` passed in keeps the sub-minors for later minors of M."""
     if M.rows != M.cols:
         raise RingError("determinant of a non-square matrix")
     full = tuple(range(M.rows))
-    return _minor(M, {}, full, full)
+    return minor(M.entries, {} if memo is None else memo, full, full)
 
 
-def fitting_ideal(M: PolyMatrix, j: int) -> Ideal:
+def fitting_ideal(M: PolyMatrix, j: int, memo: dict | None = None) -> Ideal:
     """Ideal of all j x j minors; (1) for j <= 0 and (0) past the size.
 
-    All minors share one memo, so a sub-minor common to several j x j
-    minors is computed once."""
+    All minors share one memo (`memo` when given, as for `det`), so a
+    sub-minor common to several j x j minors is computed once."""
     if j <= 0:
         return Ideal(M.table, (Poly.const(M.table, 1),))
     if j > min(M.rows, M.cols):
         return Ideal(M.table, (Poly.zero(M.table),))
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     gens = []
     seen = set()
     for rows in itertools.combinations(range(M.rows), j):
         for cols in itertools.combinations(range(M.cols), j):
-            g = _minor(M, memo, rows, cols)
+            g = minor(M.entries, memo, rows, cols)
             if g.is_zero() or g.key() in seen:
                 continue
             seen.add(g.key())
@@ -193,6 +166,22 @@ def fitting_ideal(M: PolyMatrix, j: int) -> Ideal:
         return Ideal(M.table, (Poly.zero(M.table),))
     gens.sort(key=Poly.key)
     return Ideal(M.table, gens)
+
+
+def adjugate(M: PolyMatrix, memo: dict | None = None) -> PolyMatrix:
+    """adj(M): entry (i, j) is (-1)^(i+j) times the minor of M without row
+    j and column i, so M * adj(M) = det(M) * I.  The minors come from
+    `memo` when given (as for `det`)."""
+    if M.rows != M.cols:
+        raise RingError("adjugate of a non-square matrix")
+    n = M.rows
+    if n == 1:
+        return PolyMatrix.identity(M.table, 1)
+    memo = {} if memo is None else memo
+    others = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    return PolyMatrix(M.table, [
+        [minor(M.entries, memo, others[j], others[i]) * (-1) ** (i + j)
+         for j in range(n)] for i in range(n)])
 
 
 def _position_names(table: VarTable, count: int) -> list[str]:

@@ -92,30 +92,47 @@ def _insert(row: dict[int, Coeff], comb: dict, pivots: dict) -> None:
     pivots[col] = (row, comb)
 
 
+class JetEchelon:
+    """The truncated monomial multiples of an ideal's generators modulo
+    m^N, row-reduced once.  Testing an element eliminates against the
+    pivot rows without changing them, so every element tested against one
+    ideal at one order shares a single echelon."""
+
+    __slots__ = ("generators", "space", "pivots")
+
+    def __init__(self, generators: Iterable[Poly], table: VarTable, N: int):
+        self.generators = tuple(generators)
+        self.space = JetSpace(table, N)
+        self.pivots: dict = {}
+        for gi, g in enumerate(self.generators):
+            o = g.order()
+            if o is None or o >= N:
+                continue
+            for mono in self.space.monomials:
+                if sum(mono) + o >= N:
+                    continue
+                shifted = truncate(Poly(table, {mono: 1}) * g, N)
+                if shifted.is_zero():
+                    continue
+                _insert(self.space.vector(shifted), {(gi, mono): 1},
+                        self.pivots)
+
+    def witness(self, f: Poly):
+        """Decide f in (generators) + m^N; on success return cofactors c_i
+        with f = sum(c_i * g_i) modulo m^N (a unit-free congruence
+        witness)."""
+        row, comb = _eliminate(self.space.vector(f), {}, self.pivots)
+        if row:
+            return False, None
+        cofactors = [Poly.zero(f.table) for _ in self.generators]
+        for (gi, mono), coeff in comb.items():
+            cofactors[gi] = cofactors[gi] + Poly(f.table, {mono: -coeff})
+        return True, tuple(cofactors)
+
+
 def jet_member_witness(f: Poly, generators: Iterable[Poly], N: int):
-    """Decide f in (generators) + m^N; on success return cofactors c_i
-    with f = sum(c_i * g_i) modulo m^N (a unit-free congruence witness)."""
-    generators = tuple(generators)
-    space = JetSpace(f.table, N)
-    pivots: dict = {}
-    for gi, g in enumerate(generators):
-        o = g.order()
-        if o is None or o >= N:
-            continue
-        for mono in space.monomials:
-            if sum(mono) + o >= N:
-                continue
-            shifted = truncate(Poly(f.table, {mono: 1}) * g, N)
-            if shifted.is_zero():
-                continue
-            _insert(space.vector(shifted), {(gi, mono): 1}, pivots)
-    row, comb = _eliminate(space.vector(f), {}, pivots)
-    if row:
-        return False, None
-    cofactors = [Poly.zero(f.table) for _ in generators]
-    for (gi, mono), coeff in comb.items():
-        cofactors[gi] = cofactors[gi] + Poly(f.table, {mono: -coeff})
-    return True, tuple(cofactors)
+    """JetEchelon(generators).witness(f) for a single element f."""
+    return JetEchelon(generators, f.table, N).witness(f)
 
 
 def jet_member(f: Poly, I: Ideal, N: int) -> bool:

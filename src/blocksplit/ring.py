@@ -18,6 +18,8 @@ the re-check.  The ambient ring is read as the localization of
 Q[x1,...,xp] at the origin: units are exactly the elements with nonzero
 constant term, and series-style operations (truncation, square roots)
 treat a polynomial together with an explicit order bound as a jet.
+`minor` is the one memoized determinant expansion, which `matrix` and
+the certificate re-check both run.
 
 Variable tables are immutable; "extending the ring by new variables"
 creates a fresh table with the old names as a prefix, and polynomials are
@@ -35,7 +37,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Coeff = int | Fraction
@@ -710,6 +712,39 @@ def truncate(f: Poly, bound: int) -> Poly:
         f.table, {m: c for m, c in f.terms.items() if sum(m) < bound})
 
 
+def minor(entries: Sequence[Sequence[Poly]], memo: dict, rows: tuple,
+          cols: tuple) -> Poly:
+    """Determinant of the submatrix of the rows `entries` on increasing
+    index tuples of equal length (at least one), memoized in `memo` under
+    (rows, cols).
+
+    Laplace expansion along the first row of the row set: the sub-minors
+    it needs sit on the row suffix, so every larger minor that shares
+    them reads them from the memo, and no step divides.  The entries are
+    sparse polynomials, where expansion by minors beats elimination
+    (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Zero entries and zero
+    sub-minors contribute no product.  The memo is a plain argument, not
+    a closure over a recursive function, so it is freed when the caller
+    drops it rather than at the next cyclic garbage collection.
+    """
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    value = memo.get((rows, cols))
+    if value is None:
+        top, rest = entries[rows[0]], rows[1:]
+        value = Poly.zero(top[cols[0]].table)
+        for k, c in enumerate(cols):
+            if top[c].is_zero():
+                continue
+            sub = minor(entries, memo, rest, cols[:k] + cols[k + 1:])
+            if sub.is_zero():
+                continue
+            term = top[c] * sub
+            value = value - term if k % 2 else value + term
+        memo[(rows, cols)] = value
+    return value
+
+
 def _sqrt_fraction(c: Coeff) -> Coeff | None:
     if c < 0:
         return None
@@ -766,16 +801,21 @@ def sqrt_exact(f: Poly) -> Poly | None:
 
 
 # The most monomials of degree < N, in the variables in play, that a jet of
-# order N may span (the jet oracle lists them; a series root may fill them).
+# order N may span (the jet oracle lists them), and the most terms a series
+# root or its residual may hold.
 MAX_JET_MONOMIALS = 500
+
+
+def _jet_size_error(what: str, bound: int, nvars: int) -> RingError:
+    return RingError(f"{what} {bound} over {nvars} variable"
+                     f"{'s' * (nvars != 1)} spans more than "
+                     f"{MAX_JET_MONOMIALS} monomials")
 
 
 def _check_jet_size(what: str, bound: int, nvars: int) -> None:
     """Refuse an order `bound` over `nvars` variables past the cap."""
     if bound > 0 and math.comb(bound - 1 + nvars, nvars) > MAX_JET_MONOMIALS:
-        raise RingError(f"{what} {bound} over {nvars} variable"
-                        f"{'s' * (nvars != 1)} spans more than "
-                        f"{MAX_JET_MONOMIALS} monomials")
+        raise _jet_size_error(what, bound, nvars)
 
 
 def sqrt_series(f: Poly, bound: int) -> Poly:
@@ -784,14 +824,15 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
     Requires the lowest homogeneous part of f to be a perfect square (even
     vanishing order).  Returns g with deg g < bound + ord(f)/2 and
     g**2 == f modulo terms of total degree >= bound + ord(f); raises
-    SeriesSqrtError when no such series exists, and RingError when the
-    order spans too many monomials in the variables of f.
+    SeriesSqrtError when no such series exists, and RingError as soon as
+    the partial root or the residual f - g^2 holds more than
+    MAX_JET_MONOMIALS terms.  Each step corrects the lowest degree left in
+    the residual, so the steps are no more than the terms of the root.
     """
     if bound < 0:
         raise RingError("order bound must be nonnegative")
     if f.is_zero():
         return Poly.zero(f.table)
-    _check_jet_size("series order", bound, sum(map(any, zip(*f.terms))))
     d = f.order()
     if d % 2:
         raise SeriesSqrtError("vanishing order is odd")
@@ -799,21 +840,24 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
     if base is None:
         raise SeriesSqrtError("lowest homogeneous part is not a perfect square")
     g = base
-    # rest is f - g^2 below the degree d + bound, updated by each correction
+    # rest is f - g^2 below the degree d + bound, updated by each
+    # correction; a correction of degree d/2 + j cancels the degree d + j
+    # part of rest and adds only higher degrees, so rest's order rises
     rest = truncate(f - g * g, d + bound)
-    for j in range(1, bound):
-        # Forced correction: the degree d+j part of f - g^2, divided by 2*base.
-        residual = rest.homogeneous_part(d + j)
-        if residual.is_zero():
-            continue
+    while not rest.is_zero():
+        # Forced correction: the lowest part of f - g^2, divided by 2*base.
+        low = rest.order()
         try:
-            t = divide_exact(residual, base) * Fraction(1, 2)
+            t = divide_exact(rest.homogeneous_part(low), base) * Fraction(1, 2)
         except NonDivisibleError:
             raise SeriesSqrtError(
-                f"no series square root: obstruction at degree {d + j}"
+                f"no series square root: obstruction at degree {low}"
             ) from None
         rest = rest - truncate(t * (g + g + t), d + bound)
         g = g + t
+        if max(len(g.terms), len(rest.terms)) > MAX_JET_MONOMIALS:
+            raise _jet_size_error("series order", bound,
+                                  sum(map(any, zip(*f.terms))))
     return _normalize_sign(g)
 
 

@@ -375,6 +375,31 @@ def test_oversized_jet_and_probe_orders_exit_1_at_once(tmp_path, capsys,
                              f"{MAX_JET_MONOMIALS} monomials\n")
 
 
+def conj_job(nvars: int) -> dict:
+    """[[0, 1/4], [x1^2*(1 + x2 + ... + xn), 0]] over x1..xn: the
+    discriminant's root x1*sqrt(1 + x2 + ... + xn) is a series in n - 1
+    variables."""
+    names = [f"x{i}" for i in range(1, nvars + 1)]
+    disc = " + ".join(["x1^2"] + [f"x1^2*{v}" for v in names[1:]])
+    return {"ring": {"vars": names}, "matrix": [["0", "1/4"], [disc, "0"]]}
+
+
+def test_the_probe_caps_the_terms_of_the_root(tmp_path, capsys):
+    # five variables span 792 monomials below the default probe order 8,
+    # but the root holds 330 terms there, so the probe runs
+    path = write_doc(tmp_path, conj_job(5))
+    report = run_json(capsys, ["check-conj", "--input", path])
+    assert report["verdict"] == "Inconclusive"
+    assert report["failed_hypothesis"] == "square-root-only-as-power-series"
+    # over eight variables the root passes 500 terms below that order
+    path = write_doc(tmp_path, conj_job(8))
+    start = time.perf_counter()
+    result = run(capsys, ["check-conj", "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "error: series order 8 over 8 variables spans "
+                             f"more than {MAX_JET_MONOMIALS} monomials\n")
+
+
 def test_quiver_star_inconclusive_cli(tmp_path, capsys):
     doc = {
         "ring": {"vars": []},

@@ -14,8 +14,8 @@ from blocksplit.decompose import (
     check_rect_lr,
     check_square_lr,
 )
-from blocksplit.groebner import Ideal
-from blocksplit.matrix import PolyMatrix
+from blocksplit.groebner import Ideal, member_local
+from blocksplit.matrix import PolyMatrix, fitting_ideal
 from blocksplit.oracle import random_unimodular
 from blocksplit.ring import RingError, VarTable, parse_poly
 
@@ -74,6 +74,22 @@ def test_square_constructed_from_diag():
 def test_square_diag_trivial():
     v = check_square_lr(M([["x", "0"], ["0", "y"]]), P("x"), P("y"))
     assert v.status == DECOMPOSABLE and v.verify()
+
+
+def test_adjugate_scales_cofactors_by_the_other_units():
+    # y*(1 + x) enters (x*(1 + x), y*(1 + y)) only with the unit 1 + y,
+    # and x*(1 + y) only with 1 + x: the adjugate's unit is their product
+    A = M([["x*(1 + y)", "0"], ["0", "y*(1 + x)"]])
+    f1, f2 = P("x*(1 + x)"), P("y*(1 + y)")
+    units = {str(member_local(g, Ideal(XY, (f1, f2)))[1].unit)
+             for g in fitting_ideal(A, 1).generators}
+    assert units == {"x + 1", "y + 1"}
+    verdict = check_square_lr(A, f1, f2)
+    assert verdict.status == DECOMPOSABLE and verdict.failures() == []
+    assert verdict.inclusions and all(
+        inc.element not in (P("x*(1 + y)"), P("y*(1 + x)"))
+        for inc in verdict.inclusions)
+    assert verdict.adjugate.unit == P("(1 + x)*(1 + y)")
 
 
 def test_square_hypothesis_failures():

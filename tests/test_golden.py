@@ -4,11 +4,13 @@ The job documents in ``tests/golden/`` are a fixed sample of the
 benchmark's jobs (seed 1): two corners of the check-square grid, one
 check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
 hidden direct sum.  ``verify-cert`` re-checks the stored 2-vertex
-report and a copy of it with one altered cofactor
-(``quiver2-tampered.json``), so its failure messages are pinned too, and
-a check-square report whose provenance names the lex order
-(``square-notdec-lex.json``, issued when the order was a job option), so
-reports from that time keep verifying.
+report; the same report in the per-minor form, one inclusion per Fitting
+generator, as emitted before the adjugate entry existed
+(``quiver2-perminor.json``), so that form keeps verifying; a copy of that
+one with one altered cofactor (``quiver2-tampered.json``), so its
+failure messages are pinned too; and a check-square report whose
+provenance names the lex order (``square-notdec-lex.json``, issued when
+the order was a job option), so reports from that time keep verifying.
 Each ``<case>.out`` file is the stdout the CLI printed for that case;
 any change to a report, down to whitespace or the order of Fitting
 generators, fails here.
@@ -70,6 +72,7 @@ CASES = (
      ("--format", "text")),
     ("quiver2-text", "check-quiver", "quiver2.json", ("--format", "text")),
     ("verify-quiver2", "verify-cert", "quiver2.out", ()),
+    ("verify-quiver2-perminor", "verify-cert", "quiver2-perminor.json", ()),
     ("verify-tampered-text", "verify-cert", "quiver2-tampered.json",
      ("--format", "text")),
     ("verify-square-notdec-lex", "verify-cert", "square-notdec-lex.json", ()),

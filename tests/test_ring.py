@@ -268,22 +268,26 @@ def largest_order(nvars):
     return N
 
 
-def test_sqrt_series_order_is_capped_by_the_variables_of_f():
-    # x^2*(1 + y) has its series root to every order, in x and y only:
-    # the third variable of the table does not count
+def test_sqrt_series_caps_the_terms_of_the_root():
+    # x^2*(1 + y) has its series root x*(1 + y/2 - ...) to every order,
+    # one term per degree, so it runs to an order at which x and y span
+    # more than MAX_JET_MONOMIALS monomials
     xyz = VarTable(("x", "y", "z"))
     f = parse_poly("x^2 + x^2*y", xyz)
-    N = largest_order(2)
+    N = largest_order(2) + 1
     s = sqrt_series(f, N)
+    assert len(s.terms) == N
     assert truncate(s * s - f, N + 2).is_zero()
-    with pytest.raises(RingError, match=f"series order {N + 1} over 2 "
-                       "variables spans more than"):
-        sqrt_series(f, N + 1)
     # a dense root: every monomial below the order is in its support
     f = P("x^2 + x^3 + x^2*y")
     s = sqrt_series(f, 12)
     assert len(s.terms) == math.comb(12 + 1, 2)
     assert truncate(s * s - f, 12 + 2).is_zero()
+    # ... until its terms pass the cap
+    N = largest_order(2) + 1
+    with pytest.raises(RingError, match=f"series order {N} over 2 "
+                       "variables spans more than"):
+        sqrt_series(f, N)
 
 
 def test_sqrt_series_congruence_random():
