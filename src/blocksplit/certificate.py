@@ -20,6 +20,7 @@ runs too), so the check stays independent of how a verdict arose.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable
 
 from .ring import (
@@ -37,6 +38,13 @@ DECOMPOSABLE = "Decomposable"
 NOT_DECOMPOSABLE = "NotDecomposable"
 INCONCLUSIVE = "Inconclusive"
 STATUSES = (DECOMPOSABLE, NOT_DECOMPOSABLE, INCONCLUSIVE)
+
+
+# The most rows or columns of a matrix read from a document, and of a
+# Kronecker form or pencil built from one: the minor expansion of an
+# n x n determinant can touch 2^n sub-minors, and a dense 10 x 10 form
+# already takes minutes to decide.
+MAX_MATRIX_SIZE = 10
 
 
 class InputError(Exception):
@@ -84,6 +92,9 @@ def _parse_square(rows: Any, table: VarTable, field: str,
     shape = f"{size} x {size}" if size is not None else "non-empty square"
     expect(ok, f"field '{field}' must be a {shape} list of rows of "
                "polynomial strings")
+    expect(len(rows) <= MAX_MATRIX_SIZE,
+           f"field '{field}' has {len(rows)} rows, more than "
+           f"{MAX_MATRIX_SIZE}")
     return [[parse_field(e, table, f"{field}[{i}][{j}]", memo)
              for j, e in enumerate(row)] for i, row in enumerate(rows)]
 
@@ -270,15 +281,22 @@ class AdjugateInclusion:
         full = tuple(range(n))
         if minor(A, {}, full, full) != det:
             return ["adjugate: det(A) does not equal f1*f2"]
-        # f1*C1 + f2*C2 is unit*adj(A) iff A*(f1*C1 + f2*C2) is
-        # unit*det(A)*I; A*C1 and A*C2 are formed first, while their
-        # entries are small, and multiplied by f1 and f2 only then
+        # f1*C1 + f2*C2 is unit*adj(A) iff A*(f1*D*C1 + f2*D*C2) is
+        # D*unit*det(A)*I; D, the lcm of the cofactors' coefficient
+        # denominators, keeps Fraction arithmetic out of the products.
+        # A*DC1 and A*DC2 are formed first, while their entries are
+        # small, and multiplied by f1 and f2 only then
+        D = math.lcm(*(c.denominator for C in (self.c1, self.c2)
+                       for row in C for e in row for c in e.terms.values()))
+        c1, c2, diagonal = self.c1, self.c2, self.unit * det
+        if D != 1:
+            c1, c2 = ([[e * D for e in row] for row in C] for C in (c1, c2))
+            diagonal = diagonal * D
         zero = Poly.zero(det.table)
-        diagonal = self.unit * det
         for i, row in enumerate(A):
             for j in range(n):
                 lhs = zero
-                for f, C in ((self.f1, self.c1), (self.f2, self.c2)):
+                for f, C in ((self.f1, c1), (self.f2, c2)):
                     entry = zero
                     for a, c_row in zip(row, C):
                         if not a.is_zero():

@@ -23,7 +23,13 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .certificate import InputError, Verdict, expect, parse_field
+from .certificate import (
+    MAX_MATRIX_SIZE,
+    InputError,
+    Verdict,
+    expect,
+    parse_field,
+)
 from .decompose import check_rect_lr, check_square_lr
 from .groebner import Ideal
 from .matrix import PolyMatrix, det, fitting_ideal
@@ -82,6 +88,9 @@ def _parse_ring(doc: dict) -> VarTable:
 def _parse_matrix(rows: Any, table: VarTable, field: str) -> PolyMatrix:
     expect(isinstance(rows, list) and rows,
            f"field '{field}' must be a non-empty list of rows")
+    expect(len(rows) <= MAX_MATRIX_SIZE,
+           f"field '{field}' has {len(rows)} rows, more than "
+           f"{MAX_MATRIX_SIZE}")
     width = None
     parsed = []
     for i, row in enumerate(rows):
@@ -90,6 +99,9 @@ def _parse_matrix(rows: Any, table: VarTable, field: str) -> PolyMatrix:
                "polynomial strings")
         if width is None:
             width = len(row)
+            expect(width <= MAX_MATRIX_SIZE,
+                   f"field '{field}' has {width} columns, more than "
+                   f"{MAX_MATRIX_SIZE}")
         expect(len(row) == width,
                f"field '{field}[{i}]' has {len(row)} entries, expected {width}")
         parsed.append(tuple(
@@ -114,6 +126,10 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
                and rank > 0,
                f"field 'quiver.vertices[{i}].rank' must be a positive integer")
         vertices.append(Vertex(str(v["id"]), rank))
+    size = sum(v.rank for v in vertices)
+    expect(size <= MAX_MATRIX_SIZE,
+           f"field 'quiver.vertices': the ranks sum to {size}, so the "
+           f"Kronecker form would have more than {MAX_MATRIX_SIZE} rows")
     arrows_doc = doc.get("arrows", [])
     expect(isinstance(arrows_doc, list), "field 'quiver.arrows' must be a list")
     arrows = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .ring import Poly, RingError, local_unit_test, truncate
+from .ring import Poly, RingError, local_unit_test
 from .certificate import (
     DECOMPOSABLE,
     INCONCLUSIVE,
@@ -169,17 +169,12 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     memo: dict = {}
 
     def steps():
-        d = det(A, memo)
-        diff = d - f1 * f2
-        if jet_order is None:
-            ok, relation = diff.is_zero(), "="
-        else:
-            ok = truncate(diff, jet_order).is_zero()
-            relation = f"= (mod m^{jet_order})"
-        yield (HypothesisCheck("determinant-factorization", ok,
+        identity = Identity("determinant-factorization", det(A, memo),
+                            (f1, f2), jet_order)
+        relation = "=" if jet_order is None else f"= (mod m^{jet_order})"
+        yield (HypothesisCheck("determinant-factorization", identity.verify(),
                                f"{subject} {relation} (f1)*(f2)"),
-               [Identity("determinant-factorization", d, (f1, f2),
-                         jet_order)], [])
+               [identity], [])
         yield hypothesis, [], []
         yield _coprimality("factor-coprimality",
                            "(f1) cap (f2) <= (f1*f2) at the origin",

@@ -30,13 +30,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .ring import (
-    GREVLEX,
     Coeff,
     InvariantError,
     Monomial,
+    Order,
     Poly,
     RingError,
-    TermOrder,
     VarTable,
     _div,
     _divisor,
@@ -45,6 +44,8 @@ from .ring import (
     _mono_lcm,
     _reduce_terms,
     divide_exact,
+    elimination,
+    grevlex,
     local_unit_test,
 )
 from .certificate import Inclusion
@@ -57,7 +58,7 @@ class _Gen:
 
     __slots__ = ("poly", "lm", "lc", "tail", "vec", "seq")
 
-    def __init__(self, poly: Poly, order: TermOrder, vec, seq: int):
+    def __init__(self, poly: Poly, order: Order, vec, seq: int):
         self.poly = poly
         self.lm, self.lc, self.tail = _divisor(poly, order)
         self.vec = vec
@@ -68,7 +69,7 @@ def _term(table: VarTable, mono: Monomial, coeff: Coeff) -> Poly:
     return Poly(table, {mono: coeff})
 
 
-def _reduce(f: Poly, basis: list[_Gen], order: TermOrder):
+def _reduce(f: Poly, basis: list[_Gen], order: Order):
     """Full normal form of f modulo basis.
 
     Returns (remainder, quotients) with quotients keyed by basis index and
@@ -142,7 +143,7 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
     return G_new, B_new
 
 
-def _spoly(a: _Gen, b: _Gen, order: TermOrder):
+def _spoly(a: _Gen, b: _Gen):
     table = a.poly.table
     lcm = _mono_lcm(a.lm, b.lm)
     ta = _term(table, _mono_div(lcm, a.lm), _div(1, a.lc))
@@ -154,7 +155,7 @@ def _spoly(a: _Gen, b: _Gen, order: TermOrder):
     return poly, vec
 
 
-def _buchberger(inputs: list[_Gen], order: TermOrder, positions: int = 0):
+def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     """Reduced Groebner basis of the inputs; tracked (every element with
     its cofactor vector) exactly when the inputs carry one."""
     seq = len(inputs)
@@ -166,20 +167,19 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, positions: int = 0):
             continue
         h = _Gen(remainder, order, _tracked(gen.vec, quotients, G), gen.seq)
         G, B = _update(G, B, h, positions)
-    key = order.key
     while B:
-        # smallest lcm first, then the lowest (a.seq, b.seq); `key` sorts
+        # smallest lcm first, then the lowest (a.seq, b.seq); `order` sorts
         # the largest monomial first, so the pair wanted has the largest
         pair = max(
             B,
             key=lambda ab: (
-                key(_mono_lcm(ab[0].lm, ab[1].lm)),
+                order(_mono_lcm(ab[0].lm, ab[1].lm)),
                 -ab[0].seq,
                 -ab[1].seq,
             ),
         )
         B.remove(pair)
-        s, svec = _spoly(pair[0], pair[1], order)
+        s, svec = _spoly(pair[0], pair[1])
         remainder, quotients = _reduce(s, G, order)
         if remainder.is_zero():
             continue
@@ -189,12 +189,12 @@ def _buchberger(inputs: list[_Gen], order: TermOrder, positions: int = 0):
     return _interreduce(G, order)
 
 
-def _interreduce(G: list[_Gen], order: TermOrder) -> list[_Gen]:
+def _interreduce(G: list[_Gen], order: Order) -> list[_Gen]:
     """Minimal generators, tail-reduced against each other, leading
     coefficient 1; sorted by descending leading monomial."""
     minimal: list[_Gen] = []
     # scan by ascending leading monomial
-    for g in sorted(G, key=lambda g: order.key(g.lm), reverse=True):
+    for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
         if not any(_mono_divides(h.lm, g.lm) for h in minimal):
             minimal.append(g)
     reduced: list[_Gen] = []
@@ -206,19 +206,19 @@ def _interreduce(G: list[_Gen], order: TermOrder) -> list[_Gen]:
         if vec is not None:
             vec = tuple(scale * c for c in vec)
         reduced.append(_Gen(remainder * scale, order, vec, g.seq))
-    reduced.sort(key=lambda g: order.key(g.lm))
+    reduced.sort(key=lambda g: order(g.lm))
     return reduced
 
 
 class Ideal:
-    """Finitely generated ideal, with per-order cached Groebner bases.
+    """Finitely generated ideal, with its tracked grevlex Groebner basis
+    computed once.
 
     The zero ideal is represented by the single generator 0; otherwise
-    zero generators are dropped.  The cache holds one basis per (order,
-    tracking) key.
+    zero generators are dropped.
     """
 
-    __slots__ = ("table", "generators", "_cache")
+    __slots__ = ("table", "generators", "_basis")
 
     def __init__(self, table: VarTable, generators: Iterable[Poly]):
         gens = tuple(generators)
@@ -230,34 +230,32 @@ class Ideal:
         nonzero = tuple(g for g in gens if not g.is_zero())
         self.table = table
         self.generators = nonzero if nonzero else (Poly.zero(table),)
-        self._cache: dict = {}
+        self._basis: list[_Gen] | None = None
 
     def is_zero(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_zero()
 
-    def basis(self, order: TermOrder = GREVLEX, track: bool = False) -> list[_Gen]:
-        if self.is_zero():
-            return []
-        if (order, True) in self._cache:
-            return self._cache[(order, True)]
-        key = (order, track)
-        if key not in self._cache:
-            n = len(self.generators)
-            inputs = []
-            for j, g in enumerate(self.generators):
-                vec = tuple(Poly.const(self.table, int(i == j))
-                            for i in range(n)) if track else None
-                inputs.append(_Gen(g, order, vec, j))
-            self._cache[key] = _buchberger(inputs, order)
-        return self._cache[key]
+    def basis(self) -> list[_Gen]:
+        """The reduced grevlex Groebner basis, each element with its
+        cofactor vector over the generators; computed on the first call."""
+        if self._basis is None:
+            n, table = len(self.generators), self.table
+            self._basis = [] if self.is_zero() else _buchberger(
+                [_Gen(g, grevlex, tuple(Poly.const(table, int(i == j))
+                                        for i in range(n)), j)
+                 for j, g in enumerate(self.generators)], grevlex)
+        return self._basis
 
     def __repr__(self) -> str:
         return "Ideal(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def groebner_basis(I: Ideal, order: TermOrder = GREVLEX) -> list[Poly]:
-    """Reduced Groebner basis of I under the given order (cached on I)."""
-    return [g.poly for g in I.basis(order)]
+def groebner_basis(I: Ideal, order: Order = grevlex) -> list[Poly]:
+    """Reduced Groebner basis of I under `order`, a monomial sort key."""
+    if I.is_zero():
+        return []
+    return [g.poly for g in _buchberger(
+        [_Gen(g, order, None, j) for j, g in enumerate(I.generators)], order)]
 
 
 def normal_form(f: Poly, I: Ideal):
@@ -265,8 +263,8 @@ def normal_form(f: Poly, I: Ideal):
     I's generators: f = sum(c_i g_i) + remainder."""
     if I.is_zero():
         return f, (Poly.zero(f.table),)
-    basis = I.basis(GREVLEX, track=True)
-    remainder, quotients = _reduce(f, basis, GREVLEX)
+    basis = I.basis()
+    remainder, quotients = _reduce(f, basis, grevlex)
     return remainder, _combine(quotients, basis, len(I.generators), f.table)
 
 
@@ -291,14 +289,14 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         raise RingError("ideal intersection needs a common VarTable")
     if I.is_zero() or J.is_zero():
         return Ideal(table, (Poly.zero(table),))
-    tname = table.fresh_name("t")
+    tname, = table.fresh_names(["t"])
     ext = table.extend([tname])
     t = Poly.var(ext, tname)
     one_minus_t = Poly.const(ext, 1) - t
     gens = [t * g.lift(ext) for g in I.generators]
     gens += [one_minus_t * h.lift(ext) for h in J.generators]
-    basis = Ideal(ext, gens).basis(TermOrder.elimination(1))
-    kept = [g.poly for g in basis if g.poly.degree_in(tname) == 0]
+    kept = [g for g in groebner_basis(Ideal(ext, gens), elimination(1))
+            if g.degree_in(tname) == 0]
     if not kept:
         return Ideal(table, (Poly.zero(table),))
     return Ideal(table, [_drop_last(p, table) for p in kept])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .ring import InvariantError, Poly, RingError, TermOrder, VarTable, minor
+from .ring import InvariantError, Poly, RingError, VarTable, elimination, minor
 from .groebner import Ideal, _Gen, _buchberger
 
 
@@ -184,17 +184,6 @@ def adjugate(M: PolyMatrix, memo: dict | None = None) -> PolyMatrix:
          for j in range(n)] for i in range(n)])
 
 
-def _position_names(table: VarTable, count: int) -> list[str]:
-    """`count` names absent from `table`, jointly: e1, e2, ..., with the
-    stem lengthened by underscores until none of them is taken."""
-    stem = "e"
-    while True:
-        names = [f"{stem}{k}" for k in range(1, count + 1)]
-        if not any(name in table for name in names):
-            return names
-        stem += "_"
-
-
 def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
     """Syzygies of the columns of M: a generating set of {v : M v = 0},
     each column checked exactly, sorted.
@@ -210,8 +199,9 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
     table = M.table
     m, n = M.rows, M.cols
     width = len(table)
-    ext = table.extend(_position_names(table, m + n))
-    order = TermOrder.elimination(m + n)
+    ext = table.extend(
+        table.fresh_names(f"e{k}" for k in range(1, m + n + 1)))
+    order = elimination(m + n)
     unit = [tuple(int(k == pos) for k in range(m + n))
             for pos in range(m + n)]
     inputs = []

@@ -119,19 +119,13 @@ class QuiverRep:
 def complete_reduce(Q: QuiverRep) -> QuiverRep:
     """One arrow per ordered vertex pair: missing arrows become zero
     matrices, parallel tuples merge into sum(x_k * A^(k)) with fresh
-    variables x_1, x_2, ... appended to the table.  Idempotent."""
+    variables x_1, x_2, ... (`VarTable.fresh_names`) appended to the
+    table.  Idempotent."""
     groups: dict[tuple[str, str], list[PolyMatrix]] = {}
     for a in Q.arrows:
         groups.setdefault((a.target, a.source), []).append(a.matrix)
-    merge_names: list[str] = []
-    counter = 1
-    for t in Q.vertices:
-        for s in Q.vertices:
-            bunch = groups.get((t.id, s.id), [])
-            if len(bunch) > 1:
-                for _ in bunch:
-                    merge_names.append(Q.table.fresh_name(f"x_{counter}"))
-                    counter += 1
+    count = sum(len(bunch) for bunch in groups.values() if len(bunch) > 1)
+    merge_names = Q.table.fresh_names(f"x_{k}" for k in range(1, count + 1))
     if not merge_names and Q.is_complete_reduced():
         return Q
     table = Q.table.extend(merge_names) if merge_names else Q.table

@@ -24,9 +24,11 @@ the certificate re-check both run.
 Variable tables are immutable; "extending the ring by new variables"
 creates a fresh table with the old names as a prefix, and polynomials are
 lifted into it by zero-padding their exponents.  So the variables to
-eliminate are always the trailing ones.  Membership is decided under
-grevlex, and `intersect` and `kernel` eliminate a trailing block; each
-order has one sort key, which puts the largest monomial first.
+eliminate are always the trailing ones.  A monomial order is its sort
+key, which puts the largest monomial first: `min(monos, key=order)` is
+the leading monomial, and a min-heap on it pops monomials in descending
+order.  Membership is decided under `grevlex`, and `intersect` and
+`kernel` eliminate a trailing block under `elimination(k)`.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
+Order = Callable[[Monomial], tuple]
 Coeff = int | Fraction
 
 
@@ -120,14 +123,18 @@ class VarTable:
                 raise RingError(f"variable {name!r} already declared")
         return VarTable(self.names + names)
 
-    def fresh_name(self, stem: str) -> str:
-        """Deterministic name not present in the table: stem, stem0, stem1, ..."""
-        if stem not in self._index:
-            return stem
-        k = 0
-        while f"{stem}{k}" in self._index:
-            k += 1
-        return f"{stem}{k}"
+    def fresh_names(self, stems: Iterable[str]) -> list[str]:
+        """One name per stem, absent from the table and from each other:
+        the stem itself if free, else the first free of stem0, stem1, ..."""
+        taken = set(self._index)
+        names = []
+        for stem in stems:
+            name, k = stem, 0
+            while name in taken:
+                name, k = f"{stem}{k}", k + 1
+            taken.add(name)
+            names.append(name)
+        return names
 
 
 _VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -137,53 +144,20 @@ _VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
 
 
-def _grevlex_key(mono: Monomial):
-    """Sorts largest first under grevlex: higher total degree first, then
-    the smaller exponent in the last variable where two monomials differ."""
+def grevlex(mono: Monomial) -> tuple:
+    """The grevlex order as its sort key, largest monomial first: higher
+    total degree first, then the smaller exponent in the last variable
+    where two monomials differ."""
     return (-sum(mono), mono[::-1])
 
 
-class TermOrder:
-    """Monomial order: grevlex (`block` 0), or the elimination order on the
-    trailing `block` variables.
-
-    `key` is the order's one sort key, and it sorts the largest monomial
-    first: `min(monos, key=order.key)` is the leading monomial, and a
-    min-heap on it pops monomials in descending order.  The elimination
-    order compares the trailing `block` exponents first (by grevlex) and
-    the others next (by grevlex), so any monomial containing an eliminated
-    variable beats every monomial free of them.
-    """
-
-    __slots__ = ("block", "key")
-
-    def __init__(self, block: int = 0):
-        self.block = block
-        if block:
-            cut = -block
-            self.key = lambda mono: (_grevlex_key(mono[cut:]),
-                                     _grevlex_key(mono[:cut]))
-        else:
-            self.key = _grevlex_key
-
-    @staticmethod
-    def elimination(block: int) -> "TermOrder":
-        """Elimination order on the trailing `block` variables."""
-        return TermOrder(block)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TermOrder) and self.block == other.block
-
-    def __hash__(self) -> int:
-        return hash(self.block)
-
-    def __repr__(self) -> str:
-        if self.block:
-            return f"TermOrder(block, trailing {self.block})"
-        return "TermOrder(grevlex)"
-
-
-GREVLEX = TermOrder()
+def elimination(block: int) -> Order:
+    """Sort key of the elimination order on the trailing `block`
+    variables: their exponents compare first (by grevlex) and the others
+    next (by grevlex), so any monomial containing an eliminated variable
+    beats every monomial free of them."""
+    cut = -block
+    return lambda mono: (grevlex(mono[cut:]), grevlex(mono[:cut]))
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -295,16 +269,16 @@ class Poly:
             return -1
         return max(m[i] for m in self.terms)
 
-    def leading(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
+    def leading(self, order: Order = grevlex) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        mono = min(self.terms, key=order.key)
+        mono = min(self.terms, key=order)
         return mono, self.terms[mono]
 
-    def trailing(self, order: TermOrder = GREVLEX) -> tuple[Monomial, Coeff]:
+    def trailing(self, order: Order = grevlex) -> tuple[Monomial, Coeff]:
         if not self.terms:
             raise RingError("zero polynomial has no trailing term")
-        mono = max(self.terms, key=order.key)
+        mono = max(self.terms, key=order)
         return mono, self.terms[mono]
 
     def key(self) -> tuple:
@@ -440,7 +414,7 @@ def format_poly(f: Poly) -> str:
     conversion raises RingError; the limit itself is left as it is."""
     if not f.terms:
         return "0"
-    monos = sorted(f.terms, key=GREVLEX.key)
+    monos = sorted(f.terms, key=grevlex)
     pieces = []
     for i, mono in enumerate(monos):
         coeff = f.terms[mono]
@@ -618,7 +592,7 @@ def parse_poly(text: str, table: VarTable) -> Poly:
 
 
 def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
-                  order: TermOrder, exact: bool = False):
+                  order: Order, exact: bool = False):
     """Divide the polynomial `terms` by `divisors`, consuming `terms`.
 
     `divisors` lists (leading monomial, leading coefficient, tail) under
@@ -635,8 +609,7 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
     plain dicts, quotients keyed by divisor index in order of first use,
     such that the polynomial given equals sum(q_i * divisor_i) + remainder.
     """
-    key = order.key
-    keys = {m: key(m) for m in terms}
+    keys = {m: order(m) for m in terms}
     heap = [(k, m) for m, k in keys.items()]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -668,7 +641,7 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
                     else c.numerator
                 k = keys.get(m)
                 if k is None:
-                    k = keys[m] = key(m)
+                    k = keys[m] = order(m)
                 push(heap, (k, m))
             else:
                 c -= factor * tc
@@ -680,7 +653,7 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
     return remainder, quotients
 
 
-def _divisor(g: Poly, order: TermOrder = GREVLEX):
+def _divisor(g: Poly, order: Order = grevlex):
     """(leading monomial, leading coefficient, tail) of a nonzero g, the
     divisor shape `_reduce_terms` takes."""
     lm, lc = g.leading(order)
@@ -694,7 +667,7 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
         raise NonDivisibleError("division by the zero polynomial")
     if f.is_zero():
         return Poly.zero(f.table)
-    _, quotients = _reduce_terms(dict(f.terms), (_divisor(g),), GREVLEX,
+    _, quotients = _reduce_terms(dict(f.terms), (_divisor(g),), grevlex,
                                  exact=True)
     return Poly._trusted(f.table, quotients[0])
 
@@ -782,13 +755,13 @@ def sqrt_exact(f: Poly) -> Poly | None:
     half = tuple(e // 2 for e in lm)
     g = Poly(f.table, {half: root_lc})
     rest = f - g * g
-    last_key = GREVLEX.key(half)
+    last_key = grevlex(half)
     while not rest.is_zero():
         lm_r, lc_r = rest.leading()
         if not _mono_divides(half, lm_r):
             return None
         mono = _mono_div(lm_r, half)
-        key = GREVLEX.key(mono)
+        key = grevlex(mono)
         if key <= last_key:
             return None
         last_key = key
@@ -891,5 +864,5 @@ def iter_monomials(nvars: int, below: int) -> Iterator[Monomial]:
 
     if below > 0:
         rec([], below - 1, nvars)
-    monos.sort(key=_grevlex_key, reverse=True)
+    monos.sort(key=grevlex, reverse=True)
     return iter(monos)

@@ -4,6 +4,7 @@ adjugate entry's re-check."""
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import pathlib
 import random
@@ -154,24 +155,28 @@ def test_an_emptied_decomposable_certificate_fails(tmp_path, capsys):
 
 
 def test_altering_any_adjugate_entry_fails(tmp_path, capsys):
+    """EX2's cofactors have rational coefficients, which the check clears
+    before its products; adding 1/7 alters their denominators."""
     report = ex2_report(tmp_path, capsys)
     adjugate = report["certificate"]["adjugate"]
+    assert any("/" in e for C in adjugate["cofactors"] for row in C
+               for e in row)
     n = len(adjugate["matrix"])
     spots = [("unit",)]
     spots += [("matrix", i, j) for i in range(n) for j in range(n)]
     spots += [("cofactors", k, i, j)
               for k in range(2) for i in range(n) for j in range(n)]
     assert verify_report(tmp_path, capsys, report) == (0, [])
-    for spot in spots:
+    for spot, change in itertools.product(spots, (" + x1", " + 1/7")):
         doc = json.loads(json.dumps(report))
         target = doc["certificate"]["adjugate"]
         for key in spot[:-1]:
             target = target[key]
-        target[spot[-1]] = f"{target[spot[-1]]} + x1"
+        target[spot[-1]] = f"{target[spot[-1]]}{change}"
         code, failures = verify_report(tmp_path, capsys, doc)
-        assert code == 2, spot
+        assert code == 2, (spot, change)
         assert failures and all(f.startswith("adjugate: ")
-                                for f in failures), spot
+                                for f in failures), (spot, change)
 
 
 def Q(text):

@@ -10,9 +10,9 @@ import time
 import pytest
 
 import blocksplit.quiver
-from blocksplit.certificate import Verdict
+from blocksplit.certificate import MAX_MATRIX_SIZE, Verdict
 from blocksplit.cli import main
-from blocksplit.ring import MAX_JET_MONOMIALS
+from blocksplit.ring import MAX_JET_MONOMIALS, VarTable, parse_poly
 
 EX2 = {
     "ring": {"vars": ["x1", "x2"]},
@@ -582,3 +582,91 @@ def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
                  ["verify-cert", "--cert", str(path)]):
         code, _, err = run(capsys, argv)
         assert code == 1 and "not UTF-8 text" in err, argv
+
+
+TEN_LOOPS = {
+    "ring": {"vars": ["x_1"]},
+    "quiver": {"vertices": [{"id": 1, "rank": 1}],
+               "arrows": [{"from": 1, "to": 1, "matrix": [[f"{k}*x_1"]]}
+                          for k in range(1, 11)]},
+    "factors": ["y_1", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ["build-kronecker", "check-quiver"])
+def test_merging_ten_loops_picks_jointly_fresh_names(tmp_path, capsys,
+                                                     command):
+    """The ring declares x_1, the first merge variable's stem, so that
+    merge variable is x_10, and the tenth takes x_100."""
+    path = write_doc(tmp_path, TEN_LOOPS)
+    report = run_json(capsys, [command, "--input", path])
+    merged = ["x_10"] + [f"x_{k}" for k in range(2, 10)] + ["x_100"]
+    assert report["ring"]["vars"] == ["x_1", *merged, "x_1_1", "y_1"]
+    if command == "build-kronecker":
+        terms = " + ".join(f"{k}*x_1*{name}*x_1_1"
+                           for k, name in enumerate(merged, 1))
+        entry = parse_poly(report["matrix"][0][0], VarTable(
+            report["ring"]["vars"]))
+        assert entry == parse_poly(f"{terms} + y_1", entry.table)
+    assert run(capsys, [command, "--input", path]) == (
+        0, json.dumps(report, sort_keys=True, indent=2) + "\n", "")
+
+
+def square(n, entry="x1"):
+    return [[entry] * n for _ in range(n)]
+
+
+OVERSIZED = MAX_MATRIX_SIZE + 1
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("det", {"ring": {"vars": ["x1"]}, "matrix": square(OVERSIZED)},
+     f"field 'matrix' has {OVERSIZED} rows, more than {MAX_MATRIX_SIZE}"),
+    ("det", {"ring": {"vars": ["x1"]}, "matrix": [["x1"] * OVERSIZED]},
+     f"field 'matrix' has {OVERSIZED} columns, more than "
+     f"{MAX_MATRIX_SIZE}"),
+    ("check-conj", {"ring": {"vars": ["x1"]}, "matrix": square(OVERSIZED)},
+     f"field 'matrix' has {OVERSIZED} rows, more than {MAX_MATRIX_SIZE}"),
+    ("det", {"ring": {"vars": ["x1"]},
+             "matrices": [square(2), square(OVERSIZED)]},
+     f"field 'matrices[1]' has {OVERSIZED} rows, more than "
+     f"{MAX_MATRIX_SIZE}"),
+    ("check-quiver", {"ring": {"vars": []},
+                      "quiver": {"vertices": [{"id": 1, "rank": 10 ** 9}]},
+                      "factors": ["y_1", "y_1"]},
+     f"field 'quiver.vertices': the ranks sum to {10 ** 9}, so the "
+     f"Kronecker form would have more than {MAX_MATRIX_SIZE} rows"),
+    ("build-kronecker", {"ring": {"vars": []}, "quiver": {
+        "vertices": [{"id": v, "rank": 1} for v in range(OVERSIZED)]}},
+     f"field 'quiver.vertices': the ranks sum to {OVERSIZED}, so the "
+     f"Kronecker form would have more than {MAX_MATRIX_SIZE} rows"),
+], ids=["rows", "columns", "check-conj", "matrices", "rank", "vertices"])
+def test_oversized_matrices_exit_1_at_once(tmp_path, capsys, command, doc,
+                                           message):
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    result = run(capsys, [command, "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", f"error: {message}\n")
+
+
+def test_oversized_adjugate_exits_1_at_once(tmp_path, capsys):
+    report = json.loads(run(capsys, ["check-square", "--input",
+                                     write_doc(tmp_path, EX2)])[1])
+    report["certificate"]["adjugate"]["matrix"] = square(OVERSIZED)
+    path = write_doc(tmp_path, report, "cert.json")
+    start = time.perf_counter()
+    result = run(capsys, ["verify-cert", "--cert", path])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "error: field 'certificate.adjugate.matrix' has "
+                             f"{OVERSIZED} rows, more than "
+                             f"{MAX_MATRIX_SIZE}\n")
+
+
+def test_a_sparse_matrix_of_the_largest_size_runs(tmp_path, capsys):
+    n = MAX_MATRIX_SIZE
+    rows = [["x1" if j == i else "1" if j == i + 1 else "0"
+             for j in range(n)] for i in range(n)]
+    path = write_doc(tmp_path, {"ring": {"vars": ["x1"]}, "matrix": rows})
+    report = run_json(capsys, ["det", "--input", path])
+    assert report["determinant"] == f"x1^{n}"

@@ -6,18 +6,20 @@ import random
 
 import pytest
 
+import blocksplit.groebner
 from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
     NOT_DECOMPOSABLE,
     _coprimality,
+    _local_inclusion,
     check_rect_lr,
     check_square_lr,
 )
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
 from blocksplit.oracle import random_unimodular
-from blocksplit.ring import RingError, VarTable, parse_poly
+from blocksplit.ring import RingError, VarTable, grevlex, parse_poly
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
@@ -220,3 +222,27 @@ def test_verdict_reports_only_true_facts():
     for inc in v.inclusions:
         assert inc.verify()
     assert all(h.passed for h in v.hypotheses)
+
+
+def test_local_inclusion_builds_the_tracked_basis_once(monkeypatch):
+    """Every element tested against one Ideal reduces by its one cached
+    grevlex basis, the colon route included; each colon eliminates
+    under its own order."""
+    orders = []
+    buchberger = blocksplit.groebner._buchberger
+
+    def counting(inputs, order, positions=0):
+        orders.append(order)
+        return buchberger(inputs, order, positions)
+
+    monkeypatch.setattr(blocksplit.groebner, "_buchberger", counting)
+    J = Ideal(XY, (P("x^2 + x^3"), P("y^2 - x*y^2")))
+    # x^2 and x^2*y + y^3 lie in J only after localizing: each takes a
+    # colon
+    elements = [P(e) for e in ("x^2", "y^2", "x^2 + x^3", "x^2*y + y^3",
+                               "x^3 + x^4 - y^2 + x*y^2", "x*y^2")]
+    failing, entries = _local_inclusion(elements, J, None)
+    assert failing is None and len(entries) == len(elements)
+    assert all(entry.verify() for entry in entries)
+    assert orders.count(grevlex) == 1
+    assert len(orders) > 1

@@ -10,6 +10,7 @@ import pytest
 from blocksplit.groebner import (
     Ideal,
     _Gen,
+    _buchberger,
     _reduce,
     colon,
     contains_local_unit,
@@ -23,16 +24,16 @@ from blocksplit.groebner import (
     subset_local,
 )
 from blocksplit.ring import (
-    GREVLEX,
     NonDivisibleError,
     Poly,
     RingError,
-    TermOrder,
     VarTable,
     _mono_div,
     _mono_divides,
     _mono_lcm,
     divide_exact,
+    elimination,
+    grevlex,
     parse_poly,
 )
 
@@ -93,8 +94,8 @@ def test_basis_buchberger_criterion():
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 g1, g2 = basis[i], basis[j]
-                m1, c1 = g1.leading(GREVLEX)
-                m2, c2 = g2.leading(GREVLEX)
+                m1, c1 = g1.leading(grevlex)
+                m2, c2 = g2.leading(grevlex)
                 lcm = _mono_lcm(m1, m2)
                 s = (Poly(XY, {_mono_div(lcm, m1): Fraction(1) / c1}) * g1
                      - Poly(XY, {_mono_div(lcm, m2): Fraction(1) / c2}) * g2)
@@ -299,23 +300,24 @@ def reference_divide_exact(f, g):
     return quotient
 
 
-ORDERS = [GREVLEX, TermOrder.elimination(1), TermOrder.elimination(2)]
+ORDERS = [grevlex, elimination(1), elimination(2)]
 
 
 def reduction_cases(seed, count):
     """(f, divisors, order): divisors are a Groebner basis from
-    `Ideal.basis`, or the raw generators in the order given, as Buchberger
-    reduces against a partial basis."""
+    `_buchberger`, tracked or not, or the raw generators in the order
+    given, as Buchberger reduces against a partial basis."""
     rng = random.Random(seed)
     for n in range(count):
         order = ORDERS[n % len(ORDERS)]
         I = random_ideal(rng, XYZ)
         f = random_poly(rng, XYZ, degree=5, terms=8)
-        if n % 3 == 2:
-            gens = [g for g in I.generators if not g.is_zero()]
-            divisors = [_Gen(g, order, None, j) for j, g in enumerate(gens)]
-        else:
-            divisors = I.basis(order, track=n % 2 == 0)
+        gens = [g for g in I.generators if not g.is_zero()]
+        track = n % 3 != 2 and n % 2 == 0
+        inputs = [_Gen(g, order, tuple(Poly.const(XYZ, int(i == j))
+                                       for i in range(len(gens)))
+                       if track else None, j) for j, g in enumerate(gens)]
+        divisors = inputs if n % 3 == 2 else _buchberger(inputs, order)
         yield f, divisors, order
 
 
@@ -345,8 +347,8 @@ def test_reduce_division_identity():
 
 def test_reduce_by_empty_basis_is_identity():
     f = P("x^3 - 2*x*y + 5")
-    assert _reduce(f, [], GREVLEX) == (f, {})
-    assert _reduce(Poly.zero(XY), [], GREVLEX) == (Poly.zero(XY), {})
+    assert _reduce(f, [], grevlex) == (f, {})
+    assert _reduce(Poly.zero(XY), [], grevlex) == (Poly.zero(XY), {})
 
 
 def test_divide_exact_matches_reference_loop():

@@ -1,8 +1,9 @@
 """Import hygiene: every name a module in ``src/`` or ``tests/`` imports
 is used in that module; every private function, method and class in
-``src/`` is named somewhere in ``src/`` besides its definition; and the
-benchmark's tracer still finds every function and method it patches by
-name.
+``src/`` is named somewhere in ``src/`` besides its definition; every
+parameter of a function or lambda in ``src/`` is read in its body; and
+the benchmark's tracer still finds every function and method it patches
+by name.
 
 A name counts as used when it is read anywhere in the module (a
 ``noqa`` comment does not excuse it), or when the module lists it in
@@ -120,3 +121,52 @@ def test_tracer_patches_and_restores_current_names():
         assert blocksplit.decompose.kernel is blocksplit.matrix.kernel
     assert blocksplit.decompose.kernel is kernel
     assert blocksplit.groebner.Ideal.__dict__["basis"] is basis
+
+
+def unread_parameters(source: str, exempt=frozenset()) -> list[str]:
+    """Parameters of a function or lambda that its body never reads, as
+    "line N: name(parameter)".  Dunder methods, whose signature Python
+    fixes, and the functions named in `exempt` are skipped."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+            if (name.startswith("__") and name.endswith("__")
+                    or name in exempt):
+                continue
+        elif isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        else:
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {n.id for part in body for n in ast.walk(part)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"line {node.lineno}: {name}({p})" for p in params
+                if p not in read]
+    return out
+
+
+def test_scanner_finds_an_unread_parameter():
+    source = ("def f(a, b, *c, d, **e):\n    return a + d\n"
+              "class K:\n    def __init__(self, x):\n        pass\n"
+              "    def m(self, y):\n        return lambda z: y\n"
+              "def g(u):\n    def h():\n        return u\n    return h\n")
+    assert unread_parameters(source) == [
+        "line 1: f(b)", "line 1: f(c)", "line 1: f(e)", "line 6: m(self)",
+        "line 7: lambda(z)"]
+    assert unread_parameters("def f(a):\n    pass\n", {"f"}) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_parameter_in_src_is_read(path):
+    """The command handlers share the signature the `COMMANDS` table
+    fixes, whether or not they read every argument."""
+    import blocksplit.cli
+
+    handlers = {c.run.__name__ for c in blocksplit.cli.COMMANDS.values()}
+    exempt = handlers if path.name == "cli.py" else frozenset()
+    assert unread_parameters(path.read_text(encoding="utf-8"), exempt) == []

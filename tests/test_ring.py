@@ -10,7 +10,6 @@ import pytest
 
 from blocksplit.oracle import jet_member_witness
 from blocksplit.ring import (
-    GREVLEX,
     MAX_JET_MONOMIALS,
     NonDivisibleError,
     ParseError,
@@ -18,12 +17,13 @@ from blocksplit.ring import (
     RingError,
     SeriesSqrtError,
     TableMismatchError,
-    TermOrder,
     VarTable,
     _divisor,
     _reduce_terms,
     divide_exact,
+    elimination,
     format_poly,
+    grevlex,
     local_unit_test,
     parse_poly,
     sqrt_exact,
@@ -156,7 +156,18 @@ def test_vartable_rules():
     ext = XY.extend(["t"])
     assert ext.names == ("x", "y", "t")
     assert XY.names == ("x", "y")
-    assert ext.fresh_name("t") == "t0"
+    assert ext.fresh_names(["t"]) == ["t0"]
+
+
+def test_fresh_names_are_fresh_jointly():
+    table = VarTable(("x_1", "t", "t0"))
+    assert table.fresh_names([]) == []
+    assert table.fresh_names(["t", "s", "s", "s"]) == ["t1", "s", "s0", "s1"]
+    # x_1 is taken, so its stem's name x_10 is the next stem's too
+    stems = [f"x_{k}" for k in range(1, 11)]
+    names = table.fresh_names(stems)
+    assert names == ["x_10", *stems[1:9], "x_100"]
+    assert table.extend(names).names == table.names + tuple(names)
 
 
 def test_arith_examples():
@@ -331,9 +342,9 @@ def test_format_is_canonical():
 
 def test_leading_trailing():
     f = P("x^2 + y^3")
-    mono, coeff = f.leading(GREVLEX)
+    mono, coeff = f.leading(grevlex)
     assert mono == (0, 3) and coeff == 1
-    mono, coeff = f.trailing(GREVLEX)
+    mono, coeff = f.trailing(grevlex)
     assert mono == (2, 0) and coeff == 1
     assert f.order() == 2
     assert f.lowest_form() == P("x^2")
@@ -405,7 +416,7 @@ def test_divisions_stay_exact():
 def test_reduce_terms_with_leading_coefficient_two(f, g, q, r):
     f, g = P(f), P(g)
     remainder, quotients = _reduce_terms(dict(f.terms), (_divisor(g),),
-                                         GREVLEX)
+                                         grevlex)
     assert canonical(quotients[0]) == P(q).terms
     assert canonical(remainder) == P(r).terms
     assert P(q) * g + P(r) == f
@@ -424,8 +435,8 @@ def test_block_order_keys_match_generic_split(block):
     by grevlex on those k, then by grevlex on the rest."""
     width, k = block
     rng = random.Random(width * 7 + k)
-    order = TermOrder.elimination(k)
+    order = elimination(k)
     for _ in range(200):
         mono = tuple(rng.randrange(4) for _ in range(width))
         head, tail = split_reference(range(width - k, width), mono)
-        assert order.key(mono) == (GREVLEX.key(head), GREVLEX.key(tail))
+        assert order(mono) == (grevlex(head), grevlex(tail))
