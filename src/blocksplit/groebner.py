@@ -16,6 +16,18 @@ Pair handling in Buchberger follows the Gebauer-Moeller installation
 (both classical criteria), with deterministic tie-breaking so repeated
 runs produce identical bases.
 
+Reduction is fraction-free.  Each basis element keeps, beside its Poly,
+the primitive integer polynomial p and the rational scale s with
+element == p / s, computed once when the element is made.  The division
+loop (`ring._reduce_terms`) divides by p alone, and the S-polynomial of
+two elements is built from their p's as an integer polynomial with one
+integer scale.  Rationals come back in two places: the quotients of a
+reduction, each term one exact quotient (so cofactors are the rationals
+a division over Q would give), and the reduced basis, made monic as it
+leaves `_interreduce`.  Every intermediate polynomial is a scalar
+multiple of the one a division over Q would hold, so pivots, pairs,
+bases and cofactors are exactly those of that division.
+
 The same engine computes Groebner bases of submodules of R^r: a vector
 is encoded as a polynomial linear in r extra position variables, and
 under an elimination order on those variables the order is position
@@ -27,6 +39,8 @@ terms at different positions (see `matrix.kernel`).
 
 from __future__ import annotations
 
+import math
+from operator import add
 from typing import Iterable
 
 from .ring import (
@@ -37,6 +51,7 @@ from .ring import (
     Poly,
     RingError,
     VarTable,
+    _accumulate,
     _div,
     _divisor,
     _mono_div,
@@ -52,15 +67,19 @@ from .certificate import Inclusion
 
 
 class _Gen:
-    """One tracked basis element: poly == sum(vec[j] * original_gen[j]);
-    tail is poly without its leading term, as (monomial, coefficient)
-    pairs."""
+    """One basis element: poly, its leading monomial and coefficient
+    (lm, lc), and div, the shape `_reduce_terms` divides by, built once
+    here: poly as p / scale with p primitive with integer coefficients.
+    vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
+    or None when untracked."""
 
-    __slots__ = ("poly", "lm", "lc", "tail", "vec", "seq")
+    __slots__ = ("poly", "lm", "lc", "div", "vec", "seq")
 
     def __init__(self, poly: Poly, order: Order, vec, seq: int):
         self.poly = poly
-        self.lm, self.lc, self.tail = _divisor(poly, order)
+        self.div = _divisor(poly, order)
+        self.lm = self.div[0]
+        self.lc = poly.terms[self.lm]
         self.vec = vec
         self.seq = seq
 
@@ -69,16 +88,16 @@ def _term(table: VarTable, mono: Monomial, coeff: Coeff) -> Poly:
     return Poly(table, {mono: coeff})
 
 
-def _reduce(f: Poly, basis: list[_Gen], order: Order):
-    """Full normal form of f modulo basis.
+def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
+    """Full normal form of f / scale modulo basis.
 
     Returns (remainder, quotients) with quotients keyed by basis index and
-    f == sum(q_i * basis[i].poly) + remainder; no remainder term is
-    divisible by any basis leading monomial.
+    f / scale == sum(q_i * basis[i].poly) + remainder; no remainder term
+    is divisible by any basis leading monomial.
     """
     table = f.table
     remainder, quotients = _reduce_terms(
-        dict(f.terms), [(g.lm, g.lc, g.tail) for g in basis], order)
+        dict(f.terms), [g.div for g in basis], order, scale=scale)
     return (Poly._trusted(table, remainder),
             {i: Poly._trusted(table, q) for i, q in quotients.items()})
 
@@ -144,15 +163,27 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
 
 
 def _spoly(a: _Gen, b: _Gen):
+    """S-polynomial of a and b as (S, scale, vec): the S-polynomial is
+    S / scale, S with integer coefficients built from the primitive
+    forms alone, and vec is its cofactor vector (None when untracked)."""
     table = a.poly.table
     lcm = _mono_lcm(a.lm, b.lm)
-    ta = _term(table, _mono_div(lcm, a.lm), _div(1, a.lc))
-    tb = _term(table, _mono_div(lcm, b.lm), _div(1, b.lc))
-    poly = ta * a.poly - tb * b.poly
+    ua, ub = _mono_div(lcm, a.lm), _mono_div(lcm, b.lm)
+    _, lc_a, tail_a, _ = a.div
+    _, lc_b, tail_b, _ = b.div
+    # x^ua * a/lc(a) - x^ub * b/lc(b), times lc_a*lc_b/g; the leading
+    # terms cancel
+    g = math.gcd(lc_a, lc_b)
+    ka, kb = lc_b // g, lc_a // g
+    terms: dict[Monomial, Coeff] = {}
+    _accumulate(terms, ((tuple(map(add, ua, m)), ka * c) for m, c in tail_a))
+    _accumulate(terms, ((tuple(map(add, ub, m)), -kb * c) for m, c in tail_b))
     vec = None
     if a.vec is not None:
+        ta = _term(table, ua, _div(1, a.lc))
+        tb = _term(table, ub, _div(1, b.lc))
         vec = tuple(ta * x - tb * y for x, y in zip(a.vec, b.vec))
-    return poly, vec
+    return Poly._trusted(table, terms), ka * lc_a, vec
 
 
 def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
@@ -179,8 +210,8 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
             ),
         )
         B.remove(pair)
-        s, svec = _spoly(pair[0], pair[1])
-        remainder, quotients = _reduce(s, G, order)
+        s, scale, svec = _spoly(pair[0], pair[1])
+        remainder, quotients = _reduce(s, G, order, scale)
         if remainder.is_zero():
             continue
         h = _Gen(remainder, order, _tracked(svec, quotients, G), seq)
@@ -317,13 +348,17 @@ def member_local(f: Poly, I: Ideal):
 
     Decided through 1 in (I : f) + m: the colon ideal reaches outside the
     maximal ideal exactly when one of its generators has nonzero constant
-    term, and that generator is the certifying unit u with u*f in I.
-    Returns (answer, Inclusion or None).
+    term, and that generator is the certifying unit u with u*f in I.  A
+    unit f and an I inside m answer no at once, since then
+    I R_m lies in m R_m.  Returns (answer, Inclusion or None).
     """
     if f.is_zero():
         zeros = tuple(Poly.zero(f.table) for _ in I.generators)
         return True, Inclusion(f, I.generators, Poly.const(f.table, 1), zeros)
     if I.is_zero():
+        return False, None
+    if local_unit_test(f) and not contains_local_unit(I):
+        # I lies in m and f does not, so neither does f lie in I R_m
         return False, None
     ok, witness = member_global(f, I)
     if ok:

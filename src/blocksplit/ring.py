@@ -591,29 +591,66 @@ def parse_poly(text: str, table: VarTable) -> Poly:
     return _Parser(text, table).parse()
 
 
+# `_reduce_terms` divides the content out of its working polynomial once
+# its scale has grown past this many bits
+CONTENT_BITS = 64
+
+
+def _integral(terms: dict[Monomial, Coeff]) -> int:
+    """Clear the denominators of `terms` in place; returns the factor d
+    that the coefficients were multiplied by, 1 when all are ints."""
+    dens = [c.denominator for c in terms.values() if type(c) is not int]
+    if not dens:
+        return 1
+    d = math.lcm(*dens)
+    for m, c in terms.items():
+        terms[m] = c * d if type(c) is int \
+            else c.numerator * (d // c.denominator)
+    return d
+
+
 def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
-                  order: Order, exact: bool = False):
-    """Divide the polynomial `terms` by `divisors`, consuming `terms`.
+                  order: Order, exact: bool = False, scale: int = 1):
+    """Divide the polynomial `terms` / `scale` by `divisors`, consuming
+    `terms`.
 
-    `divisors` lists (leading monomial, leading coefficient, tail) under
-    `order`, the tail being the divisor's other (monomial, coefficient)
-    pairs.  Each step takes the leading term c*x^m left in `terms` and the
-    first divisor, in list order, whose leading monomial divides x^m; it
-    records the quotient term and subtracts its product with the tail
-    straight into `terms`.  A leading term that no divisor divides moves to
-    the remainder, or, when `exact`, raises NonDivisibleError.
+    `divisors` lists (leading monomial, leading coefficient, tail, scale)
+    under `order`, as `_divisor` gives them: the divisor is p / scale with
+    p a primitive polynomial with integer coefficients, its leading
+    coefficient an int and its tail p's other (monomial, int) pairs.
+    Each step takes the leading term c*x^m left and the first divisor, in
+    list order, whose leading monomial divides x^m; it records the
+    quotient term and subtracts its product with the tail straight into
+    `terms`.  A leading term that no divisor divides moves to the
+    remainder, or, when `exact`, raises NonDivisibleError.
 
-    The monomials of `terms` wait in a heap, largest first; a monomial that
-    cancels leaves a stale entry, skipped when popped.  Each monomial's
-    heap key is computed once per call.  Returns (remainder, quotients):
-    plain dicts, quotients keyed by divisor index in order of first use,
-    such that the polynomial given equals sum(q_i * divisor_i) + remainder.
+    The division is fraction-free.  Denominators of `terms` are cleared
+    once, and from then on `terms` holds integers equal to D times the
+    polynomial that a division over the rationals would hold at the same
+    step, for one integer D (at first `scale` times the common
+    denominator).  A step whose leading coefficient c the divisor's
+    leading coefficient a does not divide first multiplies `terms` and D
+    by |a| / gcd(a, c); every tail product is then a product of ints.
+    Once D has grown past `CONTENT_BITS` bits, such a step ends by
+    dividing `terms` and D by their greatest common divisor.  Since
+    `terms` is always a scalar multiple of the rational polynomial, every
+    step picks the same monomial and divisor.  Rationals come back in two
+    places only: each quotient term and each remainder term is one exact
+    quotient by D, formed when the term is found.
+
+    The monomials of `terms` wait in a heap, largest first; a monomial
+    that cancels leaves a stale entry, skipped when popped.  Each
+    monomial's heap key is computed once per call.  Returns (remainder,
+    quotients): plain dicts of canonical coefficients, quotients keyed by
+    divisor index in order of first use, such that the polynomial given
+    equals sum(q_i * divisor_i) + remainder.
     """
+    scale = scale * _integral(terms)
     keys = {m: order(m) for m in terms}
     heap = [(k, m) for m, k in keys.items()]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    add, le = operator.add, operator.le
+    add, le, gcd = operator.add, operator.le, math.gcd
     remainder: dict[Monomial, Coeff] = {}
     quotients: dict[int, dict[Monomial, Coeff]] = {}
     while heap:
@@ -621,43 +658,64 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
         coeff = terms.pop(mono, None)
         if coeff is None:
             continue
-        for i, (lm, lc, tail) in enumerate(divisors):
+        for i, (lm, lc, tail, lscale) in enumerate(divisors):
             if all(map(le, lm, mono)):
                 break
         else:
             if exact:
                 raise NonDivisibleError("not divisible")
-            remainder[mono] = coeff
+            remainder[mono] = _div(coeff, scale)
             continue
         q = _mono_div(mono, lm)
-        factor = _div(coeff, lc)
-        quotients.setdefault(i, {})[q] = factor
+        g = gcd(coeff, lc)
+        factor, k = coeff // g, lc // g
+        if k < 0:
+            factor, k = -factor, -k
+        if k != 1:
+            for m in terms:
+                terms[m] *= k
+            scale *= k
+        # the step takes factor/scale * x^q * p, which is
+        # factor*lscale/scale * x^q times the divisor p / lscale
+        quotients.setdefault(i, {})[q] = _div(factor * lscale, scale)
         for tm, tc in tail:
             m = tuple(map(add, q, tm))
             c = terms.get(m)
             if c is None:
-                c = -factor * tc
-                terms[m] = c if type(c) is int or c.denominator != 1 \
-                    else c.numerator
-                k = keys.get(m)
-                if k is None:
-                    k = keys[m] = order(m)
-                push(heap, (k, m))
+                terms[m] = -factor * tc
+                key = keys.get(m)
+                if key is None:
+                    key = keys[m] = order(m)
+                push(heap, (key, m))
             else:
                 c -= factor * tc
                 if c:
-                    terms[m] = c if type(c) is int or c.denominator != 1 \
-                        else c.numerator
+                    terms[m] = c
                 else:
                     del terms[m]
+        if k != 1 and scale.bit_length() > CONTENT_BITS:
+            g = gcd(scale, *terms.values())
+            if g != 1:
+                for m in terms:
+                    terms[m] //= g
+                scale //= g
     return remainder, quotients
 
 
 def _divisor(g: Poly, order: Order = grevlex):
-    """(leading monomial, leading coefficient, tail) of a nonzero g, the
-    divisor shape `_reduce_terms` takes."""
-    lm, lc = g.leading(order)
-    return lm, lc, tuple((m, c) for m, c in g.terms.items() if m != lm)
+    """(leading monomial, leading coefficient, tail, scale) of a nonzero
+    g, the divisor shape `_reduce_terms` takes: g == p / scale with p
+    primitive with integer coefficients, the leading coefficient and the
+    tail being p's."""
+    p = dict(g.terms)
+    d = _integral(p)
+    content = math.gcd(*p.values())
+    if content != 1:
+        for m in p:
+            p[m] //= content
+    lm = min(p, key=order)
+    return (lm, p[lm], tuple((m, c) for m, c in p.items() if m != lm),
+            _div(d, content))
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly:

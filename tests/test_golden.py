@@ -3,8 +3,10 @@
 The job documents in ``tests/golden/`` are a fixed sample of the
 benchmark's jobs (seed 1): two corners of the check-square grid, one
 check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
-hidden direct sum.  ``verify-cert`` re-checks the stored 2-vertex
-report; the same report in the per-minor form, one inclusion per Fitting
+hidden direct sum.  The 3-vertex one (``quiver3.json``) is quiver-sum's
+seed-1 job ``hidden3-0``, the job that quiver-sum timings are quoted on,
+and a test holds it to what ``perfbench/workloads.py`` generates.
+``verify-cert`` re-checks the stored 2-vertex report; the same report in the per-minor form, one inclusion per Fitting
 generator, as emitted before the adjugate entry existed
 (``quiver2-perminor.json``), so that form keeps verifying; a copy of that
 one with one altered cofactor (``quiver2-tampered.json``), so its
@@ -37,6 +39,7 @@ After an intended change of output, rewrite the stored files with
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -97,6 +100,17 @@ def test_report_matches_golden(case, command, doc, flags):
     assert (code, err) == (EXIT.get(case, 0), "")
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert out == expected
+
+
+def test_quiver3_is_the_quiver_sum_benchmark_job():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", GOLDEN.parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = workloads.quiver_sum(1, 1)[0]
+    assert job["id"] == "hidden3-0"
+    stored = json.loads((GOLDEN / "quiver3.json").read_text(encoding="utf-8"))
+    assert stored == job["doc"]
 
 
 MEMBER_LOCAL = GOLDEN / "member-local.json"

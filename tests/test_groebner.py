@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,24 @@ def test_member_local_unit_witness():
     assert ok
     assert w.unit.constant_term() != 0
     assert w.unit * P("x^2") == w.cofactors[0] * P("x^2 + x^3")
+
+
+def test_member_local_refuses_a_unit_when_the_ideal_lies_in_m():
+    """A unit f is outside I R_m when every generator of I vanishes at
+    the origin; the answer comes before any Groebner basis.  Through the
+    colon route this instance ran past 30 s."""
+    t = VarTable(("x1", "x2", "x3"))
+    I = Ideal(t, [parse_poly(g, t) for g in (
+        "2*x2^3*x3^2 + 2*x1*x2", "-x1^3*x2^3 - 4*x1^3*x2*x3",
+        "-5*x1^3*x2^2 + 5*x1*x3^3")])
+    f = parse_poly("-2*x1^2*x2*x3 - 5*x2^3 - 2", t)
+    start = time.perf_counter()
+    assert member_local(f, I) == (False, None)
+    assert time.perf_counter() - start < 1.0
+    assert I._basis is None
+    # a generator that is a unit makes I the whole local ring
+    ok, w = member_local(P("1 + x"), ideal("x^2", "y - 1"))
+    assert ok and w.verify()
 
 
 def test_subset_local_examples():

@@ -5,16 +5,39 @@ parts are built without the validating constructor.  Each result must
 still equal its re-validated copy, hold only nonzero canonical
 coefficients (an int when integral, a Fraction with denominator > 1
 otherwise, never a float) on exponent tuples of the table's width, and
-own a dict of its own.  The test is skipped when hypothesis is absent.
+own a dict of its own.
+
+The division loop `_reduce_terms` (and `divide_exact` on top of it) is
+held to a plain rational division written out below: the same
+remainder, and the same quotient for each divisor, down to the order in
+which the divisors are first used.  With `exact=True` it must refuse
+exactly the inputs that leave a remainder.
+
+The tests are skipped when hypothesis is absent.
 """
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 
-from blocksplit.ring import Poly, VarTable, divide_exact, parse_poly, truncate
+from blocksplit import ring
+from blocksplit.ring import (
+    NonDivisibleError,
+    Poly,
+    VarTable,
+    _divisor,
+    _mono_div,
+    _mono_divides,
+    _reduce_terms,
+    divide_exact,
+    elimination,
+    grevlex,
+    parse_poly,
+    truncate,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -55,3 +78,88 @@ def test_arithmetic_results_hold_the_invariant(a, b, k, degree):
         assert_invariant(b * (Fraction(1) / b.leading()[1]), a, b)
     assert_invariant(parse_poly(str(a), XYZ), a, b)
 
+
+# -- the division loop against a plain rational division ------------------
+
+def reference_division(f: Poly, divisors: list[Poly], order):
+    """f = sum(q_i * divisors[i]) + r by the textbook loop on Fractions:
+    the leading term of what is left goes to the first divisor whose
+    leading monomial divides it, or else to the remainder."""
+    table = f.table
+    rest, remainder, quotients = f, Poly.zero(table), {}
+    while not rest.is_zero():
+        lm, lc = rest.leading(order)
+        for i, g in enumerate(divisors):
+            glm, glc = g.leading(order)
+            if _mono_divides(glm, lm):
+                t = Poly(table, {_mono_div(lm, glm): Fraction(lc) / glc})
+                rest = rest - t * g
+                quotients[i] = quotients.get(i, Poly.zero(table)) + t
+                break
+        else:
+            head = Poly(table, {lm: lc})
+            remainder, rest = remainder + head, rest - head
+    return remainder, quotients
+
+
+integers = st.integers(-30, 30).filter(bool)
+dividends = st.one_of(
+    st.dictionaries(monomials, integers, max_size=8),
+    st.dictionaries(monomials, coefficients, max_size=8),
+).map(lambda terms: Poly(XYZ, terms))
+# linear divisors with large coefficients divide many terms, and each
+# step can grow the loop's integer scale, past CONTENT_BITS in a few steps
+linear = st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+divisor_polys = st.one_of(
+    st.dictionaries(monomials, integers, min_size=1, max_size=4),
+    st.dictionaries(monomials, coefficients, min_size=1, max_size=4),
+    st.dictionaries(linear, st.integers(-10**7, 10**7).filter(bool),
+                    min_size=1, max_size=4),
+).map(lambda terms: Poly(XYZ, terms)).filter(lambda g: not g.is_zero())
+
+
+@contextlib.contextmanager
+def content_bits(bits):
+    saved, ring.CONTENT_BITS = ring.CONTENT_BITS, bits
+    try:
+        yield
+    finally:
+        ring.CONTENT_BITS = saved
+
+
+# at 0 bits every step that grows the scale divides the content out
+@pytest.mark.parametrize("bits", [ring.CONTENT_BITS, 0])
+@settings(max_examples=200, deadline=None)
+@given(dividends, st.lists(divisor_polys, min_size=1, max_size=3),
+       st.sampled_from([grevlex, elimination(1)]))
+def test_reduce_terms_matches_rational_division(bits, f, divisors, order):
+    expected, expected_q = reference_division(f, divisors, order)
+    shapes = [_divisor(g, order) for g in divisors]
+    with content_bits(bits):
+        remainder, quotients = _reduce_terms(dict(f.terms), shapes, order)
+    assert_invariant(Poly._trusted(XYZ, remainder))
+    assert remainder == expected.terms
+    assert list(quotients) == list(expected_q)
+    for i, q in quotients.items():
+        assert_invariant(Poly._trusted(XYZ, q))
+        assert q == expected_q[i].terms
+    if expected.is_zero():
+        _, exact_q = _reduce_terms(dict(f.terms), shapes, order, exact=True)
+        assert exact_q == quotients
+    else:
+        with pytest.raises(NonDivisibleError):
+            _reduce_terms(dict(f.terms), shapes, order, exact=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dividends, divisor_polys, dividends)
+def test_divide_exact_matches_rational_division(a, g, extra):
+    assert divide_exact(a * g, g) == a
+    f = a * g + extra
+    expected, expected_q = reference_division(f, [g], grevlex)
+    if expected.is_zero():
+        quotient = expected_q.get(0, Poly.zero(XYZ))
+        assert divide_exact(f, g).terms == quotient.terms
+    else:
+        with pytest.raises(NonDivisibleError):
+            divide_exact(f, g)

@@ -1,5 +1,6 @@
 """Determinants, Fitting ideals, reduced Groebner bases, the expression
-parser and the monomial orders refereed by sympy.
+parser, the monomial orders and the determinant factorizations of the
+golden reports refereed by sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
 outside the minor expansion, the Groebner engine and the parser.  The
@@ -8,13 +9,18 @@ tests are skipped when sympy is absent.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+import pathlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from blocksplit.cli import main
 from blocksplit.groebner import Ideal, groebner_basis
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
@@ -270,3 +276,74 @@ def test_format_lists_terms_in_sympy_grevlex_descending_order():
         monos = [next(iter(parse_poly(piece, ABCDE).terms))
                  for piece in pieces]
         assert monos == sorted(f.terms, key=sympy_grevlex, reverse=True), text
+
+
+# -- determinant factorizations of the golden jobs -------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# (job document, stored report) for every golden check-square and
+# check-quiver job with a JSON report
+GOLDEN_FACTORED = (
+    ("square-dec.json", "square-dec.out"),
+    ("square-dec.json", "square-dec-jet8.out"),
+    ("square-notdec.json", "square-notdec.out"),
+    ("square-notdec.json", "square-notdec-jet8.out"),
+    ("quiver2.json", "quiver2.out"),
+    ("quiver3.json", "quiver3-check.out"),
+)
+
+
+def golden_matrix(doc_name):
+    """The square matrix a golden job decides on, as text: the job's own
+    matrix, or the Kronecker form `build-kronecker` prints for a quiver."""
+    doc = json.loads((GOLDEN / doc_name).read_text(encoding="utf-8"))
+    if "matrix" in doc:
+        return doc["ring"]["vars"], doc["matrix"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build-kronecker", "--input",
+                     str(GOLDEN / doc_name)]) == 0
+    form = json.loads(out.getvalue())
+    return form["ring"]["vars"], form["matrix"]
+
+
+def sympy_expr(text, symbols):
+    return sympy.sympify(text.replace("^", "**"),
+                         locals={str(s): s for s in symbols})
+
+
+def irreducible_factors(expr, symbols):
+    """The non-constant irreducible factors of expr with multiplicity,
+    each made primitive with a positive leading coefficient by sympy."""
+    _, factors = sympy.factor_list(expr, *symbols)
+    return sorted((sympy.srepr(sympy.expand(f)), k) for f, k in factors)
+
+
+@pytest.mark.parametrize("doc_name,report_name", GOLDEN_FACTORED,
+                         ids=[r for _, r in GOLDEN_FACTORED])
+def test_golden_det_factorization_agrees_with_sympy_factor_list(doc_name,
+                                                                 report_name):
+    """sympy expands det(A) of the job on its own and factors it; the
+    report's determinant-factorization claim must name that determinant
+    and split it into f1*f2 up to a nonzero constant, with the same
+    irreducible factors and multiplicities."""
+    names, matrix = golden_matrix(doc_name)
+    symbols = sympy.symbols(names)
+    S = sympy.Matrix([[sympy_expr(e, symbols) for e in row]
+                      for row in matrix])
+    ring = sympy.QQ[symbols]
+    D = DomainMatrix.from_Matrix(S).convert_to(ring)
+    det_expr = ring.to_sympy(D.det())
+    report = json.loads((GOLDEN / report_name).read_text(encoding="utf-8"))
+    claims = [i for i in report["certificate"]["identities"]
+              if i["label"] == "determinant-factorization"]
+    assert len(claims) == 1
+    lhs = sympy_expr(claims[0]["lhs"], symbols)
+    f1, f2 = (sympy_expr(f, symbols) for f in claims[0]["factors"])
+    assert sympy.expand(lhs - det_expr) == 0
+    assert det_expr != 0
+    ratio = sympy.cancel(det_expr / sympy.expand(f1 * f2))
+    assert ratio.is_Rational and ratio != 0
+    assert irreducible_factors(det_expr, symbols) == sorted(
+        irreducible_factors(f1, symbols) + irreducible_factors(f2, symbols))
