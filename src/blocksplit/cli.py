@@ -18,6 +18,7 @@ Exit codes: 0 = a verdict or result was produced (any status),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable, NamedTuple
@@ -485,7 +486,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process:
+    building it takes some thirty times as long as one parse, and parsing
+    leaves it unchanged."""
     parser = _Parser(
         prog=TOOL,
         description="decide block-diagonalizability of matrices and quiver "

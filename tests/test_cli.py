@@ -185,6 +185,23 @@ def test_order_flag(tmp_path, capsys):
     assert err.endswith("error: unrecognized arguments: --order lex\n")
 
 
+def test_a_usage_error_leaves_the_next_job_unchanged(tmp_path, capsys):
+    # one parser serves every call in a process; a parse that ends in a
+    # usage error must leave nothing behind for the next call to see
+    path = write_doc(tmp_path, EX2)
+    alone = subprocess.run(
+        [sys.executable, "-m", "blocksplit.cli", "check-square", "--input",
+         path], capture_output=True, text=True)
+    assert alone.returncode == 0, alone.stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["check-square", "--input", path, "--jet-order", "eight",
+              "--format", "yaml"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, ["check-square", "--input", path]) == \
+        (0, alone.stdout, "")
+
+
 def test_input_errors_name_the_field(tmp_path, capsys):
     bad = dict(EX2)
     bad["matrix"] = [["x2", "x9", "0"], ["0", "x2", "x1"], ["-x1", "0", "x2"]]
