@@ -15,7 +15,8 @@ Decoding validates every field and raises InputError naming the first
 malformed one; ``failures()`` then lists what does not re-check, as the
 messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
 matrix code (the determinant is `ring.minor`, the expansion that `det`
-runs too), so the check stays independent of how a verdict arose.
+runs too, and each sum of products is one `ring.sum_of_products`), so
+the check stays independent of how a verdict arose.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ring import (
     local_unit_test,
     minor,
     parse_poly,
+    sum_of_products,
     truncate,
 )
 
@@ -210,9 +212,12 @@ class Inclusion:
                     f"{len(self.ideal_gens)} generators"]
         if not local_unit_test(self.unit):
             return [f"{name}: the unit has zero constant term"]
-        diff = self.unit * self.element
-        for c, g in zip(self.cofactors, self.ideal_gens):
-            diff = diff - c * g
+        for p in (self.element, *self.ideal_gens, *self.cofactors):
+            self.unit._check(p)
+        products = [(self.unit, self.element, 1)]
+        products += [(c, g, -1)
+                     for c, g in zip(self.cofactors, self.ideal_gens)]
+        diff = sum_of_products(self.unit.table, products)
         if _holds(diff, self.modulo_order):
             return []
         return [f"{name}: unit * element does not re-expand to the "
@@ -273,6 +278,9 @@ class AdjugateInclusion:
         sizes = {len(g) for g in grids} | {len(r) for g in grids for r in g}
         if sizes != {n} or not n:
             return ["adjugate: A, C1 and C2 must be square of one size"]
+        for p in (self.f2, self.unit,
+                  *(e for g in grids for row in g for e in row)):
+            self.f1._check(p)
         if not local_unit_test(self.unit):
             return ["adjugate: the unit has zero constant term"]
         det = self.f1 * self.f2
@@ -292,16 +300,13 @@ class AdjugateInclusion:
         if D != 1:
             c1, c2 = ([[e * D for e in row] for row in C] for C in (c1, c2))
             diagonal = diagonal * D
-        zero = Poly.zero(det.table)
+        table, zero = det.table, Poly.zero(det.table)
         for i, row in enumerate(A):
             for j in range(n):
-                lhs = zero
-                for f, C in ((self.f1, c1), (self.f2, c2)):
-                    entry = zero
-                    for a, c_row in zip(row, C):
-                        if not a.is_zero():
-                            entry = entry + a * c_row[j]
-                    lhs = lhs + f * entry
+                lhs = sum_of_products(table, [
+                    (f, sum_of_products(table, [(a, c_row[j], 1)
+                                         for a, c_row in zip(row, C)]), 1)
+                    for f, C in ((self.f1, c1), (self.f2, c2))])
                 if lhs != (diagonal if i == j else zero):
                     return ["adjugate: A*(f1*C1 + f2*C2) does not equal "
                             "unit*f1*f2*I"]

@@ -21,7 +21,7 @@ from blocksplit.certificate import (
     InputError,
     Verdict,
 )
-from blocksplit.ring import VarTable, parse_poly
+from blocksplit.ring import Poly, VarTable, parse_poly
 
 from blocksplit.cli import main
 from blocksplit.groebner import Ideal, member_local
@@ -154,20 +154,19 @@ def test_an_emptied_decomposable_certificate_fails(tmp_path, capsys):
     assert verify_report(tmp_path, capsys, report) == (2, [emptied])
 
 
-def test_altering_any_adjugate_entry_fails(tmp_path, capsys):
-    """EX2's cofactors have rational coefficients, which the check clears
-    before its products; adding 1/7 alters their denominators."""
-    report = ex2_report(tmp_path, capsys)
+def assert_every_adjugate_alteration_fails(tmp_path, capsys, report,
+                                           var):
+    """Adding `var` or 1/7 to the unit, to any entry of the matrix or to
+    any cofactor entry makes verify-cert exit 2 with adjugate failures
+    only."""
     adjugate = report["certificate"]["adjugate"]
-    assert any("/" in e for C in adjugate["cofactors"] for row in C
-               for e in row)
     n = len(adjugate["matrix"])
     spots = [("unit",)]
     spots += [("matrix", i, j) for i in range(n) for j in range(n)]
     spots += [("cofactors", k, i, j)
               for k in range(2) for i in range(n) for j in range(n)]
     assert verify_report(tmp_path, capsys, report) == (0, [])
-    for spot, change in itertools.product(spots, (" + x1", " + 1/7")):
+    for spot, change in itertools.product(spots, (f" + {var}", " + 1/7")):
         doc = json.loads(json.dumps(report))
         target = doc["certificate"]["adjugate"]
         for key in spot[:-1]:
@@ -177,6 +176,37 @@ def test_altering_any_adjugate_entry_fails(tmp_path, capsys):
         assert code == 2, (spot, change)
         assert failures and all(f.startswith("adjugate: ")
                                 for f in failures), (spot, change)
+
+
+def test_altering_any_adjugate_entry_fails(tmp_path, capsys):
+    """EX2's cofactors have rational coefficients, which the check clears
+    before its products; adding 1/7 alters their denominators."""
+    report = ex2_report(tmp_path, capsys)
+    adjugate = report["certificate"]["adjugate"]
+    assert any("/" in e for C in adjugate["cofactors"] for row in C
+               for e in row)
+    assert_every_adjugate_alteration_fails(tmp_path, capsys, report, "x1")
+
+
+def test_altering_any_adjugate_entry_of_a_packed_check_fails(
+        tmp_path, capsys, monkeypatch):
+    """The 6x6 form over 12 variables of the 3-vertex golden report: its
+    check forms enough term products per call to key them by packed
+    monomials, which EX2's small products never do."""
+    report = json.loads((GOLDEN / "quiver3-check.out").read_text())
+    packed = []
+    pack = Poly._pack
+
+    def spy(p):
+        result = pack(p)
+        packed.append(result is not None)
+        return result
+
+    monkeypatch.setattr(Poly, "_pack", spy)
+    assert verify_report(tmp_path, capsys, report) == (0, [])
+    assert any(packed)
+    assert_every_adjugate_alteration_fails(
+        tmp_path, capsys, report, report["ring"]["vars"][0])
 
 
 def Q(text):

@@ -129,6 +129,20 @@ def test_det_on_matrix_tuple(tmp_path, capsys):
     assert report["determinant"] == "-x_1^2 + y^2"
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"ring": {"vars": ["y"]}, "matrices": [[["y", "0"], ["0", "1"]]]},
+     "y"),
+    ({"ring": {"vars": ["y_1"]},
+      "quiver": {"vertices": [{"id": 1, "rank": 1}], "arrows": []}},
+     "y_1"),
+])
+def test_the_adjoined_names_are_reserved(tmp_path, capsys, doc, name):
+    # a pencil adjoins x_<k> and y, a quiver x_<i>_<j> and y_<i>
+    path = write_doc(tmp_path, doc)
+    assert run(capsys, ["det", "--input", path]) == \
+        (1, "", f"error: variable '{name}' already declared\n")
+
+
 def test_fitting_command(tmp_path, capsys):
     doc = {"ring": {"vars": ["x", "y"]},
            "matrix": [["x", "y"], ["y", "x"]]}

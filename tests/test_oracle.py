@@ -21,6 +21,7 @@ from blocksplit.ring import (
     RingError,
     VarTable,
     iter_monomials,
+    local_unit_test,
     parse_poly,
     truncate,
 )
@@ -112,8 +113,11 @@ def test_jet_obstruction_family():
 
 
 def test_agreement_with_member_local():
+    """The jet oracle referees member_local both ways: a member passes at
+    orders 4 and 6, and a non-member fails at some order up to 8.  The
+    counts pin the sweep, so that a change to either side shows."""
     rng = random.Random(73)
-    agree = 0
+    members = proper = nonmembers = 0
     for seed in range(60):
         f = random_poly(rng.randrange(10 ** 6))
         gens = tuple(random_poly(rng.randrange(10 ** 6)) for _ in range(2))
@@ -122,8 +126,13 @@ def test_agreement_with_member_local():
         if ok:
             for N in (4, 6):
                 assert jet_member(f, I, N)
-        agree += 1
-    assert agree >= 40
+            members += 1
+            # I is proper at the origin iff no generator is a unit there
+            proper += not any(map(local_unit_test, gens))
+        else:
+            assert not all(jet_member(f, I, N) for N in range(1, 9)), seed
+            nonmembers += 1
+    assert (members, proper, nonmembers) == (37, 12, 23)
 
 
 def test_random_unimodular_det_one():

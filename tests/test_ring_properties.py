@@ -7,6 +7,13 @@ coefficients (an int when integral, a Fraction with denominator > 1
 otherwise, never a float) on exponent tuples of the table's width, and
 own a dict of its own.
 
+The multiply-accumulate kernel `sum_of_products`, which `*`, `minor`
+and the certificate re-checks run, is held to a product written out
+below the way `Poly.__mul__` once formed it (a generator of term
+products added into a dict one at a time), on both of its paths: the
+packed one, taken when exponents are below `PACK_LIMIT` and the call
+forms enough term products, and the tuple one, taken otherwise.
+
 The division loop `_reduce_terms` (and `divide_exact` on top of it) is
 held to a plain rational division written out below: the same
 remainder, and the same quotient for each divisor, down to the order in
@@ -19,6 +26,7 @@ The tests are skipped when hypothesis is absent.
 from __future__ import annotations
 
 import contextlib
+import operator
 from fractions import Fraction
 
 import pytest
@@ -36,6 +44,7 @@ from blocksplit.ring import (
     elimination,
     grevlex,
     parse_poly,
+    sum_of_products,
     truncate,
 )
 
@@ -163,3 +172,78 @@ def test_divide_exact_matches_rational_division(a, g, extra):
     else:
         with pytest.raises(NonDivisibleError):
             divide_exact(f, g)
+
+
+# -- the multiply-accumulate kernel against a plain product ---------------
+
+def reference_sum_of_products(table: VarTable, products) -> dict:
+    """sum(sign * a * b), each product a generator of term products added
+    into one dict, a monomial dropped as soon as it cancels."""
+    out: dict = {}
+    add = operator.add
+    for a, b, sign in products:
+        for m1, c1 in a.terms.items():
+            for mono, coeff in ((tuple(map(add, m1, m2)), sign * c1 * c2)
+                                for m2, c2 in b.terms.items()):
+                c = out.get(mono, 0) + coeff
+                if c:
+                    out[mono] = c.numerator if c.denominator == 1 else c
+                else:
+                    out.pop(mono, None)
+    return out
+
+
+@contextlib.contextmanager
+def pack_work(work):
+    saved, ring.PACK_WORK = ring.PACK_WORK, work
+    try:
+        yield
+    finally:
+        ring.PACK_WORK = saved
+
+
+NONE = VarTable(())
+# 127 is the largest exponent that packs; 128 and 300 send the call to the
+# tuple loop, the latter past what one byte holds
+exponents = st.sampled_from([0, 1, 2, 3, 127, 128, 300])
+wide_polys = st.dictionaries(
+    st.tuples(*(exponents for _ in range(len(XYZ)))), coefficients,
+    max_size=8).map(lambda terms: Poly(XYZ, terms))
+constant_polys = st.dictionaries(st.just(()), coefficients, max_size=1).map(
+    lambda terms: Poly(NONE, terms))
+signs = st.sampled_from([1, -1])
+
+
+def product_lists(polys):
+    """Lists of (a, b, sign); with `cancel`, the first product comes
+    again with the opposite sign, so that every one of its terms
+    cancels."""
+    return st.tuples(st.lists(st.tuples(polys, polys, signs), min_size=1,
+                              max_size=3), st.booleans()).map(
+        lambda pair: pair[0] + [(*pair[0][0][:2], -pair[0][0][2])]
+        if pair[1] else pair[0])
+
+
+def test_packing_stops_at_exponent_128():
+    assert Poly(XYZ, {(127, 0, 127): 1})._pack() == [(127 + (127 << 16), 1)]
+    assert Poly(XYZ, {(0, 128, 0): 1, (1, 0, 0): 2})._pack() is None
+    assert Poly(NONE, {(): 5})._pack() == [(0, 5)]
+
+
+# 0 packs every call whose exponents allow it; the default packs only
+# calls whose term products times the table's width reach PACK_WORK
+@pytest.mark.parametrize("work", [ring.PACK_WORK, 0])
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(product_lists(wide_polys), product_lists(polys),
+                 product_lists(constant_polys)))
+def test_sum_of_products_matches_the_plain_product(work, products):
+    table = products[0][0].table
+    expected = reference_sum_of_products(table, products)
+    with pack_work(work):
+        result = sum_of_products(table, products)
+        a, b, _ = products[0]
+        product = a * b
+    assert result.terms == expected
+    assert_invariant(result, *(p for a, b, _ in products for p in (a, b)))
+    assert product.terms == reference_sum_of_products(table, [(a, b, 1)])
+    assert_invariant(product, a, b)
