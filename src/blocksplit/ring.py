@@ -316,7 +316,7 @@ class Poly:
         when an exponent is `PACK_LIMIT` or more.  A monomial packs into
         the int whose little-endian bytes are its exponents.  Built on
         first use and kept in the `_packed` slot, which stays unset until
-        then, so that the Polys never packed pay nothing for it."""
+        then: building a Poly does no work for it."""
         try:
             return self._packed
         except AttributeError:

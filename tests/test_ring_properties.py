@@ -215,9 +215,9 @@ signs = st.sampled_from([1, -1])
 
 
 def product_lists(polys):
-    """Lists of (a, b, sign); with `cancel`, the first product comes
-    again with the opposite sign, so that every one of its terms
-    cancels."""
+    """Lists of (a, b, sign); when the drawn flag is set, the first
+    product comes again with the opposite sign, so that every one of its
+    terms cancels."""
     return st.tuples(st.lists(st.tuples(polys, polys, signs), min_size=1,
                               max_size=3), st.booleans()).map(
         lambda pair: pair[0] + [(*pair[0][0][:2], -pair[0][0][2])]
