@@ -16,13 +16,15 @@ malformed one; ``failures()`` then lists what does not re-check, as the
 messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
 matrix code (the determinant is `ring.minor`, the expansion that `det`
 runs too, and each sum of products is one `ring.sum_of_products`), so
-the check stays independent of how a verdict arose.
+the check stays independent of how a verdict arose.  Inclusions and the
+adjugate entry clear their cofactors' denominators by one rule,
+`_cleared`, before any product.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .ring import (
     ParseError,
@@ -109,6 +111,18 @@ def _parse_modulo(d: dict, field: str) -> int | None:
     return N
 
 
+def _cleared(unit: Poly, cofactors: Sequence[Poly]):
+    """unit and cofactors times D, the lcm of the cofactors' coefficient
+    denominators.  An inclusion or adjugate identity holds with them
+    exactly when it holds with the originals, and when its other operands
+    are integral, as they are in practice, every term product of its
+    re-check is then a product of ints."""
+    D = math.lcm(*(c.denominator for p in cofactors for c in p.terms.values()))
+    if D == 1:
+        return unit, cofactors
+    return unit * D, [p * D for p in cofactors]
+
+
 def _holds(diff: Poly, modulo_order: int | None) -> bool:
     if modulo_order is not None:
         diff = truncate(diff, modulo_order)
@@ -160,10 +174,14 @@ class Identity:
         self.modulo_order = modulo_order
 
     def failures(self) -> list[str]:
-        prod = Poly.const(self.lhs.table, 1)
-        for f in self.factors:
+        prod = one = Poly.const(self.lhs.table, 1)
+        *head, last = self.factors
+        for f in head:
             prod = prod * f
-        if _holds(self.lhs - prod, self.modulo_order):
+        prod._check(last)
+        diff = sum_of_products(one.table, ((self.lhs, one, 1),
+                                           (prod, last, -1)))
+        if _holds(diff, self.modulo_order):
             return []
         return [f"identity '{self.label}': the left side does not equal "
                 f"the product of the factors{_where(self.modulo_order)}"]
@@ -214,9 +232,9 @@ class Inclusion:
             return [f"{name}: the unit has zero constant term"]
         for p in (self.element, *self.ideal_gens, *self.cofactors):
             self.unit._check(p)
-        products = [(self.unit, self.element, 1)]
-        products += [(c, g, -1)
-                     for c, g in zip(self.cofactors, self.ideal_gens)]
+        unit, cofactors = _cleared(self.unit, self.cofactors)
+        products = [(unit, self.element, 1)]
+        products += [(c, g, -1) for c, g in zip(cofactors, self.ideal_gens)]
         diff = sum_of_products(self.unit.table, products)
         if _holds(diff, self.modulo_order):
             return []
@@ -289,23 +307,17 @@ class AdjugateInclusion:
         full = tuple(range(n))
         if minor(A, {}, full, full) != det:
             return ["adjugate: det(A) does not equal f1*f2"]
-        # f1*C1 + f2*C2 is unit*adj(A) iff A*(f1*D*C1 + f2*D*C2) is
-        # D*unit*det(A)*I; D, the lcm of the cofactors' coefficient
-        # denominators, keeps Fraction arithmetic out of the products.
-        # A*DC1 and A*DC2 are formed first, while their entries are
-        # small, and multiplied by f1 and f2 only then
-        D = math.lcm(*(c.denominator for C in (self.c1, self.c2)
-                       for row in C for e in row for c in e.terms.values()))
-        c1, c2, diagonal = self.c1, self.c2, self.unit * det
-        if D != 1:
-            c1, c2 = ([[e * D for e in row] for row in C] for C in (c1, c2))
-            diagonal = diagonal * D
+        # A*C1 and A*C2 are formed first, while their entries are small,
+        # and multiplied by f1 and f2 only then
+        unit, flat = _cleared(self.unit, [e for C in (self.c1, self.c2)
+                                          for row in C for e in row])
+        c1, c2, diagonal = flat[:n * n], flat[n * n:], unit * det
         table, zero = det.table, Poly.zero(det.table)
         for i, row in enumerate(A):
             for j in range(n):
                 lhs = sum_of_products(table, [
-                    (f, sum_of_products(table, [(a, c_row[j], 1)
-                                         for a, c_row in zip(row, C)]), 1)
+                    (f, sum_of_products(table, [(a, c, 1) for a, c in
+                                                zip(row, C[j::n])]), 1)
                     for f, C in ((self.f1, c1), (self.f2, c2))])
                 if lhs != (diagonal if i == j else zero):
                     return ["adjugate: A*(f1*C1 + f2*C2) does not equal "

@@ -62,6 +62,7 @@ from .ring import (
     elimination,
     grevlex,
     local_unit_test,
+    sum_of_products,
 )
 from .certificate import Inclusion
 
@@ -84,10 +85,6 @@ class _Gen:
         self.seq = seq
 
 
-def _term(table: VarTable, mono: Monomial, coeff: Coeff) -> Poly:
-    return Poly(table, {mono: coeff})
-
-
 def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
     """Full normal form of f / scale modulo basis.
 
@@ -102,24 +99,19 @@ def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
             {i: Poly._trusted(table, q) for i, q in quotients.items()})
 
 
-def _combine(quotients: dict[int, Poly], basis: list[_Gen], ngens: int, table: VarTable):
-    """Cofactor vector (per original generator) from per-basis quotients."""
-    vec = [Poly.zero(table)] * ngens
-    for i, q in quotients.items():
-        for j, component in enumerate(basis[i].vec):
-            if not component.is_zero():
-                vec[j] = vec[j] + q * component
-    return tuple(vec)
-
-
-def _tracked(vec, quotients: dict[int, Poly], basis: list[_Gen]):
-    """Cofactor vector of a remainder: `vec`, that of the element reduced,
-    minus the quotients' combination of the basis vectors; None when the
-    element is untracked."""
+def _tracked(vec, quotients: dict[int, Poly], basis: list[_Gen],
+             sign: int = -1):
+    """Cofactor vector over the original generators: vec[j] + sign *
+    sum(q_i * basis[i].vec[j]), each component one `sum_of_products`.
+    With sign -1 it is that of a remainder, vec being that of the element
+    reduced; None when the element is untracked."""
     if vec is None:
         return None
-    combined = _combine(quotients, basis, len(vec), vec[0].table)
-    return tuple(v - c for v, c in zip(vec, combined))
+    table = vec[0].table
+    one = Poly.const(table, 1)
+    return tuple(sum_of_products(table, [(v, one, 1)] + [
+        (q, basis[i].vec[j], sign) for i, q in quotients.items()])
+        for j, v in enumerate(vec))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -180,9 +172,10 @@ def _spoly(a: _Gen, b: _Gen):
     _accumulate(terms, ((tuple(map(add, ub, m)), -kb * c) for m, c in tail_b))
     vec = None
     if a.vec is not None:
-        ta = _term(table, ua, _div(1, a.lc))
-        tb = _term(table, ub, _div(1, b.lc))
-        vec = tuple(ta * x - tb * y for x, y in zip(a.vec, b.vec))
+        ta = Poly._trusted(table, {ua: _div(1, a.lc)})
+        tb = Poly._trusted(table, {ub: _div(1, b.lc)})
+        vec = tuple(sum_of_products(table, ((ta, x, 1), (tb, y, -1)))
+                    for x, y in zip(a.vec, b.vec))
     return Poly._trusted(table, terms), ka * lc_a, vec
 
 
@@ -296,7 +289,8 @@ def normal_form(f: Poly, I: Ideal):
         return f, (Poly.zero(f.table),)
     basis = I.basis()
     remainder, quotients = _reduce(f, basis, grevlex)
-    return remainder, _combine(quotients, basis, len(I.generators), f.table)
+    zeros = (Poly.zero(f.table),) * len(I.generators)
+    return remainder, _tracked(zeros, quotients, basis, 1)
 
 
 def member_global(f: Poly, I: Ideal):

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .ring import InvariantError, Poly, RingError, VarTable, elimination, minor
+from .ring import (InvariantError, Poly, RingError, TableMismatchError,
+                   VarTable, elimination, minor, sum_of_products)
 from .groebner import Ideal, _Gen, _buchberger
 
 
@@ -83,16 +84,8 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise RingError("matrix shape mismatch in product")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Poly.zero(self.table)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(self.table, rows)
+        return PolyMatrix(self.table, zip(*map(self.apply,
+                                               zip(*other.entries))))
 
     def scale(self, factor: Poly) -> "PolyMatrix":
         return PolyMatrix(
@@ -115,16 +108,15 @@ class PolyMatrix:
         return acc
 
     def apply(self, column: Sequence[Poly]) -> tuple[Poly, ...]:
-        """Matrix-vector product, column given as a length-cols sequence."""
+        """Matrix-vector product, column given as a length-cols sequence;
+        each entry is one `sum_of_products`."""
         if len(column) != self.cols:
             raise RingError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = Poly.zero(self.table)
-            for j in range(self.cols):
-                acc = acc + self.entries[i][j] * column[j]
-            out.append(acc)
-        return tuple(out)
+        if any(p.table != self.table for p in column):
+            raise TableMismatchError("vector over a different variable table")
+        return tuple(sum_of_products(self.table, [(a, b, 1) for a, b in
+                                                  zip(row, column)])
+                     for row in self.entries)
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -124,10 +124,10 @@ class JetEchelon:
         row, comb = _eliminate(self.space.vector(f), {}, self.pivots)
         if row:
             return False, None
-        cofactors = [Poly.zero(f.table) for _ in self.generators]
+        cofactors: list[dict] = [{} for _ in self.generators]
         for (gi, mono), coeff in comb.items():
-            cofactors[gi] = cofactors[gi] + Poly(f.table, {mono: -coeff})
-        return True, tuple(cofactors)
+            cofactors[gi][mono] = -coeff
+        return True, tuple(Poly(f.table, c) for c in cofactors)
 
 
 def jet_member_witness(f: Poly, generators: Iterable[Poly], N: int):
