@@ -704,8 +704,8 @@ def _integral(terms: dict[Monomial, Coeff]) -> int:
     return d
 
 
-def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
-                  order: Order, exact: bool = False, scale: int = 1):
+def _reduce_terms(terms: dict[Monomial, Coeff], divisors, order: Order,
+                  scale: int = 1):
     """Divide the polynomial `terms` / `scale` by `divisors`, consuming
     `terms`.
 
@@ -717,7 +717,7 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
     list order, whose leading monomial divides x^m; it records the
     quotient term and subtracts its product with the tail straight into
     `terms`.  A leading term that no divisor divides moves to the
-    remainder, or, when `exact`, raises NonDivisibleError.
+    remainder.
 
     The division is fraction-free.  Denominators of `terms` are cleared
     once, and from then on `terms` holds integers equal to D times the
@@ -757,8 +757,6 @@ def _reduce_terms(terms: dict[Monomial, Coeff], divisors,
             if all(map(le, lm, mono)):
                 break
         else:
-            if exact:
-                raise NonDivisibleError("not divisible")
             remainder[mono] = _div(coeff, scale)
             continue
         q = _mono_div(mono, lm)
@@ -820,8 +818,10 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
         raise NonDivisibleError("division by the zero polynomial")
     if f.is_zero():
         return Poly.zero(f.table)
-    _, quotients = _reduce_terms(dict(f.terms), (_divisor(g),), grevlex,
-                                 exact=True)
+    remainder, quotients = _reduce_terms(dict(f.terms), (_divisor(g),),
+                                         grevlex)
+    if remainder:
+        raise NonDivisibleError("not divisible")
     return Poly._trusted(f.table, quotients[0])
 
 

@@ -17,8 +17,8 @@ forms enough term products, and the tuple one, taken otherwise.
 The division loop `_reduce_terms` (and `divide_exact` on top of it) is
 held to a plain rational division written out below: the same
 remainder, and the same quotient for each divisor, down to the order in
-which the divisors are first used.  With `exact=True` it must refuse
-exactly the inputs that leave a remainder.
+which the divisors are first used.  `divide_exact` must refuse exactly
+the inputs that leave a remainder.
 
 The tests are skipped when hypothesis is absent.
 """
@@ -152,12 +152,6 @@ def test_reduce_terms_matches_rational_division(bits, f, divisors, order):
     for i, q in quotients.items():
         assert_invariant(Poly._trusted(XYZ, q))
         assert q == expected_q[i].terms
-    if expected.is_zero():
-        _, exact_q = _reduce_terms(dict(f.terms), shapes, order, exact=True)
-        assert exact_q == quotients
-    else:
-        with pytest.raises(NonDivisibleError):
-            _reduce_terms(dict(f.terms), shapes, order, exact=True)
 
 
 @settings(max_examples=150, deadline=None)
