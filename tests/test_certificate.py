@@ -154,28 +154,38 @@ def test_an_emptied_decomposable_certificate_fails(tmp_path, capsys):
     assert verify_report(tmp_path, capsys, report) == (2, [emptied])
 
 
-def assert_every_adjugate_alteration_fails(tmp_path, capsys, report,
-                                           var):
-    """Adding `var` or 1/7 to the unit, to any entry of the matrix or to
-    any cofactor entry makes verify-cert exit 2 with adjugate failures
-    only."""
-    adjugate = report["certificate"]["adjugate"]
-    n = len(adjugate["matrix"])
-    spots = [("unit",)]
-    spots += [("matrix", i, j) for i in range(n) for j in range(n)]
-    spots += [("cofactors", k, i, j)
-              for k in range(2) for i in range(n) for j in range(n)]
+def assert_every_alteration_fails(tmp_path, capsys, report, entry, spots,
+                                  var, name):
+    """Adding `var` or 1/7 to the string at each of `spots` (key paths
+    into the certificate entry that `entry` picks from the certificate)
+    makes verify-cert exit 2 with failures of that entry only, each
+    starting with `name`."""
     assert verify_report(tmp_path, capsys, report) == (0, [])
     for spot, change in itertools.product(spots, (f" + {var}", " + 1/7")):
         doc = json.loads(json.dumps(report))
-        target = doc["certificate"]["adjugate"]
+        target = entry(doc["certificate"])
         for key in spot[:-1]:
             target = target[key]
         target[spot[-1]] = f"{target[spot[-1]]}{change}"
         code, failures = verify_report(tmp_path, capsys, doc)
         assert code == 2, (spot, change)
-        assert failures and all(f.startswith("adjugate: ")
+        assert failures and all(f.startswith(name)
                                 for f in failures), (spot, change)
+
+
+def assert_every_adjugate_alteration_fails(tmp_path, capsys, report,
+                                           var):
+    """Adding `var` or 1/7 to the unit, to any entry of the matrix or to
+    any cofactor entry makes verify-cert exit 2 with adjugate failures
+    only."""
+    n = len(report["certificate"]["adjugate"]["matrix"])
+    spots = [("unit",)]
+    spots += [("matrix", i, j) for i in range(n) for j in range(n)]
+    spots += [("cofactors", k, i, j)
+              for k in range(2) for i in range(n) for j in range(n)]
+    assert_every_alteration_fails(tmp_path, capsys, report,
+                                  lambda cert: cert["adjugate"], spots, var,
+                                  "adjugate: ")
 
 
 def test_altering_any_adjugate_entry_fails(tmp_path, capsys):
@@ -207,6 +217,23 @@ def test_altering_any_adjugate_entry_of_a_packed_check_fails(
     assert any(packed)
     assert_every_adjugate_alteration_fails(
         tmp_path, capsys, report, report["ring"]["vars"][0])
+
+
+def test_altering_any_part_of_a_fractional_inclusion_fails(tmp_path,
+                                                            capsys):
+    """The coprimality inclusion of the 3-vertex golden report has the
+    cofactor 1/81, which the check clears, with the unit, before its
+    products; altering the element, a generator, the unit or a cofactor
+    must still fail that inclusion alone."""
+    report = json.loads((GOLDEN / "quiver3-check.out").read_text())
+    inclusion = report["certificate"]["inclusions"][0]
+    assert any("/" in c for c in inclusion["cofactors"])
+    spots = [("element",), ("unit",)]
+    spots += [("ideal", k) for k in range(len(inclusion["ideal"]))]
+    spots += [("cofactors", k) for k in range(len(inclusion["cofactors"]))]
+    assert_every_alteration_fails(
+        tmp_path, capsys, report, lambda cert: cert["inclusions"][0], spots,
+        report["ring"]["vars"][0], "inclusion 0: ")
 
 
 def Q(text):

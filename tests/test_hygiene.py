@@ -9,6 +9,10 @@ A name counts as used when it is read anywhere in the module (a
 ``noqa`` comment does not excuse it), or when the module lists it in
 ``__all__``, which is how ``blocksplit/__init__.py`` re-exports.
 ``from __future__`` imports are exempt.
+
+Every sum of polynomial products outside ``ring.py`` runs the one
+multiply-accumulate kernel ``ring.sum_of_products``, so no module but
+``ring.py`` adds a product into a running sum by hand.
 """
 
 from __future__ import annotations
@@ -170,3 +174,49 @@ def test_every_parameter_in_src_is_read(path):
     handlers = {c.run.__name__ for c in blocksplit.cli.COMMANDS.values()}
     exempt = handlers if path.name == "cli.py" else frozenset()
     assert unread_parameters(path.read_text(encoding="utf-8"), exempt) == []
+
+
+def product_accumulations(source: str) -> list[str]:
+    """Statements that add a product into a running sum on the same
+    target, ``x = x + a * b``, ``x = a * b + x``, ``x = x - a * b``,
+    ``x += a * b`` or ``x -= a * b``, as "line N: statement"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AugAssign):
+            target, op, terms = node.target, node.op, [node.value]
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.value, ast.BinOp)):
+            target, op = node.targets[0], node.value.op
+            left, right = node.value.left, node.value.right
+            same = ast.unparse(target)
+            terms = [right] if ast.unparse(left) == same else []
+            if isinstance(op, ast.Add) and ast.unparse(right) == same:
+                terms.append(left)
+        else:
+            continue
+        if isinstance(op, (ast.Add, ast.Sub)) and any(
+                isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                for t in terms):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_scanner_finds_a_product_accumulation():
+    source = ("acc = acc + a * b\nv[j] = v[j] - q * c\nx += a * b\n"
+              "y = a * b + y\nz -= 2 * w\n"
+              "acc = acc + b\nn = m - a * b\nacc = acc * b + c\n"
+              "s = a * b - s\nt += f(a * b)\n")
+    assert product_accumulations(source) == [
+        "line 1: acc = acc + a * b", "line 2: v[j] = v[j] - q * c",
+        "line 3: x += a * b", "line 4: y = a * b + y", "line 5: z -= 2 * w"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted((ROOT / "src").rglob("*.py"))
+             if p.name != "ring.py"],
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_hand_written_product_sum_outside_ring(path):
+    """Sums of products run ``ring.sum_of_products``, which adds every
+    term product into one dict; a hand-written running sum copies the
+    sum for each product added."""
+    assert product_accumulations(path.read_text(encoding="utf-8")) == []
