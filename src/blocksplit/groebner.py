@@ -85,33 +85,25 @@ class _Gen:
         self.seq = seq
 
 
-def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
-    """Full normal form of f / scale modulo basis.
-
-    Returns (remainder, quotients) with quotients keyed by basis index and
-    f / scale == sum(q_i * basis[i].poly) + remainder; no remainder term
-    is divisible by any basis leading monomial.
-    """
+def _reduce(f: Poly, basis: list[_Gen], order: Order, vec, scale: int = 1,
+            sign: int = -1):
+    """Full normal form of f / scale modulo basis: (remainder, cofactors)
+    with f / scale == sum(q_i * basis[i].poly) + remainder for the
+    quotients q_i of the division loop, no remainder term divisible by a
+    basis leading monomial, and cofactors[j] == vec[j] + sign *
+    sum(q_i * basis[i].vec[j]), each one `sum_of_products`.  With sign -1
+    and vec that of f / scale, they are the remainder's cofactors.  An
+    untracked reduction passes vec None and gets None."""
     table = f.table
     remainder, quotients = _reduce_terms(
         dict(f.terms), [g.div for g in basis], order, scale=scale)
-    return (Poly._trusted(table, remainder),
-            {i: Poly._trusted(table, q) for i, q in quotients.items()})
-
-
-def _tracked(vec, quotients: dict[int, Poly], basis: list[_Gen],
-             sign: int = -1):
-    """Cofactor vector over the original generators: vec[j] + sign *
-    sum(q_i * basis[i].vec[j]), each component one `sum_of_products`.
-    With sign -1 it is that of a remainder, vec being that of the element
-    reduced; None when the element is untracked."""
-    if vec is None:
-        return None
-    table = vec[0].table
-    one = Poly.const(table, 1)
-    return tuple(sum_of_products(table, [(v, one, 1)] + [
-        (q, basis[i].vec[j], sign) for i, q in quotients.items()])
-        for j, v in enumerate(vec))
+    if vec is not None:
+        one = Poly.const(table, 1)
+        qs = [(basis[i].vec, Poly._trusted(table, q))
+              for i, q in quotients.items()]
+        vec = tuple(sum_of_products(table, [(v, one, 1)] + [
+            (q, bvec[j], sign) for bvec, q in qs]) for j, v in enumerate(vec))
+    return Poly._trusted(table, remainder), vec
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -186,10 +178,10 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     G: list[_Gen] = []
     B: list[tuple[_Gen, _Gen]] = []
     for gen in inputs:
-        remainder, quotients = _reduce(gen.poly, G, order)
+        remainder, vec = _reduce(gen.poly, G, order, gen.vec)
         if remainder.is_zero():
             continue
-        h = _Gen(remainder, order, _tracked(gen.vec, quotients, G), gen.seq)
+        h = _Gen(remainder, order, vec, gen.seq)
         G, B = _update(G, B, h, positions)
     while B:
         # smallest lcm first, then the lowest (a.seq, b.seq); `order` sorts
@@ -204,10 +196,10 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
         )
         B.remove(pair)
         s, scale, svec = _spoly(pair[0], pair[1])
-        remainder, quotients = _reduce(s, G, order, scale)
+        remainder, vec = _reduce(s, G, order, svec, scale)
         if remainder.is_zero():
             continue
-        h = _Gen(remainder, order, _tracked(svec, quotients, G), seq)
+        h = _Gen(remainder, order, vec, seq)
         G, B = _update(G, B, h, positions)
         seq += 1
     return _interreduce(G, order)
@@ -224,8 +216,7 @@ def _interreduce(G: list[_Gen], order: Order) -> list[_Gen]:
     reduced: list[_Gen] = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        remainder, quotients = _reduce(g.poly, others, order)
-        vec = _tracked(g.vec, quotients, others)
+        remainder, vec = _reduce(g.poly, others, order, g.vec)
         scale = _div(1, remainder.leading(order)[1])
         if vec is not None:
             vec = tuple(scale * c for c in vec)
@@ -287,10 +278,8 @@ def normal_form(f: Poly, I: Ideal):
     I's generators: f = sum(c_i g_i) + remainder."""
     if I.is_zero():
         return f, (Poly.zero(f.table),)
-    basis = I.basis()
-    remainder, quotients = _reduce(f, basis, grevlex)
     zeros = (Poly.zero(f.table),) * len(I.generators)
-    return remainder, _tracked(zeros, quotients, basis, 1)
+    return _reduce(f, I.basis(), grevlex, zeros, sign=1)
 
 
 def member_global(f: Poly, I: Ideal):

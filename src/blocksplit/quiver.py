@@ -23,6 +23,7 @@ other checks.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable
 
@@ -34,6 +35,7 @@ from .ring import (
     local_unit_test,
     sqrt_exact,
     sqrt_series,
+    sum_of_products,
     y_profile,
 )
 from .certificate import (
@@ -139,13 +141,21 @@ def complete_reduce(Q: QuiverRep) -> QuiverRep:
             elif len(bunch) == 1:
                 merged = bunch[0].lift(table)
             else:
-                merged = PolyMatrix.zeros(table, t.rank, s.rank)
-                for mat in bunch:
-                    factor = Poly.var(table, merge_names[pos])
-                    pos += 1
-                    merged = merged + mat.lift(table).scale(factor)
+                merged = _combination(table, [
+                    (Poly.var(table, name), mat.lift(table))
+                    for name, mat in zip(merge_names[pos:], bunch)])
+                pos += len(bunch)
             arrows.append(Arrow(s.id, t.id, merged))
     return QuiverRep(table, Q.vertices, arrows)
+
+
+def _combination(table: VarTable, terms) -> PolyMatrix:
+    """sum(f * M) over the (f, M) pairs of `terms`, matrices of one shape
+    over `table`; each entry is one `sum_of_products`."""
+    shape = terms[0][1]
+    return PolyMatrix(table, [[sum_of_products(table, [
+        (f, M.entries[i][j], 1) for f, M in terms])
+        for j in range(shape.cols)] for i in range(shape.rows)])
 
 
 class KroneckerForm:
@@ -187,26 +197,18 @@ def build_kronecker(Q: QuiverRep) -> KroneckerForm:
         roles[f"y_{i + 1}"] = f"vertex({Q.vertices[i].id})"
     index = {v.id: i for i, v in enumerate(Q.vertices)}
     sizes = [v.rank for v in Q.vertices]
-    offsets = []
-    acc = 0
-    for m in sizes:
-        offsets.append(acc)
-        acc += m
-    total = acc
-    grid = [[Poly.zero(table) for _ in range(total)] for _ in range(total)]
-    for i in range(K):
-        y = Poly.var(table, y_names[i])
-        for d in range(sizes[i]):
-            grid[offsets[i] + d][offsets[i] + d] = y
+    offsets = [0, *itertools.accumulate(sizes)][:-1]
+    total = sum(sizes)
+    grid = [[None] * total for _ in range(total)]
     for a in Q.arrows:
         i, j = index[a.target], index[a.source]
         x = Poly.var(table, f"x_{i + 1}_{j + 1}")
-        block = a.matrix.lift(table).scale(x)
-        for r in range(sizes[i]):
-            for c in range(sizes[j]):
-                grid[offsets[i] + r][offsets[j] + c] = (
-                    grid[offsets[i] + r][offsets[j] + c] + block[r, c]
-                )
+        terms = [(x, a.matrix.lift(table))]
+        if i == j:
+            terms.append((Poly.var(table, y_names[i]),
+                          PolyMatrix.identity(table, sizes[i])))
+        for r, row in enumerate(_combination(table, terms).entries):
+            grid[offsets[i] + r][offsets[j]:offsets[j] + sizes[j]] = row
     return KroneckerForm(PolyMatrix(table, grid), Q.table, offsets, sizes,
                          roles, y_names)
 
@@ -225,9 +227,10 @@ def conj_pencil(mats: list[PolyMatrix]) -> KroneckerForm:
             raise RingError("matrices declared over different VarTables")
     x_names = [f"x_{k + 1}" for k in range(len(mats))]
     table = base.extend(x_names + ["y"])
-    acc = PolyMatrix.identity(table, size).scale(Poly.var(table, "y"))
-    for name, A in zip(x_names, mats):
-        acc = acc + A.lift(table).scale(Poly.var(table, name))
+    acc = _combination(table, [
+        (Poly.var(table, "y"), PolyMatrix.identity(table, size)),
+        *((Poly.var(table, name), A.lift(table))
+          for name, A in zip(x_names, mats))])
     roles = {name: f"loop({k + 1})" for k, name in enumerate(x_names)}
     roles["y"] = "vertex(1)"
     return KroneckerForm(acc, base, (0,), (size,), roles, ("y",))

@@ -32,6 +32,7 @@ from blocksplit.ring import (
     _mono_div,
     _mono_divides,
     _mono_lcm,
+    _reduce_terms,
     divide_exact,
     elimination,
     grevlex,
@@ -281,7 +282,9 @@ def test_ideal_validation():
 # The two functions below are the quadratic loops that `_reduce` and
 # `divide_exact` used before reduction worked in place: each step rebuilt
 # the whole remainder and searched it for its leading term.  The in-place
-# loop must return exactly what they return, term for term.
+# loop must return exactly what they return, term for term.  `_reduce`
+# returns the remainder and a cofactor vector; `division` reads the
+# quotients of the same loop, `ring._reduce_terms`.
 
 def reference_reduce(f, basis, order):
     table = f.table
@@ -323,9 +326,10 @@ ORDERS = [grevlex, elimination(1), elimination(2)]
 
 
 def reduction_cases(seed, count):
-    """(f, divisors, order): divisors are a Groebner basis from
-    `_buchberger`, tracked or not, or the raw generators in the order
-    given, as Buchberger reduces against a partial basis."""
+    """(f, divisors, order, gens): divisors are a Groebner basis from
+    `_buchberger`, tracked or not (tracked over gens), or the raw
+    generators in the order given, as Buchberger reduces against a
+    partial basis."""
     rng = random.Random(seed)
     for n in range(count):
         order = ORDERS[n % len(ORDERS)]
@@ -337,24 +341,36 @@ def reduction_cases(seed, count):
                                        for i in range(len(gens)))
                        if track else None, j) for j, g in enumerate(gens)]
         divisors = inputs if n % 3 == 2 else _buchberger(inputs, order)
-        yield f, divisors, order
+        yield f, divisors, order, gens
+
+
+def division(f, divisors, order):
+    """(remainder, {basis index: quotient}) of the division loop."""
+    remainder, quotients = _reduce_terms(
+        dict(f.terms), [g.div for g in divisors], order)
+    return (Poly(f.table, remainder),
+            {i: Poly(f.table, q) for i, q in quotients.items()})
 
 
 def test_reduce_matches_reference_loop():
     nontrivial = 0
-    for f, divisors, order in reduction_cases(53, 120):
-        remainder, quotients = _reduce(f, divisors, order)
+    for f, divisors, order, _ in reduction_cases(53, 120):
+        remainder, quotients = division(f, divisors, order)
         ref_remainder, ref_quotients = reference_reduce(f, divisors, order)
         assert remainder == ref_remainder
         assert list(quotients) == list(ref_quotients)
         assert quotients == ref_quotients
+        assert _reduce(f, divisors, order, None) == (remainder, None)
         nontrivial += bool(quotients) and not remainder.is_zero()
     assert nontrivial >= 20
 
 
 def test_reduce_division_identity():
-    for f, divisors, order in reduction_cases(59, 120):
-        remainder, quotients = _reduce(f, divisors, order)
+    """The quotients rebuild f; with tracked divisors, `_reduce`'s
+    cofactors (sign 1, from zeros) rebuild f - remainder over gens."""
+    tracked = 0
+    for f, divisors, order, gens in reduction_cases(59, 120):
+        remainder, quotients = division(f, divisors, order)
         total = remainder
         for i, q in quotients.items():
             assert not q.is_zero()
@@ -362,12 +378,23 @@ def test_reduce_division_identity():
         assert total == f
         for mono in remainder.terms:
             assert not any(_mono_divides(g.lm, mono) for g in divisors)
+        if divisors and divisors[0].vec is not None:
+            zeros = (Poly.zero(f.table),) * len(gens)
+            r, cofactors = _reduce(f, divisors, order, zeros, sign=1)
+            assert r == remainder
+            combined = remainder
+            for c, g in zip(cofactors, gens):
+                combined = combined + c * g
+            assert combined == f
+            tracked += 1
+    assert tracked >= 20
 
 
 def test_reduce_by_empty_basis_is_identity():
     f = P("x^3 - 2*x*y + 5")
-    assert _reduce(f, [], grevlex) == (f, {})
-    assert _reduce(Poly.zero(XY), [], grevlex) == (Poly.zero(XY), {})
+    assert _reduce(f, [], grevlex, None) == (f, None)
+    assert _reduce(Poly.zero(XY), [], grevlex, None) == (Poly.zero(XY), None)
+    assert _reduce(f, [], grevlex, (f, f)) == (f, (f, f))
 
 
 def test_divide_exact_matches_reference_loop():
