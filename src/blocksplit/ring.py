@@ -385,15 +385,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise RingError("exponent must be a nonnegative integer")
-        result = Poly.const(self.table, 1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _power(self, n, Poly.__mul__)
 
     # -- formatting ----------------------------------------------------------
 
@@ -402,6 +394,19 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _power(base: Poly, n: int,
+           product: Callable[[Poly, Poly], Poly]) -> Poly:
+    """base ** n by repeated squaring, each product formed by `product`."""
+    result = Poly.const(base.table, 1)
+    while n:
+        if n & 1:
+            result = product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return result
 
 
 def _accumulate(out: dict[Monomial, Coeff], terms) -> None:
@@ -531,6 +536,23 @@ def format_poly(f: Poly) -> str:
 # is 1000 frames for the whole call stack.
 MAX_NESTING = 100
 
+# The most work the parser may spend expanding one polynomial string.
+# Each product of two polynomials that it forms, a parenthesized factor
+# times the factors before it or a step of a power's repeated squaring,
+# is charged size(a) * size(b) before it is formed; a number raised to a
+# power is expanded as a power of a constant.  `_size` counts a term once
+# per started 64 bits of its coefficient, so the charge bounds the term
+# products and the word products of their coefficients.  Expanding this
+# much took 0.03 to 0.13 s (CPython 3.11, a shared 2-core host), and the
+# costliest string of the tests and benchmark, 10^5000, charges 26,062.
+# A string that needs more is refused once the charge would pass it.
+MAX_EXPANSION = 100_000
+
+
+def _size(p: Poly) -> int:
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length())
+               // 64 for c in p.terms.values())
+
 
 class _Parser:
     """Recursive-descent parser for the polynomial expression grammar.
@@ -542,7 +564,9 @@ class _Parser:
 
     One regex pass splits the text into tokens; the descent walks the
     token list, which ends in the sentinel "".  Token positions are needed
-    only for an error message, and are found by a second pass then.
+    only for an error message, and are found by a second pass then.  Every
+    product the parser forms is charged to `work`, which may not pass
+    `MAX_EXPANSION`.
     """
 
     def __init__(self, text: str, table: VarTable):
@@ -553,6 +577,7 @@ class _Parser:
         self.toks.append("")
         self.i = 0
         self.depth = 0
+        self.work = 0
 
     def error(self, message: str, end_of: int | None = None) -> ParseError:
         """A ParseError at the start of the current token or, given
@@ -600,8 +625,9 @@ class _Parser:
                 inner = self.group()
                 while toks[self.i] == "^":
                     self.i += 1
-                    inner = inner ** self.nat()
-                product = inner if product is None else product * inner
+                    inner = _power(inner, self.nat(), self.product)
+                product = inner if product is None \
+                    else self.product(product, inner)
             else:
                 value, slot = self.plain()
                 power = 1
@@ -609,7 +635,9 @@ class _Parser:
                     self.i += 1
                     power *= self.nat()
                 if slot is None:
-                    coeff *= value ** power
+                    coeff *= value if power == 1 else _power(
+                        Poly.const(self.table, value), power,
+                        self.product).constant_term()
                 else:
                     mono[slot] += power
             if toks[self.i] != "*":
@@ -624,6 +652,14 @@ class _Parser:
             add = operator.add
             _accumulate(out, ((tuple(map(add, m, mono)), c * coeff)
                               for m, c in product.terms.items()))
+
+    def product(self, a: Poly, b: Poly) -> Poly:
+        """a * b, charged to the string's expansion work first."""
+        self.work += _size(a) * _size(b)
+        if self.work > MAX_EXPANSION:
+            raise self.error(f"expanding products and powers takes more "
+                             f"than {MAX_EXPANSION} term products")
+        return a * b
 
     def group(self) -> Poly:
         """A parenthesized expression; the opening '(' is next."""

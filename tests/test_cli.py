@@ -12,7 +12,8 @@ import pytest
 import blocksplit.quiver
 from blocksplit.certificate import MAX_MATRIX_SIZE, Verdict
 from blocksplit.cli import main
-from blocksplit.ring import MAX_JET_MONOMIALS, VarTable, parse_poly
+from blocksplit.ring import (MAX_EXPANSION, MAX_JET_MONOMIALS, VarTable,
+                            parse_poly)
 
 EX2 = {
     "ring": {"vars": ["x1", "x2"]},
@@ -586,6 +587,26 @@ def test_oversized_numbers_in_a_job_are_input_errors(tmp_path, capsys):
                     f'"index": {LONG}}}')
     code, _, err = run(capsys, ["fitting", "--input", str(path)])
     assert code == 1 and "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("entry", [
+    "(x1+x2+x3+1)^200", "(x1+1)^20000", "3^100000000", "3^10000000",
+    "*".join(["(x1+x2+1)"] * 300),
+], ids=["power", "binomial", "huge-number", "number", "300-factors"])
+def test_oversized_expansion_exits_1_at_once(tmp_path, capsys, entry):
+    """A parenthesized product or power, or a numeric power, is refused as
+    soon as expanding it would take more than MAX_EXPANSION term
+    products; (x1+x2+x3+1)^20, about 63000 of them, still parses."""
+    message = (f"error: field 'matrix[0][0]': expanding products and "
+               f"powers takes more than {MAX_EXPANSION} term products\n")
+    doc = {"ring": {"vars": ["x1", "x2", "x3"]}, "matrix": [[entry]]}
+    path = write_doc(tmp_path, doc)
+    start = time.perf_counter()
+    result = run(capsys, ["det", "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", message)
+    doc["matrix"] = [["(x1+x2+x3+1)^20"]]
+    assert run_json(capsys, ["det", "--input", write_doc(tmp_path, doc)])
 
 
 def test_oversized_numbers_in_a_certificate(tmp_path, capsys):
