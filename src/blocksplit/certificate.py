@@ -115,8 +115,8 @@ def _cleared(unit: Poly, cofactors: Sequence[Poly]):
     """unit and cofactors times D, the lcm of the cofactors' coefficient
     denominators.  An inclusion or adjugate identity holds with them
     exactly when it holds with the originals, and when its other operands
-    are integral, as they are in practice, every term product of its
-    re-check is then a product of ints."""
+    are integral, every term product of its re-check is then a product
+    of ints."""
     D = math.lcm(*(c.denominator for p in cofactors for c in p.terms.values()))
     if D == 1:
         return unit, cofactors
