@@ -23,7 +23,7 @@ the certificate re-check both run.
 
 Products go through one multiply-accumulate kernel, `sum_of_products`,
 which adds a signed sum of products term by term into one dict; `*`,
-`minor` and the certificate re-checks all run it.  When a call forms
+`minor` and every other sum of products in the package run it.  When a call forms
 enough term products, it keys monomials by packed ints, the exponents
 as little-endian bytes, so that a monomial product is one int addition.
 Two invariants make that exact.  A monomial is packed only when every
