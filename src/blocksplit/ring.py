@@ -23,13 +23,13 @@ the certificate re-check both run.
 
 Products go through one multiply-accumulate kernel, `sum_of_products`,
 which adds a signed sum of products term by term into one dict; `*`,
-`minor` and every other sum of products in the package run it.  When a call forms
-enough term products, it keys monomials by packed ints, the exponents
-as little-endian bytes, so that a monomial product is one int addition.
-Two invariants make that exact.  A monomial is packed only when every
-exponent of the call's operands is below `PACK_LIMIT` (128), so that an
-exponent sum stays below 256 and never carries into the next byte; any
-larger exponent sends the call to the tuple loop.  Polys are never
+`minor` and every other sum of products in the package run it.  When a
+call forms enough term products, it keys monomials by packed ints, the
+exponents as little-endian bytes, so that a monomial product is one int
+addition.  Two invariants make that exact.  A monomial is packed only
+when every exponent of the call's operands is below `PACK_LIMIT` (128),
+so that an exponent sum stays below 256 and never carries into the next
+byte; any larger exponent sends the call to the tuple loop.  Polys are never
 mutated after they are built, so the packed form a Poly builds on first
 use, in its `_packed` slot, stays valid for its lifetime.  `Poly.terms`
 is keyed by exponent tuples throughout; packed keys never leave the
