@@ -84,6 +84,7 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise RingError("matrix shape mismatch in product")
+        # column j of the product is self applied to column j of other
         return PolyMatrix(self.table, zip(*map(self.apply,
                                                zip(*other.entries))))
 

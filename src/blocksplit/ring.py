@@ -625,9 +625,9 @@ class _Parser:
                 inner = self.group()
                 while toks[self.i] == "^":
                     self.i += 1
-                    inner = _power(inner, self.nat(), self.product)
+                    inner = _power(inner, self.nat(), self.multiply)
                 product = inner if product is None \
-                    else self.product(product, inner)
+                    else self.multiply(product, inner)
             else:
                 value, slot = self.plain()
                 power = 1
@@ -637,7 +637,7 @@ class _Parser:
                 if slot is None:
                     coeff *= value if power == 1 else _power(
                         Poly.const(self.table, value), power,
-                        self.product).constant_term()
+                        self.multiply).constant_term()
                 else:
                     mono[slot] += power
             if toks[self.i] != "*":
@@ -653,7 +653,7 @@ class _Parser:
             _accumulate(out, ((tuple(map(add, m, mono)), c * coeff)
                               for m, c in product.terms.items()))
 
-    def product(self, a: Poly, b: Poly) -> Poly:
+    def multiply(self, a: Poly, b: Poly) -> Poly:
         """a * b, charged to the string's expansion work first."""
         self.work += _size(a) * _size(b)
         if self.work > MAX_EXPANSION:
