@@ -6,10 +6,13 @@ is re-checked by multiplying out; an inclusion unit*element ==
 sum(cofactor_i * generator_i), with unit invertible at the origin, by
 re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
 puts every (n-1)-minor of A in (f1, f2) at once, by one matrix product
-and a determinant.  Entries of a jet verdict state congruences modulo m^N
-instead of equalities, and their strength must match the verdict's
-provenance: an exact verdict holds no congruence, and a jet verdict of
-order N only congruences modulo m^N.
+and a determinant; a non-inclusion, a linear functional on R/m^N that
+vanishes on I + m^N but not on the element, by pairing it with the
+monomial multiples of each generator and with the element.  Entries of
+a jet verdict state congruences modulo m^N instead of equalities, and
+their strength must match the verdict's provenance: an exact verdict
+holds no congruence, and a jet verdict of order N only congruences
+modulo m^N.
 
 Decoding validates every field and raises InputError naming the first
 malformed one; ``failures()`` then lists what does not re-check, as the
@@ -30,6 +33,8 @@ from .ring import (
     ParseError,
     Poly,
     VarTable,
+    _mono_div,
+    _mono_divides,
     format_poly,
     local_unit_test,
     minor,
@@ -267,6 +272,50 @@ class Inclusion:
                                 f"{field}.cofactors", memo, nonempty=False)
         return Inclusion(element, gens, unit, cofactors,
                          _parse_modulo(d, field))
+
+
+class NonInclusion:
+    """Certified non-membership at the origin: element is not in I*R_m.
+
+    The certificate is a linear functional lam on R/m^N, held as the Poly
+    sum(lam(x^a) * x^a) over monomials of degree < N, that vanishes on
+    every x^b * generator modulo m^N and has lam(element) != 0.  It is
+    sound by Krull: u*element == sum(c_i * g_i) with u(0) != 0 would put
+    element in I + m^N, since u is invertible modulo m^N, and lam
+    vanishes on I + m^N."""
+
+    __slots__ = ("element", "ideal_gens", "order", "functional")
+
+    def __init__(self, element: Poly, ideal_gens: Iterable[Poly], order: int,
+                 functional: Poly):
+        self.element = element
+        self.ideal_gens = tuple(ideal_gens)
+        self.order = order
+        self.functional = functional
+
+    def failures(self, name: str = "non-inclusion") -> list[str]:
+        lam, N = self.functional.terms, self.order
+        for p in (self.element, *self.ideal_gens):
+            self.functional._check(p)
+        if any(sum(a) >= N for a in lam):
+            return [f"{name}: the functional is not one on R/m^{N}: it "
+                    f"weighs a monomial of degree >= {N}"]
+        # lam(x^b * g) == sum over the terms c*x^t of g of c * lam(x^(b+t));
+        # only the b with b + t in lam's support can make it nonzero
+        for k, g in enumerate(self.ideal_gens):
+            pairing: dict = {}
+            for a, weight in lam.items():
+                for t, c in g.terms.items():
+                    if _mono_divides(t, a):
+                        b = _mono_div(a, t)
+                        pairing[b] = pairing.get(b, 0) + weight * c
+            if any(pairing.values()):
+                return [f"{name}: the functional does not vanish on a "
+                        f"monomial multiple of generator {k} modulo m^{N}"]
+        terms = self.element.terms
+        if not sum(weight * terms.get(a, 0) for a, weight in lam.items()):
+            return [f"{name}: the functional vanishes on the element"]
+        return []
 
 
 class AdjugateInclusion:

@@ -6,11 +6,26 @@ Membership is decided under grevlex; any order gives the same answers,
 and the order only shapes the cofactors.  Every positive membership
 answer carries an Inclusion certificate whose re-expansion reproduces
 the tested element exactly; callers are expected to re-check witnesses
-before trusting them.  Local questions (f in I at the origin) are
-reduced to global ones through the colon trick:
+before trusting them.  A local question, f in I R_m for the maximal
+ideal m at the origin, takes the first of these answers that applies,
+cheapest first (`member_local`):
 
-    f in I_loc  <=>  (I : f) contains a polynomial with nonzero constant
-                     term, i.e. 1 in (I : f) + m.
+1. f = 0 lies in every ideal;
+2. a unit f is outside an I inside m, since then I R_m lies in m R_m;
+3. f in I globally lies in I R_m, with unit 1;
+4. a generator g_k with g_k(0) != 0 makes I R_m the whole ring, and
+   g_k * f == f * g_k is the inclusion;
+5. by Krull's intersection theorem, f is outside I R_m exactly when it
+   is outside I + m^N for some N; the jet oracle's echelon tests
+   N = 2, ..., JET_SEPARATION_CAP, and a separating order yields a
+   NonInclusion certificate;
+6. otherwise the colon decides exactly:
+
+       f in I R_m  <=>  (I : f) contains a polynomial with nonzero
+                        constant term, i.e. 1 in (I : f) + m.
+
+Every step is sound and the colon is exact, so the order changes which
+certificate an answer carries, never the answer.
 
 Pair handling in Buchberger follows the Gebauer-Moeller installation
 (both classical criteria), with deterministic tie-breaking so repeated
@@ -44,6 +59,7 @@ from operator import add
 from typing import Iterable
 
 from .ring import (
+    MAX_JET_MONOMIALS,
     Coeff,
     InvariantError,
     Monomial,
@@ -54,6 +70,7 @@ from .ring import (
     _accumulate,
     _div,
     _divisor,
+    _jet_span,
     _mono_div,
     _mono_divides,
     _mono_lcm,
@@ -64,7 +81,13 @@ from .ring import (
     local_unit_test,
     sum_of_products,
 )
-from .certificate import Inclusion
+from .certificate import Inclusion, NonInclusion
+from .oracle import JetEchelon
+
+# The highest jet order `member_local` tries before the colon.  Most
+# non-members of small ideals separate by order 4, and an element that
+# separates at no order (a local-only member) pays one echelon per order.
+JET_SEPARATION_CAP = 6
 
 
 class _Gen:
@@ -329,11 +352,10 @@ def colon(I: Ideal, f: Poly) -> Ideal:
 def member_local(f: Poly, I: Ideal):
     """Does f lie in I after localizing at the origin?
 
-    Decided through 1 in (I : f) + m: the colon ideal reaches outside the
-    maximal ideal exactly when one of its generators has nonzero constant
-    term, and that generator is the certifying unit u with u*f in I.  A
-    unit f and an I inside m answer no at once, since then
-    I R_m lies in m R_m.  Returns (answer, Inclusion or None).
+    Returns (True, Inclusion) or (False, NonInclusion or None) by the
+    route of the module docstring.  The local-unit no and the colon's no
+    carry no certificate; a colon unit and a jet functional are
+    re-checked before they are returned.
     """
     if f.is_zero():
         zeros = tuple(Poly.zero(f.table) for _ in I.generators)
@@ -346,6 +368,14 @@ def member_local(f: Poly, I: Ideal):
     ok, witness = member_global(f, I)
     if ok:
         return True, witness
+    for k, g in enumerate(I.generators):
+        if local_unit_test(g):
+            cofactors = [Poly.zero(f.table)] * len(I.generators)
+            cofactors[k] = f
+            return True, Inclusion(f, I.generators, g, cofactors)
+    separated = _jet_separation(f, I)
+    if separated is not None:
+        return False, separated
     quot = colon(I, f)
     for candidate in quot.generators:
         if local_unit_test(candidate):
@@ -357,18 +387,22 @@ def member_local(f: Poly, I: Ideal):
     return False, None
 
 
-def subset_local(I: Ideal, J: Ideal):
-    """Is every generator of I in J locally?
-
-    Returns (True, [Inclusion per generator]) or (False, first failing
-    generator)."""
-    witnesses = []
-    for g in I.generators:
-        ok, witness = member_local(g, J)
-        if not ok:
-            return False, g
-        witnesses.append(witness)
-    return True, witnesses
+def _jet_separation(f: Poly, I: Ideal) -> NonInclusion | None:
+    """A checked NonInclusion of f in I R_m at the least order N in 2..
+    JET_SEPARATION_CAP at which f is outside I + m^N, or None.  The search
+    stops early where the jet space would pass MAX_JET_MONOMIALS.  Order 1
+    never separates here: I lies in m and f(0) == 0 by then."""
+    nvars = len(f.table)
+    for N in range(2, JET_SEPARATION_CAP + 1):
+        if _jet_span(N, nvars) > MAX_JET_MONOMIALS:
+            break
+        functional = JetEchelon(I.generators, f.table, N).separator(f)
+        if functional is not None:
+            certificate = NonInclusion(f, I.generators, N, functional)
+            if certificate.failures():
+                raise InvariantError("jet separation failed to re-verify")
+            return certificate
+    return None
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

@@ -1,21 +1,21 @@
-"""Independent brute-force verification layer.
+"""Brute-force membership modulo m^N by exact linear algebra.
 
 Ideal membership modulo m^N is a finite-dimensional linear-algebra
 question: f lies in I + m^N iff the truncation of f is a rational linear
 combination of truncated monomial multiples of the generators.  The row
-reduction here is exact (rational pivots, no tolerances) and shares no
-code with the Groebner engine, so the two can referee each other.
+reduction here is exact (rational pivots, no tolerances) and uses no
+Groebner basis.
 
-A jet answer is one-sided evidence: true at order N means "consistent
-with local membership up to degree N", never a proof of membership.
-
-The module also hosts ``random_unimodular``, seeded base changes of
-determinant one for invariance tests.
+A jet answer that f lies in I + m^N is one-sided evidence: it means
+"consistent with local membership up to degree N", never a proof of
+membership.  The other answer is a proof: when f is not in I + m^N, the
+echelon yields a functional on R/m^N that vanishes on I + m^N and not on
+f, so f is not in I at the origin either (`groebner.member_local` uses it
+to answer no before any colon).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 from .ring import (
@@ -28,8 +28,6 @@ from .ring import (
     iter_monomials,
     truncate,
 )
-from .groebner import Ideal
-from .matrix import PolyMatrix
 
 
 class JetSpace:
@@ -129,42 +127,39 @@ class JetEchelon:
             cofactors[gi][mono] = -coeff
         return True, tuple(Poly(f.table, c) for c in cofactors)
 
+    def separator(self, f: Poly) -> Poly | None:
+        """None when f lies in (generators) + m^N; otherwise a functional
+        lam on R/m^N, as the Poly sum(lam(x^a) * x^a), that vanishes on
+        (generators) + m^N and has lam(f) != 0.
+
+        lam is 1 at c, the first column of f's reduced row, and 0 at every
+        other non-pivot column; at a pivot column p it makes lam vanish on
+        p's row.  A pivot row is 1 at p and nonzero only at later columns,
+        so back substitution fixes lam at the pivots before c, and the
+        later ones get 0.  The pivot rows span (generators) + m^N, so
+        lam(f) is the reduced row's entry at c."""
+        row, _ = _eliminate(self.space.vector(f), {}, self.pivots)
+        if not row:
+            return None
+        c = min(row)
+        lam = {c: 1}
+        for p in sorted((p for p in self.pivots if p < c), reverse=True):
+            prow, _ = self.pivots[p]
+            value = -sum(v * lam.get(j, 0) for j, v in prow.items() if j != p)
+            if value:
+                lam[p] = value
+        monomials = self.space.monomials
+        return Poly(f.table, {monomials[j]: v for j, v in lam.items()})
+
 
 def jet_member_witness(f: Poly, generators: Iterable[Poly], N: int):
     """JetEchelon(generators).witness(f) for a single element f."""
     return JetEchelon(generators, f.table, N).witness(f)
 
 
-def jet_member(f: Poly, I: Ideal, N: int) -> bool:
-    """Truncated membership test; exact linear algebra, no Groebner."""
+def jet_member(f: Poly, I, N: int) -> bool:
+    """Truncated membership test of f in the groebner.Ideal I; exact
+    linear algebra, no Groebner."""
     ok, _ = jet_member_witness(f, I.generators, N)
     return ok
 
-
-def _random_poly(rng: random.Random, table: VarTable, degree: int, terms: int,
-                 coeff_bound: int) -> Poly:
-    pool = list(iter_monomials(len(table), degree + 1))
-    acc = {}
-    for _ in range(terms):
-        mono = pool[rng.randrange(len(pool))]
-        coeff = rng.randint(-coeff_bound, coeff_bound)
-        if coeff:
-            acc[mono] = acc.get(mono, 0) + coeff
-    return Poly(table, acc)
-
-
-def random_unimodular(rng: random.Random, table: VarTable, n: int,
-                      degree: int = 1, steps: int = 3) -> PolyMatrix:
-    """Product of elementary transvections: determinant exactly 1."""
-    M = PolyMatrix.identity(table, n)
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        p = _random_poly(rng, table, degree, 2, 2)
-        E = [[Poly.const(table, 1 if r == c else 0) for c in range(n)]
-             for r in range(n)]
-        E[i][j] = p
-        M = M * PolyMatrix(table, E)
-    return M

@@ -542,16 +542,22 @@ MAX_NESTING = 100
 # is charged size(a) * size(b) before it is formed; a number raised to a
 # power is expanded as a power of a constant.  `_size` counts a term once
 # per started 64 bits of its coefficient, so the charge bounds the term
-# products and the word products of their coefficients.  Expanding this
-# much took 0.03 to 0.13 s (CPython 3.11, a shared 2-core host), and the
-# costliest string of the tests and benchmark, 10^5000, charges 26,062.
-# A string that needs more is refused once the charge would pass it.
+# products and the word products of their coefficients.  A number folded
+# into a term's coefficient is charged the product of the two operands'
+# word counts the same way, unless the coefficient is still the term's
+# sign.  Expanding this much took 0.03 to 0.13 s (CPython 3.11, a shared
+# 2-core host), and the costliest string of the tests and benchmark,
+# 10^5000, charges 26,062.  A string that needs more is refused once the
+# charge would pass it.
 MAX_EXPANSION = 100_000
 
 
+def _words(c: Coeff) -> int:
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+
+
 def _size(p: Poly) -> int:
-    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length())
-               // 64 for c in p.terms.values())
+    return sum(map(_words, p.terms.values()))
 
 
 class _Parser:
@@ -635,9 +641,13 @@ class _Parser:
                     self.i += 1
                     power *= self.nat()
                 if slot is None:
-                    coeff *= value if power == 1 else _power(
-                        Poly.const(self.table, value), power,
-                        self.multiply).constant_term()
+                    if power != 1:
+                        value = _power(Poly.const(self.table, value), power,
+                                       self.multiply).constant_term()
+                    if coeff != 1 and coeff != -1:
+                        # a product with the sign is linear in the number
+                        self.charge(_words(coeff) * _words(value))
+                    coeff *= value
                 else:
                     mono[slot] += power
             if toks[self.i] != "*":
@@ -653,12 +663,17 @@ class _Parser:
             _accumulate(out, ((tuple(map(add, m, mono)), c * coeff)
                               for m, c in product.terms.items()))
 
-    def multiply(self, a: Poly, b: Poly) -> Poly:
-        """a * b, charged to the string's expansion work first."""
-        self.work += _size(a) * _size(b)
+    def charge(self, work: int) -> None:
+        """Add `work` to the string's expansion work, which may not pass
+        `MAX_EXPANSION`."""
+        self.work += work
         if self.work > MAX_EXPANSION:
             raise self.error(f"expanding products and powers takes more "
                              f"than {MAX_EXPANSION} term products")
+
+    def multiply(self, a: Poly, b: Poly) -> Poly:
+        """a * b, charged to the string's expansion work first."""
+        self.charge(_size(a) * _size(b))
         return a * b
 
     def group(self) -> Poly:
@@ -974,9 +989,14 @@ def _jet_size_error(what: str, bound: int, nvars: int) -> RingError:
                      f"{MAX_JET_MONOMIALS} monomials")
 
 
+def _jet_span(bound: int, nvars: int) -> int:
+    """The number of monomials of degree < bound in nvars variables."""
+    return math.comb(bound - 1 + nvars, nvars) if bound > 0 else 0
+
+
 def _check_jet_size(what: str, bound: int, nvars: int) -> None:
     """Refuse an order `bound` over `nvars` variables past the cap."""
-    if bound > 0 and math.comb(bound - 1 + nvars, nvars) > MAX_JET_MONOMIALS:
+    if _jet_span(bound, nvars) > MAX_JET_MONOMIALS:
         raise _jet_size_error(what, bound, nvars)
 
 

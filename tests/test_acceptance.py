@@ -13,9 +13,9 @@ import time
 
 from blocksplit.cli import main as cli_main
 from blocksplit.decompose import DECOMPOSABLE, INCONCLUSIVE, check_square_lr
-from blocksplit.groebner import Ideal, member_local, subset_local
+from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
-from blocksplit.oracle import jet_member, random_unimodular
+from blocksplit.oracle import jet_member
 from blocksplit.quiver import (
     Arrow,
     QuiverRep,
@@ -26,6 +26,8 @@ from blocksplit.quiver import (
     complete_reduce,
 )
 from blocksplit.ring import Poly, VarTable, parse_poly
+
+from support import random_unimodular, subset_local
 
 JET_ORDERS = (4, 6, 8)
 

@@ -12,8 +12,8 @@ import pytest
 import blocksplit.quiver
 from blocksplit.certificate import MAX_MATRIX_SIZE, Verdict
 from blocksplit.cli import main
-from blocksplit.ring import (MAX_EXPANSION, MAX_JET_MONOMIALS, VarTable,
-                            parse_poly)
+from blocksplit.ring import (MAX_EXPANSION, MAX_JET_MONOMIALS, ParseError,
+                            VarTable, parse_poly)
 
 EX2 = {
     "ring": {"vars": ["x1", "x2"]},
@@ -607,6 +607,26 @@ def test_oversized_expansion_exits_1_at_once(tmp_path, capsys, entry):
     assert result == (1, "", message)
     doc["matrix"] = [["(x1+x2+x3+1)^20"]]
     assert run_json(capsys, ["det", "--input", write_doc(tmp_path, doc)])
+
+
+def test_folded_numbers_are_charged_to_the_expansion_bound(tmp_path, capsys):
+    """Numbers in one term fold into one coefficient, and each fold is
+    charged the product of its operands' word counts: 400 copies of a
+    4300-digit number multiplied together, then x1 (1.7 MB), is refused
+    at once, where folding all of them takes time quadratic in the
+    string's length."""
+    entry = "*".join(["9" * 4300] * 400) + "*x1"
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_poly(entry, VarTable(("x1",)))
+    assert time.perf_counter() - start < 0.2
+    path = write_doc(tmp_path, {"ring": {"vars": ["x1"]},
+                                "matrix": [[entry]]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["det", "--input", path])
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (1, "")
+    assert f"takes more than {MAX_EXPANSION} term products" in err
 
 
 def test_oversized_numbers_in_a_certificate(tmp_path, capsys):

@@ -18,8 +18,9 @@ from blocksplit.decompose import (
 )
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
-from blocksplit.oracle import random_unimodular
 from blocksplit.ring import RingError, VarTable, grevlex, parse_poly
+
+from support import random_unimodular
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))

@@ -21,8 +21,10 @@ generators, fails here.
 cofactors as canonical text).  Its instances are the first 50
 local-member cases of the benchmark (seed 1) and 12 constructed ones:
 f = a*g1 + b*g2 tested against (u1*g1, u2*g2) with local units u1, u2,
-which global membership misses, so the colon route (intersection, then
-exact division) finds the unit.
+which global membership misses and no jet order separates, so the colon
+route (intersection, then exact division) finds the unit.  Where a
+generator of the ideal has a nonzero constant term and global membership
+misses, the unit-ideal shortcut answers, with that generator as the unit.
 
 ``rect-verdicts.json`` pins the check-rect verdict (status, failed
 hypothesis, and whether the kernel condition passed) of 42 seeded random
@@ -51,7 +53,7 @@ from blocksplit.cli import main
 from blocksplit.decompose import check_rect_lr
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix
-from blocksplit.ring import VarTable, parse_poly
+from blocksplit.ring import VarTable, local_unit_test, parse_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -132,8 +134,20 @@ def test_member_local_witnesses_match_golden():
     for case in cases:
         expected = {k: case[k] for k in ("answer", "unit", "cofactors")}
         assert _witness(case) == expected, case["id"]
-    # the table must keep pinning the colon route, not only global hits
-    assert sum(c["unit"] not in (None, "1") for c in cases) >= 10
+    # the table must keep pinning the colon route in proper ideals and the
+    # unit-ideal shortcut, not only global hits
+    routes = {"colon": 0, "shortcut": 0}
+    for case in cases:
+        if case["unit"] in (None, "1"):
+            continue
+        table = VarTable(case["vars"])
+        gens = [parse_poly(g, table) for g in case["ideal"]]
+        if any(local_unit_test(g) for g in gens):
+            assert parse_poly(case["unit"], table) in gens, case["id"]
+            routes["shortcut"] += 1
+        else:
+            routes["colon"] += 1
+    assert routes["colon"] >= 10 and routes["shortcut"] >= 4
 
 
 RECT_VERDICTS = GOLDEN / "rect-verdicts.json"

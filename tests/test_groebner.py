@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import blocksplit.groebner
+from blocksplit.certificate import NonInclusion
 from blocksplit.groebner import (
     Ideal,
     _Gen,
@@ -22,9 +24,10 @@ from blocksplit.groebner import (
     member_global,
     member_local,
     normal_form,
-    subset_local,
 )
+from blocksplit.oracle import JetEchelon
 from blocksplit.ring import (
+    InvariantError,
     NonDivisibleError,
     Poly,
     RingError,
@@ -38,6 +41,8 @@ from blocksplit.ring import (
     grevlex,
     parse_poly,
 )
+
+from support import subset_local
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
@@ -170,8 +175,10 @@ def test_member_local_examples():
     assert w.verify()
     assert not member_global(f, I)[0]
 
+    # a no found by a jet order carries its certificate
     ok, w = member_local(P("x"), ideal("x^2", "x*y"))
-    assert not ok and w is None
+    assert not ok and isinstance(w, NonInclusion)
+    assert w.order == 2 and w.failures() == []
 
 
 def test_member_local_unit_witness():
@@ -198,6 +205,68 @@ def test_member_local_refuses_a_unit_when_the_ideal_lies_in_m():
     # a generator that is a unit makes I the whole local ring
     ok, w = member_local(P("1 + x"), ideal("x^2", "y - 1"))
     assert ok and w.verify()
+
+
+def refuse_colon(monkeypatch):
+    """Make any call of groebner.colon fail the test."""
+    def colon_ran(*args):
+        raise AssertionError("the colon ran")
+    monkeypatch.setattr(blocksplit.groebner, "colon", colon_ran)
+
+
+def test_member_local_separates_the_capped_case_by_jets(monkeypatch):
+    """Through the colon this case took 16 s; f lies outside I + m^2."""
+    refuse_colon(monkeypatch)
+    t = VarTable(("x1", "x2", "x3"))
+    I = Ideal(t, [parse_poly(g, t) for g in (
+        "2*x1^3 - 4*x3^2", "-2*x1^2*x3 - 2*x1*x2^2",
+        "-x1*x3^4 - 5*x1*x2*x3")])
+    f = parse_poly("-x1*x2^3*x3^2 + 5*x1*x2^3 + 2*x1", t)
+    start = time.perf_counter()
+    ok, w = member_local(f, I)
+    assert time.perf_counter() - start < 1.0
+    assert not ok and isinstance(w, NonInclusion)
+    assert (w.element, w.ideal_gens, w.order) == (f, I.generators, 2)
+    assert w.failures() == []
+
+
+def test_member_local_unit_ideal_shortcut(monkeypatch):
+    """(x^2, y - 1) is the whole local ring but not the whole polynomial
+    ring; its unit generator certifies every element."""
+    refuse_colon(monkeypatch)
+    I = ideal("x^2", "y - 1")
+    for f in (P("1 + x"), P("x"), P("x*y + y^3")):
+        assert not member_global(f, I)[0]
+        ok, w = member_local(f, I)
+        assert ok and w.failures() == []
+        assert w.unit == P("y - 1") and w.cofactors == (P("0"), f)
+
+
+def test_non_inclusion_tampering_fails():
+    """y^2 is outside (x - y^2) + m^3 but not outside (x - y^2) + m^2; its
+    functional is 1 at y^2 and at x, which makes it vanish on x - y^2."""
+    I = ideal("x - y^2")
+    ok, w = member_local(P("y^2"), I)
+    assert not ok and w.order == 3 and w.functional == P("x + y^2")
+    assert w.failures() == []
+    changed = NonInclusion(w.element, w.ideal_gens, w.order,
+                           w.functional + P("x"))
+    lowered = NonInclusion(w.element, w.ideal_gens, 2, w.functional)
+    member = NonInclusion(P("x*y - y^3"), w.ideal_gens, w.order, w.functional)
+    assert changed.failures() == [
+        "non-inclusion: the functional does not vanish on a monomial "
+        "multiple of generator 0 modulo m^3"]
+    assert lowered.failures() == [
+        "non-inclusion: the functional is not one on R/m^2: it weighs a "
+        "monomial of degree >= 2"]
+    assert member.failures() == [
+        "non-inclusion: the functional vanishes on the element"]
+
+
+def test_member_local_rechecks_a_jet_functional(monkeypatch):
+    monkeypatch.setattr(JetEchelon, "separator", lambda self, f: P("x"))
+    with pytest.raises(InvariantError, match="jet separation"):
+        member_local(P("y^2"), ideal("x - y^2"))
 
 
 def test_subset_local_examples():

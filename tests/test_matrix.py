@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from blocksplit.groebner import Ideal, member_global, subset_local
+from blocksplit.groebner import Ideal, member_global
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal, kernel
-from blocksplit.oracle import random_unimodular
 from blocksplit.ring import Poly, RingError, VarTable, parse_poly
+
+from support import random_unimodular, subset_local
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))

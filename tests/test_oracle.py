@@ -13,7 +13,6 @@ from blocksplit.oracle import (
     JetSpace,
     jet_member,
     jet_member_witness,
-    random_unimodular,
 )
 from blocksplit.ring import (
     MAX_JET_MONOMIALS,
@@ -25,6 +24,8 @@ from blocksplit.ring import (
     parse_poly,
     truncate,
 )
+
+from support import random_unimodular
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))

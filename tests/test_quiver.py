@@ -9,7 +9,6 @@ import pytest
 
 from blocksplit.decompose import DECOMPOSABLE, INCONCLUSIVE, NOT_DECOMPOSABLE
 from blocksplit.matrix import PolyMatrix, det
-from blocksplit.oracle import random_unimodular
 from blocksplit.quiver import (
     Arrow,
     QuiverRep,
@@ -21,6 +20,8 @@ from blocksplit.quiver import (
     conj_pencil,
 )
 from blocksplit.ring import Poly, RingError, VarTable, parse_poly, sqrt_exact
+
+from support import random_unimodular
 
 EMPTY = VarTable(())
 XY = VarTable(("x", "y"))

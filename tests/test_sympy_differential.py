@@ -21,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 from blocksplit.cli import main
-from blocksplit.groebner import Ideal, groebner_basis
+from blocksplit.certificate import NonInclusion
+from blocksplit.groebner import Ideal, groebner_basis, member_local
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
 from blocksplit.ring import (
@@ -169,6 +170,46 @@ def test_reduced_groebner_basis_agrees_with_sympy(order, sympy_order):
         expected = [terms_of(e, symbols) for e in theirs.exprs]
         assert sorted(sorted(g.terms.items()) for g in ours) == \
             sorted(sorted(e.items()) for e in expected), gens
+
+
+MEMBER_TABLES = [VarTable(("x1",)), VarTable(("x1", "x2")),
+                 VarTable(("x1", "x2", "x3"))]
+
+
+def test_member_local_negatives_agree_with_sympy():
+    """Local-member-shaped cases: one to three variables, an element of up
+    to three terms and one to three generators of up to two terms, all of
+    degree <= 4.  A no that a jet order N separates is a claim that f is
+    outside I + m^N; sympy must leave a nonzero remainder of f modulo its
+    own grevlex basis of I + m^N.  Every yes must re-check."""
+    rng = random.Random(107)
+    separated = members = 0
+    for _ in range(400):
+        table = rng.choice(MEMBER_TABLES)
+        gens = [g for g in (random_poly(rng, table, 4, 2)
+                            for _ in range(rng.randint(1, 3)))
+                if not g.is_zero()]
+        f = random_poly(rng, table, 4, 3)
+        if not gens:
+            continue
+        ok, w = member_local(f, Ideal(table, gens))
+        if ok:
+            members += 1
+            assert w.failures() == [], (f, gens)
+        elif isinstance(w, NonInclusion):
+            separated += 1
+            assert w.failures() == []
+            symbols = sympy.symbols(table.names)
+            power = [sympy.Mul(*c) for c in
+                     itertools.combinations_with_replacement(symbols, w.order)]
+            basis = sympy.groebner(
+                [poly_to_sympy(g, symbols) for g in gens] + power, *symbols,
+                order="grevlex", domain="QQ")
+            _, remainder = basis.reduce(poly_to_sympy(f, symbols))
+            assert remainder != 0, (f, gens, w.order)
+    # seed 107: 224 yes and 93 no, 48 of them jet-separated; the others
+    # are units outside an ideal inside m, or left to the colon
+    assert separated >= 40 and members >= 100, (separated, members)
 
 
 def random_expression(rng, names, depth=0):
