@@ -2,13 +2,17 @@
 re-check that both the emitting path and ``verify-cert`` run.
 
 A certificate is plain ring arithmetic.  An identity lhs == f_1 * ... * f_k
-is re-checked by multiplying out; an inclusion unit*element ==
-sum(cofactor_i * generator_i), with unit invertible at the origin, by
-re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
-puts every (n-1)-minor of A in (f1, f2) at once, by one matrix product
-and a determinant; a non-inclusion, a linear functional on R/m^N that
-vanishes on I + m^N but not on the element, by pairing it with the
-monomial multiples of each generator and with the element.  Entries of
+is re-checked by multiplying out, once the degrees agree; an inclusion
+unit*element == sum(cofactor_i * generator_i), with unit invertible at
+the origin, by re-expanding; an adjugate inclusion unit*adj(A) ==
+f1*C1 + f2*C2, which puts every (n-1)-minor of A in (f1, f2) at once
+and implies det(A) == f1*f2, by one matrix product and a determinant; a
+line certificate that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line
+p + c*t along which f1 keeps its degree, by restricting both factors to
+the line and two univariate products; a non-inclusion, a linear
+functional on R/m^N that vanishes on I + m^N but not on the element, by
+pairing it with the monomial multiples of each generator and with the
+element.  Entries of
 a jet verdict state congruences modulo m^N instead of equalities, and
 their strength must match the verdict's provenance: an exact verdict
 holds no congruence, and a jet verdict of order N only congruences
@@ -18,10 +22,11 @@ Decoding validates every field and raises InputError naming the first
 malformed one; ``failures()`` then lists what does not re-check, as the
 messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
 matrix code (the determinant is `ring.minor`, the expansion that `det`
-runs too, and each sum of products is one `ring.sum_of_products`), so
-the check stays independent of how a verdict arose.  Inclusions and the
-adjugate entry clear their cofactors' denominators by one rule,
-`_cleared`, before any product.
+runs too, the restriction to a line is `ring.restrict_to_line`, and each
+sum of products is one `ring.sum_of_products`), so
+the check stays independent of how a verdict arose.  Inclusions, the
+adjugate entry and the line certificate clear their cofactors'
+denominators by one rule, `_cleared`, before any product.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 from typing import Any, Iterable, Sequence
 
 from .ring import (
+    LINE,
     ParseError,
     Poly,
     VarTable,
@@ -39,6 +45,7 @@ from .ring import (
     local_unit_test,
     minor,
     parse_poly,
+    restrict_to_line,
     sum_of_products,
     truncate,
 )
@@ -54,6 +61,11 @@ STATUSES = (DECOMPOSABLE, NOT_DECOMPOSABLE, INCONCLUSIVE)
 # n x n determinant can touch 2^n sub-minors, and a dense 10 x 10 form
 # already takes minutes to decide.
 MAX_MATRIX_SIZE = 10
+
+# The highest total degree of a factor that a line certificate may have.
+# Restricting a term of degree d to a line forms about d^2/2 products of
+# univariate polynomials, whose coefficients grow with d.
+MAX_LINE_DEGREE = 100
 
 
 class InputError(Exception):
@@ -91,6 +103,15 @@ def _parse_list(items: Any, table: VarTable, field: str,
             for k, p in enumerate(items)]
 
 
+def _parse_pair(items: Any, table: VarTable, field: str,
+                memo: dict[str, Poly]) -> tuple[Poly, Poly]:
+    expect(isinstance(items, list) and len(items) == 2,
+           f"field '{field}' must be a list of exactly two polynomial "
+           "strings")
+    f1, f2 = _parse_list(items, table, field, memo, nonempty=True)
+    return f1, f2
+
+
 def _parse_square(rows: Any, table: VarTable, field: str,
                   memo: dict[str, Poly], size: int | None) -> list[list[Poly]]:
     """A square matrix of polynomial strings, `size` x `size` when given."""
@@ -118,10 +139,10 @@ def _parse_modulo(d: dict, field: str) -> int | None:
 
 def _cleared(unit: Poly, cofactors: Sequence[Poly]):
     """unit and cofactors times D, the lcm of the cofactors' coefficient
-    denominators.  An inclusion or adjugate identity holds with them
-    exactly when it holds with the originals, and when its other operands
-    are integral, every term product of its re-check is then a product
-    of ints."""
+    denominators.  An inclusion, adjugate or line identity holds with
+    them exactly when it holds with the originals, and when its other
+    operands are integral, every term product of its re-check is then a
+    product of ints."""
     D = math.lcm(*(c.denominator for p in cofactors for c in p.terms.values()))
     if D == 1:
         return unit, cofactors
@@ -181,13 +202,19 @@ class Identity:
     def failures(self) -> list[str]:
         prod = one = Poly.const(self.lhs.table, 1)
         *head, last = self.factors
-        for f in head:
-            prod = prod * f
-        prod._check(last)
-        diff = sum_of_products(one.table, ((self.lhs, one, 1),
-                                           (prod, last, -1)))
-        if _holds(diff, self.modulo_order):
-            return []
+        for f in self.factors:
+            one._check(f)
+        # Q[x] is a domain: an exact product's degree is the sum of its
+        # factors' degrees, which rules out a mismatch before any product
+        degrees = [f.degree() for f in self.factors]
+        if self.modulo_order is not None or self.lhs.degree() == (
+                -1 if -1 in degrees else sum(degrees)):
+            for f in head:
+                prod = prod * f
+            diff = sum_of_products(one.table, ((self.lhs, one, 1),
+                                               (prod, last, -1)))
+            if _holds(diff, self.modulo_order):
+                return []
         return [f"identity '{self.label}': the left side does not equal "
                 f"the product of the factors{_where(self.modulo_order)}"]
 
@@ -318,6 +345,82 @@ class NonInclusion:
         return []
 
 
+def _parse_vector(items: Any, width: int, field: str) -> tuple[int, ...]:
+    ok = isinstance(items, list) and len(items) == width and all(
+        type(e) is int and e.bit_length() < 64 for e in items)
+    expect(ok, f"field '{field}' must be a list of {width} integers, each "
+               "of fewer than 64 bits")
+    return tuple(items)
+
+
+class LineCoprime:
+    """Certified coprimality: gcd(f1, f2) = 1, so (f1) cap (f2) = (f1*f2)
+    both in the polynomial ring and at the origin.  Exact only.
+
+    The certificate is a line p + c*t, with p and c integer vectors, and
+    a, b in Q[t] with a*F1 + b*F2 == 1, where Fi = fi(p + c*t), and F1 of
+    degree deg f1, which says that the top-degree form of f1 does not
+    vanish at c.  It is sound: a common factor h of degree e has a top
+    form dividing f1's, so h(p + c*t) has degree e in t, and it divides
+    a*F1 + b*F2 == 1, so e = 0.  Extended Euclid gives deg a < deg f2 and
+    deg b < deg f1, and decoding refuses any other a and b."""
+
+    __slots__ = ("f1", "f2", "point", "direction", "a", "b")
+
+    def __init__(self, f1: Poly, f2: Poly, point: Sequence[int],
+                 direction: Sequence[int], a: Poly, b: Poly):
+        self.f1 = f1
+        self.f2 = f2
+        self.point = tuple(point)
+        self.direction = tuple(direction)
+        self.a = a
+        self.b = b
+
+    def failures(self) -> list[str]:
+        one = Poly.const(LINE, 1)
+        self.f1._check(self.f2)
+        one._check(self.a)
+        one._check(self.b)
+        F1 = restrict_to_line(self.f1, self.point, self.direction)
+        if F1.degree() != self.f1.degree():
+            return ["coprimality: the top-degree form of f1 vanishes at "
+                    "the direction"]
+        F2 = restrict_to_line(self.f2, self.point, self.direction)
+        one, (a, b) = _cleared(one, (self.a, self.b))
+        if sum_of_products(LINE, ((a, F1, 1), (b, F2, 1))) != one:
+            return ["coprimality: a*f1 + b*f2 does not restrict to 1 on "
+                    "the line"]
+        return []
+
+    def to_json(self) -> dict:
+        return {"factors": [format_poly(self.f1), format_poly(self.f2)],
+                "point": list(self.point),
+                "direction": list(self.direction),
+                "a": format_poly(self.a), "b": format_poly(self.b)}
+
+    @staticmethod
+    def from_json(d: Any, table: VarTable,
+                  memo: dict[str, Poly]) -> "LineCoprime":
+        field = "certificate.coprimality"
+        expect(isinstance(d, dict), f"field '{field}' must be an object")
+        f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
+                             memo)
+        for k, f in enumerate((f1, f2)):
+            expect(f.degree() <= MAX_LINE_DEGREE,
+                   f"field '{field}.factors[{k}]' has degree "
+                   f"{f.degree()}, more than {MAX_LINE_DEGREE}")
+        point = _parse_vector(d.get("point"), len(table), f"{field}.point")
+        direction = _parse_vector(d.get("direction"), len(table),
+                                  f"{field}.direction")
+        a = parse_field(d.get("a"), LINE, f"{field}.a")
+        b = parse_field(d.get("b"), LINE, f"{field}.b")
+        for name, p, other, f in (("a", a, "f2", f2), ("b", b, "f1", f1)):
+            expect(p.degree() < f.degree(),
+                   f"field '{field}.{name}' must have degree below that of "
+                   f"{other}")
+        return LineCoprime(f1, f2, point, direction, a, b)
+
+
 class AdjugateInclusion:
     """Certified inclusion of I_{n-1}(A) in (f1, f2) at the origin, as one
     identity: unit*adj(A) == f1*C1 + f2*C2, with unit invertible at 0.
@@ -391,12 +494,8 @@ class AdjugateInclusion:
         expect(isinstance(d, dict), f"field '{field}' must be an object")
         A = _parse_square(d.get("matrix"), table, f"{field}.matrix", memo,
                           None)
-        factors = d.get("factors")
-        expect(isinstance(factors, list) and len(factors) == 2,
-               f"field '{field}.factors' must be a list of exactly two "
-               "polynomial strings")
-        f1, f2 = _parse_list(factors, table, f"{field}.factors", memo,
-                             nonempty=True)
+        f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
+                             memo)
         unit = parse_field(d.get("unit"), table, f"{field}.unit", memo)
         cofactors = d.get("cofactors")
         expect(isinstance(cofactors, list) and len(cofactors) == 2,
@@ -411,18 +510,21 @@ class Verdict:
     """Outcome of a decision procedure plus its full certificate."""
 
     __slots__ = ("status", "hypotheses", "identities", "inclusions",
-                 "adjugate", "failing", "failed_hypothesis", "scope", "order")
+                 "adjugate", "coprimality", "failing", "failed_hypothesis",
+                 "scope", "order")
 
     def __init__(self, status: str, hypotheses, identities, inclusions,
                  scope: str, failing: Poly | None = None,
                  failed_hypothesis: str | None = None,
                  order: int | None = None,
-                 adjugate: AdjugateInclusion | None = None):
+                 adjugate: AdjugateInclusion | None = None,
+                 coprimality: LineCoprime | None = None):
         self.status = status
         self.hypotheses = list(hypotheses)
         self.identities = list(identities)
         self.inclusions = list(inclusions)
         self.adjugate = adjugate
+        self.coprimality = coprimality
         self.scope = scope
         self.failing = failing
         self.failed_hypothesis = failed_hypothesis
@@ -448,6 +550,9 @@ class Verdict:
         if self.adjugate is not None:
             out.extend(self.adjugate.failures())
             out.extend(self._strength("adjugate", None))
+        if self.coprimality is not None:
+            out.extend(self.coprimality.failures())
+            out.extend(self._strength("coprimality", None))
         out.extend(self._shape())
         return out
 
@@ -506,6 +611,8 @@ class Verdict:
         }
         if self.adjugate is not None:
             out["certificate"]["adjugate"] = self.adjugate.to_json()
+        if self.coprimality is not None:
+            out["certificate"]["coprimality"] = self.coprimality.to_json()
         if self.failing is not None:
             out["failing"] = format_poly(self.failing)
         if self.failed_hypothesis is not None:
@@ -533,6 +640,9 @@ class Verdict:
         adjugate = cert.get("adjugate")
         if adjugate is not None:
             adjugate = AdjugateInclusion.from_json(adjugate, table, memo)
+        coprimality = cert.get("coprimality")
+        if coprimality is not None:
+            coprimality = LineCoprime.from_json(coprimality, table, memo)
 
         status = doc.get("verdict")
         expect(isinstance(status, str), "field 'verdict' must be a string")
@@ -561,4 +671,5 @@ class Verdict:
         return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
                        failing=failing,
                        failed_hypothesis=doc.get("failed_hypothesis"),
-                       order=jet, adjugate=adjugate)
+                       order=jet, adjugate=adjugate,
+                       coprimality=coprimality)

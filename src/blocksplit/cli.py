@@ -299,6 +299,14 @@ def _render_text(report: dict) -> str:
                                ("C2", c2)):
                 lines.append(f"  {name}:")
                 lines.extend(f"    [{', '.join(row)}]" for row in rows)
+        line = cert.get("coprimality")
+        if line is not None:
+            f1, f2 = line["factors"]
+            lines.append(f"coprimality: ({line['a']}) * f1(p + c*t) + "
+                         f"({line['b']}) * f2(p + c*t) = 1")
+            lines.append(f"  f1: {f1}")
+            lines.append(f"  f2: {f2}")
+            lines.append(f"  p: {line['point']}; c: {line['direction']}")
     if "determinant" in report:
         lines.append(f"determinant: {report['determinant']}")
     if "index" in report:
@@ -465,7 +473,8 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
         "valid": not failures,
         "checked": {"identities": len(verdict.identities),
                     "inclusions": len(verdict.inclusions),
-                    "adjugates": int(verdict.adjugate is not None)},
+                    "adjugates": int(verdict.adjugate is not None),
+                    "coprimality": int(verdict.coprimality is not None)},
         "failures": failures,
         "provenance": {"tool": TOOL, "version": __version__},
     }

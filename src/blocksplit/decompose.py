@@ -16,24 +16,47 @@ multiplication, an inclusion by expanding
 unit*element == sum(cofactor_i * generator_i) with unit invertible at 0.
 An exact Decomposable verdict on a square matrix certifies its decisive
 inclusion, of every (n-1)-minor in (f1, f2), with one adjugate identity
-instead of one inclusion per minor.  Certificates for inexact (jet) runs
-state congruences modulo m^N instead of equalities and are never
-presented as exact.
+instead of one inclusion per minor, and that identity's check stands for
+the determinant identity too.  The coprimality of two principal ideals
+(f1) and (f2) in an exact run is certified by restriction to a line:
+integer p and c with f1(p + c*t) of degree deg f1, and a, b in Q[t]
+with a*f1(p + c*t) + b*f2(p + c*t) == 1, from extended Euclid, which
+proves gcd(f1, f2) = 1 (the evaluation step of sparse gcd, Zippel,
+EUROSAM 1979).  Only when a few seeded draws of the line find none, or
+in a jet run, or for ideals with more generators, is I cap J computed
+by elimination and each of its generators certified to lie in I*J.
+Certificates for inexact (jet) runs state congruences modulo m^N
+instead of equalities and are never presented as exact.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from typing import Callable, Iterable
 
-from .ring import Poly, RingError, local_unit_test
+from .ring import (
+    LINE,
+    InvariantError,
+    Poly,
+    RingError,
+    _divisor,
+    _reduce_terms,
+    grevlex,
+    local_unit_test,
+    restrict_to_line,
+    sum_of_products,
+)
 from .certificate import (
     DECOMPOSABLE,
     INCONCLUSIVE,
+    MAX_LINE_DEGREE,
     NOT_DECOMPOSABLE,
     AdjugateInclusion,
     HypothesisCheck,
     Identity,
     Inclusion,
+    LineCoprime,
     Verdict,
 )
 from .groebner import (
@@ -48,7 +71,11 @@ from .matrix import PolyMatrix, adjugate, det, fitting_ideal, kernel
 from .oracle import JetEchelon
 
 # One hypothesis of a checklist and the facts it certifies when it passes.
-Step = tuple[HypothesisCheck, list[Identity], list[Inclusion]]
+Step = tuple[HypothesisCheck, list[Identity | Inclusion | LineCoprime]]
+
+# How many lines `_line_coprime` draws before the coprimality step falls
+# back to the intersection.
+LINE_DRAWS = 4
 
 
 def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
@@ -72,12 +99,73 @@ def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
     return None, entries
 
 
+def _bezout(F: Poly, G: Poly) -> tuple[Poly, Poly] | None:
+    """(a, b) with a*F + b*G == 1 in Q[t], by extended Euclid, or None
+    when gcd(F, G) is not a constant.  Each quotient and remainder comes
+    from the one division loop, and each cofactor update is one
+    `sum_of_products`."""
+    one, zero = Poly.const(LINE, 1), Poly.zero(LINE)
+    r0, r1, s0, s1, u0, u1 = F, G, one, zero, zero, one
+    while not r1.is_zero():
+        remainder, quotients = _reduce_terms(dict(r0.terms),
+                                             (_divisor(r1),), grevlex)
+        q = Poly(LINE, quotients.get(0))
+        r0, r1 = r1, Poly(LINE, remainder)
+        s0, s1 = s1, sum_of_products(LINE, ((s0, one, 1), (q, s1, -1)))
+        u0, u1 = u1, sum_of_products(LINE, ((u0, one, 1), (q, u1, -1)))
+    if r0.degree() != 0:
+        return None
+    inverse = 1 / Fraction(r0.constant_term())
+    return s0 * inverse, u0 * inverse
+
+
+def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
+    """A checked LineCoprime for f1 and f2 from the first of `LINE_DRAWS`
+    lines p + c*t, with p and c drawn in [-3, 3] by a constant-seeded
+    generator, on which f1 keeps its degree and the restrictions have a
+    constant gcd; None when no draw gives one, or when a factor's degree
+    lies outside 1..MAX_LINE_DEGREE."""
+    if not all(1 <= f.degree() <= MAX_LINE_DEGREE for f in (f1, f2)):
+        return None
+    rng = random.Random(0)
+    width = len(f1.table)
+    for _ in range(LINE_DRAWS):
+        point = [rng.randint(-3, 3) for _ in range(width)]
+        direction = [rng.randint(-3, 3) for _ in range(width)]
+        # the factors of a local problem vanish at the origin, so a line
+        # through it (point and direction dependent) meets a common zero,
+        # where the restrictions share a root
+        p0, c0 = next(((p, c) for p, c in zip(point, direction) if p or c),
+                      (0, 0))
+        if all(p * c0 == c * p0 for p, c in zip(point, direction)):
+            continue
+        F1 = restrict_to_line(f1, point, direction)
+        if F1.degree() != f1.degree():
+            continue
+        cofactors = _bezout(F1, restrict_to_line(f2, point, direction))
+        if cofactors is None:
+            continue
+        certificate = LineCoprime(f1, f2, point, direction, *cofactors)
+        if certificate.failures():
+            raise InvariantError("line coprimality certificate failed to "
+                                 "re-verify")
+        return certificate
+    return None
+
+
 def _coprimality(name: str, detail: str, I: Ideal, J: Ideal,
                  jet_order: int | None) -> Step:
-    """Local coprimality I cap J <= I*J as a checklist step."""
+    """Local coprimality I cap J <= I*J as a checklist step.  For two
+    principal ideals in an exact run, a line certificate that the
+    generators are coprime settles it; otherwise, and when the draws find
+    none, each generator of I cap J is certified to lie in I*J."""
+    if jet_order is None and len(I.generators) == len(J.generators) == 1:
+        certificate = _line_coprime(I.generators[0], J.generators[0])
+        if certificate is not None:
+            return HypothesisCheck(name, True, detail), [certificate]
     failing, entries = _local_inclusion(
         intersect(I, J).generators, ideal_product(I, J), jet_order)
-    return HypothesisCheck(name, failing is None, detail), [], entries
+    return HypothesisCheck(name, failing is None, detail), entries
 
 
 def _decide(steps: Iterable[Step],
@@ -95,13 +183,19 @@ def _decide(steps: Iterable[Step],
     hyps: list[HypothesisCheck] = []
     identities: list[Identity] = []
     inclusions: list[Inclusion] = []
-    for check, step_identities, step_inclusions in steps:
+    coprimality = None
+    for check, facts in steps:
         hyps.append(check)
         if not check.passed:
             return Verdict(INCONCLUSIVE, hyps, identities, inclusions, scope,
                            failed_hypothesis=check.name, order=jet_order)
-        identities.extend(step_identities)
-        inclusions.extend(step_inclusions)
+        for fact in facts:
+            if isinstance(fact, Identity):
+                identities.append(fact)
+            elif isinstance(fact, LineCoprime):
+                coprimality = fact
+            else:
+                inclusions.append(fact)
     elements, target = decisive()
     failing, entries = _local_inclusion(elements, target, jet_order)
     status = DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE
@@ -109,7 +203,8 @@ def _decide(steps: Iterable[Step],
     if failing is None and condense is not None:
         adjugate, entries = condense(entries), []
     return Verdict(status, hyps, identities, inclusions + entries, scope,
-                   failing=failing, order=jet_order, adjugate=adjugate)
+                   failing=failing, order=jet_order, adjugate=adjugate,
+                   coprimality=coprimality)
 
 
 def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
@@ -165,17 +260,19 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     inclusion of I_{n-1}(A) in (f1) + (f2) that decides the verdict.
     `subject` names det(A) in the first hypothesis's detail.  An exact
     Decomposable verdict certifies that inclusion with one adjugate
-    identity; det(A), the Fitting ideal and adj(A) share one minor memo."""
+    identity, whose check recomputes det(A) and requires it to equal
+    f1*f2, so its certificate drops the determinant identity; det(A), the
+    Fitting ideal and adj(A) share one minor memo."""
     memo: dict = {}
+    identity = Identity("determinant-factorization", det(A, memo), (f1, f2),
+                        jet_order)
 
     def steps():
-        identity = Identity("determinant-factorization", det(A, memo),
-                            (f1, f2), jet_order)
         relation = "=" if jet_order is None else f"= (mod m^{jet_order})"
         yield (HypothesisCheck("determinant-factorization", identity.verify(),
                                f"{subject} {relation} (f1)*(f2)"),
-               [identity], [])
-        yield hypothesis, [], []
+               [identity])
+        yield hypothesis, []
         yield _coprimality("factor-coprimality",
                            "(f1) cap (f2) <= (f1*f2) at the origin",
                            Ideal(A.table, (f1,)), Ideal(A.table, (f2,)), jet_order)
@@ -184,10 +281,13 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     # m^N, so a jet verdict keeps one inclusion per minor
     condense = None if jet_order is not None else (
         lambda entries: _adjugate_inclusion(A, memo, f1, f2, entries))
-    return _decide(steps(),
-                   lambda: (fitting_ideal(A, A.rows - 1, memo).generators,
-                            Ideal(A.table, (f1, f2))),
-                   scope, jet_order, condense)
+    verdict = _decide(steps(),
+                      lambda: (fitting_ideal(A, A.rows - 1, memo).generators,
+                               Ideal(A.table, (f1, f2))),
+                      scope, jet_order, condense)
+    if verdict.adjugate is not None:
+        verdict.identities.remove(identity)
+    return verdict
 
 
 def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
@@ -236,7 +336,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         yield (HypothesisCheck(
             "maximal-minors-nonzero", not Im.is_zero(),
             "I_m(A) is nonzero (the ring is a domain, so its annihilator "
-            "is 0)"), [], [])
+            "is 0)"), [])
 
         ker = kernel(A)
         failing, entries = _local_inclusion(
@@ -245,7 +345,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
                   "I_m(A) locally" if failing is None else
                   f"kernel component {failing} escapes I_m(A) locally")
         yield HypothesisCheck("kernel-condition", failing is None,
-                              detail), [], entries
+                              detail), entries
 
         ok = True
         detail = "J1 and J2 are each neither zero nor the unit ideal locally"
@@ -256,7 +356,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
             if contains_local_unit(J):
                 ok, detail = False, f"{label} is the unit ideal locally"
                 break
-        yield HypothesisCheck("ideal-nontriviality", ok, detail), [], []
+        yield HypothesisCheck("ideal-nontriviality", ok, detail), []
 
         prod = ideal_product(J1, J2)
         fwd, fwd_entries = _local_inclusion(Im.generators, prod, None)
@@ -264,7 +364,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         yield (HypothesisCheck(
             "product-identity", fwd is None and bwd is None,
             "I_m(A) = J1*J2 as ideals at the origin"),
-            [], fwd_entries + bwd_entries)
+            fwd_entries + bwd_entries)
         yield _coprimality("ideal-coprimality",
                            "J1 cap J2 <= J1*J2 at the origin", J1, J2, None)
 

@@ -297,7 +297,7 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8) -> Verdict:
         square = [] if root is None else [
             Identity("discriminant-square", disc, (root, root))]
         return _decide(
-            [(nondegenerate, square, [])],
+            [(nondegenerate, square)],
             lambda: ((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
                      Ideal(A.table, (root,))),
             _CONJ_SCOPE, None)

@@ -19,7 +19,9 @@ Q[x1,...,xp] at the origin: units are exactly the elements with nonzero
 constant term, and series-style operations (truncation, square roots)
 treat a polynomial together with an explicit order bound as a jet.
 `minor` is the one memoized determinant expansion, which `matrix` and
-the certificate re-check both run.
+the certificate re-check both run, and `restrict_to_line` the one
+substitution of a line p + c*t, over the one-variable table `LINE`,
+which the coprimality search and its certificate's re-check both run.
 
 Products go through one multiply-accumulate kernel, `sum_of_products`,
 which adds a signed sum of products term by term into one dict; `*`,
@@ -268,6 +270,10 @@ class Poly:
         if not self.terms:
             return None
         return min(sum(m) for m in self.terms)
+
+    def degree(self) -> int:
+        """Max total degree of a term; -1 for zero."""
+        return max(map(sum, self.terms), default=-1)
 
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly._trusted(
@@ -887,6 +893,45 @@ def truncate(f: Poly, bound: int) -> Poly:
         raise RingError("order bound must be nonnegative")
     return Poly._trusted(
         f.table, {m: c for m, c in f.terms.items() if sum(m) < bound})
+
+
+# The ring of a polynomial restricted to a line, Q[t].
+LINE = VarTable(("t",))
+
+
+def restrict_to_line(f: Poly, point: Sequence[int],
+                     direction: Sequence[int]) -> Poly:
+    """f(point + direction*t) over `LINE`.
+
+    Each power (p_i + c_i*t)^e is written out once, by the binomial
+    theorem; a term coeff*x^m becomes coeff times the product of its
+    powers, and the terms are added by one `sum_of_products`.  The
+    coefficient of t^deg(f) is the top-degree form of f evaluated at
+    `direction`."""
+    width = len(f.table)
+    if len(point) != width or len(direction) != width:
+        raise RingError("a line needs one point and one direction entry "
+                        "per variable")
+    one = Poly.const(LINE, 1)
+    powers: dict[tuple[int, int], Poly] = {}
+
+    def power(i: int, e: int) -> Poly:
+        value = powers.get((i, e))
+        if value is None:
+            p, c = point[i], direction[i]
+            value = powers[(i, e)] = Poly(LINE, {
+                (k,): math.comb(e, k) * p ** (e - k) * c ** k
+                for k in range(e + 1)})
+        return value
+
+    products = []
+    for mono, coeff in f.terms.items():
+        *init, last = [power(i, e) for i, e in enumerate(mono) if e] or [one]
+        head = init[0] * coeff if init else Poly.const(LINE, coeff)
+        for p in init[1:]:
+            head = head * p
+        products.append((head, last, 1))
+    return sum_of_products(LINE, products)
 
 
 def minor(entries: Sequence[Sequence[Poly]], memo: dict, rows: tuple,

@@ -1,5 +1,6 @@
 """The certificate layer: JSON round trips, the strength rules, and the
-adjugate entry's re-check."""
+re-checks of the adjugate entry and of the line certificate of
+coprimality."""
 
 from __future__ import annotations
 
@@ -19,15 +20,17 @@ from blocksplit.certificate import (
     Identity,
     Inclusion,
     InputError,
+    LineCoprime,
     Verdict,
 )
-from blocksplit.ring import Poly, VarTable, parse_poly
+from blocksplit.ring import LINE, Poly, VarTable, parse_poly
 
 from blocksplit.cli import main
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
 
-from test_cli import EX2, STRING_QUIVER, run_json, write_doc
+from test_cli import EX2, LEGACY, STRING_QUIVER, legacy_report, run_json, \
+    write_doc
 
 XY = VarTable(("x", "y"))
 
@@ -77,9 +80,8 @@ def test_strength_must_match_provenance():
         "inclusion 0: modulo m^1 in a certificate of jet order 3"]
 
 
-def test_from_json_names_the_malformed_field(tmp_path, capsys):
-    path = write_doc(tmp_path, EX2)
-    report = run_json(capsys, ["check-square", "--input", path])
+def test_from_json_names_the_malformed_field():
+    report = legacy_report()
     table = VarTable(report["ring"]["vars"])
     cases = [
         (("certificate", "inclusions", 0, "modulo_order"), 0,
@@ -111,6 +113,8 @@ def test_from_json_parses_each_string_once(monkeypatch):
     strings += [*adjugate["factors"], adjugate["unit"]]
     strings += [s for grid in (adjugate["matrix"], *adjugate["cofactors"])
                 for row in grid for s in row]
+    line = cert["coprimality"]
+    strings += line["factors"]
     assert len(set(strings)) < len(strings)
     parsed = []
 
@@ -120,7 +124,8 @@ def test_from_json_parses_each_string_once(monkeypatch):
 
     monkeypatch.setattr(blocksplit.certificate, "parse_poly", counting)
     verdict = Verdict.from_json(report, VarTable(report["ring"]["vars"]))
-    assert sorted(parsed) == sorted(set(strings))
+    # a and b are polynomials in t, over a ring of their own
+    assert sorted(parsed) == sorted([*set(strings), line["a"], line["b"]])
     assert verdict.failures() == []
     assert {**report, **verdict.to_json()} == report
 
@@ -225,7 +230,7 @@ def test_altering_any_part_of_a_fractional_inclusion_fails(tmp_path,
     cofactor 1/81, which the check clears, with the unit, before its
     products; altering the element, a generator, the unit or a cofactor
     must still fail that inclusion alone."""
-    report = json.loads((GOLDEN / "quiver3-check.out").read_text())
+    report = legacy_report()
     inclusion = report["certificate"]["inclusions"][0]
     assert any("/" in c for c in inclusion["cofactors"])
     spots = [("element",), ("unit",)]
@@ -325,3 +330,118 @@ def test_adjugate_agrees_with_the_per_minor_route(tmp_path, capsys, job):
     per_minor = all(member_local(g, J)[0] for g in minors)
     assert report["verdict"] == job["expect"] == (
         "Decomposable" if per_minor else "NotDecomposable")
+
+
+def test_verify_cert_accepts_the_legacy_report(tmp_path, capsys):
+    """A report whose coprimality is certified by inclusions, and which
+    spells out det(A) = f1*f2 beside its adjugate entry, keeps
+    verifying."""
+    code = main(["verify-cert", "--cert", str(LEGACY)])
+    result = json.loads(capsys.readouterr().out)
+    assert (code, result["valid"], result["failures"]) == (0, True, [])
+    assert result["checked"] == {"identities": 1, "inclusions": 1,
+                                 "adjugates": 1, "coprimality": 0}
+
+
+def quiver3_report() -> dict:
+    return json.loads((GOLDEN / "quiver3-check.out").read_text())
+
+
+def test_altering_any_part_of_a_line_certificate_fails(tmp_path, capsys):
+    """Adding t or 1/7 to a or b, or a variable or 1/7 to a factor, and
+    moving any coordinate of the point or the direction by one, each
+    fail the coprimality entry alone; so does swapping f1 and f2."""
+    report = quiver3_report()
+    line = report["certificate"]["coprimality"]
+    assert verify_report(tmp_path, capsys, report) == (0, [])
+    assert_every_alteration_fails(
+        tmp_path, capsys, report, lambda cert: cert["coprimality"],
+        [("a",), ("b",)], "t", "coprimality: ")
+    assert_every_alteration_fails(
+        tmp_path, capsys, report, lambda cert: cert["coprimality"],
+        [("factors", 0), ("factors", 1)], report["ring"]["vars"][0],
+        "coprimality: ")
+    for key in ("point", "direction"):
+        for k in range(len(line[key])):
+            doc = json.loads(json.dumps(report))
+            doc["certificate"]["coprimality"][key][k] += 1
+            code, failures = verify_report(tmp_path, capsys, doc)
+            assert code == 2 and failures, (key, k)
+            assert all(f.startswith("coprimality: ") for f in failures)
+    doc = json.loads(json.dumps(report))
+    doc["certificate"]["coprimality"]["factors"].reverse()
+    assert verify_report(tmp_path, capsys, doc) == (2, [
+        "coprimality: a*f1 + b*f2 does not restrict to 1 on the line"])
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("point", "0", "point"),
+    ("point", [0] * 11, "point"),
+    ("point", [0] * 11 + [True], "point"),
+    ("point", [0] * 11 + [1.0], "point"),
+    ("point", [0] * 11 + [2 ** 63], "point"),
+    ("direction", [0] * 11 + [-2 ** 63], "direction"),
+    ("direction", None, "direction"),
+    ("a", "t +", "a"),
+    ("b", "x_1_1", "b"),
+    ("a", 3, "a"),
+    ("a", "t^3", "a"),
+    ("b", "t^3 + 1", "b"),
+    ("factors", ["y_1"], "factors"),
+    ("factors", ["y_1", "y_2^101"], "factors[1]"),
+])
+def test_a_malformed_line_certificate_is_an_input_error(tmp_path, capsys,
+                                                        key, value, field):
+    """A point or direction that is not a list of 12 ints of fewer than 64
+    bits, an a or b that is not a polynomial in t, an a of degree deg f2
+    or more or a b of degree deg f1 or more, and a factor of degree past
+    MAX_LINE_DEGREE each exit 1 naming the field."""
+    report = quiver3_report()
+    report["certificate"]["coprimality"][key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(report))
+    code = main(["verify-cert", "--cert", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"field 'certificate.coprimality.{field}'" in err
+
+
+def test_entries_of_63_bits_are_accepted(tmp_path, capsys):
+    report = quiver3_report()
+    line = report["certificate"]["coprimality"]
+    line["point"][0] = 2 ** 63 - 1
+    line["direction"][0] = -(2 ** 63 - 1)
+    assert verify_report(tmp_path, capsys, report) == (2, [
+        "coprimality: a*f1 + b*f2 does not restrict to 1 on the line"])
+
+
+def test_a_direction_where_f1_drops_degree_fails(tmp_path, capsys):
+    """With f1 = x1 and f2 = x1*x2 on the line (1, 0) + (0, 1)*t, the
+    identity 1*F1 + 0*F2 = 1 holds, but f1's top form x1 vanishes at the
+    direction, so the line says nothing about a common factor."""
+    x1, x1x2 = parse_poly("x1", EX_TABLE), parse_poly("x1*x2", EX_TABLE)
+    one, zero = parse_poly("1", LINE), parse_poly("0", LINE)
+    degenerate = LineCoprime(x1, x1x2, (1, 0), (0, 1), one, zero)
+    message = ("coprimality: the top-degree form of f1 vanishes at the "
+               "direction")
+    assert degenerate.failures() == [message]
+    report = ex2_report(tmp_path, capsys)
+    report["certificate"]["coprimality"] = degenerate.to_json()
+    assert verify_report(tmp_path, capsys, report) == (2, [message])
+
+
+EX_TABLE = VarTable(("x1", "x2"))
+
+
+def test_a_line_certificate_in_a_jet_report_is_refused():
+    x1, x2 = parse_poly("x1", EX_TABLE), parse_poly("x2", EX_TABLE)
+    # x1 and x2 restrict to 1 + t and t on (1, 0) + (1, 1)*t
+    entry = LineCoprime(x1, x2, (1, 0), (1, 1), parse_poly("1", LINE),
+                        parse_poly("-1", LINE))
+    assert entry.failures() == []
+    jet = Verdict(INCONCLUSIVE, [], [], [], "", order=3,
+                  failed_hypothesis="h", coprimality=entry)
+    assert jet.failures() == [
+        "coprimality: an exact claim in a certificate of jet order 3",
+        "verdict shape: Inconclusive must name a failed hypothesis from "
+        "the checklist"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -34,6 +35,16 @@ STRING_QUIVER = {
 }
 
 
+# The check-quiver report of tests/golden/quiver3.json as emitted before
+# line certificates: its coprimality is one inclusion with a fractional
+# cofactor, and it keeps the determinant identity beside the adjugate.
+LEGACY = pathlib.Path(__file__).parent / "golden" / "quiver3-check-legacy.out"
+
+
+def legacy_report() -> dict:
+    return json.loads(LEGACY.read_text(encoding="utf-8"))
+
+
 def write_doc(tmp_path, doc, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -63,9 +74,14 @@ def test_check_square_report(tmp_path, capsys):
     assert names == ["determinant-factorization", "factor-nontriviality",
                      "factor-coprimality"]
     assert all(h["passed"] for h in report["hypotheses"])
-    assert report["certificate"]["inclusions"]
-    for inc in report["certificate"]["inclusions"]:
-        assert set(inc) >= {"element", "ideal", "unit", "cofactors"}
+    # the adjugate entry certifies the minors and det(A) = f1*f2, and the
+    # line certificate the coprimality: no inclusion or identity is left
+    cert = report["certificate"]
+    assert cert["identities"] == cert["inclusions"] == []
+    assert set(cert["coprimality"]) == {"factors", "point", "direction",
+                                        "a", "b"}
+    assert cert["coprimality"]["factors"] == cert["adjugate"]["factors"] \
+        == ["-x1 + x2", "x1^2 + x1*x2 + x2^2"]
 
 
 def test_round_trip_verify(tmp_path, capsys):
@@ -173,9 +189,9 @@ def test_text_format_order(tmp_path, capsys):
                                 "--format", "text"])
     assert code == 0
     hyp = out.index("hypotheses:")
-    incl = out.index("inclusions:")
+    certificate = out.index("coprimality:")
     verdict = out.index("verdict: Decomposable")
-    assert hyp < incl < verdict
+    assert hyp < certificate < verdict
     assert "scope:" in out
 
 
@@ -276,10 +292,8 @@ def test_exact_only_commands_reject_jet(tmp_path, capsys):
 
 
 def test_verify_cert_rejects_tampering(tmp_path, capsys):
-    path = write_doc(tmp_path, EX2)
-    _, out, _ = run(capsys, ["check-square", "--input", path])
-    report = json.loads(out)
-    report["certificate"]["inclusions"][0]["cofactors"][0] = "x1 + 1"
+    report = legacy_report()
+    report["certificate"]["inclusions"][0]["cofactors"][0] = "x_1_1 + 1"
     cert = tmp_path / "tampered.json"
     cert.write_text(json.dumps(report))
     code, out, _ = run(capsys, ["verify-cert", "--cert", str(cert)])
@@ -486,7 +500,7 @@ def _verify(tmp_path, capsys, report):
 def test_verify_cert_rejects_congruences_in_an_exact_report(tmp_path, capsys):
     # modulo m^1 every entry holds with zero cofactors, since all of its
     # polynomials vanish at the origin; an exact report must not say so
-    report = _ex2_report(tmp_path, capsys)
+    report = legacy_report()
     assert report["provenance"]["exact"] is True
     for entry in report["certificate"]["identities"]:
         entry["modulo_order"] = 1
@@ -630,7 +644,7 @@ def test_folded_numbers_are_charged_to_the_expansion_bound(tmp_path, capsys):
 
 
 def test_oversized_numbers_in_a_certificate(tmp_path, capsys):
-    report = _ex2_report(tmp_path, capsys)
+    report = legacy_report()
     report["certificate"]["inclusions"][0]["cofactors"][0] = LONG
     code, _, err = _verify(tmp_path, capsys, report)
     assert code == 1
@@ -645,6 +659,24 @@ def test_oversized_numbers_in_a_certificate(tmp_path, capsys):
     cert.write_text(json.dumps(report)[:-1] + f', "extra": {LONG}}}')
     code, _, err = run(capsys, ["verify-cert", "--cert", str(cert)])
     assert code == 1 and "more than 4300 digits" in err
+
+
+def test_an_identity_whose_degrees_disagree_fails_before_any_product(
+        tmp_path, capsys):
+    """Q[x] is a domain, so 300 factors x1 + x2 + 1 cannot multiply out to
+    a left side of degree 1; the check says so without forming the
+    product."""
+    report = _ex2_report(tmp_path, capsys)
+    report["certificate"]["identities"].append(
+        {"label": "long", "lhs": "x1 + x2 + 1",
+         "factors": ["x1+x2+1"] * 300})
+    start = time.perf_counter()
+    code, out, _ = _verify(tmp_path, capsys, report)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["failures"] == [
+        "identity 'long': the left side does not equal the product of the "
+        "factors"]
 
 
 def test_non_utf8_document_is_an_input_error(tmp_path, capsys):

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+import blocksplit.decompose
 import blocksplit.groebner
+from blocksplit.certificate import Inclusion, LineCoprime
 from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
@@ -18,7 +20,8 @@ from blocksplit.decompose import (
 )
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
-from blocksplit.ring import RingError, VarTable, grevlex, parse_poly
+from blocksplit.ring import (InvariantError, RingError, VarTable, grevlex,
+                            parse_poly)
 
 from support import random_unimodular
 
@@ -89,9 +92,9 @@ def test_adjugate_scales_cofactors_by_the_other_units():
     assert units == {"x + 1", "y + 1"}
     verdict = check_square_lr(A, f1, f2)
     assert verdict.status == DECOMPOSABLE and verdict.failures() == []
-    assert verdict.inclusions and all(
-        inc.element not in (P("x*(1 + y)"), P("y*(1 + x)"))
-        for inc in verdict.inclusions)
+    # the adjugate entry stands for the minors' inclusions, and a line
+    # certificate for the coprimality
+    assert verdict.inclusions == [] and verdict.coprimality is not None
     assert verdict.adjugate.unit == P("(1 + x)*(1 + y)")
 
 
@@ -201,17 +204,71 @@ def test_rect_shape_error():
                       Ideal(XY, (P("y"),)))
 
 
-def test_coprime_witnessed_examples():
-    def coprime(I, J):
-        check, _, entries = _coprimality("coprime", "", I, J, None)
-        assert all(inc.verify() for inc in entries)
-        return check.passed
+def coprime(I, J):
+    """The coprimality step's outcome; every fact it certifies re-checks."""
+    check, facts = _coprimality("coprime", "", I, J, None)
+    assert all(fact.failures() == [] for fact in facts)
+    return check.passed, facts
 
-    assert coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("y"),)))
-    assert not coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("x*(1 + x)"),)))
+
+def test_coprime_witnessed_examples():
+    passed, facts = coprime(Ideal(XY, (P("x"),)), Ideal(XY, (P("y"),)))
+    assert passed and [type(f) for f in facts] == [LineCoprime]
+    assert coprime(Ideal(XY, (P("x"),)),
+                   Ideal(XY, (P("x*(1 + x)"),))) == (False, [])
     for n in (1, 2):
         I, J = (Ideal(X12, (f,)) for f in ex2_factors(n))
-        assert coprime(I, J)
+        passed, facts = coprime(I, J)
+        assert passed and [type(f) for f in facts] == [LineCoprime]
+    # two generators keep the intersection route
+    passed, facts = coprime(Ideal(XY, (P("x"), P("x^2"))),
+                            Ideal(XY, (P("y"),)))
+    assert passed and facts and all(isinstance(f, Inclusion) for f in facts)
+
+
+def counting_intersect(monkeypatch):
+    """Count the calls of the intersection the coprimality step makes."""
+    calls = []
+    intersect = blocksplit.decompose.intersect
+
+    def counting(I, J):
+        calls.append((I, J))
+        return intersect(I, J)
+
+    monkeypatch.setattr(blocksplit.decompose, "intersect", counting)
+    return calls
+
+
+def test_a_common_factor_that_is_a_unit_at_0_falls_back(monkeypatch):
+    """x1*(1 + x2) and x2*(1 + x2) share 1 + x2, so no line certificate
+    exists; 1 + x2 is a unit at the origin, where the intersection route
+    finds them coprime."""
+    calls = counting_intersect(monkeypatch)
+    I = Ideal(X12, (P("x1*(1 + x2)", X12),))
+    J = Ideal(X12, (P("x2*(1 + x2)", X12),))
+    passed, facts = coprime(I, J)
+    assert passed and len(calls) == 1
+    assert facts and all(isinstance(f, Inclusion) for f in facts)
+    # x1 and x1*(1 + x1) are not coprime at the origin either
+    assert coprime(Ideal(X12, (P("x1", X12),)),
+                   Ideal(X12, (P("x1*(1 + x1)", X12),))) == (False, [])
+    assert len(calls) == 2
+
+
+def test_a_line_certificate_is_rechecked_before_use(monkeypatch):
+    monkeypatch.setattr(LineCoprime, "failures", lambda self: ["forced"])
+    with pytest.raises(InvariantError):
+        _coprimality("coprime", "", Ideal(XY, (P("x"),)),
+                     Ideal(XY, (P("y"),)), None)
+
+
+def test_a_jet_run_keeps_the_intersection_route(monkeypatch):
+    calls = counting_intersect(monkeypatch)
+    check, facts = _coprimality("coprime", "", Ideal(XY, (P("x"),)),
+                                Ideal(XY, (P("y"),)), 4)
+    assert check.passed and len(calls) == 1
+    assert all(isinstance(f, Inclusion) and f.modulo_order == 4
+               for f in facts)
 
 
 def test_verdict_reports_only_true_facts():

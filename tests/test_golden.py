@@ -15,7 +15,12 @@ provenance names the lex order (``square-notdec-lex.json``, issued when
 the order was a job option), so reports from that time keep verifying.
 Each ``<case>.out`` file is the stdout the CLI printed for that case;
 any change to a report, down to whitespace or the order of Fitting
-generators, fails here.
+generators, fails here.  ``quiver3-check-legacy.out`` is the 3-vertex
+report as printed before coprimality had a line certificate: one
+inclusion of the intersection's generator in (f1*f2), with a cofactor
+1/81, and the determinant identity beside the adjugate entry.  It is
+not regenerated; the certificate tests alter it and check that it
+keeps verifying.
 
 ``member-local.json`` pins ``member_local`` witnesses (answer, unit and
 cofactors as canonical text).  Its instances are the first 50
@@ -49,6 +54,7 @@ import sys
 
 import pytest
 
+import blocksplit.decompose
 from blocksplit.cli import main
 from blocksplit.decompose import check_rect_lr
 from blocksplit.groebner import Ideal, member_local
@@ -102,6 +108,32 @@ def test_report_matches_golden(case, command, doc, flags):
     assert (code, err) == (EXIT.get(case, 0), "")
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert out == expected
+
+
+@pytest.mark.parametrize("case", ["square-dec", "quiver3-check"])
+def test_no_elimination_basis_on_the_square_and_quiver_path(monkeypatch,
+                                                           case):
+    """Coprime principal factors of an exact check get a line certificate,
+    so the intersection's elimination basis never runs."""
+    def refuse(I, J):
+        raise AssertionError("intersect called")
+
+    monkeypatch.setattr(blocksplit.decompose, "intersect", refuse)
+    _, command, doc, flags = next(c for c in CASES if c[0] == case)
+    code, out, err = _run(command, doc, flags)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["square-dec", "square-notdec", "quiver2",
+                                  "quiver3-check"])
+def test_exact_square_and_quiver_reports_carry_a_checked_line(case):
+    report = json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))
+    assert report["provenance"]["exact"] is True
+    assert report["certificate"]["coprimality"]
+    code, out, err = _run("verify-cert", f"{case}.out", ())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checked"]["coprimality"] == 1
 
 
 def test_quiver3_is_the_quiver_sum_benchmark_job():

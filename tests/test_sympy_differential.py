@@ -1,6 +1,7 @@
 """Determinants, Fitting ideals, reduced Groebner bases, the expression
-parser, the monomial orders and the determinant factorizations of the
-golden reports refereed by sympy.
+parser, the monomial orders, the determinant factorizations of the
+golden reports and the line certificates of coprimality refereed by
+sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
 outside the minor expansion, the Groebner engine and the parser.  The
@@ -20,9 +21,17 @@ from fractions import Fraction
 
 import pytest
 
+import blocksplit.decompose
 from blocksplit.cli import main
-from blocksplit.certificate import NonInclusion
-from blocksplit.groebner import Ideal, groebner_basis, member_local
+from blocksplit.certificate import LineCoprime, NonInclusion
+from blocksplit.decompose import _coprimality, _local_inclusion
+from blocksplit.groebner import (
+    Ideal,
+    groebner_basis,
+    ideal_product,
+    intersect,
+    member_local,
+)
 from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import Arrow, QuiverRep, Vertex, build_kronecker
 from blocksplit.ring import (
@@ -368,7 +377,9 @@ def test_golden_det_factorization_agrees_with_sympy_factor_list(doc_name,
     """sympy expands det(A) of the job on its own and factors it; the
     report's determinant-factorization claim must name that determinant
     and split it into f1*f2 up to a nonzero constant, with the same
-    irreducible factors and multiplicities."""
+    irreducible factors and multiplicities.  A report with an adjugate
+    entry makes the claim there instead: its check recomputes det(A) from
+    the entry's matrix, which must then be the job's."""
     names, matrix = golden_matrix(doc_name)
     symbols = sympy.symbols(names)
     S = sympy.Matrix([[sympy_expr(e, symbols) for e in row]
@@ -377,14 +388,71 @@ def test_golden_det_factorization_agrees_with_sympy_factor_list(doc_name,
     D = DomainMatrix.from_Matrix(S).convert_to(ring)
     det_expr = ring.to_sympy(D.det())
     report = json.loads((GOLDEN / report_name).read_text(encoding="utf-8"))
-    claims = [i for i in report["certificate"]["identities"]
+    cert = report["certificate"]
+    claims = [i for i in cert["identities"]
               if i["label"] == "determinant-factorization"]
-    assert len(claims) == 1
-    lhs = sympy_expr(claims[0]["lhs"], symbols)
-    f1, f2 = (sympy_expr(f, symbols) for f in claims[0]["factors"])
+    if "adjugate" in cert:
+        assert claims == []
+        adjugate = cert["adjugate"]
+        assert sympy.Matrix([[sympy_expr(e, symbols) for e in row]
+                             for row in adjugate["matrix"]]) == S
+        lhs, factors = det_expr, adjugate["factors"]
+    else:
+        assert len(claims) == 1
+        lhs, factors = sympy_expr(claims[0]["lhs"], symbols), \
+            claims[0]["factors"]
+    f1, f2 = (sympy_expr(f, symbols) for f in factors)
     assert sympy.expand(lhs - det_expr) == 0
     assert det_expr != 0
     ratio = sympy.cancel(det_expr / sympy.expand(f1 * f2))
     assert ratio.is_Rational and ratio != 0
     assert irreducible_factors(det_expr, symbols) == sorted(
         irreducible_factors(f1, symbols) + irreducible_factors(f2, symbols))
+
+
+def test_line_certificates_agree_with_sympy_gcd(monkeypatch):
+    """Seeded factor pairs g1*h, g2*h over x, y, z, with h = 1 (mostly
+    coprime pairs), a common factor vanishing at the origin, or one that
+    is a unit there.  Wherever the coprimality step emits a LineCoprime,
+    sympy's gcd must be a constant; wherever sympy's gcd is not, no
+    LineCoprime may be emitted, and the step must pass or fail exactly as
+    the intersection route does on the same pair."""
+    rng = random.Random(113)
+    calls = []
+    route = blocksplit.decompose.intersect
+    monkeypatch.setattr(blocksplit.decompose, "intersect",
+                        lambda I, J: calls.append(1) or route(I, J))
+    symbols = sympy.symbols(XYZ.names)
+    one = Poly.const(XYZ, 1)
+    seen = {"line": 0, "shared-nonunit": 0, "shared-unit": 0,
+            "shared-unit-passed": 0}
+    for k in range(90):
+        h = (one, random_proper_generator(rng),
+             one + random_proper_generator(rng))[k % 3]
+        f1 = random_proper_generator(rng) * h
+        f2 = random_proper_generator(rng) * h
+        I, J = Ideal(XYZ, (f1,)), Ideal(XYZ, (f2,))
+        before = len(calls)
+        check, facts = _coprimality("coprime", "", I, J, None)
+        lines = [f for f in facts if isinstance(f, LineCoprime)]
+        assert all(f.failures() == [] for f in facts)
+        gcd = sympy.gcd(poly_to_sympy(f1, symbols),
+                        poly_to_sympy(f2, symbols))
+        constant = sympy.Poly(gcd, *symbols).total_degree() == 0
+        if lines:
+            assert constant and check.passed, k
+            assert len(calls) == before and facts == lines, k
+            seen["line"] += 1
+            continue
+        assert len(calls) == before + 1, k
+        failing, _ = _local_inclusion(intersect(I, J).generators,
+                                      ideal_product(I, J), None)
+        assert check.passed == (failing is None), k
+        if not constant:
+            shared = "shared-unit" if gcd.subs(
+                dict.fromkeys(symbols, 0)) != 0 else "shared-nonunit"
+            seen[shared] += 1
+            seen["shared-unit-passed"] += shared == "shared-unit" \
+                and check.passed
+    assert seen["line"] >= 15 and seen["shared-nonunit"] >= 10
+    assert seen["shared-unit"] >= 10 and seen["shared-unit-passed"] >= 5
