@@ -95,7 +95,7 @@ def parse_field(text: Any, table: VarTable, field: str,
 
 
 def _parse_list(items: Any, table: VarTable, field: str,
-                memo: dict[str, Poly], nonempty: bool) -> list[Poly]:
+                memo: dict[str, Poly] | None, nonempty: bool) -> list[Poly]:
     ok = isinstance(items, list) and (bool(items) or not nonempty)
     expect(ok, f"field '{field}' must be a "
                f"{'non-empty ' if nonempty else ''}list of polynomial strings")
@@ -104,35 +104,61 @@ def _parse_list(items: Any, table: VarTable, field: str,
 
 
 def _parse_pair(items: Any, table: VarTable, field: str,
-                memo: dict[str, Poly]) -> tuple[Poly, Poly]:
+                memo: dict[str, Poly] | None) -> tuple[Poly, Poly]:
     expect(isinstance(items, list) and len(items) == 2,
            f"field '{field}' must be a list of exactly two polynomial "
            "strings")
-    f1, f2 = _parse_list(items, table, field, memo, nonempty=True)
-    return f1, f2
+    return tuple(_parse_list(items, table, field, memo, nonempty=True))
 
 
-def _parse_square(rows: Any, table: VarTable, field: str,
-                  memo: dict[str, Poly], size: int | None) -> list[list[Poly]]:
-    """A square matrix of polynomial strings, `size` x `size` when given."""
-    ok = (isinstance(rows, list) and bool(rows)
-          and (size is None or len(rows) == size)
-          and all(isinstance(row, list) and len(row) == len(rows)
-                  for row in rows))
-    shape = f"{size} x {size}" if size is not None else "non-empty square"
-    expect(ok, f"field '{field}' must be a {shape} list of rows of "
-               "polynomial strings")
+def parse_matrix(rows: Any, table: VarTable, field: str,
+                 memo: dict[str, Poly] | None = None,
+                 size: int | None = None) -> list[tuple[Poly, ...]]:
+    """A non-empty rectangular matrix of polynomial strings, with at most
+    `MAX_MATRIX_SIZE` rows and columns, and `size` x `size` when given."""
+    expect(isinstance(rows, list) and rows,
+           f"field '{field}' must be a non-empty list of rows")
     expect(len(rows) <= MAX_MATRIX_SIZE,
            f"field '{field}' has {len(rows)} rows, more than "
            f"{MAX_MATRIX_SIZE}")
-    return [[parse_field(e, table, f"{field}[{i}][{j}]", memo)
-             for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    expect(size is None or len(rows) == size and all(
+        isinstance(row, list) and len(row) == size for row in rows),
+        f"field '{field}' must be {size} x {size}")
+    width = None
+    parsed = []
+    for i, row in enumerate(rows):
+        expect(isinstance(row, list) and row,
+               f"field '{field}[{i}]' must be a non-empty list of "
+               "polynomial strings")
+        if width is None:
+            width = len(row)
+            expect(width <= MAX_MATRIX_SIZE,
+                   f"field '{field}' has {width} columns, more than "
+                   f"{MAX_MATRIX_SIZE}")
+        expect(len(row) == width,
+               f"field '{field}[{i}]' has {len(row)} entries, expected {width}")
+        parsed.append(tuple(
+            parse_field(entry, table, f"{field}[{i}][{j}]", memo)
+            for j, entry in enumerate(row)))
+    return parsed
+
+
+def is_count(value: Any) -> bool:
+    """An int, not a bool, of at least 1: a jet order, a rank, a probe
+    order or a modulus exponent."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def format_grid(rows: Iterable[Iterable[Poly]]) -> list[list[str]]:
+    """A matrix as a report prints it: rows of canonical strings."""
+    return [[format_poly(e) for e in row] for row in rows]
 
 
 def _parse_modulo(d: dict, field: str) -> int | None:
     N = d.get("modulo_order")
     if N is not None:
-        expect(isinstance(N, int) and not isinstance(N, bool) and N >= 1,
+        expect(is_count(N),
                f"field '{field}.modulo_order' must be an integer >= 1")
     return N
 
@@ -480,20 +506,18 @@ class AdjugateInclusion:
         return not self.failures()
 
     def to_json(self) -> dict:
-        def grid(rows):
-            return [[format_poly(e) for e in row] for row in rows]
-        return {"matrix": grid(self.matrix),
+        return {"matrix": format_grid(self.matrix),
                 "factors": [format_poly(self.f1), format_poly(self.f2)],
                 "unit": format_poly(self.unit),
-                "cofactors": [grid(self.c1), grid(self.c2)]}
+                "cofactors": [format_grid(self.c1), format_grid(self.c2)]}
 
     @staticmethod
     def from_json(d: Any, table: VarTable,
                   memo: dict[str, Poly]) -> "AdjugateInclusion":
         field = "certificate.adjugate"
         expect(isinstance(d, dict), f"field '{field}' must be an object")
-        A = _parse_square(d.get("matrix"), table, f"{field}.matrix", memo,
-                          None)
+        A = parse_matrix(d.get("matrix"), table, f"{field}.matrix", memo)
+        expect(len(A) == len(A[0]), f"field '{field}.matrix' must be square")
         f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
                              memo)
         unit = parse_field(d.get("unit"), table, f"{field}.unit", memo)
@@ -501,8 +525,8 @@ class AdjugateInclusion:
         expect(isinstance(cofactors, list) and len(cofactors) == 2,
                f"field '{field}.cofactors' must be a list of exactly two "
                "matrices")
-        c1, c2 = (_parse_square(c, table, f"{field}.cofactors[{k}]", memo,
-                                len(A)) for k, c in enumerate(cofactors))
+        c1, c2 = (parse_matrix(c, table, f"{field}.cofactors[{k}]", memo,
+                               len(A)) for k, c in enumerate(cofactors))
         return AdjugateInclusion(A, f1, f2, unit, c1, c2)
 
 
@@ -664,10 +688,8 @@ class Verdict:
             expect(jet is None, "field 'provenance.jet_order' must be "
                                 "absent when 'provenance.exact' is true")
         else:
-            expect(isinstance(jet, int) and not isinstance(jet, bool)
-                   and jet >= 1,
-                   "field 'provenance.jet_order' must be an integer >= 1 "
-                   "when 'provenance.exact' is false")
+            expect(is_count(jet), "field 'provenance.jet_order' must be an "
+                   "integer >= 1 when 'provenance.exact' is false")
         return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
                        failing=failing,
                        failed_hypothesis=doc.get("failed_hypothesis"),

@@ -28,8 +28,12 @@ from .certificate import (
     MAX_MATRIX_SIZE,
     InputError,
     Verdict,
+    _parse_list,
+    _parse_pair,
     expect,
-    parse_field,
+    format_grid,
+    is_count,
+    parse_matrix,
 )
 from .decompose import check_rect_lr, check_square_lr
 from .groebner import Ideal
@@ -87,28 +91,7 @@ def _parse_ring(doc: dict) -> VarTable:
 
 
 def _parse_matrix(rows: Any, table: VarTable, field: str) -> PolyMatrix:
-    expect(isinstance(rows, list) and rows,
-           f"field '{field}' must be a non-empty list of rows")
-    expect(len(rows) <= MAX_MATRIX_SIZE,
-           f"field '{field}' has {len(rows)} rows, more than "
-           f"{MAX_MATRIX_SIZE}")
-    width = None
-    parsed = []
-    for i, row in enumerate(rows):
-        expect(isinstance(row, list) and row,
-               f"field '{field}[{i}]' must be a non-empty list of "
-               "polynomial strings")
-        if width is None:
-            width = len(row)
-            expect(width <= MAX_MATRIX_SIZE,
-                   f"field '{field}' has {width} columns, more than "
-                   f"{MAX_MATRIX_SIZE}")
-        expect(len(row) == width,
-               f"field '{field}[{i}]' has {len(row)} entries, expected {width}")
-        parsed.append(tuple(
-            parse_field(entry, table, f"{field}[{i}][{j}]")
-            for j, entry in enumerate(row)))
-    return PolyMatrix(table, tuple(parsed))
+    return PolyMatrix(table, parse_matrix(rows, table, field))
 
 
 def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
@@ -123,9 +106,8 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
                f"field 'quiver.vertices[{i}]' must be an object with "
                "'id' and 'rank'")
         rank = v.get("rank")
-        expect(isinstance(rank, int) and not isinstance(rank, bool)
-               and rank > 0,
-               f"field 'quiver.vertices[{i}].rank' must be a positive integer")
+        expect(is_count(rank), f"field 'quiver.vertices[{i}].rank' must be "
+                               "a positive integer")
         vertices.append(Vertex(str(v["id"]), rank))
     size = sum(v.rank for v in vertices)
     expect(size <= MAX_MATRIX_SIZE,
@@ -170,9 +152,8 @@ def _load_job(args: argparse.Namespace) -> Job:
     jet = args.jet_order if args.jet_order is not None \
         else options.get("jet_order")
     if jet is not None:
-        expect(isinstance(jet, int) and not isinstance(jet, bool) and jet >= 1,
-               "field 'options.jet_order' (or --jet-order) must be an "
-               "integer >= 1")
+        expect(is_count(jet), "field 'options.jet_order' (or --jet-order) "
+                              "must be an integer >= 1")
         expect(not COMMANDS[args.command].exact_only,
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
@@ -190,27 +171,16 @@ def _require_matrix(job: Job) -> PolyMatrix:
 
 def _parse_factors(doc: dict, table: VarTable) -> tuple[Poly, Poly]:
     expect("factors" in doc, "field 'factors' is required for this command")
-    factors = doc["factors"]
-    expect(isinstance(factors, list) and len(factors) == 2,
-           "field 'factors' must be a list of exactly two polynomial strings")
-    return (parse_field(factors[0], table, "factors[0]"),
-            parse_field(factors[1], table, "factors[1]"))
+    return _parse_pair(doc["factors"], table, "factors", None)
 
 
 def _parse_ideals(doc: dict, table: VarTable) -> tuple[Ideal, Ideal]:
     ideals = doc.get("ideals")
     expect(isinstance(ideals, dict),
            "field 'ideals' must be an object with lists 'J1' and 'J2'")
-    out = []
-    for key in ("J1", "J2"):
-        gens = ideals.get(key)
-        expect(isinstance(gens, list) and gens,
-               f"field 'ideals.{key}' must be a non-empty list of "
-               "polynomial strings")
-        out.append(Ideal(table, tuple(
-            parse_field(g, table, f"ideals.{key}[{i}]")
-            for i, g in enumerate(gens))))
-    return out[0], out[1]
+    return tuple(Ideal(table, _parse_list(ideals.get(key), table,
+                                          f"ideals.{key}", None, nonempty=True))
+                 for key in ("J1", "J2"))
 
 
 def _target_form(job: Job, field_hint: str) -> KroneckerForm:
@@ -242,11 +212,6 @@ def _target_matrix(job: Job, command: str) -> PolyMatrix:
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _matrix_json(M: PolyMatrix) -> list[list[str]]:
-    return [[format_poly(M[i, j]) for j in range(M.cols)]
-            for i in range(M.rows)]
 
 
 def _verdict_report(verdict: Verdict) -> dict:
@@ -380,7 +345,7 @@ def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> Outcome:
     form = _target_form(job, "build-kronecker")
     return form.table, {
         "base_vars": list(form.base_table.names),
-        "matrix": _matrix_json(form.matrix),
+        "matrix": format_grid(form.matrix.entries),
         "block_offsets": list(form.offsets),
         "block_sizes": list(form.sizes),
         "variable_roles": dict(form.var_roles),
@@ -406,10 +371,8 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
     options = job.doc.get("options", {})
     probe = args.probe_order if args.probe_order is not None \
         else options.get("probe_order", 8)
-    expect(isinstance(probe, int) and not isinstance(probe, bool)
-           and probe >= 1,
-           "field 'options.probe_order' (or --probe-order) must be an "
-           "integer >= 1")
+    expect(is_count(probe), "field 'options.probe_order' (or --probe-order) "
+                            "must be an integer >= 1")
     return A.table, check_conj_2x2(A, probe_order=probe)
 
 

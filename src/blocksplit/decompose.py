@@ -42,8 +42,10 @@ from .ring import (
     RingError,
     _divisor,
     _reduce_terms,
+    divide_exact,
     grevlex,
     local_unit_test,
+    minor,
     restrict_to_line,
     sum_of_products,
 )
@@ -67,7 +69,7 @@ from .groebner import (
     intersect,
     member_local,
 )
-from .matrix import PolyMatrix, adjugate, det, fitting_ideal, kernel
+from .matrix import PolyMatrix, det, fitting_ideal, kernel
 from .oracle import JetEchelon
 
 # One hypothesis of a checklist and the facts it certifies when it passes.
@@ -211,35 +213,28 @@ def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
                         entries: list[Inclusion]) -> AdjugateInclusion:
     """One AdjugateInclusion u*adj(A) = f1*C1 + f2*C2 from `entries`, the
     inclusions u_e*g = c1*f1 + c2*f2 of every Fitting generator g of
-    I_{n-1}(A).  Each entry of adj(A) is a signed minor, so it is +-g for
-    one of them, whose cofactors it takes, negated where the sign
-    differs and scaled by u/u_e; u is the product of the distinct units
-    other than 1.  The minors are read from `memo`."""
+    I_{n-1}(A); u is the product of the distinct units u_e, and u/u_e is
+    divided out once per unit.  Entry (i, j) of adj(A) is (-1)^(i+j) times
+    the minor g of A without row j and column i, read from `memo`, so it
+    takes the cofactors of g's inclusion times (-1)^(i+j)*u/u_e."""
     by_key = {inc.element.key(): inc for inc in entries}
-    one = Poly.const(A.table, 1)
-    units = {inc.unit.key(): inc.unit for inc in entries if inc.unit != one}
-    unit = one
+    units = {inc.unit.key(): inc.unit for inc in entries}
+    unit = Poly.const(A.table, 1)
     for u in units.values():
         unit = unit * u
-    # u/u_e for each unit u_e in use: the product of the other units
-    scales = {}
-    for key in (one.key(), *units):
-        scales[key] = one
-        for k, u in units.items():
-            if k != key:
-                scales[key] = scales[key] * u
+    scales = {key: divide_exact(unit, u) for key, u in units.items()}
+    others = [tuple(k for k in range(A.rows) if k != i) for i in range(A.rows)]
 
-    def cofactors(a: Poly) -> tuple[Poly, Poly]:
-        if a.is_zero():
-            return a, a
-        inc, sign = by_key.get(a.key()), 1
-        if inc is None:
-            inc, sign = by_key[(-a).key()], -1
-        scale = scales[inc.unit.key()] * sign
+    def cofactors(i: int, j: int) -> tuple[Poly, Poly]:
+        g = minor(A.entries, memo, others[j], others[i])
+        if g.is_zero():
+            return g, g
+        inc = by_key[g.key()]
+        scale = scales[inc.unit.key()] * (-1) ** (i + j)
         c1, c2 = inc.cofactors
         return scale * c1, scale * c2
 
-    pairs = [[cofactors(a) for a in row] for row in adjugate(A, memo).entries]
+    pairs = [[cofactors(i, j) for j in range(A.rows)] for i in range(A.rows)]
     return AdjugateInclusion(A.entries, f1, f2, unit,
                              [[c1 for c1, _ in row] for row in pairs],
                              [[c2 for _, c2 in row] for row in pairs])
@@ -330,7 +325,8 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         raise RingError("rectangular check needs rows <= cols")
     if J1.table != A.table or J2.table != A.table:
         raise RingError("ideals declared over a different VarTable")
-    Im = fitting_ideal(A, m)
+    memo: dict = {}  # I_m(A) and I_{m-1}(A) share one minor memo
+    Im = fitting_ideal(A, m, memo)
 
     def steps():
         yield (HypothesisCheck(
@@ -368,6 +364,6 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         yield _coprimality("ideal-coprimality",
                            "J1 cap J2 <= J1*J2 at the origin", J1, J2, None)
 
-    return _decide(steps(), lambda: (fitting_ideal(A, m - 1).generators,
+    return _decide(steps(), lambda: (fitting_ideal(A, m - 1, memo).generators,
                                      ideal_sum(J1, J2)),
                    _RECT_SCOPE, None)

@@ -1,7 +1,7 @@
 """Matrices over the polynomial ring: exact determinants, minor (Fitting)
 ideals, and kernels.
 
-Determinants, Fitting ideals and adjugates share one routine,
+Determinants and Fitting ideals share one routine,
 `ring.minor`: a Laplace expansion along the first row, memoized on (row
 tuple, column tuple), so every sub-minor is computed once per memo and no
 step divides.  The certificate layer re-checks determinants with the same
@@ -159,22 +159,6 @@ def fitting_ideal(M: PolyMatrix, j: int, memo: dict | None = None) -> Ideal:
         return Ideal(M.table, (Poly.zero(M.table),))
     gens.sort(key=Poly.key)
     return Ideal(M.table, gens)
-
-
-def adjugate(M: PolyMatrix, memo: dict | None = None) -> PolyMatrix:
-    """adj(M): entry (i, j) is (-1)^(i+j) times the minor of M without row
-    j and column i, so M * adj(M) = det(M) * I.  The minors come from
-    `memo` when given (as for `det`)."""
-    if M.rows != M.cols:
-        raise RingError("adjugate of a non-square matrix")
-    n = M.rows
-    if n == 1:
-        return PolyMatrix.identity(M.table, 1)
-    memo = {} if memo is None else memo
-    others = [tuple(k for k in range(n) if k != i) for i in range(n)]
-    return PolyMatrix(M.table, [
-        [minor(M.entries, memo, others[j], others[i]) * (-1) ** (i + j)
-         for j in range(n)] for i in range(n)])
 
 
 def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:

@@ -767,6 +767,95 @@ def test_oversized_adjugate_exits_1_at_once(tmp_path, capsys):
                              f"{MAX_MATRIX_SIZE}\n")
 
 
+GOLDEN = LEGACY.parent
+
+
+def golden_report(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def with_value(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of `doc` with the entry at `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# (source, path, value, message): a source is a job command with its
+# document, or "verify-cert" with a report; job fields and report fields
+# go through the same readers, so one malformed shape gets one message
+JOB_SQUARE = ("check-square", EX2)
+REPORT = ("verify-cert", golden_report("square-dec.out"))
+LEGACY_REPORT = ("verify-cert", legacy_report())
+ADJ = ("certificate", "adjugate")
+SHARED_READER_CASES = [
+    *((source, path, value, message.format(field))
+      for source, path, field in (
+          (JOB_SQUARE, ("matrix",), "matrix"),
+          (REPORT, (*ADJ, "matrix"), "certificate.adjugate.matrix"))
+      for value, message in (
+          ([["x1", "x2"], ["x1"]], "field '{}[1]' has 1 entries, expected 2"),
+          ([["x1"], []], "field '{}[1]' must be a non-empty list of "
+                         "polynomial strings"),
+          ([["x1"] * OVERSIZED], f"field '{{}}' has {OVERSIZED} columns, "
+                                 f"more than {MAX_MATRIX_SIZE}"))),
+    (JOB_SQUARE, ("factors",), ["x1", "x2", "x1"],
+     "field 'factors' must be a list of exactly two polynomial strings"),
+    (REPORT, (*ADJ, "factors"), ["x1", "x2", "x1"],
+     "field 'certificate.adjugate.factors' must be a list of exactly two "
+     "polynomial strings"),
+    (("check-rect", VERDICT_DOCS["check-rect"]), ("ideals", "J2"), [],
+     "field 'ideals.J2' must be a non-empty list of polynomial strings"),
+    (LEGACY_REPORT, ("certificate", "inclusions", 0, "ideal"), [],
+     "field 'certificate.inclusions[0].ideal' must be a non-empty list of "
+     "polynomial strings"),
+    *((source, path, value, message)
+      for value in (True, 0)
+      for source, path, message in (
+          (("check-quiver", STRING_QUIVER),
+           ("quiver", "vertices", 0, "rank"),
+           "field 'quiver.vertices[0].rank' must be a positive integer"),
+          (("check-square", {**EX2, "options": {}}),
+           ("options", "jet_order"),
+           "field 'options.jet_order' (or --jet-order) must be an "
+           "integer >= 1"),
+          (("check-conj", {**VERDICT_DOCS["check-conj"], "options": {}}),
+           ("options", "probe_order"),
+           "field 'options.probe_order' (or --probe-order) must be an "
+           "integer >= 1"),
+          (LEGACY_REPORT, ("certificate", "inclusions", 0, "modulo_order"),
+           "field 'certificate.inclusions[0].modulo_order' must be an "
+           "integer >= 1"),
+          (("verify-cert", with_value(REPORT[1], ("provenance", "exact"),
+                                      False)),
+           ("provenance", "jet_order"),
+           "field 'provenance.jet_order' must be an integer >= 1 when "
+           "'provenance.exact' is false"))),
+    (REPORT, (*ADJ, "matrix"), [["x1", "x2", "0"], ["0", "x1", "x2"]],
+     "field 'certificate.adjugate.matrix' must be square"),
+    (("verify-cert", golden_report("square-signed.out")),
+     (*ADJ, "cofactors", 1), square(3, "x"),
+     "field 'certificate.adjugate.cofactors[1]' must be 2 x 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, path, value, message", SHARED_READER_CASES,
+    ids=[f"{source[0]}-{'.'.join(map(str, path))}-{k}" for k, (source, path,
+         _, _) in enumerate(SHARED_READER_CASES)])
+def test_job_and_report_fields_share_one_reader(tmp_path, capsys, source,
+                                                path, value, message):
+    """A malformed job or report field exits 1 with a message naming it."""
+    command, base = source
+    doc = with_value(base, path, value)
+    flag = "--cert" if command == "verify-cert" else "--input"
+    result = run(capsys, [command, flag, write_doc(tmp_path, doc)])
+    assert result == (1, "", f"error: {message}\n")
+
+
 def test_a_sparse_matrix_of_the_largest_size_runs(tmp_path, capsys):
     n = MAX_MATRIX_SIZE
     rows = [["x1" if j == i else "1" if j == i + 1 else "0"

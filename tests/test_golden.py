@@ -5,7 +5,12 @@ benchmark's jobs (seed 1): two corners of the check-square grid, one
 check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
 hidden direct sum.  The 3-vertex one (``quiver3.json``) is quiver-sum's
 seed-1 job ``hidden3-0``, the job that quiver-sum timings are quoted on,
-and a test holds it to what ``perfbench/workloads.py`` generates.
+and a test holds it to what ``perfbench/workloads.py`` generates.  Two
+more check-square jobs have both g and -g among their Fitting
+generators, which pins the signs of the adjugate entry's cofactors: in
+``square-signed.json`` every unit is 1, and in
+``square-signed-units.json`` the colon gives g and -g the units u and
+-u.
 ``verify-cert`` re-checks the stored 2-vertex report; the same report in the per-minor form, one inclusion per Fitting
 generator, as emitted before the adjugate entry existed
 (``quiver2-perminor.json``), so that form keeps verifying; a copy of that
@@ -71,6 +76,8 @@ CASES = (
     ("square-notdec", "check-square", "square-notdec.json", ()),
     ("square-notdec-jet8", "check-square", "square-notdec.json",
      ("--jet-order", "8")),
+    ("square-signed", "check-square", "square-signed.json", ()),
+    ("square-signed-units", "check-square", "square-signed-units.json", ()),
     ("conj", "check-conj", "conj.json", ()),
     ("rect-kernel-unit", "check-rect", "rect-kernel-unit.json", ()),
     ("rect-zero-column", "check-rect", "rect-zero-column.json", ()),
@@ -126,7 +133,8 @@ def test_no_elimination_basis_on_the_square_and_quiver_path(monkeypatch,
 
 
 @pytest.mark.parametrize("case", ["square-dec", "square-notdec", "quiver2",
-                                  "quiver3-check"])
+                                  "quiver3-check", "square-signed",
+                                  "square-signed-units"])
 def test_exact_square_and_quiver_reports_carry_a_checked_line(case):
     report = json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))
     assert report["provenance"]["exact"] is True

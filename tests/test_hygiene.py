@@ -12,7 +12,9 @@ A name counts as used when it is read anywhere in the module (a
 
 Every sum of polynomial products outside ``ring.py`` runs the one
 multiply-accumulate kernel ``ring.sum_of_products``, so no module but
-``ring.py`` adds a product into a running sum by hand.
+``ring.py`` adds a product into a running sum by hand.  Every field of
+a job document is read by the certificate layer's readers, the ones that
+read reports, so ``cli.py`` names no polynomial parser of its own.
 """
 
 from __future__ import annotations
@@ -220,3 +222,17 @@ def test_no_hand_written_product_sum_outside_ring(path):
     term product into one dict; a hand-written running sum copies the
     sum for each product added."""
     assert product_accumulations(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_reads_fields_through_the_certificate_layer():
+    source = (ROOT / "src" / "blocksplit" / "cli.py").read_text(
+        encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"parse_field", "parse_poly"}
