@@ -11,6 +11,13 @@ generators, which pins the signs of the adjugate entry's cofactors: in
 ``square-signed.json`` every unit is 1, and in
 ``square-signed-units.json`` the colon gives g and -g the units u and
 -u.
+``rect-product-fails.json`` (A = [x1, x2], J1 = J2 = (x1)) fails
+``product-identity`` after the kernel condition has collected its two
+inclusions; its report keeps those and leaves out the backward inclusion
+that the failed step found.  The ``-text`` cases pin ``--format text``
+for each kind of report: inclusions with their ``(mod m^8)`` tails, a
+failed-hypothesis line, a determinant, a Fitting ideal and a Kronecker
+form with its block sizes and variable roles.
 ``verify-cert`` re-checks the stored 2-vertex report; the same report in the per-minor form, one inclusion per Fitting
 generator, as emitted before the adjugate entry existed
 (``quiver2-perminor.json``), so that form keeps verifying; a copy of that
@@ -89,6 +96,16 @@ CASES = (
     ("square-notdec-text", "check-square", "square-notdec.json",
      ("--format", "text")),
     ("quiver2-text", "check-quiver", "quiver2.json", ("--format", "text")),
+    ("rect-product-fails", "check-rect", "rect-product-fails.json", ()),
+    ("square-dec-jet8-text", "check-square", "square-dec.json",
+     ("--jet-order", "8", "--format", "text")),
+    ("rect-kernel-unit-text", "check-rect", "rect-kernel-unit.json",
+     ("--format", "text")),
+    ("square-dec-det-text", "det", "square-dec.json", ("--format", "text")),
+    ("square-dec-fitting2-text", "fitting", "square-dec.json",
+     ("--index", "2", "--format", "text")),
+    ("quiver2-kronecker-text", "build-kronecker", "quiver2.json",
+     ("--format", "text")),
     ("verify-quiver2", "verify-cert", "quiver2.out", ()),
     ("verify-quiver2-perminor", "verify-cert", "quiver2-perminor.json", ()),
     ("verify-tampered-text", "verify-cert", "quiver2-tampered.json",
