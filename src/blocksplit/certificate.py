@@ -283,9 +283,10 @@ class Inclusion:
         self.modulo_order = modulo_order
 
     def failures(self, name: str = "inclusion") -> list[str]:
-        if len(self.cofactors) != len(self.ideal_gens):
-            return [f"{name}: {len(self.cofactors)} cofactors for "
-                    f"{len(self.ideal_gens)} generators"]
+        n, k = len(self.cofactors), len(self.ideal_gens)
+        if n != k:
+            return [f"{name}: {n} cofactor{'s' * (n != 1)} for {k} "
+                    f"generator{'s' * (k != 1)}"]
         if not local_unit_test(self.unit):
             return [f"{name}: the unit has zero constant term"]
         for p in (self.element, *self.ideal_gens, *self.cofactors):

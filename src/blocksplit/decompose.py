@@ -72,8 +72,10 @@ from .groebner import (
 from .matrix import PolyMatrix, det, fitting_ideal, kernel
 from .oracle import JetEchelon
 
-# One hypothesis of a checklist and the facts it certifies when it passes.
-Step = tuple[HypothesisCheck, list[Identity | Inclusion | LineCoprime]]
+# A certified fact, and one hypothesis of a checklist with the facts it
+# certifies when it passes.
+Fact = Identity | Inclusion | LineCoprime | AdjugateInclusion
+Step = tuple[HypothesisCheck, list[Fact]]
 
 # How many lines `_line_coprime` draws before the coprimality step falls
 # back to the intersection.
@@ -171,42 +173,36 @@ def _coprimality(name: str, detail: str, I: Ideal, J: Ideal,
 
 
 def _decide(steps: Iterable[Step],
-            decisive: Callable[[], tuple[Iterable[Poly], Ideal]], scope: str,
-            jet_order: int | None,
-            condense: Callable[[list[Inclusion]], AdjugateInclusion]
-            | None = None) -> Verdict:
+            decisive: Callable[[], tuple[Poly | None, list[Fact]]],
+            scope: str, jet_order: int | None) -> Verdict:
     """The checklist runner every check decides through.  `steps` yields
     one hypothesis at a time; the first that fails ends the run as
-    Inconclusive, so nothing after it is computed.  Then `decisive()`
-    gives the elements whose local inclusion in an ideal decides
-    Decomposable against NotDecomposable.  `condense`, when given, turns
-    the inclusions of a Decomposable verdict's decisive elements into one
-    AdjugateInclusion that certifies them all."""
+    Inconclusive, so nothing after it is computed and its facts stay out
+    of the verdict.  Then `decisive()` gives the element that makes the
+    verdict NotDecomposable, or None for Decomposable, and the facts that
+    certify the decision.  Every fact goes to the certificate by kind."""
     hyps: list[HypothesisCheck] = []
-    identities: list[Identity] = []
-    inclusions: list[Inclusion] = []
-    coprimality = None
-    for check, facts in steps:
+    facts: list[Fact] = []
+    failed = failing = None
+    for check, found in steps:
         hyps.append(check)
         if not check.passed:
-            return Verdict(INCONCLUSIVE, hyps, identities, inclusions, scope,
-                           failed_hypothesis=check.name, order=jet_order)
-        for fact in facts:
-            if isinstance(fact, Identity):
-                identities.append(fact)
-            elif isinstance(fact, LineCoprime):
-                coprimality = fact
-            else:
-                inclusions.append(fact)
-    elements, target = decisive()
-    failing, entries = _local_inclusion(elements, target, jet_order)
-    status = DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE
-    adjugate = None
-    if failing is None and condense is not None:
-        adjugate, entries = condense(entries), []
-    return Verdict(status, hyps, identities, inclusions + entries, scope,
-                   failing=failing, order=jet_order, adjugate=adjugate,
-                   coprimality=coprimality)
+            failed = check.name
+            break
+        facts += found
+    else:
+        failing, found = decisive()
+        facts += found
+    status = (INCONCLUSIVE if failed else
+              DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE)
+    # a verdict holds at most one adjugate entry and one line certificate
+    sole = {type(fact): fact for fact in facts}
+    return Verdict(status, hyps,
+                   [f for f in facts if isinstance(f, Identity)],
+                   [f for f in facts if isinstance(f, Inclusion)], scope,
+                   failing=failing, failed_hypothesis=failed,
+                   order=jet_order, adjugate=sole.get(AdjugateInclusion),
+                   coprimality=sole.get(LineCoprime))
 
 
 def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
@@ -272,14 +268,17 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
                            "(f1) cap (f2) <= (f1*f2) at the origin",
                            Ideal(A.table, (f1,)), Ideal(A.table, (f2,)), jet_order)
 
-    # a congruence of products modulo m^N says nothing of adj(A) modulo
-    # m^N, so a jet verdict keeps one inclusion per minor
-    condense = None if jet_order is not None else (
-        lambda entries: _adjugate_inclusion(A, memo, f1, f2, entries))
-    verdict = _decide(steps(),
-                      lambda: (fitting_ideal(A, A.rows - 1, memo).generators,
-                               Ideal(A.table, (f1, f2))),
-                      scope, jet_order, condense)
+    def decisive():
+        failing, entries = _local_inclusion(
+            fitting_ideal(A, A.rows - 1, memo).generators,
+            Ideal(A.table, (f1, f2)), jet_order)
+        # a congruence of products modulo m^N says nothing of adj(A) modulo
+        # m^N, so a jet verdict keeps one inclusion per minor
+        if failing is None and jet_order is None:
+            return None, [_adjugate_inclusion(A, memo, f1, f2, entries)]
+        return failing, entries
+
+    verdict = _decide(steps(), decisive, scope, jet_order)
     if verdict.adjugate is not None:
         verdict.identities.remove(identity)
     return verdict
@@ -364,6 +363,6 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         yield _coprimality("ideal-coprimality",
                            "J1 cap J2 <= J1*J2 at the origin", J1, J2, None)
 
-    return _decide(steps(), lambda: (fitting_ideal(A, m - 1, memo).generators,
-                                     ideal_sum(J1, J2)),
+    return _decide(steps(), lambda: _local_inclusion(
+        fitting_ideal(A, m - 1, memo).generators, ideal_sum(J1, J2), None),
                    _RECT_SCOPE, None)

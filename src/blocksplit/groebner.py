@@ -332,10 +332,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one_minus_t = Poly.const(ext, 1) - t
     gens = [t * g.lift(ext) for g in I.generators]
     gens += [one_minus_t * h.lift(ext) for h in J.generators]
+    # never empty: over a domain the nonzero I*J lies in I cap J
     kept = [g for g in groebner_basis(Ideal(ext, gens), elimination(1))
             if g.degree_in(tname) == 0]
-    if not kept:
-        return Ideal(table, (Poly.zero(table),))
     return Ideal(table, [_drop_last(p, table) for p in kept])
 
 

@@ -109,9 +109,8 @@ class JetEchelon:
             for mono in self.space.monomials:
                 if sum(mono) + o >= N:
                     continue
+                # nonzero: x^mono times g's lowest part has degree below N
                 shifted = truncate(Poly(table, {mono: 1}) * g, N)
-                if shifted.is_zero():
-                    continue
                 _insert(self.space.vector(shifted), {(gi, mono): 1},
                         self.pivots)
 

@@ -16,9 +16,10 @@ supplied splitting det = f1 * f2.
 The 2x2 conjugation check is a fast path: it classifies the
 discriminant tr(A)^2 - 4 det(A) (polynomial square / square only after
 extending coefficients / square only as a power series / provably no
-square root at all) and only claims a verdict in the provable cases.  A
-polynomial square decides through the same checklist runner as the
-other checks.
+square root at all) and only claims a verdict in the provable cases.
+Every outcome goes through the same checklist runner as the other
+checks, and the series probe `ring.sqrt_series` states why a
+discriminant has no root.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ from .ring import (
     sum_of_products,
     y_profile,
 )
-from .certificate import (
-    INCONCLUSIVE,
-    NOT_DECOMPOSABLE,
-    HypothesisCheck,
-    Identity,
-    Verdict,
-)
+from .certificate import HypothesisCheck, Identity, Verdict
 from .groebner import Ideal
 from .matrix import PolyMatrix, det
-from .decompose import _decide, _split_by_factors
+from .decompose import _decide, _local_inclusion, _split_by_factors
 
 
 class Vertex:
@@ -298,40 +293,29 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8) -> Verdict:
             Identity("discriminant-square", disc, (root, root))]
         return _decide(
             [(nondegenerate, square)],
-            lambda: ((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
-                     Ideal(A.table, (root,))),
+            lambda: _local_inclusion((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
+                                     Ideal(A.table, (root,)), None),
             _CONJ_SCOPE, None)
 
-    # No polynomial square root; classify how badly that fails.
-    low = disc.lowest_form()
-    lead = low.leading()[1]
-    unit_scaled = disc * (Fraction(1) / lead)
-    reason = None
-    if disc.order() % 2 == 1:
-        reason = "the lowest-degree part has odd degree"
-    elif sqrt_exact(low * (Fraction(1) / lead)) is None:
-        reason = "the lowest-degree form is not a square even up to a constant"
-    elif not local_unit_test(disc):
+    # No polynomial square root: the series probe either says why none
+    # exists in any extension, or leaves the question open.
+    unit_scaled = disc * (Fraction(1) / disc.lowest_form().leading()[1])
+    try:
         # the root of a unit divides by a constant at every step, so only
         # a discriminant vanishing at the origin can meet an obstruction
-        try:
+        if not local_unit_test(disc):
             sqrt_series(unit_scaled, probe_order)
-        except SeriesSqrtError:
-            reason = "the forced power-series root hits a division obstruction"
-    if reason is not None:
-        established = HypothesisCheck(
+    except SeriesSqrtError as exc:
+        root_check = HypothesisCheck(
             "discriminant-nonsquare-established", True,
             f"no square root exists over any coefficient extension or "
-            f"power-series completion: {reason}")
-        return Verdict(NOT_DECOMPOSABLE, [nondegenerate, established], [], [],
-                       _CONJ_SCOPE, failing=disc)
-    if sqrt_exact(unit_scaled) is not None:
-        name = "square-root-needs-coefficient-extension"
+            f"power-series completion: {exc}")
     else:
-        name = "square-root-only-as-power-series"
-    open_root = HypothesisCheck(
-        name, False,
-        "the discriminant has no square root in the polynomial ring, but "
-        "one cannot be ruled out after extension/completion")
-    return Verdict(INCONCLUSIVE, [nondegenerate, open_root], [], [],
-                   _CONJ_SCOPE, failed_hypothesis=name)
+        root_check = HypothesisCheck(
+            "square-root-needs-coefficient-extension"
+            if sqrt_exact(unit_scaled) is not None
+            else "square-root-only-as-power-series", False,
+            "the discriminant has no square root in the polynomial ring, but "
+            "one cannot be ruled out after extension/completion")
+    return _decide([(nondegenerate, []), (root_check, [])],
+                   lambda: (disc, []), _CONJ_SCOPE, None)

@@ -978,8 +978,7 @@ def _sqrt_fraction(c: Coeff) -> Coeff | None:
 
 
 def _normalize_sign(g: Poly) -> Poly:
-    if g.is_zero():
-        return g
+    """g or -g, whichever has a positive trailing coefficient; g != 0."""
     _, c = g.trailing()
     return -g if c < 0 else g
 
@@ -1051,10 +1050,11 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
     Requires the lowest homogeneous part of f to be a perfect square (even
     vanishing order).  Returns g with deg g < bound + ord(f)/2 and
     g**2 == f modulo terms of total degree >= bound + ord(f); raises
-    SeriesSqrtError when no such series exists, and RingError as soon as
-    the partial root or the residual f - g^2 holds more than
-    MAX_JET_MONOMIALS terms.  Each step corrects the lowest degree left in
-    the residual, so the steps are no more than the terms of the root.
+    SeriesSqrtError, whose message is the reason check-conj reports, when
+    no such series exists, and RingError as soon as the partial root or
+    the residual f - g^2 holds more than MAX_JET_MONOMIALS terms.  Each
+    step corrects the lowest degree left in the residual, so the steps are
+    no more than the terms of the root.
     """
     if bound < 0:
         raise RingError("order bound must be nonnegative")
@@ -1062,10 +1062,11 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
         return Poly.zero(f.table)
     d = f.order()
     if d % 2:
-        raise SeriesSqrtError("vanishing order is odd")
+        raise SeriesSqrtError("the lowest-degree part has odd degree")
     base = sqrt_exact(f.lowest_form())
     if base is None:
-        raise SeriesSqrtError("lowest homogeneous part is not a perfect square")
+        raise SeriesSqrtError(
+            "the lowest-degree form is not a square even up to a constant")
     g = base
     # rest is f - g^2 below the degree d + bound, updated by each
     # correction; a correction of degree d/2 + j cancels the degree d + j
@@ -1077,9 +1078,8 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
         try:
             t = divide_exact(rest.homogeneous_part(low), base) * Fraction(1, 2)
         except NonDivisibleError:
-            raise SeriesSqrtError(
-                f"no series square root: obstruction at degree {low}"
-            ) from None
+            raise SeriesSqrtError("the forced power-series root hits a "
+                                  "division obstruction") from None
         rest = rest - truncate(t * (g + g + t), d + bound)
         g = g + t
         if max(len(g.terms), len(rest.terms)) > MAX_JET_MONOMIALS:
@@ -1105,18 +1105,8 @@ def y_profile(f: Poly, ynames: Iterable[str]) -> set[tuple[int, ...]]:
 
 def iter_monomials(nvars: int, below: int) -> Iterator[Monomial]:
     """All exponent tuples with total degree < below, grevlex-ascending."""
-    monos: list[Monomial] = []
-
-    def rec(prefix: list[int], budget: int, slots: int) -> None:
-        if slots == 0:
-            monos.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            prefix.append(e)
-            rec(prefix, budget - e, slots - 1)
-            prefix.pop()
-
-    if below > 0:
-        rec([], below - 1, nvars)
+    monos: list[Monomial] = [()] if below > 0 else []
+    for _ in range(nvars):
+        monos = [m + (e,) for m in monos for e in range(below - sum(m))]
     monos.sort(key=grevlex, reverse=True)
     return iter(monos)

@@ -839,6 +839,15 @@ SHARED_READER_CASES = [
     (("verify-cert", golden_report("square-signed.out")),
      (*ADJ, "cofactors", 1), square(3, "x"),
      "field 'certificate.adjugate.cofactors[1]' must be 2 x 2"),
+    (JOB_SQUARE, ("ring", "vars"), ["x1", "x2", "x1"],
+     "field 'ring.vars': variable names must be unique"),
+    *((("check-quiver", STRING_QUIVER), ("quiver", *path), value,
+       f"field 'quiver': {message}")
+      for path, value, message in (
+          (("arrows", 0, "to"), 3, "arrow target '3' not a vertex"),
+          (("vertices", 1, "id"), 1, "duplicate vertex id '1'"),
+          (("arrows", 0, "matrix"), [["0", "1"]],
+           "arrow '1' -> '2' matrix must be 2 x 2"))),
 ]
 
 
@@ -863,3 +872,24 @@ def test_a_sparse_matrix_of_the_largest_size_runs(tmp_path, capsys):
     path = write_doc(tmp_path, {"ring": {"vars": ["x1"]}, "matrix": rows})
     report = run_json(capsys, ["det", "--input", path])
     assert report["determinant"] == f"x1^{n}"
+
+
+INCLUSION = ("certificate", "inclusions", 0)
+
+
+@pytest.mark.parametrize("report, path, value, failure", [
+    (legacy_report(), (*INCLUSION, "cofactors"), [],
+     "inclusion 0: 0 cofactors for 1 generator"),
+    (golden_report("rect-product-fails.out"), (*INCLUSION, "cofactors"),
+     ["1"], "inclusion 0: 1 cofactor for 2 generators"),
+    (golden_report("rect-product-fails.out"), (*INCLUSION, "unit"), "x1",
+     "inclusion 0: the unit has zero constant term"),
+    (golden_report("square-dec.out"), ("hypotheses", 1, "passed"), False,
+     "verdict shape: Decomposable with a failed hypothesis"),
+], ids=["no-cofactors", "one-cofactor", "non-unit", "failed-hypothesis"])
+def test_verify_cert_rejects_a_tampered_report(tmp_path, capsys, report,
+                                               path, value, failure):
+    assert _verify(tmp_path, capsys, report)[0] == 0
+    code, out, _ = _verify(tmp_path, capsys, with_value(report, path, value))
+    assert code == 2
+    assert json.loads(out)["failures"] == [failure]

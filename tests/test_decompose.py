@@ -109,6 +109,11 @@ def test_square_hypothesis_failures():
     assert v.status == INCONCLUSIVE
     assert v.failed_hypothesis == "factor-nontriviality"
 
+    v = check_square_lr(M([["x", "0"], ["0", "0"]]), P("0"), P("x"))
+    assert v.status == INCONCLUSIVE
+    assert v.hypotheses[-1].detail == "f1 is zero"
+    assert v.verify()
+
     B = M([["x", "0"], ["0", "x*(1 + x)"]])
     v = check_square_lr(B, P("x"), P("x*(1 + x)"))
     assert v.status == INCONCLUSIVE
@@ -185,6 +190,11 @@ def test_rect_nontriviality_and_product():
     v = check_rect_lr(A, Ideal(XY, (P("1 + x"),)), Ideal(XY, (P("x*y"),)))
     assert v.status == INCONCLUSIVE
     assert v.failed_hypothesis == "ideal-nontriviality"
+
+    v = check_rect_lr(A, Ideal(XY, (P("0"),)), Ideal(XY, (P("y"),)))
+    assert v.status == INCONCLUSIVE
+    assert v.hypotheses[-1].detail == "J1 is the zero ideal"
+    assert v.verify()
 
     v = check_rect_lr(A, Ideal(XY, (P("x"),)), Ideal(XY, (P("x"),)))
     assert v.status == INCONCLUSIVE

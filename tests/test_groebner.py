@@ -297,10 +297,35 @@ def test_zero_and_unit_ideals():
     Z = Ideal(XY, (Poly.zero(XY),))
     assert not member_global(P("x"), Z)[0]
     assert member_global(P("0"), Z)[0]
+    assert member_local(P("x"), Z) == (False, None)
+    ok, w = member_local(P("0"), Z)
+    assert ok and w.verify()
     U = ideal("2")
     ok, w = member_global(P("x"), U)
     assert ok and w.verify()
 
+
+def test_member_local_stops_the_jet_search_at_the_monomial_cap(monkeypatch):
+    """Over 12 variables, jets of order 5 span 1820 > MAX_JET_MONOMIALS
+    monomials, so echelons are built for N = 2..4 only.  x1^4 lies in
+    (x1^5) + m^4, so none separates, and the colon (x1) holds no unit."""
+    t = VarTable(tuple(f"x{k}" for k in range(1, 13)))
+    orders, colons = [], []
+
+    class Counted(JetEchelon):
+        def __init__(self, generators, table, N):
+            orders.append(N)
+            super().__init__(generators, table, N)
+
+    def counted_colon(I, f):
+        colons.append(f)
+        return colon(I, f)
+
+    monkeypatch.setattr(blocksplit.groebner, "JetEchelon", Counted)
+    monkeypatch.setattr(blocksplit.groebner, "colon", counted_colon)
+    f = parse_poly("x1^4", t)
+    assert member_local(f, Ideal(t, [parse_poly("x1^5", t)])) == (False, None)
+    assert orders == [2, 3, 4] and colons == [f]
 
 def test_witness_soundness_random():
     """Every positive membership answer re-expands exactly."""

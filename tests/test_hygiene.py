@@ -15,6 +15,9 @@ multiply-accumulate kernel ``ring.sum_of_products``, so no module but
 ``ring.py`` adds a product into a running sum by hand.  Every field of
 a job document is read by the certificate layer's readers, the ones that
 read reports, so ``cli.py`` names no polynomial parser of its own.
+Every verdict comes out of one checklist runner, so ``src/`` builds a
+``Verdict`` only in ``decompose._decide`` and, from a report, in
+``Verdict.from_json``.
 """
 
 from __future__ import annotations
@@ -236,3 +239,41 @@ def test_cli_reads_fields_through_the_certificate_layer():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert not names & {"parse_field", "parse_poly"}
+
+
+def verdict_builders(source: str) -> list[str]:
+    """The qualified name of the function around each ``Verdict(...)``
+    call, or "" at module level."""
+    out = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "Verdict":
+                    out.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_scanner_finds_a_verdict_construction():
+    source = ("def f():\n    return Verdict(1)\n"
+              "class K:\n    def g(self):\n"
+              "        return [c.Verdict(v) for v in Verdict(2)]\n"
+              "Verdict(3)\nrepr(Verdict)\n")
+    assert verdict_builders(source) == ["f", "K.g", "K.g", ""]
+
+
+def test_verdicts_are_built_only_by_the_runner_and_the_report_reader():
+    found = [f"{path.name}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for name in verdict_builders(path.read_text(encoding="utf-8"))]
+    assert found == ["certificate.py: Verdict.from_json",
+                     "decompose.py: _decide"]
