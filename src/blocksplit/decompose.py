@@ -9,7 +9,8 @@ the criteria are biconditionals only under their hypotheses.
 
 Every check decides through one checklist runner, ``_decide``: its
 hypothesis steps run in order, the first failed one ends the run as
-Inconclusive, and a local inclusion decides the rest.  Positive facts
+Inconclusive, and a decisive step, a local inclusion but for check-conj's
+discriminant without a square root, decides the rest.  Positive facts
 established along the way (identities, ideal inclusions) are collected
 into a certificate of plain ring arithmetic: an identity is re-checked by
 multiplication, an inclusion by expanding

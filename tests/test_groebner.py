@@ -327,6 +327,7 @@ def test_member_local_stops_the_jet_search_at_the_monomial_cap(monkeypatch):
     assert member_local(f, Ideal(t, [parse_poly("x1^5", t)])) == (False, None)
     assert orders == [2, 3, 4] and colons == [f]
 
+
 def test_witness_soundness_random():
     """Every positive membership answer re-expands exactly."""
     rng = random.Random(41)
