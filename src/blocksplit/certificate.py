@@ -389,8 +389,8 @@ class LineCoprime:
     degree deg f1, which says that the top-degree form of f1 does not
     vanish at c.  It is sound: a common factor h of degree e has a top
     form dividing f1's, so h(p + c*t) has degree e in t, and it divides
-    a*F1 + b*F2 == 1, so e = 0.  Extended Euclid gives deg a < deg f2 and
-    deg b < deg f1, and decoding refuses any other a and b."""
+    a*F1 + b*F2 == 1, so e = 0.  The reduced Groebner basis of (F1, F2)
+    in Q[t] gives deg a < deg f2 and deg b < deg f1, as decoding requires."""
 
     __slots__ = ("f1", "f2", "point", "direction", "a", "b")
 

@@ -20,20 +20,19 @@ inclusion, of every (n-1)-minor in (f1, f2), with one adjugate identity
 instead of one inclusion per minor, and that identity's check stands for
 the determinant identity too.  The coprimality of two principal ideals
 (f1) and (f2) in an exact run is certified by restriction to a line:
-integer p and c with f1(p + c*t) of degree deg f1, and a, b in Q[t]
-with a*f1(p + c*t) + b*f2(p + c*t) == 1, from extended Euclid, which
-proves gcd(f1, f2) = 1 (the evaluation step of sparse gcd, Zippel,
-EUROSAM 1979).  Only when a few seeded draws of the line find none, or
-in a jet run, or for ideals with more generators, is I cap J computed
-by elimination and each of its generators certified to lie in I*J.
-Certificates for inexact (jet) runs state congruences modulo m^N
-instead of equalities and are never presented as exact.
+integer p and c with f1(p + c*t) of degree deg f1, and a, b in Q[t] with
+a*F1 + b*F2 == 1 for Fi = fi(p + c*t), from the reduced Groebner basis
+of (F1, F2) in Q[t], which proves gcd(f1, f2) = 1 (the evaluation step
+of sparse gcd, Zippel, EUROSAM 1979).  Only when a few seeded draws of
+the line find none, or in a jet run, or for ideals with more generators,
+is I cap J computed by elimination and each of its generators certified
+to lie in I*J.  Certificates for inexact (jet) runs state congruences
+modulo m^N instead of equalities and are never presented as exact.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .ring import (
@@ -41,14 +40,10 @@ from .ring import (
     InvariantError,
     Poly,
     RingError,
-    _divisor,
-    _reduce_terms,
     divide_exact,
-    grevlex,
     local_unit_test,
     minor,
     restrict_to_line,
-    sum_of_products,
 )
 from .certificate import (
     DECOMPOSABLE,
@@ -104,26 +99,6 @@ def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
     return None, entries
 
 
-def _bezout(F: Poly, G: Poly) -> tuple[Poly, Poly] | None:
-    """(a, b) with a*F + b*G == 1 in Q[t], by extended Euclid, or None
-    when gcd(F, G) is not a constant.  Each quotient and remainder comes
-    from the one division loop, and each cofactor update is one
-    `sum_of_products`."""
-    one, zero = Poly.const(LINE, 1), Poly.zero(LINE)
-    r0, r1, s0, s1, u0, u1 = F, G, one, zero, zero, one
-    while not r1.is_zero():
-        remainder, quotients = _reduce_terms(dict(r0.terms),
-                                             (_divisor(r1),), grevlex)
-        q = Poly(LINE, quotients.get(0))
-        r0, r1 = r1, Poly(LINE, remainder)
-        s0, s1 = s1, sum_of_products(LINE, ((s0, one, 1), (q, s1, -1)))
-        u0, u1 = u1, sum_of_products(LINE, ((u0, one, 1), (q, u1, -1)))
-    if r0.degree() != 0:
-        return None
-    inverse = 1 / Fraction(r0.constant_term())
-    return s0 * inverse, u0 * inverse
-
-
 def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
     """A checked LineCoprime for f1 and f2 from the first of `LINE_DRAWS`
     lines p + c*t, with p and c drawn in [-3, 3] by a constant-seeded
@@ -147,10 +122,12 @@ def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
         F1 = restrict_to_line(f1, point, direction)
         if F1.degree() != f1.degree():
             continue
-        cofactors = _bezout(F1, restrict_to_line(f2, point, direction))
-        if cofactors is None:
+        # the reduced basis in Q[t] is the monic gcd, with its cofactors
+        F2 = restrict_to_line(f2, point, direction)
+        gcd, = Ideal(LINE, (F1, F2)).basis()
+        if gcd.poly.degree() != 0:
             continue
-        certificate = LineCoprime(f1, f2, point, direction, *cofactors)
+        certificate = LineCoprime(f1, f2, point, direction, *gcd.vec)
         if certificate.failures():
             raise InvariantError("line coprimality certificate failed to "
                                  "re-verify")
@@ -337,9 +314,11 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         ker = kernel(A)
         failing, entries = _local_inclusion(
             (c for column in ker for c in column), Im, None)
-        detail = (f"all {len(ker)} kernel generators have components in "
-                  "I_m(A) locally" if failing is None else
-                  f"kernel component {failing} escapes I_m(A) locally")
+        subject = ("the 1 kernel generator has" if len(ker) == 1 else
+                   f"all {len(ker)} kernel generators have")
+        detail = (f"kernel component {failing} escapes I_m(A) locally"
+                  if failing is not None else "the kernel is zero" if not ker
+                  else f"{subject} components in I_m(A) locally")
         yield HypothesisCheck("kernel-condition", failing is None,
                               detail), entries
 

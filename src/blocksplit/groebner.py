@@ -1,6 +1,7 @@
 """Ideal arithmetic over Q[x1..xp]: Groebner bases with cofactor tracking,
 normal forms, intersection, colon, and membership tests both in the
-polynomial ring and in its localization at the origin.
+polynomial ring and in its localization at the origin; in Q[t], also
+the Bezout cofactors of a line certificate of coprimality (`decompose`).
 
 Membership is decided under grevlex; any order gives the same answers,
 and the order only shapes the cofactors.  Every positive membership
@@ -299,8 +300,6 @@ def groebner_basis(I: Ideal, order: Order = grevlex) -> list[Poly]:
 def normal_form(f: Poly, I: Ideal):
     """Remainder of f modulo I under grevlex plus cofactors c aligned with
     I's generators: f = sum(c_i g_i) + remainder."""
-    if I.is_zero():
-        return f, (Poly.zero(f.table),)
     zeros = (Poly.zero(f.table),) * len(I.generators)
     return _reduce(f, I.basis(), grevlex, zeros, sign=1)
 
@@ -343,8 +342,6 @@ def colon(I: Ideal, f: Poly) -> Ideal:
     if f.is_zero():
         raise RingError("colon by zero")
     meet = intersect(I, Ideal(I.table, (f,)))
-    if meet.is_zero():
-        return meet
     return Ideal(I.table, [divide_exact(g, f) for g in meet.generators])
 
 
@@ -407,10 +404,6 @@ def _jet_separation(f: Poly, I: Ideal) -> NonInclusion | None:
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     if I.table != J.table:
         raise RingError("ideal sum needs a common VarTable")
-    if I.is_zero():
-        return J
-    if J.is_zero():
-        return I
     return Ideal(I.table, I.generators + J.generators)
 
 

@@ -1063,10 +1063,14 @@ def sqrt_series(f: Poly, bound: int) -> Poly:
     d = f.order()
     if d % 2:
         raise SeriesSqrtError("the lowest-degree part has odd degree")
-    base = sqrt_exact(f.lowest_form())
+    low = f.lowest_form()
+    base = sqrt_exact(low)
     if base is None:
         raise SeriesSqrtError(
-            "the lowest-degree form is not a square even up to a constant")
+            "the lowest-degree form is not a square even up to a constant"
+            if sqrt_exact(low * _div(1, low.leading()[1])) is None else
+            "the lowest-degree form is a square only up to a constant that "
+            "is not a rational square")
     g = base
     # rest is f - g^2 below the degree d + bound, updated by each
     # correction; a correction of degree d/2 + j cancels the degree d + j

@@ -185,6 +185,25 @@ def test_rect_kernel_condition():
     assert v.failed_hypothesis == "kernel-condition"
 
 
+def test_rect_kernel_condition_detail_agrees_in_number():
+    """The passed kernel condition reads in the singular for one kernel
+    generator, the plural for several, and names a zero kernel."""
+    xyz = VarTable(("x", "y", "z"))
+
+    def detail(rows, table=XY):
+        v = check_rect_lr(M(rows, table), Ideal(table, (P("x", table),)),
+                          Ideal(table, (P("y", table),)))
+        check, = [h for h in v.hypotheses if h.name == "kernel-condition"]
+        assert check.passed
+        return check.detail
+
+    assert detail([["x", "0"], ["0", "y"]]) == "the kernel is zero"
+    assert detail([["x", "y"]]) == (
+        "the 1 kernel generator has components in I_m(A) locally")
+    assert detail([["x", "y", "z"]], xyz) == (
+        "all 3 kernel generators have components in I_m(A) locally")
+
+
 def test_rect_nontriviality_and_product():
     A = M([["x", "0"], ["0", "y"]])
     v = check_rect_lr(A, Ideal(XY, (P("1 + x"),)), Ideal(XY, (P("x*y"),)))

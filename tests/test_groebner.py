@@ -303,6 +303,14 @@ def test_zero_and_unit_ideals():
     U = ideal("2")
     ok, w = member_global(P("x"), U)
     assert ok and w.verify()
+    # Ideal drops zero generators and the zero ideal's basis is empty, so
+    # sums, colons and normal forms need no zero case of their own
+    J = ideal("x", "y^2")
+    assert ideal_sum(Z, J).generators == J.generators
+    assert ideal_sum(J, Z).generators == J.generators
+    assert ideal_sum(Z, Z).is_zero()
+    assert colon(Z, P("x")).is_zero()
+    assert normal_form(P("x + 1"), Z) == (P("x + 1"), (P("0"),))
 
 
 def test_member_local_stops_the_jet_search_at_the_monomial_cap(monkeypatch):

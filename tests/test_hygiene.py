@@ -17,7 +17,11 @@ a job document is read by the certificate layer's readers, the ones that
 read reports, so ``cli.py`` names no polynomial parser of its own.
 Every verdict comes out of one checklist runner, so ``src/`` builds a
 ``Verdict`` only in ``decompose._decide`` and, from a report, in
-``Verdict.from_json``.
+``Verdict.from_json``.  Every division runs the one division loop,
+``ring._reduce_terms``, and only the Groebner engine drives it: no
+module in ``src/`` but ``ring.py`` and ``groebner.py`` names
+``_reduce_terms`` or its divisor shape ``_divisor``, so a second
+Euclid or a second reduction cannot creep in beside ``Ideal.basis()``.
 """
 
 from __future__ import annotations
@@ -277,3 +281,36 @@ def test_verdicts_are_built_only_by_the_runner_and_the_report_reader():
              for name in verdict_builders(path.read_text(encoding="utf-8"))]
     assert found == ["certificate.py: Verdict.from_json",
                      "decompose.py: _decide"]
+
+
+DIVISION_LOOP = frozenset({"_reduce_terms", "_divisor"})
+
+
+def division_loop_names(source: str) -> list[str]:
+    """Each naming of the division loop or its divisor shape, as a
+    variable, an attribute or an imported name, as "line N: name"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in DIVISION_LOOP:
+            out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+def test_scanner_finds_a_division_loop_name():
+    source = ("from .ring import _divisor, divide_exact\n"
+              "import blocksplit.ring as ring\n"
+              "r, q = ring._reduce_terms(t, (_divisor(g),), key)\n"
+              "_reduce = divide_exact\n")
+    assert division_loop_names(source) == [
+        "line 1: _divisor", "line 3: _reduce_terms", "line 3: _divisor"]
+
+
+def test_only_the_groebner_engine_drives_the_division_loop():
+    found = [f"{path.name}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name not in {"ring.py", "groebner.py"}
+             for name in division_loop_names(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -267,8 +267,20 @@ def test_sqrt_series_examples():
     assert shifted == P("x") * s
     with pytest.raises(SeriesSqrtError):
         sqrt_series(P("x^3"), 4)
-    with pytest.raises(SeriesSqrtError):
-        sqrt_series(P("x^2 + y^2"), 4)
+    # a lowest form that is a square only after scaling by a constant
+    # that is not a rational square has its own message
+    no_square = "the lowest-degree form is not a square even up to a constant"
+    scaled = ("the lowest-degree form is a square only up to a constant "
+              "that is not a rational square")
+    for text, reason in (("x^2 + y^2", no_square),
+                         ("x^2 + 2*y^2 + x^3", no_square),
+                         ("2*x^2", scaled), ("-x^2 + x^3", scaled),
+                         ("3*x^2 + 6*x*y + 3*y^2", scaled)):
+        with pytest.raises(SeriesSqrtError) as info:
+            sqrt_series(P(text), 4)
+        assert str(info.value) == reason, text
+    assert sqrt_series(P("4*x^2 + x^3"), 4) == sqrt_series(
+        P("x^2 + 1/4*x^3"), 4) * 2
 
 
 def largest_order(nvars):

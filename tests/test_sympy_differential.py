@@ -1,7 +1,7 @@
 """Determinants, Fitting ideals, reduced Groebner bases, the expression
 parser, the monomial orders, the determinant factorizations of the
-golden reports and the line certificates of coprimality refereed by
-sympy.
+golden reports and the line certificates of coprimality, their Bezout
+cofactors included, refereed by sympy.
 
 sympy shares no code with blocksplit, so agreement here is evidence from
 outside the minor expansion, the Groebner engine and the parser.  The
@@ -24,7 +24,7 @@ import pytest
 import blocksplit.decompose
 from blocksplit.cli import main
 from blocksplit.certificate import LineCoprime, NonInclusion
-from blocksplit.decompose import _coprimality, _local_inclusion
+from blocksplit.decompose import _coprimality, _line_coprime, _local_inclusion
 from blocksplit.groebner import (
     Ideal,
     groebner_basis,
@@ -410,6 +410,76 @@ def test_golden_det_factorization_agrees_with_sympy_factor_list(doc_name,
         irreducible_factors(f1, symbols) + irreducible_factors(f2, symbols))
 
 
+T = sympy.Symbol("t")
+XY = VarTable(("x", "y"))
+
+
+def assert_cofactors(line, F1, F2):
+    """The line certificate's a and b are sympy's gcdex cofactors of the
+    restrictions F1 and F2, the one pair with a*F1 + b*F2 == 1, deg a <
+    deg F2 and deg b < deg F1."""
+    a, b, gcd = sympy.gcdex(F1, F2)
+    assert gcd == 1
+    assert terms_of(poly_to_sympy(line.a, (T,)) - a.as_expr(), (T,)) == {}
+    assert terms_of(poly_to_sympy(line.b, (T,)) - b.as_expr(), (T,)) == {}
+    assert line.a.degree() < F2.degree()
+    assert line.b.degree() < F1.degree()
+
+
+class OneLine:
+    """Stands in for `random` in `decompose`: every draw of the line
+    search gives point (0, 1) and direction (1, 0), the line x = t,
+    y = 1, so a factor F(x) restricts to F(t)."""
+
+    class Random:
+        def __init__(self, seed):
+            self.values = itertools.cycle((0, 1, 1, 0))
+
+        def randint(self, low, high):
+            return next(self.values)
+
+
+def test_line_cofactors_agree_with_sympy_gcdex(monkeypatch):
+    """Seeded pairs F1, F2 in Q[t], a common linear factor in every fifth
+    pair, run through the line search as f1 = F1(x) and f2 = F2(x); a
+    constant F2 = k enters as f2 = k*y and F2 = 0 as f2 = y - 1, both of
+    degree 1 and restricting to F2 on the line.  Wherever sympy's gcd is
+    1, the certificate's a and b must be gcdex's; elsewhere the search
+    must give none."""
+    monkeypatch.setattr(blocksplit.decompose, "random", OneLine)
+    rng = random.Random(131)
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    one = Poly.const(XY, 1)
+
+    def in_x(F):
+        return sum((int(c) * x ** e for (e,), c in F.terms()), 0 * one)
+
+    seen = {"coprime": 0, "shared": 0, "constant": 0, "zero": 0}
+    for k in range(240):
+        F1, F2 = (sympy.Poly(coeffs, T, domain="QQ") for coeffs in (
+            [rng.choice((-3, -1, 1, 2))]
+            + [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))],
+            [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))] or [0]))
+        if k % 5 == 0:
+            shared = sympy.Poly(T + rng.randint(-2, 2), T, domain="QQ")
+            F1, F2 = F1 * shared, F2 * shared
+        f1 = in_x(F1)
+        f2 = (in_x(F2) if F2.degree() > 0 else y - one if F2.is_zero
+              else y * int(F2.LC()))
+        line = _line_coprime(f1, f2)
+        if sympy.gcd(F1, F2) == 1:
+            assert line is not None, k
+            assert line.failures() == [] and line.point == (0, 1), k
+            assert_cofactors(line, F1, F2)
+            kind = "constant" if F2.degree() == 0 else "coprime"
+        else:
+            assert line is None, k
+            kind = "zero" if F2.is_zero else "shared"
+        seen[kind] += 1
+    assert seen["coprime"] >= 100 and seen["shared"] >= 30
+    assert seen["constant"] >= 20 and seen["zero"] >= 30
+
+
 def test_line_certificates_agree_with_sympy_gcd(monkeypatch):
     """Seeded factor pairs g1*h, g2*h over x, y, z, with h = 1 (mostly
     coprime pairs), a common factor vanishing at the origin, or one that
@@ -442,6 +512,12 @@ def test_line_certificates_agree_with_sympy_gcd(monkeypatch):
         if lines:
             assert constant and check.passed, k
             assert len(calls) == before and facts == lines, k
+            line, = lines
+            on_line = dict(zip(symbols, (
+                p + c * T for p, c in zip(line.point, line.direction))))
+            F1, F2 = (sympy.Poly(poly_to_sympy(f, symbols).subs(on_line), T)
+                      for f in (f1, f2))
+            assert_cofactors(line, F1, F2)
             seen["line"] += 1
             continue
         assert len(calls) == before + 1, k
