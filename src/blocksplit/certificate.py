@@ -18,15 +18,15 @@ their strength must match the verdict's provenance: an exact verdict
 holds no congruence, and a jet verdict of order N only congruences
 modulo m^N.
 
-Decoding validates every field and raises InputError naming the first
-malformed one; ``failures()`` then lists what does not re-check, as the
-messages ``verify-cert`` prints.  Nothing here uses Groebner bases or
-matrix code (the determinant is `ring.minor`, the expansion that `det`
-runs too, the restriction to a line is `ring.restrict_to_line`, and each
-sum of products is one `ring.sum_of_products`), so
-the check stays independent of how a verdict arose.  Inclusions, the
-adjugate entry and the line certificate clear their cofactors'
-denominators by one rule, `_cleared`, before any product.
+Decoding checks only the JSON shape and the caps on oversized input, raising
+InputError naming the first field it refuses; every validity rule of an
+entry is stated once, in its ``failures()``, whose messages ``verify-cert``
+prints.  Nothing here uses Groebner bases or matrix code (the determinant is
+`ring.minor`, the expansion that `det` runs too, the restriction to a line
+is `ring.restrict_to_line`, and each sum of products is one
+`ring.sum_of_products`), so the check stays independent of how a verdict
+arose.  Inclusions, the adjugate entry and the line certificate clear their
+cofactors' denominators by one rule, `_cleared`, before any product.
 """
 
 from __future__ import annotations
@@ -112,18 +112,14 @@ def _parse_pair(items: Any, table: VarTable, field: str,
 
 
 def parse_matrix(rows: Any, table: VarTable, field: str,
-                 memo: dict[str, Poly] | None = None,
-                 size: int | None = None) -> list[tuple[Poly, ...]]:
+                 memo: dict[str, Poly] | None = None) -> list[tuple[Poly, ...]]:
     """A non-empty rectangular matrix of polynomial strings, with at most
-    `MAX_MATRIX_SIZE` rows and columns, and `size` x `size` when given."""
+    `MAX_MATRIX_SIZE` rows and columns."""
     expect(isinstance(rows, list) and rows,
            f"field '{field}' must be a non-empty list of rows")
     expect(len(rows) <= MAX_MATRIX_SIZE,
            f"field '{field}' has {len(rows)} rows, more than "
            f"{MAX_MATRIX_SIZE}")
-    expect(size is None or len(rows) == size and all(
-        isinstance(row, list) and len(row) == size for row in rows),
-        f"field '{field}' must be {size} x {size}")
     width = None
     parsed = []
     for i, row in enumerate(rows):
@@ -386,11 +382,11 @@ class LineCoprime:
 
     The certificate is a line p + c*t, with p and c integer vectors, and
     a, b in Q[t] with a*F1 + b*F2 == 1, where Fi = fi(p + c*t), and F1 of
-    degree deg f1, which says that the top-degree form of f1 does not
-    vanish at c.  It is sound: a common factor h of degree e has a top
-    form dividing f1's, so h(p + c*t) has degree e in t, and it divides
-    a*F1 + b*F2 == 1, so e = 0.  The reduced Groebner basis of (F1, F2)
-    in Q[t] gives deg a < deg f2 and deg b < deg f1, as decoding requires."""
+    degree deg f1: the top-degree form of f1 does not vanish at c.  It is
+    sound: a common factor h of degree e has a top form dividing f1's, so
+    h(p + c*t) has degree e in t, and it divides a*F1 + b*F2 == 1, so
+    e = 0.  The reduced Groebner basis of (F1, F2) in Q[t] gives
+    deg a < deg f2 and deg b < deg f1, as `failures()` requires."""
 
     __slots__ = ("f1", "f2", "point", "direction", "a", "b")
 
@@ -408,6 +404,11 @@ class LineCoprime:
         self.f1._check(self.f2)
         one._check(self.a)
         one._check(self.b)
+        for name, p, other, f in (("a", self.a, "f2", self.f2),
+                                  ("b", self.b, "f1", self.f1)):
+            if p.degree() >= f.degree():
+                return [f"coprimality: {name} must have degree below that "
+                        f"of {other}"]
         F1 = restrict_to_line(self.f1, self.point, self.direction)
         if F1.degree() != self.f1.degree():
             return ["coprimality: the top-degree form of f1 vanishes at "
@@ -441,10 +442,6 @@ class LineCoprime:
                                   f"{field}.direction")
         a = parse_field(d.get("a"), LINE, f"{field}.a")
         b = parse_field(d.get("b"), LINE, f"{field}.b")
-        for name, p, other, f in (("a", a, "f2", f2), ("b", b, "f1", f1)):
-            expect(p.degree() < f.degree(),
-                   f"field '{field}.{name}' must have degree below that of "
-                   f"{other}")
         return LineCoprime(f1, f2, point, direction, a, b)
 
 
@@ -518,7 +515,6 @@ class AdjugateInclusion:
         field = "certificate.adjugate"
         expect(isinstance(d, dict), f"field '{field}' must be an object")
         A = parse_matrix(d.get("matrix"), table, f"{field}.matrix", memo)
-        expect(len(A) == len(A[0]), f"field '{field}.matrix' must be square")
         f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
                              memo)
         unit = parse_field(d.get("unit"), table, f"{field}.unit", memo)
@@ -526,8 +522,8 @@ class AdjugateInclusion:
         expect(isinstance(cofactors, list) and len(cofactors) == 2,
                f"field '{field}.cofactors' must be a list of exactly two "
                "matrices")
-        c1, c2 = (parse_matrix(c, table, f"{field}.cofactors[{k}]", memo,
-                               len(A)) for k, c in enumerate(cofactors))
+        c1, c2 = (parse_matrix(c, table, f"{field}.cofactors[{k}]", memo)
+                  for k, c in enumerate(cofactors))
         return AdjugateInclusion(A, f1, f2, unit, c1, c2)
 
 
@@ -578,6 +574,10 @@ class Verdict:
         if self.coprimality is not None:
             out.extend(self.coprimality.failures())
             out.extend(self._strength("coprimality", None))
+        line, adj = self.coprimality, self.adjugate
+        if line and adj and {line.f1, line.f2} != {adj.f1, adj.f2}:
+            out.append("coprimality: the factors are not the adjugate "
+                       "entry's f1 and f2")
         out.extend(self._shape())
         return out
 

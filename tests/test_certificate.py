@@ -23,14 +23,15 @@ from blocksplit.certificate import (
     LineCoprime,
     Verdict,
 )
-from blocksplit.ring import LINE, Poly, VarTable, parse_poly
+from blocksplit.ring import LINE, Poly, VarTable, parse_poly, \
+    restrict_to_line
 
 from blocksplit.cli import main
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
 
-from test_cli import EX2, LEGACY, STRING_QUIVER, legacy_report, run_json, \
-    write_doc
+from test_cli import EX2, LEGACY, STRING_QUIVER, golden_report, \
+    legacy_report, run_json, write_doc
 
 XY = VarTable(("x", "y"))
 
@@ -374,6 +375,10 @@ def test_altering_any_part_of_a_line_certificate_fails(tmp_path, capsys):
         "coprimality: a*f1 + b*f2 does not restrict to 1 on the line"])
 
 
+NOT_MINIMAL = {"t^3": "coprimality: a must have degree below that of f2",
+               "t^3 + 1": "coprimality: b must have degree below that of f1"}
+
+
 @pytest.mark.parametrize("key,value,field", [
     ("point", "0", "point"),
     ("point", [0] * 11, "point"),
@@ -393,11 +398,17 @@ def test_altering_any_part_of_a_line_certificate_fails(tmp_path, capsys):
 def test_a_malformed_line_certificate_is_an_input_error(tmp_path, capsys,
                                                         key, value, field):
     """A point or direction that is not a list of 12 ints of fewer than 64
-    bits, an a or b that is not a polynomial in t, an a of degree deg f2
-    or more or a b of degree deg f1 or more, and a factor of degree past
-    MAX_LINE_DEGREE each exit 1 naming the field."""
+    bits, an a or b that is not a polynomial in t, and a factor of degree
+    past MAX_LINE_DEGREE each exit 1 naming the field.  An a of degree
+    deg f2 or more or a b of degree deg f1 or more is well formed but not
+    minimal, a rule of the entry's re-check alone: it exits 2 with that
+    one failure."""
     report = quiver3_report()
     report["certificate"]["coprimality"][key] = value
+    if isinstance(value, str) and value in NOT_MINIMAL:
+        assert verify_report(tmp_path, capsys, report) == (
+            2, [NOT_MINIMAL[value]])
+        return
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(report))
     code = main(["verify-cert", "--cert", str(path)])
@@ -418,7 +429,8 @@ def test_entries_of_63_bits_are_accepted(tmp_path, capsys):
 def test_a_direction_where_f1_drops_degree_fails(tmp_path, capsys):
     """With f1 = x1 and f2 = x1*x2 on the line (1, 0) + (0, 1)*t, the
     identity 1*F1 + 0*F2 = 1 holds, but f1's top form x1 vanishes at the
-    direction, so the line says nothing about a common factor."""
+    direction, so the line says nothing about a common factor.  In EX2's
+    report the entry also names factors other than the adjugate entry's."""
     x1, x1x2 = parse_poly("x1", EX_TABLE), parse_poly("x1*x2", EX_TABLE)
     one, zero = parse_poly("1", LINE), parse_poly("0", LINE)
     degenerate = LineCoprime(x1, x1x2, (1, 0), (0, 1), one, zero)
@@ -427,7 +439,48 @@ def test_a_direction_where_f1_drops_degree_fails(tmp_path, capsys):
     assert degenerate.failures() == [message]
     report = ex2_report(tmp_path, capsys)
     report["certificate"]["coprimality"] = degenerate.to_json()
+    assert verify_report(tmp_path, capsys, report) == (2, [message, PAIR])
+
+
+PAIR = "coprimality: the factors are not the adjugate entry's f1 and f2"
+
+
+def test_a_non_minimal_line_certificate_fails_both_checks(tmp_path, capsys):
+    """(a + F2, b - F1) is another Bezout pair of the same restrictions,
+    but b has the degree of f1: the entry's re-check refuses it, on the
+    in-memory verdict as in verify-cert, where decoding accepts it."""
+    report = golden_report("square-signed.out")
+    table = VarTable(report["ring"]["vars"])
+    verdict = Verdict.from_json(report, table)
+    line = verdict.coprimality
+    F1, F2 = (restrict_to_line(f, line.point, line.direction)
+              for f in (line.f1, line.f2))
+    a, b = line.a + F2, line.b - F1
+    assert a * F1 + b * F2 == Poly.const(LINE, 1)
+    message = "coprimality: b must have degree below that of f1"
+    verdict.coprimality = LineCoprime(line.f1, line.f2, line.point,
+                                      line.direction, a, b)
+    assert verdict.coprimality.failures() == [message]
+    assert not verdict.verify()
+    report["certificate"]["coprimality"] = verdict.coprimality.to_json()
     assert verify_report(tmp_path, capsys, report) == (2, [message])
+
+
+@pytest.mark.parametrize("factor", ["x + 1/7", "x + x"])
+def test_the_line_and_adjugate_entries_name_one_factor_pair(tmp_path, capsys,
+                                                            factor):
+    """On square-signed's line y = -1, a = 0 and b = -1 prove any f1
+    coprime to f2 = y, so a line entry for another f1 re-checks alone; the
+    verdict refuses it because the adjugate entry never names that pair.
+    The pair is unordered: swapping the adjugate's factors together with
+    its cofactors gives another valid certificate."""
+    report = golden_report("square-signed.out")
+    adjugate = report["certificate"]["adjugate"]
+    adjugate["factors"].reverse()
+    adjugate["cofactors"].reverse()
+    assert verify_report(tmp_path, capsys, report) == (0, [])
+    report["certificate"]["coprimality"]["factors"][0] = factor
+    assert verify_report(tmp_path, capsys, report) == (2, [PAIR])
 
 
 EX_TABLE = VarTable(("x1", "x2"))

@@ -22,6 +22,9 @@ Every verdict comes out of one checklist runner, so ``src/`` builds a
 module in ``src/`` but ``ring.py`` and ``groebner.py`` names
 ``_reduce_terms`` or its divisor shape ``_divisor``, so a second
 Euclid or a second reduction cannot creep in beside ``Ideal.basis()``.
+The certificate layer imports from ``ring`` alone among the package's
+modules, so ``verify-cert`` re-checks with plain ring arithmetic and
+never with the Groebner or matrix code that built a verdict.
 """
 
 from __future__ import annotations
@@ -314,3 +317,40 @@ def test_only_the_groebner_engine_drives_the_division_loop():
              if path.name not in {"ring.py", "groebner.py"}
              for name in division_loop_names(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def package_imports(source: str) -> list[str]:
+    """Each module of the package that `source` imports from, relative
+    or as ``blocksplit.<module>``, as "line N: module"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("blocksplit.")]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0]
+                == "blocksplit"):
+            module = (node.module or "").removeprefix("blocksplit")
+            module = module.lstrip(".").split(".")[0]
+            found = [module] if module else [a.name for a in node.names]
+        else:
+            continue
+        out += [f"line {node.lineno}: {m}" for m in found]
+    return out
+
+
+def test_scanner_finds_a_package_import():
+    source = ("import math\nfrom typing import Any\n"
+              "from .ring import Poly\nfrom . import groebner, matrix\n"
+              "import blocksplit.oracle as oracle\n"
+              "from blocksplit.quiver import Quiver\n"
+              "from blocksplit import cli\n")
+    assert package_imports(source) == [
+        "line 3: ring", "line 4: groebner", "line 4: matrix",
+        "line 5: oracle", "line 6: quiver", "line 7: cli"]
+
+
+def test_the_certificate_layer_imports_from_ring_only():
+    source = (ROOT / "src" / "blocksplit" / "certificate.py").read_text(
+        encoding="utf-8")
+    assert {f.split(": ")[1] for f in package_imports(source)} == {"ring"}
