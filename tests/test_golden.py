@@ -25,6 +25,12 @@ one with one altered cofactor (``quiver2-tampered.json``), so its
 failure messages are pinned too; and a check-square report whose
 provenance names the lex order (``square-notdec-lex.json``, issued when
 the order was a job option), so reports from that time keep verifying.
+``quiver-parallel.json`` is a 2-vertex quiver over Q[s] with two
+parallel arrows a -> b, no arrow b -> a and two parallel loops at a,
+listed interleaved: its Kronecker form pins the merge variables, their
+numbering in block order, and the zero block of the missing arrow, and
+its check-quiver report (Inconclusive at ``y-profile``) is re-checked by
+``verify-cert``.
 Each ``<case>.out`` file is the stdout the CLI printed for that case;
 any change to a report, down to whitespace or the order of Fitting
 generators, fails here.  ``quiver3-check-legacy.out`` is the 3-vertex
@@ -111,6 +117,10 @@ CASES = (
     ("verify-tampered-text", "verify-cert", "quiver2-tampered.json",
      ("--format", "text")),
     ("verify-square-notdec-lex", "verify-cert", "square-notdec-lex.json", ()),
+    ("quiver-parallel-kronecker", "build-kronecker", "quiver-parallel.json",
+     ()),
+    ("quiver-parallel-check", "check-quiver", "quiver-parallel.json", ()),
+    ("verify-quiver-parallel", "verify-cert", "quiver-parallel-check.out", ()),
 )
 
 # every other case exits 0
