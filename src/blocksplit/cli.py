@@ -46,7 +46,6 @@ from .quiver import (
     build_kronecker,
     check_conj_2x2,
     check_quiver,
-    complete_reduce,
     conj_pencil,
 )
 from .ring import InvariantError, Poly, RingError, VarTable, format_poly
@@ -190,8 +189,7 @@ def _target_form(job: Job, field_hint: str) -> KroneckerForm:
            f"exactly one of the fields 'quiver', 'matrices' is required "
            f"for '{field_hint}'")
     if present[0] == "quiver":
-        Q = complete_reduce(_parse_quiver(doc["quiver"], job.table))
-        return build_kronecker(Q)
+        return build_kronecker(_parse_quiver(doc["quiver"], job.table))
     mats = doc["matrices"]
     expect(isinstance(mats, list) and mats,
            "field 'matrices' must be a non-empty list of matrices")
@@ -379,8 +377,7 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
 def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
     expect("quiver" in job.doc,
            "field 'quiver' is required for 'check-quiver'")
-    form = build_kronecker(
-        complete_reduce(_parse_quiver(job.doc["quiver"], job.table)))
+    form = build_kronecker(_parse_quiver(job.doc["quiver"], job.table))
     # the factors may mention the fresh x_i_j / y_i variables
     f1, f2 = _parse_factors(job.doc, form.table)
     return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order)

@@ -51,11 +51,6 @@ class PolyMatrix:
             [[one if i == j else zero for j in range(n)] for i in range(n)],
         )
 
-    @staticmethod
-    def zeros(table: VarTable, m: int, n: int) -> "PolyMatrix":
-        zero = Poly.zero(table)
-        return PolyMatrix(table, [[zero] * n for _ in range(m)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Poly:
         i, j = ij
         return self.entries[i][j]

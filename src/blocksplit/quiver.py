@@ -1,16 +1,17 @@
-"""Quiver representations over the ring: completion/reduction, the
-Kronecker block embedding, and the decomposability checks built on it.
+"""Quiver representations over the ring, the Kronecker block embedding,
+and the decomposability checks built on it.
 
 A representation assigns to each vertex a free module of finite rank and
-to each arrow a matrix over the ring (target rank x source rank).  After
-complete_reduce every ordered vertex pair carries exactly one arrow; the
-Kronecker form then is the square block matrix
+to each arrow a matrix over the ring (target rank x source rank).  Its
+Kronecker form is the square block matrix
 
     block(i, j) = x_i_j * A_ij + (y_i * identity  if i == j)
 
-over the table extended by one fresh x per ordered pair and one fresh y
-per vertex.  Decomposability of the representation is decided through
-the Fitting-ideal criterion on that single square matrix, relative to a
+over the table extended by one x per ordered pair and one y per vertex,
+where A_ij is the arrow j -> i, zero when there is none, and parallel
+arrows j -> i merge into sum(x_k * A^(k)) with one fresh x_k each.
+Decomposability of the representation is decided through the
+Fitting-ideal criterion on that single square matrix, relative to a
 supplied splitting det = f1 * f2.
 
 The 2x2 conjugation check is a fast path: it classifies the
@@ -73,8 +74,8 @@ class Arrow:
 class QuiverRep:
     """Ordered vertices with ranks, arrows with shape-checked matrices.
 
-    Parallel arrows between the same ordered pair are allowed; they
-    disappear after complete_reduce."""
+    Parallel arrows between the same ordered pair, and pairs with no
+    arrow, are allowed; `build_kronecker` merges or zero-fills them."""
 
     __slots__ = ("table", "vertices", "arrows")
 
@@ -102,46 +103,6 @@ class QuiverRep:
                     f"{want[0]} x {want[1]}")
             if a.matrix.table != table:
                 raise RingError("arrow matrix declared over a different VarTable")
-
-    def is_complete_reduced(self) -> bool:
-        seen = set()
-        for a in self.arrows:
-            key = (a.target, a.source)
-            if key in seen:
-                return False
-            seen.add(key)
-        return len(seen) == len(self.vertices) ** 2
-
-
-def complete_reduce(Q: QuiverRep) -> QuiverRep:
-    """One arrow per ordered vertex pair: missing arrows become zero
-    matrices, parallel tuples merge into sum(x_k * A^(k)) with fresh
-    variables x_1, x_2, ... (`VarTable.fresh_names`) appended to the
-    table.  Idempotent."""
-    groups: dict[tuple[str, str], list[PolyMatrix]] = {}
-    for a in Q.arrows:
-        groups.setdefault((a.target, a.source), []).append(a.matrix)
-    count = sum(len(bunch) for bunch in groups.values() if len(bunch) > 1)
-    merge_names = Q.table.fresh_names(f"x_{k}" for k in range(1, count + 1))
-    if not merge_names and Q.is_complete_reduced():
-        return Q
-    table = Q.table.extend(merge_names) if merge_names else Q.table
-    arrows = []
-    pos = 0
-    for t in Q.vertices:
-        for s in Q.vertices:
-            bunch = groups.get((t.id, s.id), [])
-            if not bunch:
-                merged = PolyMatrix.zeros(table, t.rank, s.rank)
-            elif len(bunch) == 1:
-                merged = bunch[0].lift(table)
-            else:
-                merged = _combination(table, [
-                    (Poly.var(table, name), mat.lift(table))
-                    for name, mat in zip(merge_names[pos:], bunch)])
-                pos += len(bunch)
-            arrows.append(Arrow(s.id, t.id, merged))
-    return QuiverRep(table, Q.vertices, arrows)
 
 
 def _combination(table: VarTable, terms) -> PolyMatrix:
@@ -176,35 +137,49 @@ class KroneckerForm:
 
 
 def build_kronecker(Q: QuiverRep) -> KroneckerForm:
-    """Kronecker embedding of a complete reduced quiver representation."""
-    if not Q.is_complete_reduced():
-        raise RingError("build_kronecker needs a complete reduced quiver")
-    K = len(Q.vertices)
-    pair_names = [
-        f"x_{i + 1}_{j + 1}" for i in range(K) for j in range(K)
-    ]
-    y_names = [f"y_{i + 1}" for i in range(K)]
-    table = Q.table.extend(pair_names + y_names)
+    """Kronecker form of a quiver representation, built in one pass.
+
+    Block (i, j) is x_i_j * A + (y_i * identity if i == j), where A is the
+    arrow j -> i, zero when there is none.  Parallel arrows j -> i merge
+    into A = sum(x_k * A^(k)), with merge variables x_1, x_2, ... numbered
+    in block order and made fresh by `VarTable.fresh_names`.  The table
+    lists the job's variables, the merge variables, the x_i_j, the y_i."""
+    groups: dict[tuple[str, str], list[PolyMatrix]] = {}
+    for a in Q.arrows:
+        groups.setdefault((a.target, a.source), []).append(a.matrix)
+    blocks = [(i, t, j, s, groups.get((t.id, s.id), []))
+              for i, t in enumerate(Q.vertices)
+              for j, s in enumerate(Q.vertices)]
+    parallel = [f"parallel({t.id}, {s.id}, {n})"
+                for _, t, _, s, bunch in blocks if len(bunch) > 1
+                for n in range(1, len(bunch) + 1)]
+    merge_names = Q.table.fresh_names(
+        f"x_{k}" for k in range(1, len(parallel) + 1))
+    pair_names = [f"x_{i + 1}_{j + 1}" for i, _, j, _, _ in blocks]
+    y_names = [f"y_{i + 1}" for i in range(len(Q.vertices))]
+    table = Q.table.extend(merge_names + pair_names + y_names)
     roles = {}
-    for i in range(K):
-        for j in range(K):
-            roles[f"x_{i + 1}_{j + 1}"] = f"pair({Q.vertices[i].id}, {Q.vertices[j].id})"
-        roles[f"y_{i + 1}"] = f"vertex({Q.vertices[i].id})"
-    index = {v.id: i for i, v in enumerate(Q.vertices)}
+    roles.update((name, f"pair({t.id}, {s.id})")
+                 for name, (_, t, _, s, _) in zip(pair_names, blocks))
+    roles.update((name, f"vertex({v.id})")
+                 for name, v in zip(y_names, Q.vertices))
     sizes = [v.rank for v in Q.vertices]
     offsets = [0, *itertools.accumulate(sizes)][:-1]
-    total = sum(sizes)
-    grid = [[None] * total for _ in range(total)]
-    for a in Q.arrows:
-        i, j = index[a.target], index[a.source]
-        x = Poly.var(table, f"x_{i + 1}_{j + 1}")
-        terms = [(x, a.matrix.lift(table))]
+    grid = [[Poly.zero(table)] * sum(sizes) for _ in range(sum(sizes))]
+    merge = iter(merge_names)
+    for name, (i, t, j, s, bunch) in zip(pair_names, blocks):
+        if len(bunch) > 1:
+            bunch = [_combination(table, [(Poly.var(table, next(merge)),
+                                           A.lift(table)) for A in bunch])]
+        terms = [(Poly.var(table, name), A.lift(table)) for A in bunch]
         if i == j:
             terms.append((Poly.var(table, y_names[i]),
-                          PolyMatrix.identity(table, sizes[i])))
-        for r, row in enumerate(_combination(table, terms).entries):
-            grid[offsets[i] + r][offsets[j]:offsets[j] + sizes[j]] = row
-    return KroneckerForm(PolyMatrix(table, grid), Q.table, offsets, sizes,
+                          PolyMatrix.identity(table, t.rank)))
+        if terms:
+            for r, row in enumerate(_combination(table, terms).entries):
+                grid[offsets[i] + r][offsets[j]:offsets[j] + s.rank] = row
+    return KroneckerForm(PolyMatrix(table, grid),
+                         Q.table.extend(merge_names), offsets, sizes,
                          roles, y_names)
 
 
@@ -240,9 +215,9 @@ _QUIVER_SCOPE = (
 
 def check_quiver(form: KroneckerForm, f1: Poly, f2: Poly,
                  jet_order: int | None = None) -> Verdict:
-    """Decomposability of a complete reduced representation, given as its
-    Kronecker form (see build_kronecker), relative to the supplied
-    splitting of det of that form.
+    """Decomposability of a representation, given as its Kronecker form
+    (see build_kronecker), relative to the supplied splitting of det of
+    that form.
 
     The pure-y monomial bound is the strict one (0 < l_i < m_i for every
     vertex), which is recorded in the hypothesis detail."""

@@ -23,7 +23,6 @@ from blocksplit.quiver import (
     build_kronecker,
     check_conj_2x2,
     check_quiver,
-    complete_reduce,
 )
 from blocksplit.ring import Poly, VarTable, parse_poly
 
@@ -184,7 +183,7 @@ def test_criterion_4_string_determinant_formula():
         tr_ab = ab[0][0] + ab[1][1]
         det_ab = ab[0][0] * ab[1][1] - ab[0][1] * ab[1][0]
 
-        form = build_kronecker(complete_reduce(string_quiver(a, b)))
+        form = build_kronecker(string_quiver(a, b))
         t = form.table
         yy = P("y_1", t) * P("y_2", t)
         xx = P("x_1_2", t) * P("x_2_1", t)
@@ -202,7 +201,7 @@ def test_criterion_5_star_negative_case():
     rng = random.Random(55)
     for trial in range(5):
         c = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        form = build_kronecker(complete_reduce(star_quiver(c)))
+        form = build_kronecker(star_quiver(c))
         t = form.table
         loop = (M([[str(e) for e in row] for row in c], t)
                 .scale(P("x_1_1", t))

@@ -1,4 +1,4 @@
-"""Quiver completion, the Kronecker embedding, and the section-3 checks."""
+"""Quivers, the Kronecker embedding, and the section-3 checks."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from blocksplit.quiver import (
     build_kronecker,
     check_conj_2x2,
     check_quiver,
-    complete_reduce,
     conj_pencil,
 )
 from blocksplit.ring import Poly, RingError, VarTable, parse_poly, sqrt_exact
@@ -67,40 +66,41 @@ def star_quiver(C_rows, table=EMPTY):
                       Arrow("2", "0", M([["0"], ["1"]], table))])
 
 
-def test_complete_reduce_fills_zeros():
+def test_build_kronecker_fills_zeros():
+    # no arrow 2 -> 1 and no loops: block (1, 2) is zero, and the diagonal
+    # blocks carry y_i alone
     Q = QuiverRep(EMPTY, [Vertex("1", 1), Vertex("2", 1)],
                   [Arrow("1", "2", M([["1"]], EMPTY))])
-    R = complete_reduce(Q)
-    assert R.is_complete_reduced()
-    assert len(R.arrows) == 4
-    by_pair = {(a.target, a.source): a.matrix for a in R.arrows}
-    assert by_pair[("1", "2")][0, 0].is_zero()
-    assert by_pair[("1", "1")][0, 0].is_zero()
+    form = build_kronecker(Q)
+    t = form.table
+    assert t.names == ("x_1_1", "x_1_2", "x_2_1", "x_2_2", "y_1", "y_2")
+    assert form.matrix == M([["y_1", "0"], ["x_2_1", "y_2"]], t)
 
 
-def test_complete_reduce_merges_parallel():
+def test_build_kronecker_merges_parallel():
     A1 = M([["1", "0"], ["0", "0"]], EMPTY)
     A2 = M([["0", "0"], ["0", "1"]], EMPTY)
-    Q = QuiverRep(EMPTY, [Vertex("1", 2)],
-                  [Arrow("1", "1", A1), Arrow("1", "1", A2)])
-    R = complete_reduce(Q)
-    assert len(R.arrows) == 1
-    merged = R.arrows[0].matrix
-    t = R.table
-    assert t.names == ("x_1", "x_2")
-    assert merged == M([["x_1", "0"], ["0", "x_2"]], t)
+    form = build_kronecker(QuiverRep(EMPTY, [Vertex("1", 2)],
+                                     [Arrow("1", "1", A1),
+                                      Arrow("1", "1", A2)]))
+    t = form.table
+    assert t.names == ("x_1", "x_2", "x_1_1", "y_1")
+    assert form.matrix == M([["x_1*x_1_1 + y_1", "0"],
+                             ["0", "x_2*x_1_1 + y_1"]], t)
 
-
-def test_complete_reduce_idempotent():
-    Q = complete_reduce(string_quiver([["1", "0"], ["0", "1"]],
-                                      [["0", "1"], ["1", "0"]]))
-    assert complete_reduce(Q) is Q
+    # a declared x_1 is not reused: the first merge variable is x_10
+    T = VarTable(("x_1",))
+    form = build_kronecker(QuiverRep(T, [Vertex("1", 1)],
+                                     [Arrow("1", "1", M([["x_1"]], T)),
+                                      Arrow("1", "1", M([["1"]], T))]))
+    t = form.table
+    assert t.names == ("x_1", "x_10", "x_2", "x_1_1", "y_1")
+    assert form.matrix == M([["x_1*x_10*x_1_1 + x_2*x_1_1 + y_1"]], t)
 
 
 def test_build_kronecker_one_loop():
     A = M([["x1", "x2"], ["0", "x1"]], X12)
-    Q = complete_reduce(QuiverRep(X12, [Vertex("1", 2)],
-                                  [Arrow("1", "1", A)]))
+    Q = QuiverRep(X12, [Vertex("1", 2)], [Arrow("1", "1", A)])
     form = build_kronecker(Q)
     t = form.table
     x, y = parse_poly("x_1_1", t), parse_poly("y_1", t)
@@ -113,7 +113,7 @@ def test_build_kronecker_one_loop():
 def test_build_kronecker_string_layout():
     A = [["1", "2"], ["3", "4"]]
     B = [["5", "6"], ["7", "8"]]
-    form = build_kronecker(complete_reduce(string_quiver(A, B)))
+    form = build_kronecker(string_quiver(A, B))
     t = form.table
     grid = form.matrix
     # block (i, j) scales the arrow j -> i: [[y1*1, x12*B], [x21*A, y2*1]]
@@ -127,19 +127,12 @@ def test_build_kronecker_string_layout():
     assert form.offsets == (0, 2)
 
 
-def test_build_kronecker_requires_reduced():
-    Q = QuiverRep(EMPTY, [Vertex("1", 1), Vertex("2", 1)],
-                  [Arrow("1", "2", M([["1"]], EMPTY))])
-    with pytest.raises(RingError):
-        build_kronecker(Q)
-
-
 def test_kronecker_linear_in_fresh_vars():
     rng = random.Random(89)
     for _ in range(5):
-        Q = complete_reduce(string_quiver(
+        Q = string_quiver(
             [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)],
-            [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)]))
+            [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)])
         form = build_kronecker(Q)
         t = form.table
         fresh = range(len(form.base_table), len(t))
@@ -152,8 +145,8 @@ def test_kronecker_linear_in_fresh_vars():
 def test_kronecker_det_at_x_zero():
     rng = random.Random(97)
     for _ in range(5):
-        Q = complete_reduce(star_quiver(
-            [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)]))
+        Q = star_quiver(
+            [[str(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)])
         form = build_kronecker(Q)
         t = form.table
         d = det(form.matrix)
@@ -165,7 +158,7 @@ def test_kronecker_det_at_x_zero():
 
 def test_star_det_factorization():
     C = [["1", "2"], ["-1", "1"]]
-    form = build_kronecker(complete_reduce(star_quiver(C)))
+    form = build_kronecker(star_quiver(C))
     t = form.table
     x00 = parse_poly("x_1_1", t)
     y0 = parse_poly("y_1", t)
@@ -176,8 +169,8 @@ def test_star_det_factorization():
 
 def test_check_quiver_string_decomposable():
     # A·B has zero trace and det -1: the determinant splits rationally
-    Q = complete_reduce(string_quiver([["0", "1"], ["1", "0"]],
-                                      [["1", "0"], ["0", "1"]]))
+    Q = string_quiver([["0", "1"], ["1", "0"]],
+                      [["1", "0"], ["0", "1"]])
     form = build_kronecker(Q)
     t = form.table
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
@@ -189,8 +182,8 @@ def test_check_quiver_string_decomposable():
 
 def test_check_quiver_direct_sum():
     # direct sum of two rank-(1,1) string representations
-    Q = complete_reduce(string_quiver([["1", "0"], ["0", "2"]],
-                                      [["1", "0"], ["0", "1"]]))
+    Q = string_quiver([["1", "0"], ["0", "2"]],
+                      [["1", "0"], ["0", "1"]])
     form = build_kronecker(Q)
     t = form.table
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
@@ -201,7 +194,7 @@ def test_check_quiver_direct_sum():
 
 
 def test_check_quiver_star_inconclusive():
-    Q = complete_reduce(star_quiver([["0", "1"], ["1", "0"]]))
+    Q = star_quiver([["0", "1"], ["1", "0"]])
     form = build_kronecker(Q)
     t = form.table
     # det = (y_1^2 - x_1_1^2) * y_2 * y_3; try the natural splits
@@ -218,8 +211,8 @@ def test_check_quiver_star_inconclusive():
 
 
 def test_check_quiver_det_mismatch_is_inconclusive():
-    Q = complete_reduce(string_quiver([["0", "1"], ["1", "0"]],
-                                      [["1", "0"], ["0", "1"]]))
+    Q = string_quiver([["0", "1"], ["1", "0"]],
+                      [["1", "0"], ["0", "1"]])
     form = build_kronecker(Q)
     t = form.table
     v = check_quiver(form, parse_poly("y_1", t), parse_poly("y_2", t))
@@ -313,8 +306,7 @@ def test_conj_agrees_with_quiver_path():
     ]
     for A in cases:
         conj = check_conj_2x2(A)
-        Q = complete_reduce(QuiverRep(X12, [Vertex("1", 2)],
-                                      [Arrow("1", "1", A)]))
+        Q = QuiverRep(X12, [Vertex("1", 2)], [Arrow("1", "1", A)])
         form = build_kronecker(Q)
         t = form.table
         # det(x*A + y*1) = y^2 + b*y + c with b = x*tr(A), c = x^2*det(A)
@@ -336,7 +328,7 @@ def test_check_quiver_equivalence_invariance():
     rng = random.Random(101)
     A = [["0", "1"], ["1", "0"]]
     B = [["1", "0"], ["0", "1"]]
-    Q = complete_reduce(string_quiver(A, B))
+    Q = string_quiver(A, B)
     form = build_kronecker(Q)
     t = form.table
     f1 = parse_poly("y_1*y_2 - x_1_2*x_2_1", t)
@@ -347,9 +339,9 @@ def test_check_quiver_equivalence_invariance():
         U2 = random_unimodular(rng, EMPTY, 2)
         A2 = U2 * M(A, EMPTY) * inverse_unimodular_2x2(U1)
         B2 = U1 * M(B, EMPTY) * inverse_unimodular_2x2(U2)
-        Q2 = complete_reduce(QuiverRep(
+        Q2 = QuiverRep(
             EMPTY, [Vertex("1", 2), Vertex("2", 2)],
-            [Arrow("1", "2", A2), Arrow("2", "1", B2)]))
+            [Arrow("1", "2", A2), Arrow("2", "1", B2)])
         v = check_quiver(build_kronecker(Q2), f1, f2)
         assert v.status == base
         assert v.verify()
