@@ -158,7 +158,7 @@ def build_kronecker(Q: QuiverRep) -> KroneckerForm:
     pair_names = [f"x_{i + 1}_{j + 1}" for i, _, j, _, _ in blocks]
     y_names = [f"y_{i + 1}" for i in range(len(Q.vertices))]
     table = Q.table.extend(merge_names + pair_names + y_names)
-    roles = {}
+    roles = dict(zip(merge_names, parallel))
     roles.update((name, f"pair({t.id}, {s.id})")
                  for name, (_, t, _, s, _) in zip(pair_names, blocks))
     roles.update((name, f"vertex({v.id})")
@@ -178,8 +178,7 @@ def build_kronecker(Q: QuiverRep) -> KroneckerForm:
         if terms:
             for r, row in enumerate(_combination(table, terms).entries):
                 grid[offsets[i] + r][offsets[j]:offsets[j] + s.rank] = row
-    return KroneckerForm(PolyMatrix(table, grid),
-                         Q.table.extend(merge_names), offsets, sizes,
+    return KroneckerForm(PolyMatrix(table, grid), Q.table, offsets, sizes,
                          roles, y_names)
 
 

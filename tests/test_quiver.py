@@ -87,6 +87,9 @@ def test_build_kronecker_merges_parallel():
     assert t.names == ("x_1", "x_2", "x_1_1", "y_1")
     assert form.matrix == M([["x_1*x_1_1 + y_1", "0"],
                              ["0", "x_2*x_1_1 + y_1"]], t)
+    assert form.base_table == EMPTY
+    assert (form.var_roles["x_1"], form.var_roles["x_2"]) == \
+        ("parallel(1, 1, 1)", "parallel(1, 1, 2)")
 
     # a declared x_1 is not reused: the first merge variable is x_10
     T = VarTable(("x_1",))
@@ -96,6 +99,9 @@ def test_build_kronecker_merges_parallel():
     t = form.table
     assert t.names == ("x_1", "x_10", "x_2", "x_1_1", "y_1")
     assert form.matrix == M([["x_1*x_10*x_1_1 + x_2*x_1_1 + y_1"]], t)
+    assert form.base_table == T
+    assert form.var_roles["x_10"] == "parallel(1, 1, 1)"
+    assert "x_1" not in form.var_roles
 
 
 def test_build_kronecker_one_loop():
