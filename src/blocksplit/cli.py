@@ -93,6 +93,15 @@ def _parse_matrix(rows: Any, table: VarTable, field: str) -> PolyMatrix:
     return PolyMatrix(table, parse_matrix(rows, table, field))
 
 
+def _parse_id(value: Any, field: str) -> str:
+    """A vertex id or arrow endpoint: a string, or an integer read as its
+    decimal string, so that 1 and "1" name one vertex."""
+    expect(isinstance(value, str) or (isinstance(value, int)
+                                      and not isinstance(value, bool)),
+           f"field '{field}' must be a string or an integer")
+    return str(value)
+
+
 def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
     expect(isinstance(doc, dict),
            "field 'quiver' must be an object with 'vertices' and 'arrows'")
@@ -107,7 +116,8 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
         rank = v.get("rank")
         expect(is_count(rank), f"field 'quiver.vertices[{i}].rank' must be "
                                "a positive integer")
-        vertices.append(Vertex(str(v["id"]), rank))
+        vertices.append(Vertex(_parse_id(v["id"], f"quiver.vertices[{i}].id"),
+                               rank))
     size = sum(v.rank for v in vertices)
     expect(size <= MAX_MATRIX_SIZE,
            f"field 'quiver.vertices': the ranks sum to {size}, so the "
@@ -120,8 +130,10 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
                f"field 'quiver.arrows[{i}]' must be an object")
         for key in ("from", "to", "matrix"):
             expect(key in a, f"field 'quiver.arrows[{i}].{key}' is required")
+        source, target = (_parse_id(a[key], f"quiver.arrows[{i}].{key}")
+                          for key in ("from", "to"))
         mat = _parse_matrix(a["matrix"], table, f"quiver.arrows[{i}].matrix")
-        arrows.append(Arrow(str(a["from"]), str(a["to"]), mat))
+        arrows.append(Arrow(source, target, mat))
     try:
         return QuiverRep(table, vertices, arrows)
     except RingError as exc:

@@ -160,6 +160,21 @@ def test_the_adjoined_names_are_reserved(tmp_path, capsys, doc, name):
         (1, "", f"error: variable '{name}' already declared\n")
 
 
+@pytest.mark.parametrize("path, field", [
+    (("vertices", 0, "id"), "quiver.vertices[0].id"),
+    (("arrows", 0, "from"), "quiver.arrows[0].from"),
+    (("arrows", 0, "to"), "quiver.arrows[0].to"),
+], ids=["id", "from", "to"])
+@pytest.mark.parametrize("value", [None, True, {"k": [1, 2]}, 1.5],
+                         ids=["null", "true", "object", "float"])
+def test_a_vertex_id_is_a_string_or_an_integer(tmp_path, capsys, path,
+                                                field, value):
+    doc = with_value(STRING_QUIVER, ("quiver", *path), value)
+    assert run(capsys, ["build-kronecker", "--input",
+                        write_doc(tmp_path, doc)]) == \
+        (1, "", f"error: field '{field}' must be a string or an integer\n")
+
+
 def test_fitting_command(tmp_path, capsys):
     doc = {"ring": {"vars": ["x", "y"]},
            "matrix": [["x", "y"], ["y", "x"]]}
