@@ -4,9 +4,9 @@ One JSON job document per invocation describes the ring, the target
 (matrix, quiver, or tuple of matrices), optional candidate factors or
 ideals, and options.  Each job command is one entry of ``COMMANDS``; its
 handler returns a Verdict or the report's own keys, and ``_dispatch``
-assembles every report: it re-verifies a verdict's certificate before
-emitting anything and adds the command, ring and provenance (whose
+assembles every report: it adds the command, ring and provenance (whose
 ``"order"`` is always grevlex, the one order membership is decided in).
+The checklist runner ``decompose._decide`` has re-checked every Verdict.
 Every emitted report is accepted by ``verify-cert``, which re-checks the
 witnesses using plain ring arithmetic only.
 
@@ -225,9 +225,6 @@ def _target_matrix(job: Job, command: str) -> PolyMatrix:
 
 
 def _verdict_report(verdict: Verdict) -> dict:
-    if not verdict.verify():
-        raise InvariantError(
-            "the verdict failed its pre-emission certificate re-check")
     return verdict.to_json()
 
 

@@ -100,7 +100,7 @@ def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
 
 
 def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
-    """A checked LineCoprime for f1 and f2 from the first of `LINE_DRAWS`
+    """A LineCoprime for f1 and f2 from the first of `LINE_DRAWS`
     lines p + c*t, with p and c drawn in [-3, 3] by a constant-seeded
     generator, on which f1 keeps its degree and the restrictions have a
     constant gcd; None when no draw gives one, or when a factor's degree
@@ -127,11 +127,7 @@ def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
         gcd, = Ideal(LINE, (F1, F2)).basis()
         if gcd.poly.degree() != 0:
             continue
-        certificate = LineCoprime(f1, f2, point, direction, *gcd.vec)
-        if certificate.failures():
-            raise InvariantError("line coprimality certificate failed to "
-                                 "re-verify")
-        return certificate
+        return LineCoprime(f1, f2, point, direction, *gcd.vec)
     return None
 
 
@@ -175,12 +171,19 @@ def _decide(steps: Iterable[Step],
               DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE)
     # a verdict holds at most one adjugate entry and one line certificate
     sole = {type(fact): fact for fact in facts}
-    return Verdict(status, hyps,
-                   [f for f in facts if isinstance(f, Identity)],
-                   [f for f in facts if isinstance(f, Inclusion)], scope,
-                   failing=failing, failed_hypothesis=failed,
-                   order=jet_order, adjugate=sole.get(AdjugateInclusion),
-                   coprimality=sole.get(LineCoprime))
+    adjugate = sole.get(AdjugateInclusion)
+    pair = adjugate and (adjugate.f1, adjugate.f2)
+    identities = [f for f in facts
+                  if isinstance(f, Identity) and f.factors != pair]
+    verdict = Verdict(status, hyps, identities,
+                      [f for f in facts if isinstance(f, Inclusion)], scope,
+                      failing=failing, failed_hypothesis=failed,
+                      order=jet_order, adjugate=adjugate,
+                      coprimality=sole.get(LineCoprime))
+    if not verdict.verify():
+        raise InvariantError(
+            "the verdict failed its pre-emission certificate re-check")
+    return verdict
 
 
 def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
@@ -230,7 +233,7 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     `subject` names det(A) in the first hypothesis's detail.  An exact
     Decomposable verdict certifies that inclusion with one adjugate
     identity, whose check recomputes det(A) and requires it to equal
-    f1*f2, so its certificate drops the determinant identity; det(A), the
+    f1*f2, so the runner drops the determinant identity; det(A), the
     Fitting ideal and adj(A) share one minor memo."""
     memo: dict = {}
     identity = Identity("determinant-factorization", det(A, memo), (f1, f2),
@@ -256,10 +259,7 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
             return None, [_adjugate_inclusion(A, memo, f1, f2, entries)]
         return failing, entries
 
-    verdict = _decide(steps(), decisive, scope, jet_order)
-    if verdict.adjugate is not None:
-        verdict.identities.remove(identity)
-    return verdict
+    return _decide(steps(), decisive, scope, jet_order)
 
 
 def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,

@@ -8,7 +8,7 @@ import pytest
 
 import blocksplit.decompose
 import blocksplit.groebner
-from blocksplit.certificate import Inclusion, LineCoprime
+from blocksplit.certificate import Inclusion, LineCoprime, Verdict
 from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
@@ -20,6 +20,7 @@ from blocksplit.decompose import (
 )
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
+from blocksplit.quiver import check_conj_2x2, check_quiver, conj_pencil
 from blocksplit.ring import (InvariantError, RingError, VarTable, grevlex,
                             parse_poly)
 
@@ -285,10 +286,35 @@ def test_a_common_factor_that_is_a_unit_at_0_falls_back(monkeypatch):
 
 
 def test_a_line_certificate_is_rechecked_before_use(monkeypatch):
+    f1, f2 = ex2_factors(2)
+    assert check_square_lr(ex2_matrix(2, 1, 1), f1, f2).coprimality
     monkeypatch.setattr(LineCoprime, "failures", lambda self: ["forced"])
     with pytest.raises(InvariantError):
-        _coprimality("coprime", "", Ideal(XY, (P("x"),)),
-                     Ideal(XY, (P("y"),)), None)
+        check_square_lr(ex2_matrix(2, 1, 1), f1, f2)
+
+
+def _pencil_check():
+    form = conj_pencil([M([["1", "0"], ["0", "2"]], VarTable(()))])
+    return check_quiver(form, parse_poly("y + x_1", form.table),
+                        parse_poly("y + 2*x_1", form.table))
+
+
+# one call of each public check, each returning a valid verdict
+CHECKS = {
+    "square": lambda: check_square_lr(ex2_matrix(2, 1, 1), *ex2_factors(2)),
+    "rect": lambda: check_rect_lr(M([["x", "0"], ["0", "y"]]),
+                                  Ideal(XY, (P("x"),)), Ideal(XY, (P("y"),))),
+    "conj": lambda: check_conj_2x2(M([["x", "y"], ["0", "x"]])),
+    "quiver": _pencil_check,
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_returns_only_a_rechecked_verdict(monkeypatch, check):
+    assert CHECKS[check]().verify()
+    monkeypatch.setattr(Verdict, "failures", lambda self: ["forced"])
+    with pytest.raises(InvariantError, match="pre-emission"):
+        CHECKS[check]()
 
 
 def test_a_jet_run_keeps_the_intersection_route(monkeypatch):
