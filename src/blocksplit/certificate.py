@@ -500,9 +500,6 @@ class AdjugateInclusion:
                             "unit*f1*f2*I"]
         return []
 
-    def verify(self) -> bool:
-        return not self.failures()
-
     def to_json(self) -> dict:
         return {"matrix": format_grid(self.matrix),
                 "factors": [format_poly(self.f1), format_poly(self.f2)],
@@ -601,16 +598,19 @@ class Verdict:
     def _shape(self) -> list[str]:
         if self.status not in STATUSES:
             return [f"verdict shape: unknown verdict {self.status!r}"]
+        out = []
+        if self.failing is not None and self.status != NOT_DECOMPOSABLE:
+            out.append(f"verdict shape: {self.status} with a failing element")
         # a hypothesis name listed twice counts by its last entry
         named = {h.name: h.passed for h in self.hypotheses}
         if self.status == INCONCLUSIVE:
             failed = self.failed_hypothesis
             if not (isinstance(failed, str) and named.get(failed) is False):
-                return ["verdict shape: Inconclusive must name a failed "
-                        "hypothesis from the checklist"]
-            return []
-        out = []
-        if not all(h.passed for h in self.hypotheses):
+                out.append("verdict shape: Inconclusive must name a failed "
+                           "hypothesis from the checklist")
+            return out
+        if self.failed_hypothesis is not None or not all(
+                h.passed for h in self.hypotheses):
             out.append(f"verdict shape: {self.status} with a failed "
                        "hypothesis")
         if self.status == NOT_DECOMPOSABLE and self.failing is None:

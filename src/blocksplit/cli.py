@@ -142,12 +142,14 @@ def _parse_quiver(doc: Any, table: VarTable) -> QuiverRep:
 
 class Job(NamedTuple):
     """Parsed job document plus resolved options (flags win over the
-    document's ``options`` block)."""
+    document's ``options`` block and ``index``)."""
 
     doc: dict
     table: VarTable
     jet_order: int | None
     fmt: str
+    probe_order: int
+    index: int | None
 
 
 def _load_job(args: argparse.Namespace) -> Job:
@@ -168,11 +170,20 @@ def _load_job(args: argparse.Namespace) -> Job:
         expect(not COMMANDS[args.command].exact_only,
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
+    # every command checks these values, whether it reads them or not
+    probe = getattr(args, "probe_order", None)
+    probe = options.get("probe_order", 8) if probe is None else probe
+    expect(is_count(probe), "field 'options.probe_order' (or --probe-order) "
+                            "must be an integer >= 1")
+    index = getattr(args, "index", None)
+    index = doc.get("index") if index is None else index
+    expect(index is None or type(index) is int,  # a bool is not an index
+           "field 'index' must be an integer")
     fmt = args.format or options.get("format", "json")
     expect(isinstance(fmt, str) and fmt in ("json", "text"),
            "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
-    return Job(doc, table, jet, fmt)
+    return Job(doc, table, jet, fmt, probe, index)
 
 
 def _require_matrix(job: Job) -> PolyMatrix:
@@ -338,13 +349,10 @@ def _cmd_det(args: argparse.Namespace, job: Job) -> Outcome:
 
 def _cmd_fitting(args: argparse.Namespace, job: Job) -> Outcome:
     M = _target_matrix(job, "fitting")
-    j = args.index if args.index is not None else job.doc.get("index")
-    expect(j is not None, "field 'index' (or --index) is required for "
-           "'fitting'")
-    expect(isinstance(j, int) and not isinstance(j, bool),
-           "field 'index' must be an integer")
-    I = fitting_ideal(M, j)
-    return M.table, {"index": j,
+    expect(job.index is not None, "field 'index' (or --index) is required "
+           "for 'fitting'")
+    I = fitting_ideal(M, job.index)
+    return M.table, {"index": job.index,
                      "generators": [format_poly(g) for g in I.generators]}
 
 
@@ -375,12 +383,7 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     expect(A.rows == 2 and A.cols == 2,
            "field 'matrix' must be 2x2 for 'check-conj'")
-    options = job.doc.get("options", {})
-    probe = args.probe_order if args.probe_order is not None \
-        else options.get("probe_order", 8)
-    expect(is_count(probe), "field 'options.probe_order' (or --probe-order) "
-                            "must be an integer >= 1")
-    return A.table, check_conj_2x2(A, probe_order=probe)
+    return A.table, check_conj_2x2(A, probe_order=job.probe_order)
 
 
 def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:

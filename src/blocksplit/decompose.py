@@ -12,7 +12,8 @@ hypothesis steps run in order, the first failed one ends the run as
 Inconclusive, and a decisive step, a local inclusion but for check-conj's
 discriminant without a square root, decides the rest.  Positive facts
 established along the way (identities, ideal inclusions) are collected
-into a certificate of plain ring arithmetic: an identity is re-checked by
+into a certificate of plain ring arithmetic, which the runner re-checks
+before it returns any verdict: an identity is re-checked by
 multiplication, an inclusion by expanding
 unit*element == sum(cofactor_i * generator_i) with unit invertible at 0.
 An exact Decomposable verdict on a square matrix certifies its decisive
@@ -154,7 +155,9 @@ def _decide(steps: Iterable[Step],
     Inconclusive, so nothing after it is computed and its facts stay out
     of the verdict.  Then `decisive()` gives the element that makes the
     verdict NotDecomposable, or None for Decomposable, and the facts that
-    certify the decision.  Every fact goes to the certificate by kind."""
+    certify the decision.  Every fact goes to the certificate by kind, bar
+    the determinant identity that an adjugate entry's check contains, and
+    a verdict that fails its re-check raises InvariantError."""
     hyps: list[HypothesisCheck] = []
     facts: list[Fact] = []
     failed = failing = None

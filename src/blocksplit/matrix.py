@@ -62,9 +62,6 @@ class PolyMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self) -> int:
-        return hash(tuple(tuple(e.key() for e in row) for row in self.entries))
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise RingError("matrix shape mismatch in addition")

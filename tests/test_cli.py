@@ -10,11 +10,13 @@ import time
 
 import pytest
 
+import blocksplit.certificate
+import blocksplit.decompose
 import blocksplit.quiver
 from blocksplit.certificate import MAX_MATRIX_SIZE, Verdict
 from blocksplit.cli import main
 from blocksplit.ring import (MAX_EXPANSION, MAX_JET_MONOMIALS, ParseError,
-                            VarTable, parse_poly)
+                            VarTable, parse_poly, restrict_to_line)
 
 EX2 = {
     "ring": {"vars": ["x1", "x2"]},
@@ -353,6 +355,26 @@ def test_verdict_failing_its_recheck_is_never_emitted(tmp_path, capsys,
                "certificate re-check\n")
 
 
+@pytest.mark.parametrize("command, job", [
+    ("check-square", "square-dec.json"), ("check-quiver", "quiver3.json")])
+def test_an_exact_run_restricts_each_factor_to_the_line_twice(
+        capsys, monkeypatch, command, job):
+    """Once in the line search and once in the runner's re-check of the
+    verdict, which no other step repeats."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return restrict_to_line(*args)
+
+    for module in (blocksplit.decompose, blocksplit.certificate):
+        monkeypatch.setattr(module, "restrict_to_line", counting)
+    path = pathlib.Path(__file__).parent / "golden" / job
+    report = run_json(capsys, [command, "--input", str(path)])
+    assert "coprimality" in report["certificate"]
+    assert len(calls) == 4
+
+
 # x^2 + y^3 has no series square root; the obstruction shows at degree 3,
 # which a probe of order 1 does not reach
 OBSTRUCTED_CONJ = {"ring": {"vars": ["x", "y"]},
@@ -385,6 +407,26 @@ def test_probe_order_must_be_a_positive_integer(tmp_path, capsys, options,
     assert run(capsys, ["check-conj", "--input", path, *flags]) == (
         1, "", "error: field 'options.probe_order' (or --probe-order) must "
                "be an integer >= 1\n")
+
+
+@pytest.mark.parametrize("command", ["det", "check-square"])
+@pytest.mark.parametrize("fields, message", [
+    ({"options": {"probe_order": "banana"}, "index": "zzz"},
+     "field 'options.probe_order' (or --probe-order) must be an integer >= 1"),
+    ({"index": "zzz"}, "field 'index' must be an integer"),
+    ({"options": {"probe_order": 3}, "index": 2}, None),
+], ids=["probe-order", "index", "well-formed"])
+def test_option_values_are_checked_for_every_command(tmp_path, capsys,
+                                                     command, fields,
+                                                     message):
+    """A malformed value is refused even where the command does not read
+    the field; a well-formed one is still accepted there."""
+    code, _, err = run(capsys, [command, "--input",
+                                write_doc(tmp_path, {**EX2, **fields})])
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"error: {message}\n")
 
 
 def test_probe_order_flag_must_parse_as_an_integer(tmp_path, capsys):
@@ -907,7 +949,19 @@ INCLUSION = ("certificate", "inclusions", 0)
      "inclusion 0: the unit has zero constant term"),
     (golden_report("square-dec.out"), ("hypotheses", 1, "passed"), False,
      "verdict shape: Decomposable with a failed hypothesis"),
-], ids=["no-cofactors", "one-cofactor", "non-unit", "failed-hypothesis"])
+    (golden_report("square-dec.out"), ("failing",), "x1",
+     "verdict shape: Decomposable with a failing element"),
+    (golden_report("square-dec.out"), ("failed_hypothesis",),
+     "factor-coprimality",
+     "verdict shape: Decomposable with a failed hypothesis"),
+    (golden_report("square-notdec.out"), ("failed_hypothesis",),
+     "factor-coprimality",
+     "verdict shape: NotDecomposable with a failed hypothesis"),
+    (golden_report("rect-kernel-unit.out"), ("failing",), "x1",
+     "verdict shape: Inconclusive with a failing element"),
+], ids=["no-cofactors", "one-cofactor", "non-unit", "failed-hypothesis",
+        "decomposable-failing", "decomposable-names-failed",
+        "notdecomposable-names-failed", "inconclusive-failing"])
 def test_verify_cert_rejects_a_tampered_report(tmp_path, capsys, report,
                                                path, value, failure):
     assert _verify(tmp_path, capsys, report)[0] == 0
