@@ -34,8 +34,12 @@ runs produce identical bases.
 
 Reduction is fraction-free.  Each basis element keeps, beside its Poly,
 the primitive integer polynomial p and the rational scale s with
-element == p / s, computed once when the element is made.  The division
-loop (`ring._reduce_terms`) divides by p alone, and the S-polynomial of
+element == p / s, computed once when the element is made (`_Gen.div`).
+Under grevlex over a table wide enough (`ring.PACK_DIVISION_WIDTH`),
+the same shape also holds p keyed by packed grevlex ints, built then
+too and dropped with the element.  The division loop
+(`ring._reduce_terms`) divides by p alone, on those ints when every
+divisor and the dividend allow it, and the S-polynomial of
 two elements is built from their p's as an integer polynomial with one
 integer scale.  Rationals come back in two places: the quotients of a
 reduction, each term one exact quotient (so cofactors are the rationals
@@ -94,7 +98,8 @@ JET_SEPARATION_CAP = 6
 class _Gen:
     """One basis element: poly, its leading monomial and coefficient
     (lm, lc), and div, the shape `_reduce_terms` divides by, built once
-    here: poly as p / scale with p primitive with integer coefficients.
+    here: poly as p / scale with p primitive with integer coefficients,
+    with its packed grevlex form where the table allows one.
     vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
     or None when untracked."""
 
@@ -177,8 +182,8 @@ def _spoly(a: _Gen, b: _Gen):
     table = a.poly.table
     lcm = _mono_lcm(a.lm, b.lm)
     ua, ub = _mono_div(lcm, a.lm), _mono_div(lcm, b.lm)
-    _, lc_a, tail_a, _ = a.div
-    _, lc_b, tail_b, _ = b.div
+    _, lc_a, tail_a, _, _ = a.div
+    _, lc_b, tail_b, _, _ = b.div
     # x^ua * a/lc(a) - x^ub * b/lc(b), times lc_a*lc_b/g; the leading
     # terms cancel
     g = math.gcd(lc_a, lc_b)
