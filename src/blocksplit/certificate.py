@@ -1,22 +1,22 @@
 """Certificates: the facts a verdict rests on, their JSON form, and the
 re-check that both the emitting path and ``verify-cert`` run.
 
-A certificate is plain ring arithmetic.  An identity lhs == f_1 * ... * f_k
-is re-checked by multiplying out, once the degrees agree; an inclusion
-unit*element == sum(cofactor_i * generator_i), with unit invertible at
-the origin, by re-expanding; an adjugate inclusion unit*adj(A) ==
-f1*C1 + f2*C2, which puts every (n-1)-minor of A in (f1, f2) at once
-and implies det(A) == f1*f2, by one matrix product and a determinant; a
-line certificate that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line
-p + c*t along which f1 keeps its degree, by restricting both factors to
-the line and two univariate products; a non-inclusion, a linear
-functional on R/m^N that vanishes on I + m^N but not on the element, by
-pairing it with the monomial multiples of each generator and with the
-element.  Entries of
-a jet verdict state congruences modulo m^N instead of equalities, and
-their strength must match the verdict's provenance: an exact verdict
-holds no congruence, and a jet verdict of order N only congruences
-modulo m^N.
+A certificate is plain ring arithmetic, a list of entries of the kinds in
+``ENTRIES``.  An identity lhs == f_1 * ... * f_k is re-checked by
+multiplying out, once the degrees agree; an inclusion unit*element ==
+sum(cofactor_i * generator_i), with unit invertible at the origin, by
+re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
+puts every (n-1)-minor of A in (f1, f2) at once and implies det(A) ==
+f1*f2, by one matrix product and a determinant; a line certificate that
+f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along which f1
+keeps its degree, by restricting both factors to the line and two
+univariate products.  Entries of a jet verdict state congruences modulo
+m^N instead of equalities, and their strength must match the verdict's
+provenance: an exact verdict holds no congruence, and a jet verdict of
+order N only congruences modulo m^N.  A non-inclusion, which only
+`groebner.member_local` returns so far, is a linear functional on R/m^N
+that vanishes on I + m^N but not on the element, checked by pairing it
+with the monomial multiples of each generator and with the element.
 
 Decoding checks only the JSON shape and the caps on oversized input, raising
 InputError naming the first field it refuses; every validity rule of an
@@ -181,6 +181,10 @@ def _where(modulo_order: int | None) -> str:
     return f" modulo m^{modulo_order}" if modulo_order is not None else ""
 
 
+def _tail(d: dict) -> str:
+    return f"   (mod m^{d['modulo_order']})" if "modulo_order" in d else ""
+
+
 class HypothesisCheck:
     """Named hypothesis with its outcome and a human-readable detail."""
 
@@ -210,8 +214,11 @@ class HypothesisCheck:
 
 class Identity:
     """Certified product identity: lhs == factor_1 * ... * factor_k,
-    exactly or modulo m^order."""
+    exactly or modulo m^order; the empty product is 1."""
 
+    KEY = COUNT = "identities"
+    MANY = True
+    NAME = "identity '{entry.label}'"
     __slots__ = ("label", "lhs", "factors", "modulo_order")
 
     def __init__(self, label: str, lhs: Poly, factors: Iterable[Poly],
@@ -221,9 +228,9 @@ class Identity:
         self.factors = tuple(factors)
         self.modulo_order = modulo_order
 
-    def failures(self) -> list[str]:
+    def failures(self, name: str = "") -> list[str]:
         prod = one = Poly.const(self.lhs.table, 1)
-        *head, last = self.factors
+        *head, last = self.factors or (one,)
         for f in self.factors:
             one._check(f)
         # Q[x] is a domain: an exact product's degree is the sum of its
@@ -237,8 +244,9 @@ class Identity:
                                                (prod, last, -1)))
             if _holds(diff, self.modulo_order):
                 return []
-        return [f"identity '{self.label}': the left side does not equal "
-                f"the product of the factors{_where(self.modulo_order)}"]
+        return [f"{name or self.NAME.format(entry=self)}: the left side "
+                "does not equal the product of the factors"
+                f"{_where(self.modulo_order)}"]
 
     def verify(self) -> bool:
         return not self.failures()
@@ -251,11 +259,14 @@ class Identity:
         return out
 
     @staticmethod
-    def from_json(d: Any, table: VarTable, i: int,
+    def text(d: dict) -> list[str]:
+        rhs = " * ".join(f"({f})" for f in d["factors"])
+        return [f"  {d['label']}: {d['lhs']} = {rhs}{_tail(d)}"]
+
+    @staticmethod
+    def from_json(d: dict, table: VarTable, field: str,
                   memo: dict[str, Poly]) -> "Identity":
-        field = f"certificate.identities[{i}]"
-        expect(isinstance(d, dict), f"field '{field}' must be an object")
-        label = d.get("label", f"#{i}")
+        label = d.get("label", "#" + field.rpartition("[")[2].rstrip("]"))
         expect(isinstance(label, str),
                f"field '{field}.label' must be a string")
         lhs = parse_field(d.get("lhs"), table, f"{field}.lhs", memo)
@@ -268,6 +279,9 @@ class Inclusion:
     """Certified membership: unit*element == sum(cofactor_i * gen_i),
     exactly or modulo m^order; unit has nonzero constant term."""
 
+    KEY = COUNT = "inclusions"
+    MANY = True
+    NAME = "inclusion {i}"
     __slots__ = ("element", "ideal_gens", "unit", "cofactors", "modulo_order")
 
     def __init__(self, element: Poly, ideal_gens: Iterable[Poly], unit: Poly,
@@ -309,10 +323,14 @@ class Inclusion:
         return out
 
     @staticmethod
-    def from_json(d: Any, table: VarTable, i: int,
+    def text(d: dict) -> list[str]:
+        return [f"  {d['element']} in ({', '.join(d['ideal'])})  [unit: "
+                f"{d['unit']}; cofactors: {', '.join(d['cofactors'])}]"
+                f"{_tail(d)}"]
+
+    @staticmethod
+    def from_json(d: dict, table: VarTable, field: str,
                   memo: dict[str, Poly]) -> "Inclusion":
-        field = f"certificate.inclusions[{i}]"
-        expect(isinstance(d, dict), f"field '{field}' must be an object")
         element = parse_field(d.get("element"), table, f"{field}.element",
                               memo)
         gens = _parse_list(d.get("ideal"), table, f"{field}.ideal", memo,
@@ -388,6 +406,9 @@ class LineCoprime:
     e = 0.  The reduced Groebner basis of (F1, F2) in Q[t] gives
     deg a < deg f2 and deg b < deg f1, as `failures()` requires."""
 
+    KEY = COUNT = NAME = "coprimality"
+    MANY = False
+    modulo_order = None
     __slots__ = ("f1", "f2", "point", "direction", "a", "b")
 
     def __init__(self, f1: Poly, f2: Poly, point: Sequence[int],
@@ -399,25 +420,25 @@ class LineCoprime:
         self.a = a
         self.b = b
 
-    def failures(self) -> list[str]:
+    def failures(self, name: str = NAME) -> list[str]:
         one = Poly.const(LINE, 1)
         self.f1._check(self.f2)
         one._check(self.a)
         one._check(self.b)
-        for name, p, other, f in (("a", self.a, "f2", self.f2),
-                                  ("b", self.b, "f1", self.f1)):
+        for cof, p, other, f in (("a", self.a, "f2", self.f2),
+                                 ("b", self.b, "f1", self.f1)):
             if p.degree() >= f.degree():
-                return [f"coprimality: {name} must have degree below that "
-                        f"of {other}"]
+                return [f"{name}: {cof} must have degree below that of "
+                        f"{other}"]
         F1 = restrict_to_line(self.f1, self.point, self.direction)
         if F1.degree() != self.f1.degree():
-            return ["coprimality: the top-degree form of f1 vanishes at "
-                    "the direction"]
+            return [f"{name}: the top-degree form of f1 vanishes at the "
+                    "direction"]
         F2 = restrict_to_line(self.f2, self.point, self.direction)
         one, (a, b) = _cleared(one, (self.a, self.b))
         if sum_of_products(LINE, ((a, F1, 1), (b, F2, 1))) != one:
-            return ["coprimality: a*f1 + b*f2 does not restrict to 1 on "
-                    "the line"]
+            return [f"{name}: a*f1 + b*f2 does not restrict to 1 on the "
+                    "line"]
         return []
 
     def to_json(self) -> dict:
@@ -427,10 +448,15 @@ class LineCoprime:
                 "a": format_poly(self.a), "b": format_poly(self.b)}
 
     @staticmethod
-    def from_json(d: Any, table: VarTable,
+    def text(d: dict) -> list[str]:
+        f1, f2 = d["factors"]
+        return [f"coprimality: ({d['a']}) * f1(p + c*t) + ({d['b']}) * "
+                "f2(p + c*t) = 1", f"  f1: {f1}", f"  f2: {f2}",
+                f"  p: {d['point']}; c: {d['direction']}"]
+
+    @staticmethod
+    def from_json(d: dict, table: VarTable, field: str,
                   memo: dict[str, Poly]) -> "LineCoprime":
-        field = "certificate.coprimality"
-        expect(isinstance(d, dict), f"field '{field}' must be an object")
         f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
                              memo)
         for k, f in enumerate((f1, f2)):
@@ -456,6 +482,10 @@ class AdjugateInclusion:
     field, that forces f1*C1 + f2*C2 = unit*adj(A), and the entries of
     adj(A) are the signed (n-1)-minors that generate I_{n-1}(A)."""
 
+    KEY = NAME = "adjugate"
+    COUNT = "adjugates"
+    MANY = False
+    modulo_order = None
     __slots__ = ("matrix", "f1", "f2", "unit", "c1", "c2")
 
     def __init__(self, matrix, f1: Poly, f2: Poly, unit: Poly, c1, c2):
@@ -466,23 +496,23 @@ class AdjugateInclusion:
         self.c1 = tuple(tuple(row) for row in c1)
         self.c2 = tuple(tuple(row) for row in c2)
 
-    def failures(self) -> list[str]:
+    def failures(self, name: str = NAME) -> list[str]:
         A, n = self.matrix, len(self.matrix)
         grids = (A, self.c1, self.c2)
         sizes = {len(g) for g in grids} | {len(r) for g in grids for r in g}
         if sizes != {n} or not n:
-            return ["adjugate: A, C1 and C2 must be square of one size"]
+            return [f"{name}: A, C1 and C2 must be square of one size"]
         for p in (self.f2, self.unit,
                   *(e for g in grids for row in g for e in row)):
             self.f1._check(p)
         if not local_unit_test(self.unit):
-            return ["adjugate: the unit has zero constant term"]
+            return [f"{name}: the unit has zero constant term"]
         det = self.f1 * self.f2
         if det.is_zero():
-            return ["adjugate: f1*f2 is zero"]
+            return [f"{name}: f1*f2 is zero"]
         full = tuple(range(n))
         if minor(A, {}, full, full) != det:
-            return ["adjugate: det(A) does not equal f1*f2"]
+            return [f"{name}: det(A) does not equal f1*f2"]
         # A*C1 and A*C2 are formed first, while their entries are small,
         # and multiplied by f1 and f2 only then
         unit, flat = _cleared(self.unit, [e for C in (self.c1, self.c2)
@@ -496,7 +526,7 @@ class AdjugateInclusion:
                                                 zip(row, C[j::n])]), 1)
                     for f, C in ((self.f1, c1), (self.f2, c2))])
                 if lhs != (diagonal if i == j else zero):
-                    return ["adjugate: A*(f1*C1 + f2*C2) does not equal "
+                    return [f"{name}: A*(f1*C1 + f2*C2) does not equal "
                             "unit*f1*f2*I"]
         return []
 
@@ -507,10 +537,18 @@ class AdjugateInclusion:
                 "cofactors": [format_grid(self.c1), format_grid(self.c2)]}
 
     @staticmethod
-    def from_json(d: Any, table: VarTable,
+    def text(d: dict) -> list[str]:
+        (f1, f2), (c1, c2) = d["factors"], d["cofactors"]
+        lines = [f"adjugate: ({d['unit']}) * adj(A) = ({f1}) * C1 + "
+                 f"({f2}) * C2"]
+        for name, rows in (("A", d["matrix"]), ("C1", c1), ("C2", c2)):
+            lines.append(f"  {name}:")
+            lines.extend(f"    [{', '.join(row)}]" for row in rows)
+        return lines
+
+    @staticmethod
+    def from_json(d: dict, table: VarTable, field: str,
                   memo: dict[str, Poly]) -> "AdjugateInclusion":
-        field = "certificate.adjugate"
-        expect(isinstance(d, dict), f"field '{field}' must be an object")
         A = parse_matrix(d.get("matrix"), table, f"{field}.matrix", memo)
         f1, f2 = _parse_pair(d.get("factors"), table, f"{field}.factors",
                              memo)
@@ -524,25 +562,57 @@ class AdjugateInclusion:
         return AdjugateInclusion(A, f1, f2, unit, c1, c2)
 
 
+# Every kind of certificate entry, in report order, with its report KEY,
+# MANY (a list of them, or one), verify-cert COUNT key, failure NAME, and
+# from_json(d, table, field, memo), failures(name), to_json(), text(d).
+ENTRIES = (Identity, Inclusion, AdjugateInclusion, LineCoprime)
+Fact = Identity | Inclusion | AdjugateInclusion | LineCoprime
+
+
+def _located(cert: dict) -> list[tuple[type, Any, str]]:
+    """A report certificate's entries as (kind, JSON form, field)."""
+    located = []
+    for kind in ENTRIES:
+        field = f"certificate.{kind.KEY}"
+        if kind.MANY:
+            found = cert.get(kind.KEY, [])
+            expect(isinstance(found, list), f"field '{field}' must be a list")
+            located += [(kind, d, f"{field}[{i}]") for i, d in enumerate(found)]
+        elif cert.get(kind.KEY) is not None:
+            located.append((kind, cert[kind.KEY], field))
+    return located
+
+
+def certificate_text(cert: dict) -> list[str]:
+    """A report certificate's text lines, a list kind's under its key."""
+    lines, last = [], None
+    for kind, d, _ in _located(cert):
+        if kind.MANY and kind is not last:
+            lines.append(f"{kind.KEY}:")
+        last = kind
+        lines += kind.text(d)
+    return lines
+
+
+def strength(order: int | None) -> dict:
+    """The provenance keys of a report's strength: exact, or jet `order`."""
+    jet = {} if order is None else {"jet_order": order}
+    return {"exact": order is None, **jet}
+
+
 class Verdict:
-    """Outcome of a decision procedure plus its full certificate."""
+    """Outcome of a decision procedure plus its certificate, `facts`."""
 
-    __slots__ = ("status", "hypotheses", "identities", "inclusions",
-                 "adjugate", "coprimality", "failing", "failed_hypothesis",
-                 "scope", "order")
+    __slots__ = ("status", "hypotheses", "facts", "failing",
+                 "failed_hypothesis", "scope", "order")
 
-    def __init__(self, status: str, hypotheses, identities, inclusions,
+    def __init__(self, status: str, hypotheses, facts: Iterable[Fact],
                  scope: str, failing: Poly | None = None,
                  failed_hypothesis: str | None = None,
-                 order: int | None = None,
-                 adjugate: AdjugateInclusion | None = None,
-                 coprimality: LineCoprime | None = None):
+                 order: int | None = None):
         self.status = status
         self.hypotheses = list(hypotheses)
-        self.identities = list(identities)
-        self.inclusions = list(inclusions)
-        self.adjugate = adjugate
-        self.coprimality = coprimality
+        self.facts = list(facts)
         self.scope = scope
         self.failing = failing
         self.failed_hypothesis = failed_hypothesis
@@ -553,28 +623,29 @@ class Verdict:
         """An exact verdict has no jet order."""
         return self.order is None
 
+    def of(self, kind: type) -> list:
+        """The facts of one kind, in order."""
+        return [fact for fact in self.facts if type(fact) is kind]
+
+    def counts(self) -> dict[str, int]:
+        """verify-cert's count of the certificate's entries of each kind."""
+        return {kind.COUNT: len(self.of(kind)) for kind in ENTRIES}
+
     def failures(self) -> list[str]:
         """Every certified fact that does not re-check by plain ring
         arithmetic, every entry whose strength disagrees with the
         provenance, and every status-shape violation; empty when valid."""
         out: list[str] = []
-        for ident in self.identities:
-            out.extend(ident.failures())
-            out.extend(self._strength(f"identity '{ident.label}'",
-                                      ident.modulo_order))
-        for i, inc in enumerate(self.inclusions):
-            out.extend(inc.failures(f"inclusion {i}"))
-            out.extend(self._strength(f"inclusion {i}", inc.modulo_order))
-        if self.adjugate is not None:
-            out.extend(self.adjugate.failures())
-            out.extend(self._strength("adjugate", None))
-        if self.coprimality is not None:
-            out.extend(self.coprimality.failures())
-            out.extend(self._strength("coprimality", None))
-        line, adj = self.coprimality, self.adjugate
-        if line and adj and {line.f1, line.f2} != {adj.f1, adj.f2}:
-            out.append("coprimality: the factors are not the adjugate "
-                       "entry's f1 and f2")
+        for kind in ENTRIES:
+            for i, fact in enumerate(self.of(kind)):
+                name = kind.NAME.format(i=i, entry=fact)
+                out.extend(fact.failures(name))
+                out.extend(self._strength(name, fact.modulo_order))
+        for line in self.of(LineCoprime):
+            if any({line.f1, line.f2} != {adj.f1, adj.f2}
+                   for adj in self.of(AdjugateInclusion)):
+                out.append("coprimality: the factors are not the adjugate "
+                           "entry's f1 and f2")
         out.extend(self._shape())
         return out
 
@@ -616,28 +687,23 @@ class Verdict:
         if self.status == NOT_DECOMPOSABLE and self.failing is None:
             out.append("verdict shape: NotDecomposable without a failing "
                        "element")
-        if (self.status == DECOMPOSABLE and self.adjugate is None
-                and not (self.identities or self.inclusions)):
+        # a line certificate proves a hypothesis, never the decision
+        if self.status == DECOMPOSABLE and all(
+                type(fact) is LineCoprime for fact in self.facts):
             out.append("verdict shape: Decomposable with an empty "
                        "certificate")
         return out
 
     def to_json(self) -> dict:
         """The verdict's keys of a report: status, scope, checklist,
-        certificate, and the failing element or hypothesis if any."""
-        out = {
-            "verdict": self.status,
-            "scope": self.scope,
-            "hypotheses": [h.to_json() for h in self.hypotheses],
-            "certificate": {
-                "identities": [d.to_json() for d in self.identities],
-                "inclusions": [d.to_json() for d in self.inclusions],
-            },
-        }
-        if self.adjugate is not None:
-            out["certificate"]["adjugate"] = self.adjugate.to_json()
-        if self.coprimality is not None:
-            out["certificate"]["coprimality"] = self.coprimality.to_json()
+        certificate (a list kind even when empty), the provenance's
+        strength, and the failing element or hypothesis if any."""
+        cert = {kind.KEY: [fact.to_json() for fact in self.of(kind)]
+                for kind in ENTRIES if kind.MANY}
+        cert.update((f.KEY, f.to_json()) for f in self.facts if not f.MANY)
+        out = {"verdict": self.status, "scope": self.scope,
+               "hypotheses": [h.to_json() for h in self.hypotheses],
+               "certificate": cert, "provenance": strength(self.order)}
         if self.failing is not None:
             out["failing"] = format_poly(self.failing)
         if self.failed_hypothesis is not None:
@@ -649,25 +715,13 @@ class Verdict:
         """Decode a report; raises InputError naming a malformed field."""
         cert = doc.get("certificate")
         expect(isinstance(cert, dict), "field 'certificate' must be an object")
-        identities = cert.get("identities", [])
-        inclusions = cert.get("inclusions", [])
-        expect(isinstance(identities, list),
-               "field 'certificate.identities' must be a list")
-        expect(isinstance(inclusions, list),
-               "field 'certificate.inclusions' must be a list")
         # each distinct string is parsed once; Polys are never mutated,
         # so entries may share them
         memo: dict[str, Poly] = {}
-        identities = [Identity.from_json(d, table, i, memo)
-                      for i, d in enumerate(identities)]
-        inclusions = [Inclusion.from_json(d, table, i, memo)
-                      for i, d in enumerate(inclusions)]
-        adjugate = cert.get("adjugate")
-        if adjugate is not None:
-            adjugate = AdjugateInclusion.from_json(adjugate, table, memo)
-        coprimality = cert.get("coprimality")
-        if coprimality is not None:
-            coprimality = LineCoprime.from_json(coprimality, table, memo)
+        facts = []
+        for kind, d, field in _located(cert):
+            expect(isinstance(d, dict), f"field '{field}' must be an object")
+            facts.append(kind.from_json(d, table, field, memo))
 
         status = doc.get("verdict")
         expect(isinstance(status, str), "field 'verdict' must be a string")
@@ -691,8 +745,6 @@ class Verdict:
         else:
             expect(is_count(jet), "field 'provenance.jet_order' must be an "
                    "integer >= 1 when 'provenance.exact' is false")
-        return Verdict(status, hyps, identities, inclusions, doc.get("scope"),
-                       failing=failing,
+        return Verdict(status, hyps, facts, doc.get("scope"), failing=failing,
                        failed_hypothesis=doc.get("failed_hypothesis"),
-                       order=jet, adjugate=adjugate,
-                       coprimality=coprimality)
+                       order=jet)

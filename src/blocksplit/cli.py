@@ -3,12 +3,13 @@
 One JSON job document per invocation describes the ring, the target
 (matrix, quiver, or tuple of matrices), optional candidate factors or
 ideals, and options.  Each job command is one entry of ``COMMANDS``; its
-handler returns a Verdict or the report's own keys, and ``_dispatch``
-assembles every report: it adds the command, ring and provenance (whose
-``"order"`` is always grevlex, the one order membership is decided in).
-The checklist runner ``decompose._decide`` has re-checked every Verdict.
-Every emitted report is accepted by ``verify-cert``, which re-checks the
-witnesses using plain ring arithmetic only.
+handler returns a Verdict (whose report states its strength) or the
+report's own keys, and ``_dispatch`` adds the command, ring and the
+provenance's tool, version and ``"order"`` (always grevlex, the one
+order membership is decided in).  The checklist runner
+``decompose._decide`` has re-checked every Verdict.  Every emitted
+report is accepted by ``verify-cert``, which re-checks the witnesses
+using plain ring arithmetic only.
 
 Exit codes: 0 = a verdict or result was produced (any status),
 1 = input error, 2 = internal invariant violation (or, for
@@ -30,10 +31,12 @@ from .certificate import (
     Verdict,
     _parse_list,
     _parse_pair,
+    certificate_text,
     expect,
     format_grid,
     is_count,
     parse_matrix,
+    strength,
 )
 from .decompose import check_rect_lr, check_square_lr
 from .groebner import Ideal
@@ -252,44 +255,7 @@ def _render_text(report: dict) -> str:
         for h in hyps:
             mark = "pass" if h["passed"] else "FAIL"
             lines.append(f"  [{mark}] {h['name']}: {h['detail']}")
-    cert = report.get("certificate")
-    if cert is not None:
-        identities = cert.get("identities", [])
-        if identities:
-            lines.append("identities:")
-            for d in identities:
-                rhs = " * ".join(f"({f})" for f in d["factors"])
-                tail = (f"   (mod m^{d['modulo_order']})"
-                        if "modulo_order" in d else "")
-                lines.append(f"  {d['label']}: {d['lhs']} = {rhs}{tail}")
-        inclusions = cert.get("inclusions", [])
-        if inclusions:
-            lines.append("inclusions:")
-            for d in inclusions:
-                tail = (f"   (mod m^{d['modulo_order']})"
-                        if "modulo_order" in d else "")
-                lines.append(
-                    f"  {d['element']} in ({', '.join(d['ideal'])})"
-                    f"  [unit: {d['unit']}; cofactors: "
-                    f"{', '.join(d['cofactors'])}]{tail}")
-        adjugate = cert.get("adjugate")
-        if adjugate is not None:
-            f1, f2 = adjugate["factors"]
-            lines.append(f"adjugate: ({adjugate['unit']}) * adj(A) = "
-                         f"({f1}) * C1 + ({f2}) * C2")
-            c1, c2 = adjugate["cofactors"]
-            for name, rows in (("A", adjugate["matrix"]), ("C1", c1),
-                               ("C2", c2)):
-                lines.append(f"  {name}:")
-                lines.extend(f"    [{', '.join(row)}]" for row in rows)
-        line = cert.get("coprimality")
-        if line is not None:
-            f1, f2 = line["factors"]
-            lines.append(f"coprimality: ({line['a']}) * f1(p + c*t) + "
-                         f"({line['b']}) * f2(p + c*t) = 1")
-            lines.append(f"  f1: {f1}")
-            lines.append(f"  f2: {f2}")
-            lines.append(f"  p: {line['point']}; c: {line['direction']}")
+    lines += certificate_text(report.get("certificate", {}))
     if "determinant" in report:
         lines.append(f"determinant: {report['determinant']}")
     if "index" in report:
@@ -440,16 +406,9 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
            "the certificate document must be a JSON object")
     verdict = Verdict.from_json(doc, _parse_ring(doc))
     failures = verdict.failures()
-    report = {
-        "command": "verify-cert",
-        "valid": not failures,
-        "checked": {"identities": len(verdict.identities),
-                    "inclusions": len(verdict.inclusions),
-                    "adjugates": int(verdict.adjugate is not None),
-                    "coprimality": int(verdict.coprimality is not None)},
-        "failures": failures,
-        "provenance": {"tool": TOOL, "version": __version__},
-    }
+    report = {"command": "verify-cert", "valid": not failures,
+              "checked": verdict.counts(), "failures": failures,
+              "provenance": {"tool": TOOL, "version": __version__}}
     _emit(report, args.format or "json")
     return 0 if not failures else 2
 
@@ -507,17 +466,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_verify_cert(args)
     job = _load_job(args)
     table, result = COMMANDS[args.command].run(args, job)
-    jet_order = None
     if isinstance(result, Verdict):
-        jet_order = result.order
         result = _verdict_report(result)
     result["command"] = args.command
     result["ring"] = {"vars": list(table.names)}
-    result["provenance"] = {"tool": TOOL, "version": __version__,
-                            "order": "grevlex",
-                            "exact": jet_order is None}
-    if jet_order is not None:
-        result["provenance"]["jet_order"] = jet_order
+    # a report without a verdict states exact results
+    result.setdefault("provenance", strength(None)).update(
+        tool=TOOL, version=__version__, order="grevlex")
     _emit(result, job.fmt)
     return 0
 

@@ -10,12 +10,10 @@ the criteria are biconditionals only under their hypotheses.
 Every check decides through one checklist runner, ``_decide``: its
 hypothesis steps run in order, the first failed one ends the run as
 Inconclusive, and a decisive step, a local inclusion but for check-conj's
-discriminant without a square root, decides the rest.  Positive facts
-established along the way (identities, ideal inclusions) are collected
-into a certificate of plain ring arithmetic, which the runner re-checks
-before it returns any verdict: an identity is re-checked by
-multiplication, an inclusion by expanding
-unit*element == sum(cofactor_i * generator_i) with unit invertible at 0.
+discriminant without a square root, decides the rest.  The facts
+established along the way go, as one list, into a certificate of plain
+ring arithmetic (see `certificate`), which the runner re-checks before
+it returns any verdict.
 An exact Decomposable verdict on a square matrix certifies its decisive
 inclusion, of every (n-1)-minor in (f1, f2), with one adjugate identity
 instead of one inclusion per minor, and that identity's check stands for
@@ -52,6 +50,7 @@ from .certificate import (
     MAX_LINE_DEGREE,
     NOT_DECOMPOSABLE,
     AdjugateInclusion,
+    Fact,
     HypothesisCheck,
     Identity,
     Inclusion,
@@ -69,9 +68,8 @@ from .groebner import (
 from .matrix import PolyMatrix, det, fitting_ideal, kernel
 from .oracle import JetEchelon
 
-# A certified fact, and one hypothesis of a checklist with the facts it
-# certifies when it passes.
-Fact = Identity | Inclusion | LineCoprime | AdjugateInclusion
+# One hypothesis of a checklist with the facts it certifies when it
+# passes.
 Step = tuple[HypothesisCheck, list[Fact]]
 
 # How many lines `_line_coprime` draws before the coprimality step falls
@@ -155,9 +153,9 @@ def _decide(steps: Iterable[Step],
     Inconclusive, so nothing after it is computed and its facts stay out
     of the verdict.  Then `decisive()` gives the element that makes the
     verdict NotDecomposable, or None for Decomposable, and the facts that
-    certify the decision.  Every fact goes to the certificate by kind, bar
-    the determinant identity that an adjugate entry's check contains, and
-    a verdict that fails its re-check raises InvariantError."""
+    certify the decision.  Every fact goes to the certificate, bar the
+    determinant identity that an adjugate entry's check contains, and a
+    verdict that fails its re-check raises InvariantError."""
     hyps: list[HypothesisCheck] = []
     facts: list[Fact] = []
     failed = failing = None
@@ -172,17 +170,11 @@ def _decide(steps: Iterable[Step],
         facts += found
     status = (INCONCLUSIVE if failed else
               DECOMPOSABLE if failing is None else NOT_DECOMPOSABLE)
-    # a verdict holds at most one adjugate entry and one line certificate
-    sole = {type(fact): fact for fact in facts}
-    adjugate = sole.get(AdjugateInclusion)
-    pair = adjugate and (adjugate.f1, adjugate.f2)
-    identities = [f for f in facts
-                  if isinstance(f, Identity) and f.factors != pair]
-    verdict = Verdict(status, hyps, identities,
-                      [f for f in facts if isinstance(f, Inclusion)], scope,
-                      failing=failing, failed_hypothesis=failed,
-                      order=jet_order, adjugate=adjugate,
-                      coprimality=sole.get(LineCoprime))
+    pairs = [(f.f1, f.f2) for f in facts if isinstance(f, AdjugateInclusion)]
+    facts = [f for f in facts
+             if not (isinstance(f, Identity) and f.factors in pairs)]
+    verdict = Verdict(status, hyps, facts, scope, failing=failing,
+                      failed_hypothesis=failed, order=jet_order)
     if not verdict.verify():
         raise InvariantError(
             "the verdict failed its pre-emission certificate re-check")

@@ -15,8 +15,11 @@ import pytest
 
 import blocksplit.certificate
 from blocksplit.certificate import (
+    ENTRIES,
     INCONCLUSIVE,
+    STATUSES,
     AdjugateInclusion,
+    HypothesisCheck,
     Identity,
     Inclusion,
     InputError,
@@ -50,18 +53,63 @@ JOBS = [
 ]
 
 
-@pytest.mark.parametrize("command, doc, flags", JOBS)
-def test_report_round_trip(tmp_path, capsys, command, doc, flags):
-    path = write_doc(tmp_path, doc)
-    report = run_json(capsys, [command, "--input", path, *flags])
-    table = VarTable(report["ring"]["vars"])
-    verdict = Verdict.from_json(report, table)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_verdict_reports() -> dict[str, dict]:
+    """The golden outputs that are JSON verdict reports, by file name."""
+    reports = {}
+    for path in sorted(GOLDEN.glob("*.out")):
+        try:
+            report = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            continue
+        if "verdict" in report:
+            reports[path.name] = report
+    return reports
+
+
+def assert_round_trip(report: dict) -> None:
+    """Report -> Verdict -> to_json() gives back every key but the ones
+    the CLI adds: the command, the ring, and the provenance's tool,
+    version and order.  The verdict writes the provenance's strength."""
+    verdict = Verdict.from_json(report, VarTable(report["ring"]["vars"]))
     assert verdict.failures() == []
     encoded = verdict.to_json()
-    assert {**report, **encoded} == report
-    assert set(report) - set(encoded) == {"command", "ring", "provenance"}
-    assert verdict.exact == report["provenance"]["exact"]
-    assert verdict.order == report["provenance"].get("jet_order")
+    prov = report["provenance"]
+    assert {**report, **encoded, "provenance": prov} == report
+    assert set(report) - set(encoded) == {"command", "ring"}
+    assert encoded["provenance"] == {
+        k: v for k, v in prov.items() if k not in ("tool", "version", "order")}
+    assert verdict.exact == prov["exact"]
+    assert verdict.order == prov.get("jet_order")
+
+
+# every golden verdict report, read in place of a run: the jet goldens and
+# verdicts that no job above emits
+GOLDEN_REPORTS = [pytest.param(None, name, [], id=name)
+                  for name in golden_verdict_reports()]
+
+
+@pytest.mark.parametrize("command, doc, flags", JOBS + GOLDEN_REPORTS)
+def test_report_round_trip(tmp_path, capsys, command, doc, flags):
+    if command is None:
+        report = golden_verdict_reports()[doc]
+    else:
+        report = run_json(capsys, [command, "--input",
+                                   write_doc(tmp_path, doc), *flags])
+    assert_round_trip(report)
+
+
+def test_the_golden_reports_cover_every_entry_kind():
+    """The round trip over the golden reports meets every entry kind, both
+    strengths and all three verdicts."""
+    reports = golden_verdict_reports().values()
+    kinds = {kind.KEY for r in reports for kind in ENTRIES
+             if r["certificate"].get(kind.KEY)}
+    assert kinds == {kind.KEY for kind in ENTRIES}
+    assert {r["provenance"]["exact"] for r in reports} == {True, False}
+    assert {r["verdict"] for r in reports} == set(STATUSES)
 
 
 def test_strength_must_match_provenance():
@@ -70,12 +118,12 @@ def test_strength_must_match_provenance():
     ident = Identity("square", x * x, (x, x))
     assert inc.verify() and ident.verify()
 
-    exact = Verdict(INCONCLUSIVE, [], [ident], [inc], "")
+    exact = Verdict(INCONCLUSIVE, [], [ident, inc], "")
     assert exact.failures() == [
         "inclusion 0: a congruence modulo m^1 in an exact certificate",
         "verdict shape: Inconclusive must name a failed hypothesis from "
         "the checklist"]
-    jet = Verdict(INCONCLUSIVE, [], [ident], [inc], "", order=3)
+    jet = Verdict(INCONCLUSIVE, [], [ident, inc], "", order=3)
     assert jet.failures()[:2] == [
         "identity 'square': an exact claim in a certificate of jet order 3",
         "inclusion 0: modulo m^1 in a certificate of jet order 3"]
@@ -127,11 +175,7 @@ def test_from_json_parses_each_string_once(monkeypatch):
     verdict = Verdict.from_json(report, VarTable(report["ring"]["vars"]))
     # a and b are polynomials in t, over a ring of their own
     assert sorted(parsed) == sorted([*set(strings), line["a"], line["b"]])
-    assert verdict.failures() == []
-    assert {**report, **verdict.to_json()} == report
-
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+    assert_round_trip(report)
 
 
 def verify_report(tmp_path, capsys, report) -> tuple[int, list[str]]:
@@ -280,11 +324,24 @@ def test_adjugate_with_a_unit_other_than_one():
     assert entry.failures() == []
     assert AdjugateInclusion(A, Q("x"), Q("y"), Q("1"), C1, C2).failures() \
         == ["adjugate: A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"]
-    exact = Verdict("Decomposable", [], [], [], "", adjugate=entry)
+    exact = Verdict("Decomposable", [], [entry], "")
     assert exact.failures() == []
-    jet = Verdict("Decomposable", [], [], [], "", order=3, adjugate=entry)
+    jet = Verdict("Decomposable", [], [entry], "", order=3)
     assert jet.failures() == [
         "adjugate: an exact claim in a certificate of jet order 3"]
+
+
+def test_an_identity_without_factors_states_lhs_equals_one():
+    """The empty product is 1: the identity holds exactly when lhs == 1,
+    and a verdict holding a false one fails its re-check."""
+    assert Identity("e", Q("1"), []).failures() == []
+    false = Identity("e", Q("x"), [])
+    message = ("identity 'e': the left side does not equal the product of "
+               "the factors")
+    assert false.failures() == [message]
+    verdict = Verdict(INCONCLUSIVE, [HypothesisCheck("h", False, "")],
+                      [false], "", failed_hypothesis="h")
+    assert verdict.failures() == [message] and not verdict.verify()
 
 
 def _workloads():
@@ -452,17 +509,17 @@ def test_a_non_minimal_line_certificate_fails_both_checks(tmp_path, capsys):
     report = golden_report("square-signed.out")
     table = VarTable(report["ring"]["vars"])
     verdict = Verdict.from_json(report, table)
-    line = verdict.coprimality
+    line, = verdict.of(LineCoprime)
     F1, F2 = (restrict_to_line(f, line.point, line.direction)
               for f in (line.f1, line.f2))
     a, b = line.a + F2, line.b - F1
     assert a * F1 + b * F2 == Poly.const(LINE, 1)
     message = "coprimality: b must have degree below that of f1"
-    verdict.coprimality = LineCoprime(line.f1, line.f2, line.point,
-                                      line.direction, a, b)
-    assert verdict.coprimality.failures() == [message]
-    assert not verdict.verify()
-    report["certificate"]["coprimality"] = verdict.coprimality.to_json()
+    other = LineCoprime(line.f1, line.f2, line.point, line.direction, a, b)
+    verdict.facts[verdict.facts.index(line)] = other
+    assert other.failures() == [message]
+    assert verdict.failures() == [message]
+    report["certificate"]["coprimality"] = other.to_json()
     assert verify_report(tmp_path, capsys, report) == (2, [message])
 
 
@@ -492,8 +549,8 @@ def test_a_line_certificate_in_a_jet_report_is_refused():
     entry = LineCoprime(x1, x2, (1, 0), (1, 1), parse_poly("1", LINE),
                         parse_poly("-1", LINE))
     assert entry.failures() == []
-    jet = Verdict(INCONCLUSIVE, [], [], [], "", order=3,
-                  failed_hypothesis="h", coprimality=entry)
+    jet = Verdict(INCONCLUSIVE, [], [entry], "", order=3,
+                  failed_hypothesis="h")
     assert jet.failures() == [
         "coprimality: an exact claim in a certificate of jet order 3",
         "verdict shape: Inconclusive must name a failed hypothesis from "

@@ -8,7 +8,8 @@ import pytest
 
 import blocksplit.decompose
 import blocksplit.groebner
-from blocksplit.certificate import Inclusion, LineCoprime, Verdict
+from blocksplit.certificate import (AdjugateInclusion, Identity, Inclusion,
+                                    LineCoprime, Verdict)
 from blocksplit.decompose import (
     DECOMPOSABLE,
     INCONCLUSIVE,
@@ -95,8 +96,9 @@ def test_adjugate_scales_cofactors_by_the_other_units():
     assert verdict.status == DECOMPOSABLE and verdict.failures() == []
     # the adjugate entry stands for the minors' inclusions, and a line
     # certificate for the coprimality
-    assert verdict.inclusions == [] and verdict.coprimality is not None
-    assert verdict.adjugate.unit == P("(1 + x)*(1 + y)")
+    assert verdict.of(Inclusion) == [] and verdict.of(LineCoprime)
+    adjugate, = verdict.of(AdjugateInclusion)
+    assert adjugate.unit == P("(1 + x)*(1 + y)")
 
 
 def test_square_hypothesis_failures():
@@ -160,7 +162,8 @@ def test_square_jet_mode():
     assert v.status == DECOMPOSABLE
     assert not v.exact and v.order == 6
     assert v.verify()
-    for inc in v.inclusions:
+    assert v.of(Inclusion)
+    for inc in v.of(Inclusion):
         assert inc.modulo_order == 6
 
 
@@ -287,8 +290,9 @@ def test_a_common_factor_that_is_a_unit_at_0_falls_back(monkeypatch):
 
 def test_a_line_certificate_is_rechecked_before_use(monkeypatch):
     f1, f2 = ex2_factors(2)
-    assert check_square_lr(ex2_matrix(2, 1, 1), f1, f2).coprimality
-    monkeypatch.setattr(LineCoprime, "failures", lambda self: ["forced"])
+    assert check_square_lr(ex2_matrix(2, 1, 1), f1, f2).of(LineCoprime)
+    monkeypatch.setattr(LineCoprime, "failures",
+                        lambda self, name: [f"{name}: forced"])
     with pytest.raises(InvariantError):
         check_square_lr(ex2_matrix(2, 1, 1), f1, f2)
 
@@ -330,10 +334,9 @@ def test_verdict_reports_only_true_facts():
     f1, f2 = ex2_factors(2)
     v = check_square_lr(ex2_matrix(2, 1, 1), f1, f2)
     assert v.status == NOT_DECOMPOSABLE
-    for ident in v.identities:
-        assert ident.verify()
-    for inc in v.inclusions:
-        assert inc.verify()
+    assert [type(fact) for fact in v.facts] == [Identity, LineCoprime]
+    for fact in v.facts:
+        assert fact.failures() == []
     assert all(h.passed for h in v.hypotheses)
 
 

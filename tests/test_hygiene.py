@@ -24,7 +24,9 @@ module in ``src/`` but ``ring.py`` and ``groebner.py`` names
 Euclid or a second reduction cannot creep in beside ``Ideal.basis()``.
 The certificate layer imports from ``ring`` alone among the package's
 modules, so ``verify-cert`` re-checks with plain ring arithmetic and
-never with the Groebner or matrix code that built a verdict.
+never with the Groebner or matrix code that built a verdict.  Only the
+certificate layer knows the report keys of its entry kinds, so no other
+module in ``src/`` writes, reads, counts or prints one kind by name.
 """
 
 from __future__ import annotations
@@ -354,3 +356,35 @@ def test_the_certificate_layer_imports_from_ring_only():
     source = (ROOT / "src" / "blocksplit" / "certificate.py").read_text(
         encoding="utf-8")
     assert {f.split(": ")[1] for f in package_imports(source)} == {"ring"}
+
+
+ENTRY_KEYS = frozenset({"identities", "inclusions", "adjugate",
+                        "coprimality", "modulo_order"})
+
+
+def entry_key_constants(source: str) -> list[str]:
+    """Each string constant that is a report key of a certificate entry
+    kind, or an entry's ``modulo_order``, as "line N: key" in line
+    order."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in ENTRY_KEYS]
+    return [f"line {node.lineno}: {node.value}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_scanner_finds_an_entry_key_constant():
+    source = ('cert.get("adjugate")\nd["modulo_order"]\n'
+              'f"{d[\'identities\']}"\nx = "inclusions: "\n'
+              'def f():\n    return {"coprimality": 1, "adjugates": 0}\n')
+    assert entry_key_constants(source) == [
+        "line 1: adjugate", "line 2: modulo_order", "line 3: identities",
+        "line 6: coprimality"]
+
+
+def test_only_the_certificate_layer_names_entry_keys():
+    found = [f"{path.name}: {key}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "certificate.py"
+             for key in entry_key_constants(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from blocksplit.certificate import Inclusion
 from blocksplit.decompose import DECOMPOSABLE, INCONCLUSIVE, NOT_DECOMPOSABLE
 from blocksplit.matrix import PolyMatrix, det
 from blocksplit.quiver import (
@@ -259,7 +260,7 @@ def test_conj_examples():
 
     v = check_conj_2x2(M([["x2", "x1"], ["x1", "x2"]], X12))
     assert v.status == DECOMPOSABLE and v.verify()
-    elements = {str(inc.element) for inc in v.inclusions}
+    elements = {str(inc.element) for inc in v.of(Inclusion)}
     assert "x1" in elements
 
 
