@@ -7,10 +7,11 @@ multiplying out, once the degrees agree; an inclusion unit*element ==
 sum(cofactor_i * generator_i), with unit invertible at the origin, by
 re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
 puts every (n-1)-minor of A in (f1, f2) at once and implies det(A) ==
-f1*f2, by one matrix product and a determinant; a line certificate that
-f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along which f1
-keeps its degree, by restricting both factors to the line and two
-univariate products.  Entries of a jet verdict state congruences modulo
+f1*f2, by a determinant and the entries of one matrix product, each split
+by a quotient by f2 that the check need not trust; a line certificate
+that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along
+which f1 keeps its degree, by restricting both factors to the line and
+two univariate products.  Entries of a jet verdict state congruences modulo
 m^N instead of equalities, and their strength must match the verdict's
 provenance: an exact verdict holds no congruence, and a jet verdict of
 order N only congruences modulo m^N.  A non-inclusion, which only
@@ -24,9 +25,11 @@ entry is stated once, in its ``failures()``, whose messages ``verify-cert``
 prints.  Nothing here uses Groebner bases or matrix code (the determinant is
 `ring.minor`, the expansion that `det` runs too, the restriction to a line
 is `ring.restrict_to_line`, and each sum of products is one
-`ring.sum_of_products`), so the check stays independent of how a verdict
-arose.  Inclusions, the adjugate entry and the line certificate clear their
-cofactors' denominators by one rule, `_cleared`, before any product.
+`ring.sum_of_products`; the adjugate check's quotients come from
+`ring.divide`, and it holds whatever quotient it is given), so the check
+stays independent of how a verdict arose.  Inclusions, the adjugate entry
+and the line certificate clear their cofactors' denominators by one rule,
+`_cleared`, before any product.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .ring import (
     VarTable,
     _mono_div,
     _mono_divides,
+    divide,
     format_poly,
     local_unit_test,
     minor,
@@ -214,7 +218,8 @@ class HypothesisCheck:
 
 class Identity:
     """Certified product identity: lhs == factor_1 * ... * factor_k,
-    exactly or modulo m^order; the empty product is 1."""
+    exactly or modulo m^order, with k >= 1: a report cannot carry an
+    empty factor list, so the re-check refuses one too."""
 
     KEY = COUNT = "identities"
     MANY = True
@@ -229,8 +234,11 @@ class Identity:
         self.modulo_order = modulo_order
 
     def failures(self, name: str = "") -> list[str]:
+        name = name or self.NAME.format(entry=self)
+        if not self.factors:
+            return [f"{name}: the identity has no factors"]
         prod = one = Poly.const(self.lhs.table, 1)
-        *head, last = self.factors or (one,)
+        *head, last = self.factors
         for f in self.factors:
             one._check(f)
         # Q[x] is a domain: an exact product's degree is the sum of its
@@ -244,9 +252,8 @@ class Identity:
                                                (prod, last, -1)))
             if _holds(diff, self.modulo_order):
                 return []
-        return [f"{name or self.NAME.format(entry=self)}: the left side "
-                "does not equal the product of the factors"
-                f"{_where(self.modulo_order)}"]
+        return [f"{name}: the left side does not equal the product of the "
+                f"factors{_where(self.modulo_order)}"]
 
     def verify(self) -> bool:
         return not self.failures()
@@ -480,7 +487,19 @@ class AdjugateInclusion:
     f1*f2 != 0; then A*(f1*C1 + f2*C2) == unit*f1*f2*I must hold.  Since
     A*adj(A) = det(A)*I and det(A) != 0 makes A injective over the fraction
     field, that forces f1*C1 + f2*C2 = unit*adj(A), and the entries of
-    adj(A) are the signed (n-1)-minors that generate I_{n-1}(A)."""
+    adj(A) are the signed (n-1)-minors that generate I_{n-1}(A).
+
+    Entry (i, j) of that product is checked without multiplying A*C1 and
+    A*C2 by the factors.  With P and Q the entries of A*C1 and A*C2, and
+    q any polynomial, r = P - f2*q and s = Q + f1*(q - unit*delta_ij)
+    give f1*r + f2*s == f1*P + f2*Q - unit*f1*f2*delta_ij, so the entry
+    holds exactly when f1*r + f2*s == 0.  q is the quotient of P by f2
+    that `ring.divide` proposes; a wrong one costs time, never soundness.
+    When f1 and f2 are coprime (the line certificate proves it), f2
+    divides P, and r and s are both zero, with only small products
+    formed.  As f1 and f2 are nonzero and Q[x] is a domain, r zero and s
+    not, or the reverse, fails at once; only when both are nonzero, as
+    when the factors share a factor, is the full sum formed."""
 
     KEY = NAME = "adjugate"
     COUNT = "adjugates"
@@ -513,21 +532,33 @@ class AdjugateInclusion:
         full = tuple(range(n))
         if minor(A, {}, full, full) != det:
             return [f"{name}: det(A) does not equal f1*f2"]
-        # A*C1 and A*C2 are formed first, while their entries are small,
-        # and multiplied by f1 and f2 only then
+        # the entries P of A*C1, divided by f2 at once; s is formed as
+        # one sum, with Q's row products in it
         unit, flat = _cleared(self.unit, [e for C in (self.c1, self.c2)
                                           for row in C for e in row])
-        c1, c2, diagonal = flat[:n * n], flat[n * n:], unit * det
-        table, zero = det.table, Poly.zero(det.table)
-        for i, row in enumerate(A):
-            for j in range(n):
-                lhs = sum_of_products(table, [
-                    (f, sum_of_products(table, [(a, c, 1) for a, c in
-                                                zip(row, C[j::n])]), 1)
-                    for f, C in ((self.f1, c1), (self.f2, c2))])
-                if lhs != (diagonal if i == j else zero):
-                    return [f"{name}: A*(f1*C1 + f2*C2) does not equal "
-                            "unit*f1*f2*I"]
+        c1, c2 = flat[:n * n], flat[n * n:]
+        table, f1, f2 = det.table, self.f1, self.f2
+        zero = Poly.zero(table)
+        AC1 = [sum_of_products(table, [(a, c, 1) for a, c in
+                                       zip(row, c1[j::n]) if c.terms])
+               for row in A for j in range(n)]
+        for k, (p, (q, _)) in enumerate(zip(AC1, divide(AC1, f2))):
+            i, j = divmod(k, n)
+            products = [(a, c, 1) for a, c in zip(A[i], c2[j::n]) if c.terms]
+            r = p
+            if q.terms:
+                f2q = f2 * q
+                r = zero if f2q.terms == p.terms else p - f2q
+                products.append((f1, q, 1))
+            if i == j:
+                products.append((f1, unit, -1))
+            s = sum_of_products(table, products)
+            if not r.terms and not s.terms:
+                continue
+            if not r.terms or not s.terms or sum_of_products(
+                    table, [(f1, r, 1), (f2, s, 1)]).terms:
+                return [f"{name}: A*(f1*C1 + f2*C2) does not equal "
+                        "unit*f1*f2*I"]
         return []
 
     def to_json(self) -> dict:

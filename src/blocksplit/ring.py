@@ -996,18 +996,34 @@ def _divisor(g: Poly, order: Order = grevlex):
     return lm, lc, tail, scale, packed
 
 
-def divide_exact(f: Poly, g: Poly) -> Poly:
-    """Quotient q with q*g == f exactly; raises NonDivisibleError otherwise."""
-    f._check(g)
+def divide(dividends: Sequence[Poly], g: Poly) -> list[tuple[Poly, Poly]]:
+    """(q, r) with f == q*g + r for each f of `dividends`, by the division
+    loop under grevlex: no term of r is divisible by g's leading monomial.
+    g's divisor shape is built once, for all the dividends.  Raises
+    NonDivisibleError when g is zero."""
+    for f in dividends:
+        f._check(g)
     if g.is_zero():
         raise NonDivisibleError("division by the zero polynomial")
-    if f.is_zero():
-        return Poly.zero(f.table)
-    remainder, quotients = _reduce_terms(dict(f.terms), (_divisor(g),),
-                                         grevlex)
-    if remainder:
+    shape, table, out = (_divisor(g),), g.table, []
+    for f in dividends:
+        if not f.terms:
+            out.append((Poly._trusted(table, {}), Poly._trusted(table, {})))
+            continue
+        remainder, quotients = _reduce_terms(dict(f.terms), shape, grevlex)
+        out.append((Poly._trusted(table, quotients.get(0, {})),
+                    Poly._trusted(table, remainder)))
+    return out
+
+
+def divide_exact(f: Poly, g: Poly) -> Poly:
+    """Quotient q with q*g == f exactly; raises NonDivisibleError otherwise.
+    A caller that only needs a candidate quotient, and checks it by a
+    product of its own, takes `divide`'s q and need not trust it."""
+    (q, r), = divide((f,), g)
+    if r.terms:
         raise NonDivisibleError("not divisible")
-    return Poly._trusted(f.table, quotients[0])
+    return q
 
 
 def local_unit_test(f: Poly) -> bool:

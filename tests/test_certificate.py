@@ -26,7 +26,7 @@ from blocksplit.certificate import (
     LineCoprime,
     Verdict,
 )
-from blocksplit.ring import LINE, Poly, VarTable, parse_poly, \
+from blocksplit.ring import LINE, Poly, VarTable, divide, parse_poly, \
     restrict_to_line
 
 from blocksplit.cli import main
@@ -331,17 +331,81 @@ def test_adjugate_with_a_unit_other_than_one():
         "adjugate: an exact claim in a certificate of jet order 3"]
 
 
-def test_an_identity_without_factors_states_lhs_equals_one():
-    """The empty product is 1: the identity holds exactly when lhs == 1,
-    and a verdict holding a false one fails its re-check."""
-    assert Identity("e", Q("1"), []).failures() == []
-    false = Identity("e", Q("x"), [])
-    message = ("identity 'e': the left side does not equal the product of "
-               "the factors")
-    assert false.failures() == [message]
+PRODUCT = "adjugate: A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"
+
+
+def shared_factor_entry(corner: str = "1 + y") -> AdjugateInclusion:
+    """f1 = x*h and f2 = y*h share h = 1 + x + y, a unit at the origin.
+    A = [[x*h, 0], [x, y*h]] has det(A) = f1*f2 and adj(A) = [[y*h, 0],
+    [-x, x*h]], so h*adj(A) == f1*C1 + f2*C2 with C1 = [[y, 0], [-1, h]]
+    and C2 = [[h - x, 0], [0, 0]]; `corner` is C2's entry h - x."""
+    h = "(1 + x + y)"
+    return AdjugateInclusion(grid([[f"x*{h}", "0"], ["x", f"y*{h}"]]),
+                             Q(f"x*{h}"), Q(f"y*{h}"), Q(h),
+                             grid([["y", "0"], ["-1", h]]),
+                             grid([[corner, "0"], ["0", "0"]]))
+
+
+def test_an_adjugate_entry_whose_quotient_leaves_a_remainder():
+    """Entry (1, 0) of A*C1 is y*(x - h), which f2 = y*h does not divide:
+    r and s are both nonzero there, and the check forms f1*r + f2*s."""
+    entry = shared_factor_entry()
+    (_, r), = divide([Q("x*y - y*(1 + x + y)")], entry.f2)
+    assert not r.is_zero()
+    assert entry.failures() == []
+    assert shared_factor_entry("2 + y").failures() == [PRODUCT]
+
+
+WRONG_QUOTIENTS = {"zero": lambda q: Poly.zero(q.table),
+                   "q + 1": lambda q: q + 1}
+
+
+@pytest.mark.parametrize("wrong", WRONG_QUOTIENTS.values(),
+                         ids=list(WRONG_QUOTIENTS))
+def test_the_adjugate_check_holds_whatever_quotient_it_is_given(
+        tmp_path, capsys, monkeypatch, wrong):
+    """The division only proposes q: with a wrong one every golden
+    adjugate entry still re-checks, and every alteration still fails, so
+    the check rests on the product kernel and the determinant alone."""
+    calls = []
+
+    def propose(dividends, g):
+        calls.append(len(dividends))
+        return [(wrong(q), r) for q, r in divide(dividends, g)]
+
+    monkeypatch.setattr(blocksplit.certificate, "divide", propose)
+    entries = [fact for report in golden_verdict_reports().values()
+               for fact in Verdict.from_json(
+                   report, VarTable(report["ring"]["vars"])).of(
+                       AdjugateInclusion)]
+    assert len(entries) == 6
+    for entry in entries:
+        assert entry.failures() == []
+    assert shared_factor_entry().failures() == []
+    assert shared_factor_entry("2 + y").failures() == [PRODUCT]
+    assert_every_adjugate_alteration_fails(
+        tmp_path, capsys, ex2_report(tmp_path, capsys), "x1")
+    report = quiver3_report()
+    assert_every_adjugate_alteration_fails(tmp_path, capsys, report,
+                                           report["ring"]["vars"][0])
+    assert calls and all(calls)
+
+
+def test_an_identity_without_factors_is_refused():
+    """A report cannot carry an empty factor list, so the re-check that
+    runs before emission refuses one as well, also where lhs == 1 would
+    make the empty product true."""
+    message = "identity 'e': the identity has no factors"
+    for lhs in ("1", "x"):
+        assert Identity("e", Q(lhs), []).failures() == [message]
     verdict = Verdict(INCONCLUSIVE, [HypothesisCheck("h", False, "")],
-                      [false], "", failed_hypothesis="h")
+                      [Identity("e", Q("1"), [])], "", failed_hypothesis="h")
     assert verdict.failures() == [message] and not verdict.verify()
+    report = verdict.to_json()
+    assert report["certificate"]["identities"][0]["factors"] == []
+    with pytest.raises(InputError,
+                       match=re.escape("'certificate.identities[0].factors'")):
+        Verdict.from_json(report, XY)
 
 
 def _workloads():
@@ -432,10 +496,6 @@ def test_altering_any_part_of_a_line_certificate_fails(tmp_path, capsys):
         "coprimality: a*f1 + b*f2 does not restrict to 1 on the line"])
 
 
-NOT_MINIMAL = {"t^3": "coprimality: a must have degree below that of f2",
-               "t^3 + 1": "coprimality: b must have degree below that of f1"}
-
-
 @pytest.mark.parametrize("key,value,field", [
     ("point", "0", "point"),
     ("point", [0] * 11, "point"),
@@ -447,31 +507,40 @@ NOT_MINIMAL = {"t^3": "coprimality: a must have degree below that of f2",
     ("a", "t +", "a"),
     ("b", "x_1_1", "b"),
     ("a", 3, "a"),
-    ("a", "t^3", "a"),
-    ("b", "t^3 + 1", "b"),
-    ("factors", ["y_1"], "factors"),
-    ("factors", ["y_1", "y_2^101"], "factors[1]"),
+    # explicit ids keep the names these two cases have always run under
+    pytest.param("factors", ["y_1"], "factors",
+                 id="factors-value12-factors"),
+    pytest.param("factors", ["y_1", "y_2^101"], "factors[1]",
+                 id="factors-value13-factors[1]"),
 ])
 def test_a_malformed_line_certificate_is_an_input_error(tmp_path, capsys,
                                                         key, value, field):
     """A point or direction that is not a list of 12 ints of fewer than 64
     bits, an a or b that is not a polynomial in t, and a factor of degree
-    past MAX_LINE_DEGREE each exit 1 naming the field.  An a of degree
-    deg f2 or more or a b of degree deg f1 or more is well formed but not
-    minimal, a rule of the entry's re-check alone: it exits 2 with that
-    one failure."""
+    past MAX_LINE_DEGREE each exit 1 naming the field."""
     report = quiver3_report()
     report["certificate"]["coprimality"][key] = value
-    if isinstance(value, str) and value in NOT_MINIMAL:
-        assert verify_report(tmp_path, capsys, report) == (
-            2, [NOT_MINIMAL[value]])
-        return
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(report))
     code = main(["verify-cert", "--cert", str(path)])
     err = capsys.readouterr().err
     assert code == 1
     assert f"field 'certificate.coprimality.{field}'" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("a", "t^3", "coprimality: a must have degree below that of f2"),
+    ("b", "t^3 + 1", "coprimality: b must have degree below that of f1"),
+], ids=["a-t^3", "b-t^3 + 1"])
+def test_a_non_minimal_line_certificate_fails_its_recheck(tmp_path, capsys,
+                                                          key, value,
+                                                          message):
+    """An a of degree deg f2 or more or a b of degree deg f1 or more is
+    well formed but not minimal, a rule of the entry's re-check alone: it
+    exits 2 with that one failure."""
+    report = quiver3_report()
+    report["certificate"]["coprimality"][key] = value
+    assert verify_report(tmp_path, capsys, report) == (2, [message])
 
 
 def test_entries_of_63_bits_are_accepted(tmp_path, capsys):

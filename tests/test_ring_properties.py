@@ -14,10 +14,10 @@ products added into a dict one at a time), on both of its paths: the
 packed one, taken when exponents are below `PACK_LIMIT` and the call
 forms enough term products, and the tuple one, taken otherwise.
 
-The division loop `_reduce_terms` (and `divide_exact` on top of it) is
-held to a plain rational division written out below: the same
-remainder, and the same quotient for each divisor, down to the order in
-which the divisors are first used.  `divide_exact` must refuse exactly
+The division loop `_reduce_terms` (and `divide` and `divide_exact` on
+top of it) is held to a plain rational division written out below: the
+same remainder, and the same quotient for each divisor, down to the
+order in which the divisors are first used.  `divide_exact` must refuse exactly
 the inputs that leave a remainder.
 
 The tests are skipped when hypothesis is absent.
@@ -41,6 +41,7 @@ from blocksplit.ring import (
     _mono_div,
     _mono_divides,
     _reduce_terms,
+    divide,
     divide_exact,
     elimination,
     grevlex,
@@ -250,6 +251,26 @@ def test_divide_exact_matches_rational_division(a, g, extra):
     else:
         with pytest.raises(NonDivisibleError):
             divide_exact(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases)
+def test_divide_matches_rational_division_for_each_dividend(case):
+    """One divisor shape serves several dividends, zero among them, over
+    the tuple and the packed loop alike."""
+    f, divisors, _ = case
+    g = divisors[0]
+    fs = [f, f + g, Poly.zero(f.table)]
+    results = divide(fs, g)
+    assert len(results) == len(fs)
+    for f, (q, r) in zip(fs, results):
+        expected, expected_q = reference_division(f, [g], grevlex)
+        assert r.terms == expected.terms
+        assert q.terms == expected_q.get(0, Poly.zero(f.table)).terms
+        assert_invariant(q, f, g)
+        assert_invariant(r, f, g)
+    with pytest.raises(NonDivisibleError):
+        divide(fs, Poly.zero(f.table))
 
 
 # -- the multiply-accumulate kernel against a plain product ---------------
