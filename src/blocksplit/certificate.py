@@ -11,10 +11,13 @@ f1*f2, by a determinant and the entries of one matrix product, each split
 by a quotient by f2 that the check need not trust; a line certificate
 that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along
 which f1 keeps its degree, by restricting both factors to the line and
-two univariate products.  Entries of a jet verdict state congruences modulo
-m^N instead of equalities, and their strength must match the verdict's
-provenance: an exact verdict holds no congruence, and a jet verdict of
-order N only congruences modulo m^N.  A non-inclusion, which only
+two univariate products; a point certificate that a polynomial f is not
+the square of a polynomial, an integer point q at which f is negative or
+not the square of a rational, by restricting f to the point q + 0*t.
+Entries of a jet verdict state congruences modulo m^N instead of
+equalities, and their strength must match the verdict's provenance: an
+exact verdict holds no congruence, and a jet verdict of order N only
+congruences modulo m^N.  A non-inclusion, which only
 `groebner.member_local` returns so far, is a linear functional on R/m^N
 that vanishes on I + m^N but not on the element, checked by pairing it
 with the monomial multiples of each generator and with the element.
@@ -24,7 +27,7 @@ InputError naming the first field it refuses; every validity rule of an
 entry is stated once, in its ``failures()``, whose messages ``verify-cert``
 prints.  Nothing here uses Groebner bases or matrix code (the determinant is
 `ring.minor`, the expansion that `det` runs too, the restriction to a line
-is `ring.restrict_to_line`, and each sum of products is one
+or a point is `ring.restrict_to_line`, and each sum of products is one
 `ring.sum_of_products`; the adjugate check's quotients come from
 `ring.divide`, and it holds whatever quotient it is given), so the check
 stays independent of how a verdict arose.  Inclusions, the adjugate entry
@@ -44,6 +47,7 @@ from .ring import (
     VarTable,
     _mono_div,
     _mono_divides,
+    _sqrt_fraction,
     divide,
     format_poly,
     local_unit_test,
@@ -144,8 +148,8 @@ def parse_matrix(rows: Any, table: VarTable, field: str,
 
 
 def is_count(value: Any) -> bool:
-    """An int, not a bool, of at least 1: a jet order, a rank, a probe
-    order or a modulus exponent."""
+    """An int, not a bool, of at least 1: a jet order, a rank or a
+    modulus exponent."""
     return (isinstance(value, int) and not isinstance(value, bool)
             and value >= 1)
 
@@ -593,11 +597,62 @@ class AdjugateInclusion:
         return AdjugateInclusion(A, f1, f2, unit, c1, c2)
 
 
+class NonSquare:
+    """Certified non-square: f is not the square of a polynomial over Q.
+    Exact only.
+
+    The certificate is an integer point q and the value f(q), which is
+    negative or not the square of a rational.  It is sound: f = g^2 would
+    give f(q) = g(q)^2, the square of a rational.  `failures()`
+    recomputes f(q) by restricting f to the point q + 0*t."""
+
+    KEY = NAME = "nonsquare"
+    COUNT = "nonsquares"
+    MANY = False
+    modulo_order = None
+    __slots__ = ("poly", "point", "value")
+
+    def __init__(self, poly: Poly, point: Sequence[int], value):
+        self.poly = poly
+        self.point = tuple(point)
+        self.value = value
+
+    def failures(self, name: str = NAME) -> list[str]:
+        at = restrict_to_line(self.poly, self.point, (0,) * len(self.point))
+        if at.constant_term() != self.value:
+            return [f"{name}: the value is not that of f at the point"]
+        if _sqrt_fraction(self.value) is not None:
+            return [f"{name}: the value is the square of a rational"]
+        return []
+
+    def to_json(self) -> dict:
+        return {"polynomial": format_poly(self.poly),
+                "point": list(self.point), "value": str(self.value)}
+
+    @staticmethod
+    def text(d: dict) -> list[str]:
+        return [f"nonsquare: f(q) = {d['value']} is not the square of a "
+                "rational", f"  f: {d['polynomial']}", f"  q: {d['point']}"]
+
+    @staticmethod
+    def from_json(d: dict, table: VarTable, field: str,
+                  memo: dict[str, Poly]) -> "NonSquare":
+        f = parse_field(d.get("polynomial"), table, f"{field}.polynomial",
+                        memo)
+        expect(f.degree() <= MAX_LINE_DEGREE,
+               f"field '{field}.polynomial' has degree {f.degree()}, more "
+               f"than {MAX_LINE_DEGREE}")
+        point = _parse_vector(d.get("point"), len(table), f"{field}.point")
+        # a rational number is a polynomial in no variables
+        value = parse_field(d.get("value"), VarTable(()), f"{field}.value")
+        return NonSquare(f, point, value.constant_term())
+
+
 # Every kind of certificate entry, in report order, with its report KEY,
 # MANY (a list of them, or one), verify-cert COUNT key, failure NAME, and
 # from_json(d, table, field, memo), failures(name), to_json(), text(d).
-ENTRIES = (Identity, Inclusion, AdjugateInclusion, LineCoprime)
-Fact = Identity | Inclusion | AdjugateInclusion | LineCoprime
+ENTRIES = (Identity, Inclusion, AdjugateInclusion, LineCoprime, NonSquare)
+Fact = Identity | Inclusion | AdjugateInclusion | LineCoprime | NonSquare
 
 
 def _located(cert: dict) -> list[tuple[type, Any, str]]:
@@ -629,6 +684,12 @@ def strength(order: int | None) -> dict:
     """The provenance keys of a report's strength: exact, or jet `order`."""
     jet = {} if order is None else {"jet_order": order}
     return {"exact": order is None, **jet}
+
+
+def provenance_text(prov: dict) -> str:
+    """A job report's provenance line: its order and the `strength`."""
+    mode = "exact" if prov["exact"] else f"jet, order {prov['jet_order']}"
+    return f"order: {prov['order']}; mode: {mode}"
 
 
 class Verdict:
@@ -677,6 +738,9 @@ class Verdict:
                    for adj in self.of(AdjugateInclusion)):
                 out.append("coprimality: the factors are not the adjugate "
                            "entry's f1 and f2")
+        if any(entry.poly != self.failing for entry in self.of(NonSquare)):
+            out.append("nonsquare: the polynomial is not the verdict's "
+                       "failing element")
         out.extend(self._shape())
         return out
 

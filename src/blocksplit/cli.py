@@ -36,6 +36,7 @@ from .certificate import (
     format_grid,
     is_count,
     parse_matrix,
+    provenance_text,
     strength,
 )
 from .decompose import check_rect_lr, check_square_lr
@@ -57,7 +58,7 @@ TOOL = "blocksplit"
 
 TOP_KEYS = ("ring", "matrix", "quiver", "matrices", "factors", "ideals",
             "index", "options")
-OPTION_KEYS = ("jet_order", "format", "probe_order")
+OPTION_KEYS = ("jet_order", "format")
 
 
 def _load_json(path: str, what: str) -> Any:
@@ -151,7 +152,6 @@ class Job(NamedTuple):
     table: VarTable
     jet_order: int | None
     fmt: str
-    probe_order: int
     index: int | None
 
 
@@ -174,10 +174,6 @@ def _load_job(args: argparse.Namespace) -> Job:
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
     # every command checks these values, whether it reads them or not
-    probe = getattr(args, "probe_order", None)
-    probe = options.get("probe_order", 8) if probe is None else probe
-    expect(is_count(probe), "field 'options.probe_order' (or --probe-order) "
-                            "must be an integer >= 1")
     index = getattr(args, "index", None)
     index = doc.get("index") if index is None else index
     expect(index is None or type(index) is int,  # a bool is not an index
@@ -186,7 +182,7 @@ def _load_job(args: argparse.Namespace) -> Job:
     expect(isinstance(fmt, str) and fmt in ("json", "text"),
            "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
-    return Job(doc, table, jet, fmt, probe, index)
+    return Job(doc, table, jet, fmt, index)
 
 
 def _require_matrix(job: Job) -> PolyMatrix:
@@ -288,9 +284,7 @@ def _render_text(report: dict) -> str:
             lines.append(f"  {msg}")
     prov = report.get("provenance")
     if prov is not None and "order" in prov:
-        mode = ("exact" if prov["exact"]
-                else f"jet, order {prov['jet_order']}")
-        lines.append(f"order: {prov['order']}; mode: {mode}")
+        lines.append(provenance_text(prov))
     return "\n".join(lines) + "\n"
 
 
@@ -349,7 +343,7 @@ def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
     A = _require_matrix(job)
     expect(A.rows == 2 and A.cols == 2,
            "field 'matrix' must be 2x2 for 'check-conj'")
-    return A.table, check_conj_2x2(A, probe_order=job.probe_order)
+    return A.table, check_conj_2x2(A)
 
 
 def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
@@ -386,9 +380,7 @@ COMMANDS = {
                           "decomposability of a rectangular matrix against "
                           "an ideal pair"),
     "check-conj": Command(_cmd_check_conj, True, "conjugation "
-                          "diagonalizability of a 2x2 matrix",
-                          (("--probe-order", "N", "series depth for the "
-                            "square-root probe (default 8)"),)),
+                          "diagonalizability of a 2x2 matrix"),
     "build-kronecker": Command(_cmd_build_kronecker, True, "Kronecker form "
                                "of a quiver representation or matrix tuple"),
     "check-quiver": Command(_cmd_check_quiver, False, "decomposability of a "

@@ -14,33 +14,37 @@ Decomposability of the representation is decided through the
 Fitting-ideal criterion on that single square matrix, relative to a
 supplied splitting det = f1 * f2.
 
-The 2x2 conjugation check is a fast path: it classifies the
-discriminant tr(A)^2 - 4 det(A) (polynomial square / square only after
-extending coefficients / square only as a power series / provably no
-square root at all) and only claims a verdict in the provable cases.
-Every outcome goes through the same checklist runner as the other
-checks, and the series probe `ring.sqrt_series` states why a
-discriminant has no root.
+The 2x2 conjugation check is a fast path, decided over R itself by the
+discriminant tr(A)^2 - 4 det(A).  R lies in Q(x) and Q[x] is integrally
+closed, so a matrix diagonal after conjugation over R has a discriminant
+(l1 - l2)^2 that is a square in Q[x].  A discriminant that is not one
+rules the splitting out, and a small integer point where its value is
+not the square of a rational certifies that.  Every outcome goes through
+the same checklist runner as the other checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ring import (
     Poly,
     RingError,
-    SeriesSqrtError,
     VarTable,
-    local_unit_test,
+    _sqrt_fraction,
+    restrict_to_line,
     sqrt_exact,
-    sqrt_series,
     sum_of_products,
     y_profile,
 )
-from .certificate import HypothesisCheck, Identity, Verdict
+from .certificate import (
+    MAX_LINE_DEGREE,
+    HypothesisCheck,
+    Identity,
+    NonSquare,
+    Verdict,
+)
 from .groebner import Ideal
 from .matrix import PolyMatrix, det
 from .decompose import _decide, _local_inclusion, _split_by_factors
@@ -245,15 +249,44 @@ _CONJ_SCOPE = ("diagonalizability of a 2x2 matrix under conjugation; the "
                "verdict is absolute (not relative to a factor pair)")
 
 
-def check_conj_2x2(A: PolyMatrix, probe_order: int = 8) -> Verdict:
+# How many integer points `_nonsquare` tries before the non-square verdict
+# goes without a point certificate.
+NONSQUARE_POINTS = 64
+
+
+def _small_points(width: int) -> Iterator[tuple[int, ...]]:
+    """The first `NONSQUARE_POINTS` integer points of `width` coordinates
+    by increasing largest absolute value r, each shell of the box
+    [-r, r]^width in product order, built one at a time."""
+    shells = ((q for q in itertools.product(range(-r, r + 1), repeat=width)
+               if max(map(abs, q), default=0) == r)
+              for r in range(NONSQUARE_POINTS))
+    return itertools.islice(itertools.chain.from_iterable(shells),
+                            NONSQUARE_POINTS)
+
+
+def _nonsquare(f: Poly) -> list[NonSquare]:
+    """A NonSquare for f at the first of `_small_points` where f is
+    negative or not the square of a rational, as a list of one; empty when
+    there is none or when f's degree passes MAX_LINE_DEGREE."""
+    if f.degree() > MAX_LINE_DEGREE:
+        return []
+    zero = (0,) * len(f.table)
+    for point in _small_points(len(f.table)):
+        value = restrict_to_line(f, point, zero).constant_term()
+        if _sqrt_fraction(value) is None:
+            return [NonSquare(f, point, value)]
+    return []
+
+
+def check_conj_2x2(A: PolyMatrix) -> Verdict:
     """Conjugation-diagonalizability of a 2x2 matrix over the local ring.
 
-    Decomposable iff the discriminant tr^2 - 4 det is a polynomial square
-    and a12, a21, a11 - a22 all lie in (sqrt) locally.  When the
-    discriminant only becomes a square after extending the coefficient
-    field, or only as a power series, the verdict is Inconclusive with
-    that reason; when it provably has no square root in any of those
-    senses, NotDecomposable."""
+    Under a nonzero discriminant tr^2 - 4 det, Decomposable iff the
+    discriminant is a polynomial square r^2 and a12, a21, a11 - a22 all
+    lie in (r) locally.  A discriminant with no polynomial square root is
+    the failing element of a NotDecomposable verdict, certified by a
+    point where it is not a rational square when `_nonsquare` finds one."""
     if A.rows != 2 or A.cols != 2:
         raise RingError("conjugation check needs a 2x2 matrix")
     tr = A.trace()
@@ -262,34 +295,13 @@ def check_conj_2x2(A: PolyMatrix, probe_order: int = 8) -> Verdict:
         "nondegenerate-discriminant", not disc.is_zero(),
         "tr(A)^2 - 4 det(A) is nonzero")
     root = sqrt_exact(disc) if nondegenerate.passed else None
-    if root is not None or not nondegenerate.passed:
-        square = [] if root is None else [
-            Identity("discriminant-square", disc, (root, root))]
-        return _decide(
-            [(nondegenerate, square)],
-            lambda: _local_inclusion((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
-                                     Ideal(A.table, (root,)), None),
-            _CONJ_SCOPE, None)
+    square = [] if root is None else [
+        Identity("discriminant-square", disc, (root, root))]
 
-    # No polynomial square root: the series probe either says why none
-    # exists in any extension, or leaves the question open.
-    unit_scaled = disc * (Fraction(1) / disc.lowest_form().leading()[1])
-    try:
-        # the root of a unit divides by a constant at every step, so only
-        # a discriminant vanishing at the origin can meet an obstruction
-        if not local_unit_test(disc):
-            sqrt_series(unit_scaled, probe_order)
-    except SeriesSqrtError as exc:
-        root_check = HypothesisCheck(
-            "discriminant-nonsquare-established", True,
-            f"no square root exists over any coefficient extension or "
-            f"power-series completion: {exc}")
-    else:
-        root_check = HypothesisCheck(
-            "square-root-needs-coefficient-extension"
-            if sqrt_exact(unit_scaled) is not None
-            else "square-root-only-as-power-series", False,
-            "the discriminant has no square root in the polynomial ring, but "
-            "one cannot be ruled out after extension/completion")
-    return _decide([(nondegenerate, []), (root_check, [])],
-                   lambda: (disc, []), _CONJ_SCOPE, None)
+    def decisive():
+        if root is None:
+            return disc, _nonsquare(disc)
+        return _local_inclusion((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
+                                Ideal(A.table, (root,)), None)
+
+    return _decide([(nondegenerate, square)], decisive, _CONJ_SCOPE, None)

@@ -12,12 +12,11 @@ off Fraction.  Coefficients are normalized only where they are created
 multiplication, the parser and the division loop), and a quotient of two
 coefficients is formed by `_div`, which stays exact.  The public
 constructor checks the invariant on every dict it is given; arithmetic
-results (sums, products, negation, lifts, truncations, homogeneous parts,
-exact quotients) are built from operands that already hold it and skip
-the re-check.  The ambient ring is read as the localization of
-Q[x1,...,xp] at the origin: units are exactly the elements with nonzero
-constant term, and series-style operations (truncation, square roots)
-treat a polynomial together with an explicit order bound as a jet.
+results (sums, products, negation, lifts, truncations, exact quotients)
+are built from operands that already hold it and skip the re-check.  The
+ambient ring is read as the localization of Q[x1,...,xp] at the origin:
+units are exactly the elements with nonzero constant term, and truncation
+treats a polynomial together with an explicit order bound as a jet.
 `minor` is the one memoized determinant expansion, which `matrix` and
 the certificate re-check both run, and `restrict_to_line` the one
 substitution of a line p + c*t, over the one-variable table `LINE`,
@@ -95,10 +94,6 @@ class ParseError(RingError):
 
 class NonDivisibleError(RingError):
     pass
-
-
-class SeriesSqrtError(RingError):
-    """No square root exists with the requested shape."""
 
 
 class InvariantError(RingError):
@@ -290,14 +285,6 @@ class Poly:
     def degree(self) -> int:
         """Max total degree of a term; -1 for zero."""
         return max(map(sum, self.terms), default=-1)
-
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly._trusted(
-            self.table, {m: c for m, c in self.terms.items() if sum(m) == degree})
-
-    def lowest_form(self) -> "Poly":
-        d = self.order()
-        return self if d is None else self.homogeneous_part(d)
 
     def degree_in(self, name: str) -> int:
         i = self.table.index(name)
@@ -1121,12 +1108,6 @@ def _sqrt_fraction(c: Coeff) -> Coeff | None:
     return _div(num, den)
 
 
-def _normalize_sign(g: Poly) -> Poly:
-    """g or -g, whichever has a positive trailing coefficient; g != 0."""
-    _, c = g.trailing()
-    return -g if c < 0 else g
-
-
 def sqrt_exact(f: Poly) -> Poly | None:
     """Polynomial square root over Q, or None.
 
@@ -1162,19 +1143,13 @@ def sqrt_exact(f: Poly) -> Poly | None:
         rest = f - g * g
     if not (g * g == f):
         return None
-    return _normalize_sign(g)
+    _, c = g.trailing()
+    return -g if c < 0 else g
 
 
 # The most monomials of degree < N, in the variables in play, that a jet of
-# order N may span (the jet oracle lists them), and the most terms a series
-# root or its residual may hold.
+# order N may span (the jet oracle lists them).
 MAX_JET_MONOMIALS = 500
-
-
-def _jet_size_error(what: str, bound: int, nvars: int) -> RingError:
-    return RingError(f"{what} {bound} over {nvars} variable"
-                     f"{'s' * (nvars != 1)} spans more than "
-                     f"{MAX_JET_MONOMIALS} monomials")
 
 
 def _jet_span(bound: int, nvars: int) -> int:
@@ -1185,55 +1160,9 @@ def _jet_span(bound: int, nvars: int) -> int:
 def _check_jet_size(what: str, bound: int, nvars: int) -> None:
     """Refuse an order `bound` over `nvars` variables past the cap."""
     if _jet_span(bound, nvars) > MAX_JET_MONOMIALS:
-        raise _jet_size_error(what, bound, nvars)
-
-
-def sqrt_series(f: Poly, bound: int) -> Poly:
-    """Series square root to the given order, built degree by degree.
-
-    Requires the lowest homogeneous part of f to be a perfect square (even
-    vanishing order).  Returns g with deg g < bound + ord(f)/2 and
-    g**2 == f modulo terms of total degree >= bound + ord(f); raises
-    SeriesSqrtError, whose message is the reason check-conj reports, when
-    no such series exists, and RingError as soon as the partial root or
-    the residual f - g^2 holds more than MAX_JET_MONOMIALS terms.  Each
-    step corrects the lowest degree left in the residual, so the steps are
-    no more than the terms of the root.
-    """
-    if bound < 0:
-        raise RingError("order bound must be nonnegative")
-    if f.is_zero():
-        return Poly.zero(f.table)
-    d = f.order()
-    if d % 2:
-        raise SeriesSqrtError("the lowest-degree part has odd degree")
-    low = f.lowest_form()
-    base = sqrt_exact(low)
-    if base is None:
-        raise SeriesSqrtError(
-            "the lowest-degree form is not a square even up to a constant"
-            if sqrt_exact(low * _div(1, low.leading()[1])) is None else
-            "the lowest-degree form is a square only up to a constant that "
-            "is not a rational square")
-    g = base
-    # rest is f - g^2 below the degree d + bound, updated by each
-    # correction; a correction of degree d/2 + j cancels the degree d + j
-    # part of rest and adds only higher degrees, so rest's order rises
-    rest = truncate(f - g * g, d + bound)
-    while not rest.is_zero():
-        # Forced correction: the lowest part of f - g^2, divided by 2*base.
-        low = rest.order()
-        try:
-            t = divide_exact(rest.homogeneous_part(low), base) * Fraction(1, 2)
-        except NonDivisibleError:
-            raise SeriesSqrtError("the forced power-series root hits a "
-                                  "division obstruction") from None
-        rest = rest - truncate(t * (g + g + t), d + bound)
-        g = g + t
-        if max(len(g.terms), len(rest.terms)) > MAX_JET_MONOMIALS:
-            raise _jet_size_error("series order", bound,
-                                  sum(map(any, zip(*f.terms))))
-    return _normalize_sign(g)
+        raise RingError(f"{what} {bound} over {nvars} variable"
+                        f"{'s' * (nvars != 1)} spans more than "
+                        f"{MAX_JET_MONOMIALS} monomials")
 
 
 def y_profile(f: Poly, ynames: Iterable[str]) -> set[tuple[int, ...]]:

@@ -1,6 +1,6 @@
 """The certificate layer: JSON round trips, the strength rules, and the
-re-checks of the adjugate entry and of the line certificate of
-coprimality."""
+re-checks of the adjugate entry, of the line certificate of coprimality
+and of the point certificate of a non-square."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import pytest
 
 import blocksplit.certificate
 from blocksplit.certificate import (
+    DECOMPOSABLE,
     ENTRIES,
     INCONCLUSIVE,
     STATUSES,
@@ -24,6 +25,7 @@ from blocksplit.certificate import (
     Inclusion,
     InputError,
     LineCoprime,
+    NonSquare,
     Verdict,
 )
 from blocksplit.ring import LINE, Poly, VarTable, divide, parse_poly, \
@@ -462,7 +464,8 @@ def test_verify_cert_accepts_the_legacy_report(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert (code, result["valid"], result["failures"]) == (0, True, [])
     assert result["checked"] == {"identities": 1, "inclusions": 1,
-                                 "adjugates": 1, "coprimality": 0}
+                                 "adjugates": 1, "coprimality": 0,
+                                 "nonsquares": 0}
 
 
 def quiver3_report() -> dict:
@@ -541,6 +544,82 @@ def test_a_non_minimal_line_certificate_fails_its_recheck(tmp_path, capsys,
     report = quiver3_report()
     report["certificate"]["coprimality"][key] = value
     assert verify_report(tmp_path, capsys, report) == (2, [message])
+
+
+def conj_odd_report() -> dict:
+    return json.loads((GOLDEN / "conj-odd.out").read_text())
+
+
+NONSQUARE_VALUE = "nonsquare: the value is not that of f at the point"
+NONSQUARE_SHAPE = ("nonsquare: the polynomial is not the verdict's failing "
+                   "element")
+
+
+@pytest.mark.parametrize("changes, failures", [
+    ({"point": [0, -1]}, [NONSQUARE_VALUE]),
+    ({"point": [-1, 0]}, []),
+    ({"value": "-5"}, [NONSQUARE_VALUE]),
+    ({"value": "-4/1"}, []),
+    ({"point": [1, -1], "value": "4"},
+     ["nonsquare: the value is the square of a rational"]),
+    ({"polynomial": "4*x1^3 + x2^2 - 1"}, [NONSQUARE_SHAPE]),
+    ({"polynomial": "-4*x1^2", "value": "-4"}, [NONSQUARE_SHAPE]),
+], ids=["point", "other-point", "value", "same-value", "square-value",
+        "other-polynomial", "other-nonsquare"])
+def test_altering_a_point_certificate_fails(tmp_path, capsys, changes,
+                                            failures):
+    """The point entry re-checks its value at its point and requires a
+    value that is no rational square; the verdict requires its
+    polynomial to be the failing element, so a valid point certificate of
+    another polynomial fails too."""
+    report = conj_odd_report()
+    report["certificate"]["nonsquare"].update(changes)
+    assert verify_report(tmp_path, capsys, report) == (
+        2 if failures else 0, failures)
+
+
+def test_a_point_certificate_must_name_the_failing_element(tmp_path,
+                                                           capsys):
+    report = conj_odd_report()
+    report["failing"] = "4*x1^3 + x2"
+    assert verify_report(tmp_path, capsys, report) == (2, [NONSQUARE_SHAPE])
+    entry = NonSquare(parse_poly("x", XY), (1, 1), 1)
+    assert entry.failures() == [
+        "nonsquare: the value is the square of a rational"]
+    entry = NonSquare(parse_poly("2*x", XY), (1, 1), 2)
+    assert entry.failures() == []
+    assert Verdict(DECOMPOSABLE, [], [entry], "").failures() == [
+        NONSQUARE_SHAPE]
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("point", [-1, "0"], "point"),
+    ("point", [-1, 0.0], "point"),
+    ("point", [-1, True], "point"),
+    ("point", [2 ** 63, 0], "point"),
+    ("point", [-2 ** 63, 0], "point"),
+    ("point", [-1], "point"),
+    ("point", [-1, 0, 0], "point"),
+    ("value", -4, "value"),
+    ("value", None, "value"),
+    ("value", "x1", "value"),
+    ("polynomial", 4, "polynomial"),
+    ("polynomial", "x1^101", "polynomial"),
+])
+def test_a_malformed_point_certificate_is_an_input_error(tmp_path, capsys,
+                                                         key, value, field):
+    """A point that is not a list of one int of fewer than 64 bits per
+    variable, a value that is not a string holding a rational number, and
+    a polynomial of degree past MAX_LINE_DEGREE each exit 1 naming the
+    field."""
+    report = conj_odd_report()
+    report["certificate"]["nonsquare"][key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(report))
+    code = main(["verify-cert", "--cert", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"field 'certificate.nonsquare.{field}'" in err
 
 
 def test_entries_of_63_bits_are_accepted(tmp_path, capsys):

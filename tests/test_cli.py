@@ -375,52 +375,45 @@ def test_an_exact_run_restricts_each_factor_to_the_line_twice(
     assert len(calls) == 4
 
 
-# x^2 + y^3 has no series square root; the obstruction shows at degree 3,
-# which a probe of order 1 does not reach
+# x^2 + y^3 is a square neither in Q[x, y] nor as a power series
 OBSTRUCTED_CONJ = {"ring": {"vars": ["x", "y"]},
                    "matrix": [["x", "1/4"], ["y^3", "0"]]}
 
 
 def test_probe_order_flag_and_option(tmp_path, capsys):
-    def verdict(doc, flags=()):
-        path = write_doc(tmp_path, doc)
-        report = run_json(capsys, ["check-conj", "--input", path, *flags])
-        return report["verdict"], report.get("failed_hypothesis")
-
-    shallow = ("Inconclusive", "square-root-only-as-power-series")
-    assert verdict(OBSTRUCTED_CONJ) == ("NotDecomposable", None)
-    assert verdict(OBSTRUCTED_CONJ, ["--probe-order", "1"]) == shallow
-    doc = dict(OBSTRUCTED_CONJ, options={"probe_order": 1})
-    assert verdict(doc) == shallow
-    assert verdict(doc, ["--probe-order", "2"]) == ("NotDecomposable", None)
-
-
-@pytest.mark.parametrize("options, flags", [
-    ({"probe_order": 0}, []),
-    ({"probe_order": True}, []),
-    ({"probe_order": "8"}, []),
-    ({}, ["--probe-order", "0"]),
-])
-def test_probe_order_must_be_a_positive_integer(tmp_path, capsys, options,
-                                                flags):
-    path = write_doc(tmp_path, dict(OBSTRUCTED_CONJ, options=options))
-    assert run(capsys, ["check-conj", "--input", path, *flags]) == (
-        1, "", "error: field 'options.probe_order' (or --probe-order) must "
-               "be an integer >= 1\n")
+    """check-conj decides over R without a series probe, so the probe's
+    order is gone: the flag is a usage error and the option an unknown
+    field, each exiting 1 with no message of its own."""
+    path = write_doc(tmp_path, OBSTRUCTED_CONJ)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-conj", "--input", path, "--probe-order", "2"])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: --probe-order 2\n" in \
+        capsys.readouterr().err
+    doc = write_doc(tmp_path, dict(OBSTRUCTED_CONJ,
+                                   options={"probe_order": 2}), "option.json")
+    assert run(capsys, ["check-conj", "--input", doc]) == (
+        1, "", "error: field 'options.probe_order' is not recognized\n")
+    report = run_json(capsys, ["check-conj", "--input", path])
+    assert report["verdict"] == "NotDecomposable"
+    assert report["certificate"]["nonsquare"]["value"] == "2"
 
 
 @pytest.mark.parametrize("command", ["det", "check-square"])
 @pytest.mark.parametrize("fields, message", [
-    ({"options": {"probe_order": "banana"}, "index": "zzz"},
-     "field 'options.probe_order' (or --probe-order) must be an integer >= 1"),
+    ({"options": {"probe_order": 3}, "index": 2},
+     "field 'options.probe_order' is not recognized"),
+    ({"options": {"format": "yaml"}, "index": 2},
+     "field 'options.format' must be 'json' or 'text'"),
     ({"index": "zzz"}, "field 'index' must be an integer"),
-    ({"options": {"probe_order": 3}, "index": 2}, None),
-], ids=["probe-order", "index", "well-formed"])
+    ({"options": {"format": "json"}, "index": 2}, None),
+], ids=["probe-order", "format", "index", "well-formed"])
 def test_option_values_are_checked_for_every_command(tmp_path, capsys,
                                                      command, fields,
                                                      message):
-    """A malformed value is refused even where the command does not read
-    the field; a well-formed one is still accepted there."""
+    """A malformed value, or the option of the series probe that is gone,
+    is refused even where the command does not read the field; a
+    well-formed one is still accepted there."""
     code, _, err = run(capsys, [command, "--input",
                                 write_doc(tmp_path, {**EX2, **fields})])
     if message is None:
@@ -429,43 +422,38 @@ def test_option_values_are_checked_for_every_command(tmp_path, capsys,
         assert (code, err) == (1, f"error: {message}\n")
 
 
-def test_probe_order_flag_must_parse_as_an_integer(tmp_path, capsys):
-    path = write_doc(tmp_path, OBSTRUCTED_CONJ)
-    with pytest.raises(SystemExit) as exc:
-        main(["check-conj", "--input", path, "--probe-order", "true"])
-    assert exc.value.code == 1
-    assert "--probe-order" in capsys.readouterr().err
-
-
-def test_unit_discriminant_skips_the_series_probe(tmp_path, capsys,
-                                                  monkeypatch):
-    # disc = 1 + x1 + x2 + x3 + x4: a unit with no polynomial square root,
-    # whose series root exists to every order
-    def probe(*_):
-        raise AssertionError("the series probe ran on a unit discriminant")
-
-    monkeypatch.setattr(blocksplit.quiver, "sqrt_series", probe)
+def test_unit_discriminant_skips_the_series_probe(tmp_path, capsys):
+    # disc = 1 + x1 + x2 + x3 + x4: a unit with a series square root but
+    # none in R, which its value -3 at (-1, -1, -1, -1) certifies
     doc = {"ring": {"vars": ["x1", "x2", "x3", "x4"]},
            "matrix": [["0", "1/4"], ["1 + x1 + x2 + x3 + x4", "0"]]}
     path = write_doc(tmp_path, doc)
     start = time.perf_counter()
-    report = run_json(capsys, ["check-conj", "--input", path,
-                               "--probe-order", "12"])
-    assert time.perf_counter() - start < 5.0
-    assert report["verdict"] == "Inconclusive"
-    assert report["failed_hypothesis"] == "square-root-only-as-power-series"
+    report = run_json(capsys, ["check-conj", "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert report["verdict"] == "NotDecomposable"
+    assert report["failing"] == "x1 + x2 + x3 + x4 + 1"
+    assert report["certificate"]["nonsquare"] == {
+        "polynomial": "x1 + x2 + x3 + x4 + 1", "point": [-1, -1, -1, -1],
+        "value": "-3"}
+    assert _verify(tmp_path, capsys, report)[0] == 0
 
 
-# x1^2 * (1 + x2 + x3 + x4) has a series square root to every order, so
-# the probe runs to the full order it is given
-DEEP_CONJ = {"ring": {"vars": ["x1", "x2", "x3", "x4"]},
-             "matrix": [["0", "1/4"],
-                        ["x1^2 + x1^2*x2 + x1^2*x3 + x1^2*x4", "0"]]}
+def test_a_discriminant_past_the_line_degree_goes_without_a_point(
+        tmp_path, capsys):
+    # disc = 4*x^101, no square, but of a degree that verify-cert refuses
+    # in a point certificate, so the verdict carries none
+    doc = {"ring": {"vars": ["x"]}, "matrix": [["0", "x^51"], ["x^50", "0"]]}
+    report = run_json(capsys, ["check-conj", "--input",
+                               write_doc(tmp_path, doc)])
+    assert (report["verdict"], report["failing"]) == ("NotDecomposable",
+                                                      "4*x^101")
+    assert "nonsquare" not in report["certificate"]
+    assert _verify(tmp_path, capsys, report)[0] == 0
 
 
 @pytest.mark.parametrize("command, doc, flag, what", [
     ("check-square", EX2, "--jet-order", "jet order 100000 over 2"),
-    ("check-conj", DEEP_CONJ, "--probe-order", "series order 100000 over 4"),
 ])
 def test_oversized_jet_and_probe_orders_exit_1_at_once(tmp_path, capsys,
                                                        command, doc, flag,
@@ -488,19 +476,19 @@ def conj_job(nvars: int) -> dict:
 
 
 def test_the_probe_caps_the_terms_of_the_root(tmp_path, capsys):
-    # five variables span 792 monomials below the default probe order 8,
-    # but the root holds 330 terms there, so the probe runs
-    path = write_doc(tmp_path, conj_job(5))
-    report = run_json(capsys, ["check-conj", "--input", path])
-    assert report["verdict"] == "Inconclusive"
-    assert report["failed_hypothesis"] == "square-root-only-as-power-series"
-    # over eight variables the root passes 500 terms below that order
-    path = write_doc(tmp_path, conj_job(8))
-    start = time.perf_counter()
-    result = run(capsys, ["check-conj", "--input", path])
-    assert time.perf_counter() - start < 1.0
-    assert result == (1, "", "error: series order 8 over 8 variables spans "
-                             f"more than {MAX_JET_MONOMIALS} monomials\n")
+    # the root's series has hundreds of terms below order 8 over five or
+    # more variables, but no series is built: the discriminant is
+    # 1 - (nvars - 1) at (-1, ..., -1), which no square is
+    for nvars in (5, 8):
+        path = write_doc(tmp_path, conj_job(nvars))
+        start = time.perf_counter()
+        report = run_json(capsys, ["check-conj", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert report["verdict"] == "NotDecomposable"
+        nonsquare = report["certificate"]["nonsquare"]
+        assert nonsquare["point"] == [-1] * nvars
+        assert nonsquare["value"] == str(2 - nvars)
+        assert _verify(tmp_path, capsys, report)[0] == 0
 
 
 def test_quiver_star_inconclusive_cli(tmp_path, capsys):
@@ -883,8 +871,7 @@ SHARED_READER_CASES = [
            "integer >= 1"),
           (("check-conj", {**VERDICT_DOCS["check-conj"], "options": {}}),
            ("options", "probe_order"),
-           "field 'options.probe_order' (or --probe-order) must be an "
-           "integer >= 1"),
+           "field 'options.probe_order' is not recognized"),
           (LEGACY_REPORT, ("certificate", "inclusions", 0, "modulo_order"),
            "field 'certificate.inclusions[0].modulo_order' must be an "
            "integer >= 1"),

@@ -1,8 +1,8 @@
 """Golden reports: CLI stdout compared byte for byte with stored files.
 
 The job documents in ``tests/golden/`` are a fixed sample of the
-benchmark's jobs (seed 1): two corners of the check-square grid, one
-check-conj job, the three check-rect jobs, a 2-vertex and a 3-vertex
+benchmark's jobs (seed 1): two corners of the check-square grid, two
+check-conj jobs, the three check-rect jobs, a 2-vertex and a 3-vertex
 hidden direct sum.  The 3-vertex one (``quiver3.json``) is quiver-sum's
 seed-1 job ``hidden3-0``, the job that quiver-sum timings are quoted on,
 and a test holds it to what ``perfbench/workloads.py`` generates.  Two
@@ -11,13 +11,16 @@ generators, which pins the signs of the adjugate entry's cofactors: in
 ``square-signed.json`` every unit is 1, and in
 ``square-signed-units.json`` the colon gives g and -g the units u and
 -u.
+``conj-odd.json`` is the conjugation grid's job k = 1, l = 2, whose
+discriminant 4*x1^3 is no square, so its report carries a point
+certificate.
 ``rect-product-fails.json`` (A = [x1, x2], J1 = J2 = (x1)) fails
 ``product-identity`` after the kernel condition has collected its two
 inclusions; its report keeps those and leaves out the backward inclusion
 that the failed step found.  The ``-text`` cases pin ``--format text``
 for each kind of report: inclusions with their ``(mod m^8)`` tails, a
-failed-hypothesis line, a determinant, a Fitting ideal and a Kronecker
-form with its block sizes and variable roles.
+point certificate, a failed-hypothesis line, a determinant, a Fitting
+ideal and a Kronecker form with its block sizes and variable roles.
 ``verify-cert`` re-checks the stored 2-vertex report; the same report in the per-minor form, one inclusion per Fitting
 generator, as emitted before the adjugate entry existed
 (``quiver2-perminor.json``), so that form keeps verifying; a copy of that
@@ -92,6 +95,8 @@ CASES = (
     ("square-signed", "check-square", "square-signed.json", ()),
     ("square-signed-units", "check-square", "square-signed-units.json", ()),
     ("conj", "check-conj", "conj.json", ()),
+    ("conj-odd", "check-conj", "conj-odd.json", ()),
+    ("conj-odd-text", "check-conj", "conj-odd.json", ("--format", "text")),
     ("rect-kernel-unit", "check-rect", "rect-kernel-unit.json", ()),
     ("rect-zero-column", "check-rect", "rect-zero-column.json", ()),
     ("rect-not-coprime", "check-rect", "rect-not-coprime.json", ()),

@@ -18,10 +18,11 @@ read reports, so ``cli.py`` names no polynomial parser of its own.
 Every verdict comes out of one checklist runner, so ``src/`` builds a
 ``Verdict`` only in ``decompose._decide`` and, from a report, in
 ``Verdict.from_json``.  Every division runs the one division loop,
-``ring._reduce_terms``, and only the Groebner engine drives it: no
-module in ``src/`` but ``ring.py`` and ``groebner.py`` names
-``_reduce_terms`` or its divisor shape ``_divisor``, so a second
-Euclid or a second reduction cannot creep in beside ``Ideal.basis()``.
+``ring._reduce_terms``: no module in ``src/`` but ``ring.py`` and
+``groebner.py`` names ``_reduce_terms`` or its divisor shape
+``_divisor``, so the other modules divide through ``ring``'s
+``divide`` and ``divide_exact`` or an ``Ideal``, and a second Euclid or
+a second reduction cannot creep in beside them.
 The certificate layer imports from ``ring`` alone among the package's
 modules, so ``verify-cert`` re-checks with plain ring arithmetic and
 never with the Groebner or matrix code that built a verdict.  Only the
@@ -36,6 +37,8 @@ import importlib.util
 import pathlib
 
 import pytest
+
+from blocksplit.certificate import ENTRIES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src").rglob("*.py")) + sorted(
@@ -358,8 +361,7 @@ def test_the_certificate_layer_imports_from_ring_only():
     assert {f.split(": ")[1] for f in package_imports(source)} == {"ring"}
 
 
-ENTRY_KEYS = frozenset({"identities", "inclusions", "adjugate",
-                        "coprimality", "modulo_order"})
+ENTRY_KEYS = frozenset({kind.KEY for kind in ENTRIES} | {"modulo_order"})
 
 
 def entry_key_constants(source: str) -> list[str]:

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from blocksplit.certificate import Inclusion
+from blocksplit.certificate import Inclusion, NonSquare
 from blocksplit.decompose import DECOMPOSABLE, INCONCLUSIVE, NOT_DECOMPOSABLE
 from blocksplit.matrix import PolyMatrix, det
 from blocksplit.quiver import (
     Arrow,
     QuiverRep,
     Vertex,
+    _small_points,
     build_kronecker,
     check_conj_2x2,
     check_quiver,
@@ -270,20 +272,29 @@ def test_conj_degenerate_discriminant():
     assert v.failed_hypothesis == "nondegenerate-discriminant"
 
 
-def test_conj_provable_nonsquares():
-    # odd order: D = 4*x*y has no square root in any extension
-    v = check_conj_2x2(M([["0", "x"], ["y", "0"]], XY))
+def nonsquare_of(v):
+    """The point certificate of a verdict, as (polynomial, point, value),
+    after checking that the verdict re-checks and that the certificate
+    is for the failing element."""
     assert v.status == NOT_DECOMPOSABLE and v.verify()
-    assert any(h.name == "discriminant-nonsquare-established"
-               for h in v.hypotheses)
+    assert [h.name for h in v.hypotheses] == ["nondegenerate-discriminant"]
+    (entry,) = v.of(NonSquare)
+    assert entry.poly == v.failing
+    return str(entry.poly), entry.point, entry.value
+
+
+def test_conj_provable_nonsquares():
+    # odd order: D = 4*x*y is no square, and -4 at (-1, 1)
+    v = check_conj_2x2(M([["0", "x"], ["y", "0"]], XY))
+    assert nonsquare_of(v) == ("4*x*y", (-1, 1), -4)
 
     # lowest form x^2 + y^2 is not c*h^2
     v = check_conj_2x2(M([["0", "x^2 + y^2"], ["1/4", "0"]], XY))
-    assert v.status == NOT_DECOMPOSABLE
+    assert nonsquare_of(v) == ("x^2 + y^2", (-1, -1), 2)
 
-    # series obstruction: x^2 + y^3 is a square to no finite order
+    # x^2 + y^3 is a square to no finite order
     v = check_conj_2x2(M([["0", "x^2 + y^3"], ["1/4", "0"]], XY))
-    assert v.status == NOT_DECOMPOSABLE and v.verify()
+    assert nonsquare_of(v) == ("y^3 + x^2", (-1, 1), 2)
 
 
 def test_conj_membership_failure():
@@ -294,13 +305,36 @@ def test_conj_membership_failure():
 
 
 def test_conj_inconclusive_extension_and_series():
+    """A square only over Q(sqrt 2), and a square only as a power series,
+    are no squares in Q[x, y]; R lies in Q(x, y) and Q[x, y] is integrally
+    closed, so they are none in R either, and the verdict is decided."""
     v = check_conj_2x2(M([["0", "x"], ["1/2*x", "0"]], XY))
-    assert v.status == INCONCLUSIVE
-    assert v.failed_hypothesis == "square-root-needs-coefficient-extension"
+    assert nonsquare_of(v) == ("2*x^2", (-1, -1), 2)
 
     v = check_conj_2x2(M([["0", "x"], ["x*(1 + x)", "0"]], XY))
-    assert v.status == INCONCLUSIVE
-    assert v.failed_hypothesis == "square-root-only-as-power-series"
+    assert nonsquare_of(v) == ("4*x^3 + 4*x^2", (1, -1), 8)
+
+
+@pytest.mark.parametrize("names", [("x1",), ("x1", "x2")])
+def test_a_point_search_that_runs_out_still_decides(names):
+    """d = 1 + prod(x1 - v), over the first coordinates v of the points
+    the search tries, is 1 at each of them, a square; A = [[0, 1/4],
+    [d, 0]] has discriminant d, no square in Q[x].  So the verdict is
+    NotDecomposable without a point certificate."""
+    table = VarTable(names)
+    x1 = Poly.var(table, "x1")
+    d = Poly.const(table, 1)
+    for v in sorted({point[0] for point in _small_points(len(names))}):
+        d = d * (x1 - v)
+    d = d + 1
+    start = time.perf_counter()
+    v = check_conj_2x2(PolyMatrix(table, (
+        (Poly.zero(table), Poly.const(table, Fraction(1, 4))),
+        (d, Poly.zero(table)))))
+    assert time.perf_counter() - start < 1.0
+    assert v.status == NOT_DECOMPOSABLE and v.verify()
+    assert v.failing == d
+    assert v.facts == []
 
 
 def test_conj_agrees_with_quiver_path():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,12 +9,10 @@ import pytest
 
 from blocksplit.oracle import jet_member_witness
 from blocksplit.ring import (
-    MAX_JET_MONOMIALS,
     NonDivisibleError,
     ParseError,
     Poly,
     RingError,
-    SeriesSqrtError,
     TableMismatchError,
     VarTable,
     _divisor,
@@ -27,7 +24,6 @@ from blocksplit.ring import (
     local_unit_test,
     parse_poly,
     sqrt_exact,
-    sqrt_series,
     truncate,
     y_profile,
 )
@@ -260,74 +256,6 @@ def test_sqrt_exact_random():
             assert root == g or root == -g
 
 
-def test_sqrt_series_examples():
-    s = sqrt_series(P("1 + x"), 4)
-    assert s == P("1 + 1/2*x - 1/8*x^2 + 1/16*x^3")
-    shifted = sqrt_series(P("x^2*(1 + x)"), 4)
-    assert shifted == P("x") * s
-    with pytest.raises(SeriesSqrtError):
-        sqrt_series(P("x^3"), 4)
-    # a lowest form that is a square only after scaling by a constant
-    # that is not a rational square has its own message
-    no_square = "the lowest-degree form is not a square even up to a constant"
-    scaled = ("the lowest-degree form is a square only up to a constant "
-              "that is not a rational square")
-    for text, reason in (("x^2 + y^2", no_square),
-                         ("x^2 + 2*y^2 + x^3", no_square),
-                         ("2*x^2", scaled), ("-x^2 + x^3", scaled),
-                         ("3*x^2 + 6*x*y + 3*y^2", scaled)):
-        with pytest.raises(SeriesSqrtError) as info:
-            sqrt_series(P(text), 4)
-        assert str(info.value) == reason, text
-    assert sqrt_series(P("4*x^2 + x^3"), 4) == sqrt_series(
-        P("x^2 + 1/4*x^3"), 4) * 2
-
-
-def largest_order(nvars):
-    """The largest order whose monomials over nvars variables fit the cap."""
-    N = 1
-    while math.comb(N + nvars, nvars) <= MAX_JET_MONOMIALS:
-        N += 1
-    return N
-
-
-def test_sqrt_series_caps_the_terms_of_the_root():
-    # x^2*(1 + y) has its series root x*(1 + y/2 - ...) to every order,
-    # one term per degree, so it runs to an order at which x and y span
-    # more than MAX_JET_MONOMIALS monomials
-    xyz = VarTable(("x", "y", "z"))
-    f = parse_poly("x^2 + x^2*y", xyz)
-    N = largest_order(2) + 1
-    s = sqrt_series(f, N)
-    assert len(s.terms) == N
-    assert truncate(s * s - f, N + 2).is_zero()
-    # a dense root: every monomial below the order is in its support
-    f = P("x^2 + x^3 + x^2*y")
-    s = sqrt_series(f, 12)
-    assert len(s.terms) == math.comb(12 + 1, 2)
-    assert truncate(s * s - f, 12 + 2).is_zero()
-    # ... until its terms pass the cap
-    N = largest_order(2) + 1
-    with pytest.raises(RingError, match=f"series order {N} over 2 "
-                       "variables spans more than"):
-        sqrt_series(f, N)
-
-
-def test_sqrt_series_congruence_random():
-    rng = random.Random(19)
-    checked = 0
-    for _ in range(60):
-        g = random_poly(rng, XY, degree=2, terms=3, allow_zero=False)
-        if g.is_zero():
-            continue
-        sq = g * g
-        N = 5
-        s = sqrt_series(sq, N)
-        assert truncate(s * s - sq, sq.order() + N).is_zero()
-        checked += 1
-    assert checked > 30
-
-
 def test_y_profile():
     t = VarTable(("x12", "x21", "y1", "y2"))
     f = parse_poly(
@@ -359,7 +287,6 @@ def test_leading_trailing():
     mono, coeff = f.trailing(grevlex)
     assert mono == (2, 0) and coeff == 1
     assert f.order() == 2
-    assert f.lowest_form() == P("x^2")
 
 
 def canonical(terms):
@@ -411,9 +338,6 @@ def test_divisions_stay_exact():
     root = sqrt_exact(P("x^2 + x + 1/4"))
     assert root == P("x + 1/2")
     canonical(root.terms)
-    series = sqrt_series(P("1 + x"), 4)
-    assert series == P("1 + 1/2*x - 1/8*x^2 + 1/16*x^3")
-    canonical(series.terms)
     ok, cofactors = jet_member_witness(P("x + y"), (P("2*x + 2*y"),), 3)
     assert ok and cofactors == (P("1/2"),)
     canonical(cofactors[0].terms)
