@@ -2,10 +2,14 @@
 ideals, and kernels.
 
 Determinants and Fitting ideals share one routine,
-`ring.minor`: a Laplace expansion along the first row, memoized on (row
-tuple, column tuple), so every sub-minor is computed once per memo and no
-step divides.  The certificate layer re-checks determinants with the same
-routine.  Kernels are syzygies of the
+`ring.minor`, memoized on (row tuple, column tuple), so every sub-minor
+is computed once per memo and no step divides.  It expands a full or a
+suffix row set along its first row, a prefix along its last row, and a
+row set with one gap after two or more rows along its head block (the
+generalized Laplace expansion).  So det(A) leaves the suffix minors in
+the memo, and every (n-1)-minor, a prefix followed by a suffix, is built
+from prefix and suffix minors.  The certificate layer re-checks
+determinants with the same routine.  Kernels are syzygies of the
 column family, read off a Groebner basis of a submodule of R^(m+n)
 under a position-over-term order; the `groebner` engine that serves
 ideals computes it, with positions encoded as extra variables.

@@ -18,9 +18,14 @@ ambient ring is read as the localization of Q[x1,...,xp] at the origin:
 units are exactly the elements with nonzero constant term, and truncation
 treats a polynomial together with an explicit order bound as a jet.
 `minor` is the one memoized determinant expansion, which `matrix` and
-the certificate re-check both run, and `restrict_to_line` the one
-substitution of a line p + c*t, over the one-variable table `LINE`,
-which the coprimality search and its certificate's re-check both run.
+the certificate re-check both run.  It picks its expansion from the row
+set: along the head block of a set with one gap (the generalized Laplace
+expansion), along the last row of a prefix, else along the first row, so
+that the (n-1)-minors of a matrix are sums of products of its prefix
+minors and the suffix minors its determinant leaves in the memo.
+`restrict_to_line` is the one substitution of a line p + c*t, over the
+one-variable table `LINE`, which the coprimality search and its
+certificate's re-check both run; with c = 0 it is the value at p.
 
 Products go through one multiply-accumulate kernel, `sum_of_products`,
 which adds a signed sum of products term by term into one dict; `*`,
@@ -65,6 +70,7 @@ order.  Membership is decided under `grevlex`, and `intersect` and
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -1038,11 +1044,16 @@ def restrict_to_line(f: Poly, point: Sequence[int],
     theorem; a term coeff*x^m becomes coeff times the product of its
     powers, and the terms are added by one `sum_of_products`.  The
     coefficient of t^deg(f) is the top-degree form of f evaluated at
-    `direction`."""
+    `direction`.  A zero direction asks for the value f(point), the sum of
+    coeff*point^m, which is formed directly as a constant."""
     width = len(f.table)
     if len(point) != width or len(direction) != width:
         raise RingError("a line needs one point and one direction entry "
                         "per variable")
+    if not any(direction):
+        return Poly.const(LINE, sum(
+            coeff * math.prod(map(pow, point, mono))
+            for mono, coeff in f.terms.items()))
     one = Poly.const(LINE, 1)
     powers: dict[tuple[int, int], Poly] = {}
 
@@ -1071,30 +1082,66 @@ def minor(entries: Sequence[Sequence[Poly]], memo: dict, rows: tuple,
     index tuples of equal length (at least one), memoized in `memo` under
     (rows, cols).
 
-    Laplace expansion along the first row of the row set: the sub-minors
-    it needs sit on the row suffix, so every larger minor that shares
-    them reads them from the memo, and no step divides.  The entries are
-    sparse polynomials, where expansion by minors beats elimination
-    (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Zero entries and zero
-    sub-minors contribute no product, and the signed sum of the others
-    is one `sum_of_products`.  The memo is a plain argument, not
-    a closure over a recursive function, so it is freed when the caller
-    drops it rather than at the next cyclic garbage collection.
+    The expansion is chosen from the shape of the row set, so that the
+    minors of one matrix share their sub-minors:
+    - a set with one gap and at least two rows before it takes the
+      generalized Laplace expansion along its head, the h rows before the
+      gap: the sum over the h-subsets J of the column positions of
+      (-1)^(h(h-1)/2 + sum J) * minor(head, J) * minor(tail, the other
+      columns), the tail being the rows after the gap;
+    - a prefix, a contiguous set from row 0 that ends before the last row
+      of `entries`, expands along its last row, so its sub-minors are
+      prefixes again;
+    - every other set expands along its first row, so its sub-minors sit
+      on the row suffix.
+    Thus det(A) fills the memo with the suffix minors, and each (n-1)-minor
+    of A, whose row set is a prefix followed by a suffix, is a sum of
+    products of a prefix minor and a suffix minor.  No step divides.  The
+    entries are sparse polynomials, where expansion by minors beats
+    elimination (Gentleman & Johnson, ACM TOMS 2(3), 1976).  Zero entries
+    and zero sub-minors contribute no product (a zero head minor skips its
+    tail), and the signed sum of the others is one `sum_of_products`.  The
+    memo is a plain argument, not a closure over a recursive function, so
+    it is freed when the caller drops it rather than at the next cyclic
+    garbage collection.
     """
     if len(rows) == 1:
         return entries[rows[0]][cols[0]]
     value = memo.get((rows, cols))
     if value is None:
-        top, rest = entries[rows[0]], rows[1:]
+        # h: the head to block-expand along, else pos: the row to expand
+        size = len(rows)
+        h = pos = 0
+        if rows[-1] - rows[0] == size - 1:
+            if rows[0] == 0 and rows[-1] < len(entries) - 1:
+                pos = size - 1
+        else:
+            gap = next(k for k in range(1, size) if rows[k] > rows[k - 1] + 1)
+            if gap >= 2 and rows[-1] - rows[gap] == size - 1 - gap:
+                h = gap
         products = []
-        for k, c in enumerate(cols):
-            if top[c].is_zero():
-                continue
-            sub = minor(entries, memo, rest, cols[:k] + cols[k + 1:])
-            if not sub.is_zero():
-                products.append((top[c], sub, -1 if k % 2 else 1))
-        value = memo[(rows, cols)] = sum_of_products(top[cols[0]].table,
-                                                     products)
+        if h:
+            head, tail = rows[:h], rows[h:]
+            for J in itertools.combinations(range(len(cols)), h):
+                up = minor(entries, memo, head, tuple(cols[k] for k in J))
+                if up.is_zero():
+                    continue
+                down = minor(entries, memo, tail, tuple(
+                    c for k, c in enumerate(cols) if k not in J))
+                if not down.is_zero():
+                    sign = -1 if (h * (h - 1) // 2 + sum(J)) % 2 else 1
+                    products.append((up, down, sign))
+        else:
+            line, rest = entries[rows[pos]], rows[:pos] + rows[pos + 1:]
+            for k, c in enumerate(cols):
+                if line[c].is_zero():
+                    continue
+                sub = minor(entries, memo, rest, cols[:k] + cols[k + 1:])
+                if not sub.is_zero():
+                    products.append((line[c], sub, -1 if (pos + k) % 2
+                                     else 1))
+        value = memo[(rows, cols)] = sum_of_products(
+            entries[rows[0]][cols[0]].table, products)
     return value
 
 

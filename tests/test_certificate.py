@@ -380,7 +380,7 @@ def test_the_adjugate_check_holds_whatever_quotient_it_is_given(
                for fact in Verdict.from_json(
                    report, VarTable(report["ring"]["vars"])).of(
                        AdjugateInclusion)]
-    assert len(entries) == 6
+    assert len(entries) == 7
     for entry in entries:
         assert entry.failures() == []
     assert shared_factor_entry().failures() == []

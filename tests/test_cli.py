@@ -380,7 +380,7 @@ OBSTRUCTED_CONJ = {"ring": {"vars": ["x", "y"]},
                    "matrix": [["x", "1/4"], ["y^3", "0"]]}
 
 
-def test_probe_order_flag_and_option(tmp_path, capsys):
+def test_the_probe_order_flag_and_option_are_refused(tmp_path, capsys):
     """check-conj decides over R without a series probe, so the probe's
     order is gone: the flag is a usage error and the option an unknown
     field, each exiting 1 with no message of its own."""
@@ -422,7 +422,7 @@ def test_option_values_are_checked_for_every_command(tmp_path, capsys,
         assert (code, err) == (1, f"error: {message}\n")
 
 
-def test_unit_discriminant_skips_the_series_probe(tmp_path, capsys):
+def test_a_unit_discriminant_gets_its_point_at_once(tmp_path, capsys):
     # disc = 1 + x1 + x2 + x3 + x4: a unit with a series square root but
     # none in R, which its value -3 at (-1, -1, -1, -1) certifies
     doc = {"ring": {"vars": ["x1", "x2", "x3", "x4"]},
@@ -455,9 +455,8 @@ def test_a_discriminant_past_the_line_degree_goes_without_a_point(
 @pytest.mark.parametrize("command, doc, flag, what", [
     ("check-square", EX2, "--jet-order", "jet order 100000 over 2"),
 ])
-def test_oversized_jet_and_probe_orders_exit_1_at_once(tmp_path, capsys,
-                                                       command, doc, flag,
-                                                       what):
+def test_an_oversized_jet_order_exits_1_at_once(tmp_path, capsys, command,
+                                                doc, flag, what):
     path = write_doc(tmp_path, doc)
     start = time.perf_counter()
     result = run(capsys, [command, "--input", path, flag, "100000"])
@@ -475,7 +474,7 @@ def conj_job(nvars: int) -> dict:
     return {"ring": {"vars": names}, "matrix": [["0", "1/4"], [disc, "0"]]}
 
 
-def test_the_probe_caps_the_terms_of_the_root(tmp_path, capsys):
+def test_a_root_with_a_dense_series_is_refuted_at_once(tmp_path, capsys):
     # the root's series has hundreds of terms below order 8 over five or
     # more variables, but no series is built: the discriminant is
     # 1 - (nvars - 1) at (-1, ..., -1), which no square is

@@ -5,7 +5,13 @@ benchmark's jobs (seed 1): two corners of the check-square grid, two
 check-conj jobs, the three check-rect jobs, a 2-vertex and a 3-vertex
 hidden direct sum.  The 3-vertex one (``quiver3.json``) is quiver-sum's
 seed-1 job ``hidden3-0``, the job that quiver-sum timings are quoted on,
-and a test holds it to what ``perfbench/workloads.py`` generates.  Two
+and a test holds it to what ``perfbench/workloads.py`` generates.
+``quiver4.json`` is the 4-vertex hidden direct sum that the 8x8 figures
+are quoted on, ``hidden_sum(random.Random(1), 4, ...)`` from the same
+file (an 8x8 Kronecker form over 20 variables), and a test holds it to
+that too.  Its check-quiver report pins the adjugate entry of an 8x8,
+whose cofactors come from the 64 minors of size 7 that the Fitting
+ideal leaves in the minor memo.  Two
 more check-square jobs have both g and -g among their Fitting
 generators, which pins the signs of the adjugate entry's cofactors: in
 ``square-signed.json`` every unit is 1, and in
@@ -71,6 +77,7 @@ import importlib.util
 import io
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -104,6 +111,7 @@ CASES = (
     ("quiver3-check", "check-quiver", "quiver3.json", ()),
     ("quiver3-det", "det", "quiver3.json", ()),
     ("quiver3-fitting5", "fitting", "quiver3.json", ("--index", "5")),
+    ("quiver4-check", "check-quiver", "quiver4.json", ()),
     ("square-notdec-text", "check-square", "square-notdec.json",
      ("--format", "text")),
     ("quiver2-text", "check-quiver", "quiver2.json", ("--format", "text")),
@@ -176,14 +184,24 @@ def test_exact_square_and_quiver_reports_carry_a_checked_line(case):
     assert json.loads(out)["checked"]["coprimality"] == 1
 
 
-def test_quiver3_is_the_quiver_sum_benchmark_job():
+def _workloads():
     spec = importlib.util.spec_from_file_location(
         "workloads", GOLDEN.parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    job = workloads.quiver_sum(1, 1)[0]
+    return workloads
+
+
+def test_quiver3_is_the_quiver_sum_benchmark_job():
+    job = _workloads().quiver_sum(1, 1)[0]
     assert job["id"] == "hidden3-0"
     stored = json.loads((GOLDEN / "quiver3.json").read_text(encoding="utf-8"))
+    assert stored == job["doc"]
+
+
+def test_quiver4_is_the_8x8_hidden_sum():
+    job = _workloads().hidden_sum(random.Random(1), 4, "hidden4-0")
+    stored = json.loads((GOLDEN / "quiver4.json").read_text(encoding="utf-8"))
     assert stored == job["doc"]
 
 

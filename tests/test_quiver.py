@@ -304,7 +304,7 @@ def test_conj_membership_failure():
     assert v.verify()
 
 
-def test_conj_inconclusive_extension_and_series():
+def test_conj_refutes_squares_over_an_extension_or_as_series():
     """A square only over Q(sqrt 2), and a square only as a power series,
     are no squares in Q[x, y]; R lies in Q(x, y) and Q[x, y] is integrally
     closed, so they are none in R either, and the verdict is decided."""

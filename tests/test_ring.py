@@ -9,6 +9,7 @@ import pytest
 
 from blocksplit.oracle import jet_member_witness
 from blocksplit.ring import (
+    LINE,
     NonDivisibleError,
     ParseError,
     Poly,
@@ -23,6 +24,7 @@ from blocksplit.ring import (
     grevlex,
     local_unit_test,
     parse_poly,
+    restrict_to_line,
     sqrt_exact,
     truncate,
     y_profile,
@@ -254,6 +256,33 @@ def test_sqrt_exact_random():
             assert root == g
         else:
             assert root == g or root == -g
+
+
+def test_a_zero_direction_evaluates_at_the_point():
+    """restrict_to_line(f, q, 0) is the constant f(q): term by term, and
+    the value at t = 0 of the restriction to a line through q."""
+    rng = random.Random(73)
+    table = VarTable(("x", "y", "z"))
+    zero = (0, 0, 0)
+    for _ in range(60):
+        f = random_poly(rng, table, degree=6, terms=6)
+        if rng.randrange(3) == 0:
+            f = f * Poly.const(table, Fraction(rng.randrange(1, 9), 7))
+        q = tuple(rng.randrange(-4, 5) for _ in range(3))
+        value = Fraction(0)
+        for mono, coeff in f.terms.items():
+            term = Fraction(coeff)
+            for p, e in zip(q, mono):
+                for _ in range(e):
+                    term *= p
+            value += term
+        at = restrict_to_line(f, q, zero)
+        assert at.table == LINE and at == Poly.const(LINE, value)
+        direction = tuple(rng.randrange(-3, 4) for _ in range(3))
+        line = restrict_to_line(f, q, direction)
+        assert line.constant_term() == value
+    assert restrict_to_line(P("(1 + x + y)^10"), (-1, -1), (0, 0)) \
+        == Poly.const(LINE, 1)
 
 
 def test_y_profile():

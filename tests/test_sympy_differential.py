@@ -102,12 +102,32 @@ def terms_of(expr, symbols):
             for mono, c in poly.as_dict().items() if c != 0}
 
 
+def sparse_matrix(rng, n, zero_blocks):
+    """An n x n random matrix of linear forms whose entries in the (rows,
+    cols) ranges of `zero_blocks` are zero: whole head and tail minors of
+    the block expansion vanish, so it skips both kinds of product."""
+    zeros = {(i, j) for rows, cols in zero_blocks for i in rows
+             for j in cols}
+    return PolyMatrix(XYZ, [[
+        Poly.zero(XYZ) if (i, j) in zeros
+        else random_poly(rng, XYZ, degree=1, terms=2)
+        for j in range(n)] for i in range(n)])
+
+
 def cases():
     rng = random.Random(101)
     shapes = [(n, n) for n in (1, 2, 3, 4, 5) for _ in range(2)]
-    shapes += [(2, 4), (4, 3)]
+    shapes += [(2, 4), (4, 3), (3, 5)]
     out = [pytest.param(random_matrix(rng, m, n), id=f"random-{m}x{n}")
            for m, n in shapes]
+    out += [
+        pytest.param(sparse_matrix(rng, 6, [(range(2), range(4, 6)),
+                                            (range(4, 6), range(2))]),
+                     id="sparse-6x6"),
+        pytest.param(sparse_matrix(rng, 7, [(range(3), range(4, 7)),
+                                            (range(4, 7), range(3))]),
+                     id="sparse-7x7"),
+    ]
     return out + [pytest.param(kronecker_form(), id="kronecker-3-vertex")]
 
 
