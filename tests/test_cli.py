@@ -455,8 +455,11 @@ def test_a_discriminant_past_the_line_degree_goes_without_a_point(
 @pytest.mark.parametrize("command, doc, flag, what", [
     ("check-square", EX2, "--jet-order", "jet order 100000 over 2"),
 ])
-def test_an_oversized_jet_order_exits_1_at_once(tmp_path, capsys, command,
-                                                doc, flag, what):
+def test_oversized_jet_and_probe_orders_exit_1_at_once(tmp_path, capsys,
+                                                       command, doc, flag,
+                                                       what):
+    # the probe order is now refused as a flag of its own, however small:
+    # see test_the_probe_order_flag_and_option_are_refused
     path = write_doc(tmp_path, doc)
     start = time.perf_counter()
     result = run(capsys, [command, "--input", path, flag, "100000"])
