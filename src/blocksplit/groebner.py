@@ -32,6 +32,14 @@ Pair handling in Buchberger follows the Gebauer-Moeller installation
 (both classical criteria), with deterministic tie-breaking so repeated
 runs produce identical bases.
 
+Cofactor vectors are formed on demand.  A tracked basis element keeps
+a recipe for its vector, the S-pair scalings and reduction quotients
+that made it, and the vector is formed when something first reads it
+(`_Gen`).  Only a membership answer reads vectors, so an S-pair that
+reduces to zero, an element that no answer uses and a non-member form
+none (`member_global`); the vectors formed are those an eager division
+over Q would give.
+
 Reduction is fraction-free.  Each basis element keeps, beside its Poly,
 the primitive integer polynomial p and the rational scale s with
 element == p / s, computed once when the element is made (`_Gen.div`).
@@ -100,39 +108,78 @@ class _Gen:
     (lm, lc), and div, the shape `_reduce_terms` divides by, built once
     here: poly as p / scale with p primitive with integer coefficients,
     with its packed grevlex form where the table allows one.
+
     vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
-    or None when untracked."""
+    or None when untracked.  An input carries its vector; an element
+    that Buchberger or the interreduction makes carries a recipe for it
+    instead: the signed combination sum(sign * m * parent.vec) of
+    earlier elements' vectors, as (m, parent, sign) triples (an S-pair's
+    two parents with their scalings, then each quotient of the reduction
+    with its basis element).  Reading vec forms the vector from the
+    recipe (`_form`), keeps it and drops the recipe, so an element whose
+    vector no answer reads costs no product, and a formed vector holds
+    no parent alive."""
 
-    __slots__ = ("poly", "lm", "lc", "div", "vec", "seq")
+    __slots__ = ("poly", "lm", "lc", "div", "seq", "_vec", "_recipe")
 
-    def __init__(self, poly: Poly, order: Order, vec, seq: int):
+    def __init__(self, poly: Poly, order: Order, vec, seq: int,
+                 recipe=None):
         self.poly = poly
         self.div = _divisor(poly, order)
         self.lm = self.div[0]
         self.lc = poly.terms[self.lm]
-        self.vec = vec
         self.seq = seq
+        self._vec = vec
+        self._recipe = recipe
+
+    @property
+    def vec(self):
+        if self._recipe is not None:
+            _form(self)
+        return self._vec
 
 
-def _reduce(f: Poly, basis: list[_Gen], order: Order, vec, scale: int = 1,
-            sign: int = -1):
-    """Full normal form of f / scale modulo basis: (remainder, cofactors)
-    with f / scale == sum(q_i * basis[i].poly) + remainder for the
-    quotients q_i of the division loop, no remainder term divisible by a
-    basis leading monomial, and cofactors[j] == vec[j] + sign *
-    sum(q_i * basis[i].vec[j]), each one `sum_of_products`.  With sign -1
-    and vec that of f / scale, they are the remainder's cofactors.  An
-    untracked reduction passes vec None and gets None."""
+def _combine(table: VarTable, n: int, products) -> tuple[Poly, ...]:
+    """The vector sum(sign * m * gen.vec) of length n over the (m, gen,
+    sign) triples of `products`, one `sum_of_products` per component."""
+    vecs = [(m, gen.vec, sign) for m, gen, sign in products]
+    return tuple(sum_of_products(table, [(m, v[j], sign)
+                                         for m, v, sign in vecs])
+                 for j in range(n))
+
+
+def _form(gen: _Gen) -> None:
+    """Form gen's vector from its recipe, after the vectors of the
+    unformed elements the recipe reads.  The walk keeps its own stack:
+    a chain of recipes can be longer than the interpreter's recursion
+    limit."""
+    stack = [gen]
+    while stack:
+        top = stack[-1]
+        recipe = top._recipe
+        if recipe is None:
+            stack.pop()
+            continue
+        waiting = [g for _, g, _ in recipe if g._recipe is not None]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        top._vec = _combine(top.poly.table, len(recipe[0][1]._vec), recipe)
+        top._recipe = None
+
+
+def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
+    """Full normal form of f / scale modulo basis: (remainder, quotients)
+    with f / scale == sum(q_i * basis[i].poly) + remainder, quotients
+    {i: q_i} the nonzero quotients of the division loop by basis
+    position, and no remainder term divisible by a basis leading
+    monomial."""
     table = f.table
     remainder, quotients = _reduce_terms(
         dict(f.terms), [g.div for g in basis], order, scale=scale)
-    if vec is not None:
-        one = Poly.const(table, 1)
-        qs = [(basis[i].vec, Poly._trusted(table, q))
-              for i, q in quotients.items()]
-        vec = tuple(sum_of_products(table, [(v, one, 1)] + [
-            (q, bvec[j], sign) for bvec, q in qs]) for j, v in enumerate(vec))
-    return Poly._trusted(table, remainder), vec
+    return Poly._trusted(table, remainder), {
+        i: Poly._trusted(table, q) for i, q in quotients.items()}
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -176,10 +223,9 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
 
 
 def _spoly(a: _Gen, b: _Gen):
-    """S-polynomial of a and b as (S, scale, vec): the S-polynomial is
+    """S-polynomial of a and b as (S, scale): the S-polynomial is
     S / scale, S with integer coefficients built from the primitive
-    forms alone, and vec is its cofactor vector (None when untracked)."""
-    table = a.poly.table
+    forms alone."""
     lcm = _mono_lcm(a.lm, b.lm)
     ua, ub = _mono_div(lcm, a.lm), _mono_div(lcm, b.lm)
     _, lc_a, tail_a, _, _ = a.div
@@ -191,27 +237,38 @@ def _spoly(a: _Gen, b: _Gen):
     terms: dict[Monomial, Coeff] = {}
     _accumulate(terms, ((tuple(map(add, ua, m)), ka * c) for m, c in tail_a))
     _accumulate(terms, ((tuple(map(add, ub, m)), -kb * c) for m, c in tail_b))
-    vec = None
-    if a.vec is not None:
-        ta = Poly._trusted(table, {ua: _div(1, a.lc)})
-        tb = Poly._trusted(table, {ub: _div(1, b.lc)})
-        vec = tuple(sum_of_products(table, ((ta, x, 1), (tb, y, -1)))
-                    for x, y in zip(a.vec, b.vec))
-    return Poly._trusted(table, terms), ka * lc_a, vec
+    return Poly._trusted(a.poly.table, terms), ka * lc_a
+
+
+def _spoly_recipe(a: _Gen, b: _Gen) -> list[tuple[Poly, _Gen, int]]:
+    """The S-polynomial's vector as a recipe: x^ua / lc(a) times a's
+    vector minus x^ub / lc(b) times b's."""
+    table = a.poly.table
+    lcm = _mono_lcm(a.lm, b.lm)
+    return [(Poly._trusted(table, {_mono_div(lcm, g.lm): _div(1, g.lc)}), g,
+             sign) for g, sign in ((a, 1), (b, -1))]
 
 
 def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     """Reduced Groebner basis of the inputs; tracked (every element with
-    its cofactor vector) exactly when the inputs carry one."""
+    its cofactor vector, formed on first read) exactly when the inputs
+    carry one."""
+    tracked = bool(inputs) and inputs[0].vec is not None
     seq = len(inputs)
     G: list[_Gen] = []
     B: list[tuple[_Gen, _Gen]] = []
     for gen in inputs:
-        remainder, vec = _reduce(gen.poly, G, order, gen.vec)
+        remainder, quotients = _reduce(gen.poly, G, order)
         if remainder.is_zero():
             continue
-        h = _Gen(remainder, order, vec, gen.seq)
-        G, B = _update(G, B, h, positions)
+        # an input that nothing divides into is kept, with its vector
+        if quotients:
+            recipe = None
+            if tracked:
+                recipe = [(Poly.const(remainder.table, 1), gen, 1)] + [
+                    (q, G[i], -1) for i, q in quotients.items()]
+            gen = _Gen(remainder, order, None, gen.seq, recipe)
+        G, B = _update(G, B, gen, positions)
     while B:
         # smallest lcm first, then the lowest (a.seq, b.seq); `order` sorts
         # the largest monomial first, so the pair wanted has the largest
@@ -224,19 +281,24 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
             ),
         )
         B.remove(pair)
-        s, scale, svec = _spoly(pair[0], pair[1])
-        remainder, vec = _reduce(s, G, order, svec, scale)
+        s, scale = _spoly(*pair)
+        remainder, quotients = _reduce(s, G, order, scale)
         if remainder.is_zero():
             continue
-        h = _Gen(remainder, order, vec, seq)
+        recipe = None
+        if tracked:
+            recipe = _spoly_recipe(*pair) + [
+                (q, G[i], -1) for i, q in quotients.items()]
+        h = _Gen(remainder, order, None, seq, recipe)
         G, B = _update(G, B, h, positions)
         seq += 1
-    return _interreduce(G, order)
+    return _interreduce(G, order, tracked)
 
 
-def _interreduce(G: list[_Gen], order: Order) -> list[_Gen]:
+def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
     """Minimal generators, tail-reduced against each other, leading
-    coefficient 1; sorted by descending leading monomial."""
+    coefficient 1; sorted by descending leading monomial.  An element
+    that is already reduced and monic is kept as it is."""
     minimal: list[_Gen] = []
     # scan by ascending leading monomial
     for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
@@ -245,11 +307,17 @@ def _interreduce(G: list[_Gen], order: Order) -> list[_Gen]:
     reduced: list[_Gen] = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        remainder, vec = _reduce(g.poly, others, order, g.vec)
+        remainder, quotients = _reduce(g.poly, others, order)
         scale = _div(1, remainder.leading(order)[1])
-        if vec is not None:
-            vec = tuple(scale * c for c in vec)
-        reduced.append(_Gen(remainder * scale, order, vec, g.seq))
+        if not quotients and scale == 1:
+            reduced.append(g)
+            continue
+        recipe = None
+        if tracked:
+            # the monic scale rides on every multiplier of the recipe
+            recipe = [(Poly.const(remainder.table, scale), g, 1)] + [
+                (q * scale, others[k], -1) for k, q in quotients.items()]
+        reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe))
     reduced.sort(key=lambda g: order(g.lm))
     return reduced
 
@@ -281,11 +349,15 @@ class Ideal:
 
     def basis(self) -> list[_Gen]:
         """The reduced grevlex Groebner basis, each element with its
-        cofactor vector over the generators; computed on the first call."""
+        cofactor vector over the generators; computed on the first call.
+        Each input's unit vector is built from one shared zero and one
+        shared one; the other elements' vectors are formed when first
+        read (see `_Gen`)."""
         if self._basis is None:
             n, table = len(self.generators), self.table
+            zero, one = Poly.zero(table), Poly.const(table, 1)
             self._basis = [] if self.is_zero() else _buchberger(
-                [_Gen(g, grevlex, tuple(Poly.const(table, int(i == j))
+                [_Gen(g, grevlex, tuple(one if i == j else zero
                                         for i in range(n)), j)
                  for j, g in enumerate(self.generators)], grevlex)
         return self._basis
@@ -305,18 +377,23 @@ def groebner_basis(I: Ideal, order: Order = grevlex) -> list[Poly]:
 def normal_form(f: Poly, I: Ideal):
     """Remainder of f modulo I under grevlex plus cofactors c aligned with
     I's generators: f = sum(c_i g_i) + remainder."""
-    zeros = (Poly.zero(f.table),) * len(I.generators)
-    return _reduce(f, I.basis(), grevlex, zeros, sign=1)
+    basis = I.basis()
+    remainder, quotients = _reduce(f, basis, grevlex)
+    return remainder, _combine(f.table, len(I.generators), [
+        (q, basis[i], 1) for i, q in quotients.items()])
 
 
 def member_global(f: Poly, I: Ideal):
     """Does f lie in I inside the polynomial ring?  (answer, Inclusion with
-    unit 1, or None)."""
-    remainder, cofactors = normal_form(f, I)
-    if remainder.is_zero():
-        return True, Inclusion(f, I.generators, Poly.const(f.table, 1),
-                               cofactors)
-    return False, None
+    unit 1, or None).  Only a member's cofactors are formed."""
+    basis = I.basis()
+    remainder, quotients = _reduce(f, basis, grevlex)
+    if not remainder.is_zero():
+        return False, None
+    return True, Inclusion(f, I.generators, Poly.const(f.table, 1),
+                           _combine(f.table, len(I.generators), [
+                               (q, basis[i], 1)
+                               for i, q in quotients.items()]))
 
 
 def _drop_last(f: Poly, target: VarTable) -> Poly:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from blocksplit.groebner import (
     Ideal,
     _Gen,
     _buchberger,
+    _combine,
     _reduce,
     colon,
     contains_local_unit,
@@ -386,8 +388,8 @@ def test_ideal_validation():
 # `divide_exact` used before reduction worked in place: each step rebuilt
 # the whole remainder and searched it for its leading term.  The in-place
 # loop must return exactly what they return, term for term.  `_reduce`
-# returns the remainder and a cofactor vector; `division` reads the
-# quotients of the same loop, `ring._reduce_terms`.
+# returns the remainder and the quotients by basis position, those of
+# the same loop, `ring._reduce_terms`, that `division` reads.
 
 def reference_reduce(f, basis, order):
     table = f.table
@@ -463,17 +465,19 @@ def test_reduce_matches_reference_loop():
         assert remainder == ref_remainder
         assert list(quotients) == list(ref_quotients)
         assert quotients == ref_quotients
-        assert _reduce(f, divisors, order, None) == (remainder, None)
+        assert _reduce(f, divisors, order) == (remainder, quotients)
         nontrivial += bool(quotients) and not remainder.is_zero()
     assert nontrivial >= 20
 
 
 def test_reduce_division_identity():
-    """The quotients rebuild f; with tracked divisors, `_reduce`'s
-    cofactors (sign 1, from zeros) rebuild f - remainder over gens."""
+    """`_reduce`'s quotients rebuild f, of f / scale too; with tracked
+    divisors, the cofactors that `_combine` forms from them (sign 1)
+    rebuild f - remainder over gens."""
     tracked = 0
     for f, divisors, order, gens in reduction_cases(59, 120):
-        remainder, quotients = division(f, divisors, order)
+        remainder, quotients = _reduce(f, divisors, order)
+        assert _reduce(f * 3, divisors, order, 3) == (remainder, quotients)
         total = remainder
         for i, q in quotients.items():
             assert not q.is_zero()
@@ -482,9 +486,8 @@ def test_reduce_division_identity():
         for mono in remainder.terms:
             assert not any(_mono_divides(g.lm, mono) for g in divisors)
         if divisors and divisors[0].vec is not None:
-            zeros = (Poly.zero(f.table),) * len(gens)
-            r, cofactors = _reduce(f, divisors, order, zeros, sign=1)
-            assert r == remainder
+            cofactors = _combine(f.table, len(gens), [
+                (q, divisors[i], 1) for i, q in quotients.items()])
             combined = remainder
             for c, g in zip(cofactors, gens):
                 combined = combined + c * g
@@ -493,11 +496,72 @@ def test_reduce_division_identity():
     assert tracked >= 20
 
 
+def test_a_recipe_chain_longer_than_the_recursion_limit_forms():
+    """Reading a vector forms its unformed ancestors on an explicit
+    stack, so a chain of recipes of any length forms."""
+    one, x = P("1"), P("x")
+    gen = _Gen(x, grevlex, (one, x), 0)
+    for seq in range(1, sys.getrecursionlimit() + 10):
+        gen = _Gen(x, grevlex, None, seq, [(one, gen, 1)])
+    assert gen.vec == (one, x)
+
+
 def test_reduce_by_empty_basis_is_identity():
     f = P("x^3 - 2*x*y + 5")
-    assert _reduce(f, [], grevlex, None) == (f, None)
-    assert _reduce(Poly.zero(XY), [], grevlex, None) == (Poly.zero(XY), None)
-    assert _reduce(f, [], grevlex, (f, f)) == (f, (f, f))
+    zero = Poly.zero(XY)
+    assert _reduce(f, [], grevlex) == (f, {})
+    assert _reduce(zero, [], grevlex) == (zero, {})
+    assert _reduce(f * 4, [], grevlex, 4) == (f, {})
+    # no quotient: the cofactors are zero, and an element reduced by
+    # nothing keeps its parent's vector
+    assert _combine(XY, 2, []) == (zero, zero)
+    parent = _Gen(f, grevlex, (f, f), 0)
+    assert _combine(XY, 2, [(P("1"), parent, 1)]) == (f, f)
+
+
+def test_a_non_member_forms_no_cofactor(monkeypatch):
+    """`member_global` forms cofactors for a member only: a non-member
+    query, basis included, runs no `sum_of_products` in the engine."""
+    calls = []
+    real = blocksplit.groebner.sum_of_products
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocksplit.groebner, "sum_of_products", counted)
+    I = ideal("x^2 - y^3", "x*y^2 + y^4")
+    assert member_global(P("x*y + y^2"), I) == (False, None)
+    assert calls == []
+    ok, witness = member_global(P("x^3 - x*y^3"), I)
+    assert ok and witness.verify() and calls
+
+
+def test_tracked_basis_vectors_rebuild_their_elements():
+    """Every element of a tracked basis is the combination of the
+    generators that its vector names, whichever order the vectors are
+    read in: read forwards on one copy of each ideal and backwards on
+    another, they are the same tuples, and no recipe is left."""
+    rng = random.Random(67)
+    rebuilt = lazy = 0
+    for _ in range(60):
+        table = (XY, XYZ)[rng.randrange(2)]
+        I = random_ideal(rng, table)
+        twin = Ideal(table, I.generators)
+        lazy += sum(g._recipe is not None for g in I.basis())
+        forwards = [g.vec for g in I.basis()]
+        backwards = [g.vec for g in reversed(twin.basis())][::-1]
+        assert forwards == backwards
+        # a formed vector keeps no recipe, so no ancestor stays alive
+        assert all(g._recipe is None for g in I.basis() + twin.basis())
+        for g, vec in zip(I.basis(), forwards):
+            assert len(vec) == len(I.generators)
+            total = Poly.zero(table)
+            for c, gen in zip(vec, I.generators):
+                total = total + c * gen
+            assert total == g.poly
+            rebuilt += len(I.basis()) > 1
+    assert rebuilt >= 30 and lazy >= 50
 
 
 def test_divide_exact_matches_reference_loop():

@@ -27,6 +27,7 @@ from blocksplit.certificate import LineCoprime, NonInclusion
 from blocksplit.decompose import _coprimality, _line_coprime, _local_inclusion
 from blocksplit.groebner import (
     Ideal,
+    contains_local_unit,
     groebner_basis,
     ideal_product,
     intersect,
@@ -212,7 +213,7 @@ def test_member_local_negatives_agree_with_sympy():
     outside I + m^N; sympy must leave a nonzero remainder of f modulo its
     own grevlex basis of I + m^N.  Every yes must re-check."""
     rng = random.Random(107)
-    separated = members = 0
+    separated = members = unit_ideals = instances = 0
     for _ in range(400):
         table = rng.choice(MEMBER_TABLES)
         gens = [g for g in (random_poly(rng, table, 4, 2)
@@ -221,7 +222,10 @@ def test_member_local_negatives_agree_with_sympy():
         f = random_poly(rng, table, 4, 3)
         if not gens:
             continue
-        ok, w = member_local(f, Ideal(table, gens))
+        I = Ideal(table, gens)
+        instances += 1
+        unit_ideals += contains_local_unit(I)
+        ok, w = member_local(f, I)
         if ok:
             members += 1
             assert w.failures() == [], (f, gens)
@@ -237,8 +241,11 @@ def test_member_local_negatives_agree_with_sympy():
             _, remainder = basis.reduce(poly_to_sympy(f, symbols))
             assert remainder != 0, (f, gens, w.order)
     # seed 107: 224 yes and 93 no, 48 of them jet-separated; the others
-    # are units outside an ideal inside m, or left to the colon
+    # are units outside an ideal inside m, or left to the colon.  104 of
+    # the 317 ideals have a generator that is a unit at the origin, the
+    # whole local ring, so 213 instances are non-trivial
     assert separated >= 40 and members >= 100, (separated, members)
+    assert instances - unit_ideals >= 200, (unit_ideals, instances)
 
 
 def random_expression(rng, names, depth=0):
