@@ -38,7 +38,7 @@ and the line certificate clear their cofactors' denominators by one rule,
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .ring import (
     LINE,
@@ -219,6 +219,20 @@ class HypothesisCheck:
                "and boolean 'passed'")
         return HypothesisCheck(d["name"], d["passed"], d.get("detail"))
 
+    @staticmethod
+    def per_factor(name: str, detail: str,
+                   labelled: Iterable[tuple[str, Any]],
+                   tests: Sequence[tuple[Callable[[Any], bool], str]]
+                   ) -> "HypothesisCheck":
+        """The hypothesis `name` on each (label, factor) in turn: it fails
+        at the first factor that a test (flags, what) flags, tests in
+        order, with detail "<label> <what>", and passes with `detail`."""
+        for label, factor in labelled:
+            for flags, what in tests:
+                if flags(factor):
+                    return HypothesisCheck(name, False, f"{label} {what}")
+        return HypothesisCheck(name, True, detail)
+
 
 class Identity:
     """Certified product identity: lhs == factor_1 * ... * factor_k,
@@ -398,10 +412,12 @@ class NonInclusion:
 
 
 def _parse_vector(items: Any, width: int, field: str) -> tuple[int, ...]:
+    # the tool's own entries lie in [-32, 32], and restricting a factor to
+    # a line costs more the wider its entries are
     ok = isinstance(items, list) and len(items) == width and all(
-        type(e) is int and e.bit_length() < 64 for e in items)
+        type(e) is int and e.bit_length() < 8 for e in items)
     expect(ok, f"field '{field}' must be a list of {width} integers, each "
-               "of fewer than 64 bits")
+               "of fewer than 8 bits")
     return tuple(items)
 
 

@@ -148,6 +148,7 @@ class Job(NamedTuple):
     """Parsed job document plus resolved options (flags win over the
     document's ``options`` block and ``index``)."""
 
+    command: str
     doc: dict
     table: VarTable
     jet_order: int | None
@@ -174,20 +175,14 @@ def _load_job(args: argparse.Namespace) -> Job:
                f"the '{args.command}' command is exact only; "
                "remove 'jet_order'")
     # every command checks these values, whether it reads them or not
-    index = getattr(args, "index", None)
-    index = doc.get("index") if index is None else index
+    index = doc.get("index") if args.index is None else args.index
     expect(index is None or type(index) is int,  # a bool is not an index
            "field 'index' must be an integer")
     fmt = args.format or options.get("format", "json")
     expect(isinstance(fmt, str) and fmt in ("json", "text"),
            "field 'options.format' must be 'json' or 'text'")
     table = _parse_ring(doc)
-    return Job(doc, table, jet, fmt, index)
-
-
-def _require_matrix(job: Job) -> PolyMatrix:
-    expect("matrix" in job.doc, "field 'matrix' is required for this command")
-    return _parse_matrix(job.doc["matrix"], job.table, "matrix")
+    return Job(args.command, doc, table, jet, fmt, index)
 
 
 def _parse_factors(doc: dict, table: VarTable) -> tuple[Poly, Poly]:
@@ -204,30 +199,25 @@ def _parse_ideals(doc: dict, table: VarTable) -> tuple[Ideal, Ideal]:
                  for key in ("J1", "J2"))
 
 
-def _target_form(job: Job, field_hint: str) -> KroneckerForm:
-    doc = job.doc
-    present = [k for k in ("quiver", "matrices") if k in doc]
+def _target(job: Job, kinds: tuple[str, ...]) -> PolyMatrix | KroneckerForm:
+    """The job's one target among the fields `kinds`, which the command
+    accepts (it ignores the other target fields): a `matrix` as itself, a
+    `quiver` or a `matrices` pencil as its Kronecker form."""
+    present = [k for k in kinds if k in job.doc]
+    fields = ", ".join(f"'{k}'" for k in kinds)
     expect(len(present) == 1,
-           f"exactly one of the fields 'quiver', 'matrices' is required "
-           f"for '{field_hint}'")
-    if present[0] == "quiver":
-        return build_kronecker(_parse_quiver(doc["quiver"], job.table))
-    mats = doc["matrices"]
-    expect(isinstance(mats, list) and mats,
+           f"field {fields} is required for '{job.command}'"
+           if len(kinds) == 1 else f"exactly one of the fields {fields} "
+           f"is required for '{job.command}'")
+    kind, value = present[0], job.doc[present[0]]
+    if kind == "matrix":
+        return _parse_matrix(value, job.table, "matrix")
+    if kind == "quiver":
+        return build_kronecker(_parse_quiver(value, job.table))
+    expect(isinstance(value, list) and value,
            "field 'matrices' must be a non-empty list of matrices")
-    parsed = [_parse_matrix(m, job.table, f"matrices[{i}]")
-              for i, m in enumerate(mats)]
-    return conj_pencil(parsed)
-
-
-def _target_matrix(job: Job, command: str) -> PolyMatrix:
-    present = [k for k in ("matrix", "quiver", "matrices") if k in job.doc]
-    expect(len(present) == 1,
-           "exactly one of the fields 'matrix', 'quiver', 'matrices' "
-           f"is required for '{command}'")
-    if present[0] == "matrix":
-        return _parse_matrix(job.doc["matrix"], job.table, "matrix")
-    return _target_form(job, command).matrix
+    return conj_pencil([_parse_matrix(m, job.table, f"matrices[{i}]")
+                        for i, m in enumerate(value)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +292,19 @@ def _emit(report: dict, fmt: str) -> None:
 Outcome = tuple[VarTable, Verdict | dict]
 
 
-def _cmd_det(args: argparse.Namespace, job: Job) -> Outcome:
-    M = _target_matrix(job, "det")
+# det and fitting read a quiver's or a pencil's Kronecker matrix
+ANY_TARGET = ("matrix", "quiver", "matrices")
+
+
+def _cmd_det(job: Job) -> Outcome:
+    M = _target(job, ANY_TARGET)
+    M = M.matrix if isinstance(M, KroneckerForm) else M
     return M.table, {"determinant": format_poly(det(M))}
 
 
-def _cmd_fitting(args: argparse.Namespace, job: Job) -> Outcome:
-    M = _target_matrix(job, "fitting")
+def _cmd_fitting(job: Job) -> Outcome:
+    M = _target(job, ANY_TARGET)
+    M = M.matrix if isinstance(M, KroneckerForm) else M
     expect(job.index is not None, "field 'index' (or --index) is required "
            "for 'fitting'")
     I = fitting_ideal(M, job.index)
@@ -316,8 +312,8 @@ def _cmd_fitting(args: argparse.Namespace, job: Job) -> Outcome:
                      "generators": [format_poly(g) for g in I.generators]}
 
 
-def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> Outcome:
-    form = _target_form(job, "build-kronecker")
+def _cmd_build_kronecker(job: Job) -> Outcome:
+    form = _target(job, ("quiver", "matrices"))
     return form.table, {
         "base_vars": list(form.base_table.names),
         "matrix": format_grid(form.matrix.entries),
@@ -327,29 +323,27 @@ def _cmd_build_kronecker(args: argparse.Namespace, job: Job) -> Outcome:
     }
 
 
-def _cmd_check_square(args: argparse.Namespace, job: Job) -> Outcome:
-    A = _require_matrix(job)
+def _cmd_check_square(job: Job) -> Outcome:
+    A = _target(job, ("matrix",))
     f1, f2 = _parse_factors(job.doc, job.table)
     return A.table, check_square_lr(A, f1, f2, jet_order=job.jet_order)
 
 
-def _cmd_check_rect(args: argparse.Namespace, job: Job) -> Outcome:
-    A = _require_matrix(job)
+def _cmd_check_rect(job: Job) -> Outcome:
+    A = _target(job, ("matrix",))
     J1, J2 = _parse_ideals(job.doc, job.table)
     return A.table, check_rect_lr(A, J1, J2)
 
 
-def _cmd_check_conj(args: argparse.Namespace, job: Job) -> Outcome:
-    A = _require_matrix(job)
+def _cmd_check_conj(job: Job) -> Outcome:
+    A = _target(job, ("matrix",))
     expect(A.rows == 2 and A.cols == 2,
            "field 'matrix' must be 2x2 for 'check-conj'")
     return A.table, check_conj_2x2(A)
 
 
-def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
-    expect("quiver" in job.doc,
-           "field 'quiver' is required for 'check-quiver'")
-    form = build_kronecker(_parse_quiver(job.doc["quiver"], job.table))
+def _cmd_check_quiver(job: Job) -> Outcome:
+    form = _target(job, ("quiver",))
     # the factors may mention the fresh x_i_j / y_i variables
     f1, f2 = _parse_factors(job.doc, form.table)
     return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order)
@@ -358,21 +352,18 @@ def _cmd_check_quiver(args: argparse.Namespace, job: Job) -> Outcome:
 class Command(NamedTuple):
     """A job command.  An exact-only command's math is plain arithmetic:
     a jet order would be ignored, and ignoring an option silently is worse
-    than refusing it.  `extra` lists further integer options as (flag,
-    metavar, help)."""
+    than refusing it."""
 
-    run: Callable[[argparse.Namespace, Job], Outcome]
+    run: Callable[[Job], Outcome]
     exact_only: bool
     help: str
-    extra: tuple = ()
 
 
 COMMANDS = {
     "det": Command(_cmd_det, True, "determinant of the target matrix (or "
                    "of a quiver's Kronecker form)"),
     "fitting": Command(_cmd_fitting, True, "generators of the j-th Fitting "
-                       "ideal of the target",
-                       (("--index", "J", "Fitting ideal index"),)),
+                       "ideal of the target"),
     "check-square": Command(_cmd_check_square, False, "left-right "
                             "decomposability of a square matrix against a "
                             "factor pair"),
@@ -392,8 +383,8 @@ COMMANDS = {
 # certificate re-verification (ring arithmetic only; no Groebner bases)
 
 
-def _cmd_verify_cert(args: argparse.Namespace) -> int:
-    doc = _load_json(args.cert, "certificate")
+def _cmd_verify_cert(path: str, fmt: str) -> int:
+    doc = _load_json(path, "certificate")
     expect(isinstance(doc, dict),
            "the certificate document must be a JSON object")
     verdict = Verdict.from_json(doc, _parse_ring(doc))
@@ -401,7 +392,7 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
     report = {"command": "verify-cert", "valid": not failures,
               "checked": verdict.counts(), "failures": failures,
               "provenance": {"tool": TOOL, "version": __version__}}
-    _emit(report, args.format or "json")
+    _emit(report, fmt)
     return 0 if not failures else 2
 
 
@@ -441,8 +432,8 @@ def _build_parser() -> _Parser:
                         help="decide modulo m^N instead of exactly")
         sp.add_argument("--format", choices=("json", "text"),
                         help="output format (default json)")
-        for flag, metavar, text in command.extra:
-            sp.add_argument(flag, type=int, metavar=metavar, help=text)
+        sp.add_argument("--index", type=int, metavar="J",
+                        help="Fitting ideal index (read by 'fitting')")
     sp = sub.add_parser("verify-cert",
                         help="re-check an emitted certificate using plain "
                              "ring arithmetic")
@@ -455,12 +446,12 @@ def _build_parser() -> _Parser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify-cert":
-        return _cmd_verify_cert(args)
+        return _cmd_verify_cert(args.cert, args.format or "json")
     job = _load_job(args)
-    table, result = COMMANDS[args.command].run(args, job)
+    table, result = COMMANDS[job.command].run(job)
     if isinstance(result, Verdict):
         result = _verdict_report(result)
-    result["command"] = args.command
+    result["command"] = job.command
     result["ring"] = {"vars": list(table.names)}
     # a report without a verdict states exact results
     result.setdefault("provenance", strength(None)).update(

@@ -268,16 +268,11 @@ def check_square_lr(A: PolyMatrix, f1: Poly, f2: Poly,
         raise RingError("square check needs size at least 2")
     if f1.table != A.table or f2.table != A.table:
         raise RingError("factors declared over a different VarTable")
-    ok = True
-    detail = "both factors nonzero with zero constant term"
-    for label, f in (("f1", f1), ("f2", f2)):
-        if f.is_zero():
-            ok, detail = False, f"{label} is zero"
-            break
-        if local_unit_test(f):
-            ok, detail = False, f"{label} is invertible at the origin"
-            break
-    nontrivial = HypothesisCheck("factor-nontriviality", ok, detail)
+    nontrivial = HypothesisCheck.per_factor(
+        "factor-nontriviality", "both factors nonzero with zero constant term",
+        (("f1", f1), ("f2", f2)),
+        ((Poly.is_zero, "is zero"),
+         (local_unit_test, "is invertible at the origin")))
     return _split_by_factors(A, f1, f2, "det(A)", nontrivial,
                              _SQUARE_SCOPE, jet_order)
 
@@ -317,16 +312,12 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
         yield HypothesisCheck("kernel-condition", failing is None,
                               detail), entries
 
-        ok = True
-        detail = "J1 and J2 are each neither zero nor the unit ideal locally"
-        for label, J in (("J1", J1), ("J2", J2)):
-            if J.is_zero():
-                ok, detail = False, f"{label} is the zero ideal"
-                break
-            if contains_local_unit(J):
-                ok, detail = False, f"{label} is the unit ideal locally"
-                break
-        yield HypothesisCheck("ideal-nontriviality", ok, detail), []
+        yield HypothesisCheck.per_factor(
+            "ideal-nontriviality",
+            "J1 and J2 are each neither zero nor the unit ideal locally",
+            (("J1", J1), ("J2", J2)),
+            ((Ideal.is_zero, "is the zero ideal"),
+             (contains_local_unit, "is the unit ideal locally"))), []
 
         prod = ideal_product(J1, J2)
         fwd, fwd_entries = _local_inclusion(Im.generators, prod, None)

@@ -226,21 +226,17 @@ def check_quiver(form: KroneckerForm, f1: Poly, f2: Poly,
     vertex), which is recorded in the hypothesis detail."""
     if f1.table != form.table or f2.table != form.table:
         raise RingError("factors must live over the Kronecker-extended table")
-    ok = True
-    detail = ("each factor contains a pure-y monomial with 0 < l_i < m_i "
-              "at every vertex (strict bound)")
-    for label, f in (("f1", f1), ("f2", f2)):
-        profiles = y_profile(f, form.y_names)
-        good = any(
-            all(0 < l < m for l, m in zip(profile, form.sizes))
-            for profile in profiles
-        )
-        if not good:
-            ok = False
-            detail = (f"{label} has no pure-y monomial with 0 < l_i < m_i "
-                      f"at every vertex (strict bound)")
-            break
-    y_check = HypothesisCheck("y-profile", ok, detail)
+
+    def no_bounded_profile(f: Poly) -> bool:
+        return not any(all(0 < l < m for l, m in zip(profile, form.sizes))
+                       for profile in y_profile(f, form.y_names))
+
+    y_check = HypothesisCheck.per_factor(
+        "y-profile", "each factor contains a pure-y monomial with "
+        "0 < l_i < m_i at every vertex (strict bound)",
+        (("f1", f1), ("f2", f2)),
+        ((no_bounded_profile, "has no pure-y monomial with 0 < l_i < m_i "
+          "at every vertex (strict bound)"),))
     return _split_by_factors(form.matrix, f1, f2, "det of the Kronecker form",
                              y_check, _QUIVER_SCOPE, jet_order)
 

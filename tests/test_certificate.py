@@ -522,10 +522,13 @@ def test_altering_any_part_of_a_line_certificate_fails(tmp_path, capsys):
                  id="factors-value12-factors"),
     pytest.param("factors", ["y_1", "y_2^101"], "factors[1]",
                  id="factors-value13-factors[1]"),
+    pytest.param("point", [0] * 11 + [2 ** 7], "point", id="point-8-bits"),
+    pytest.param("direction", [0] * 11 + [-2 ** 7], "direction",
+                 id="direction-8-bits"),
 ])
 def test_a_malformed_line_certificate_is_an_input_error(tmp_path, capsys,
                                                         key, value, field):
-    """A point or direction that is not a list of 12 ints of fewer than 64
+    """A point or direction that is not a list of 12 ints of fewer than 8
     bits, an a or b that is not a polynomial in t, and a factor of degree
     past MAX_LINE_DEGREE each exit 1 naming the field."""
     report = quiver3_report()
@@ -612,10 +615,11 @@ def test_a_point_certificate_must_name_the_failing_element(tmp_path,
     ("value", "x1", "value"),
     ("polynomial", 4, "polynomial"),
     ("polynomial", "x1^101", "polynomial"),
+    pytest.param("point", [-1, 2 ** 7], "point", id="point-8-bits"),
 ])
 def test_a_malformed_point_certificate_is_an_input_error(tmp_path, capsys,
                                                          key, value, field):
-    """A point that is not a list of one int of fewer than 64 bits per
+    """A point that is not a list of one int of fewer than 8 bits per
     variable, a value that is not a string holding a rational number, and
     a polynomial of degree past MAX_LINE_DEGREE each exit 1 naming the
     field."""
@@ -629,11 +633,11 @@ def test_a_malformed_point_certificate_is_an_input_error(tmp_path, capsys,
     assert f"field 'certificate.nonsquare.{field}'" in err
 
 
-def test_entries_of_63_bits_are_accepted(tmp_path, capsys):
+def test_entries_of_7_bits_are_accepted(tmp_path, capsys):
     report = quiver3_report()
     line = report["certificate"]["coprimality"]
-    line["point"][0] = 2 ** 63 - 1
-    line["direction"][0] = -(2 ** 63 - 1)
+    line["point"][0] = 2 ** 7 - 1
+    line["direction"][0] = -(2 ** 7 - 1)
     assert verify_report(tmp_path, capsys, report) == (2, [
         "coprimality: a*f1 + b*f2 does not restrict to 1 on the line"])
 

@@ -399,6 +399,55 @@ def test_the_probe_order_flag_and_option_are_refused(tmp_path, capsys):
     assert report["certificate"]["nonsquare"]["value"] == "2"
 
 
+# each job command's target fields, and a job it decides
+TARGET_JOBS = {
+    "det": (("matrix", "quiver", "matrices"),
+            {"ring": EX2["ring"], "matrix": EX2["matrix"]}),
+    "fitting": (("matrix", "quiver", "matrices"),
+                {"ring": EX2["ring"], "matrix": EX2["matrix"], "index": 2}),
+    "build-kronecker": (("quiver", "matrices"),
+                        {"ring": STRING_QUIVER["ring"],
+                         "quiver": STRING_QUIVER["quiver"]}),
+    "check-square": (("matrix",), EX2),
+    "check-rect": (("matrix",), {"ring": {"vars": ["x1", "x2"]},
+                                 "matrix": [["x1", "0"], ["0", "x2"]],
+                                 "ideals": {"J1": ["x1"], "J2": ["x2"]}}),
+    "check-conj": (("matrix",), {"ring": {"vars": ["x1"]},
+                                 "matrix": [["x1", "1"], ["0", "0"]]}),
+    "check-quiver": (("quiver",), STRING_QUIVER),
+}
+TARGET_VALUES = {"matrix": EX2["matrix"], "quiver": STRING_QUIVER["quiver"],
+                 "matrices": [[["1", "0"], ["0", "-1"]]]}
+
+
+@pytest.mark.parametrize("command", sorted(TARGET_JOBS))
+def test_every_job_command_reads_one_target(tmp_path, capsys, command):
+    """A missing target exits 1 naming the command's target fields; two of
+    them exit 1 too, while a target field the command does not take is
+    ignored; and every job command accepts --index."""
+    kinds, doc = TARGET_JOBS[command]
+    fields = ", ".join(f"'{k}'" for k in kinds)
+    message = (f"field {fields}" if len(kinds) == 1 else
+               f"exactly one of the fields {fields}")
+    bare = {k: v for k, v in doc.items() if k not in kinds}
+    assert run(capsys, [command, "--input", write_doc(tmp_path, bare)]) == \
+        (1, "", f"error: {message} is required for '{command}'\n")
+
+    code, out, err = run(capsys, [command, "--input", write_doc(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    others = {k: v for k, v in TARGET_VALUES.items() if k not in kinds}
+    assert run(capsys, [command, "--input",
+                        write_doc(tmp_path, {**doc, **others})]) == \
+        (0, out, "")
+    assert run(capsys, [command, "--input", write_doc(tmp_path, doc),
+                        "--index", "2"]) == (0, out, "")
+    if len(kinds) > 1:
+        both = {**doc, kinds[1]: TARGET_VALUES[kinds[1]]}
+        assert run(capsys, [command, "--input",
+                            write_doc(tmp_path, both)]) == \
+            (1, "", f"error: {message} is required for '{command}'\n")
+
+
 @pytest.mark.parametrize("command", ["det", "check-square"])
 @pytest.mark.parametrize("fields, message", [
     ({"options": {"probe_order": 3}, "index": 2},

@@ -144,16 +144,15 @@ def test_tracer_patches_and_restores_current_names():
     assert blocksplit.groebner.Ideal.__dict__["basis"] is basis
 
 
-def unread_parameters(source: str, exempt=frozenset()) -> list[str]:
+def unread_parameters(source: str) -> list[str]:
     """Parameters of a function or lambda that its body never reads, as
     "line N: name(parameter)".  Dunder methods, whose signature Python
-    fixes, and the functions named in `exempt` are skipped."""
+    fixes, are skipped."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name, body = node.name, node.body
-            if (name.startswith("__") and name.endswith("__")
-                    or name in exempt):
+            if name.startswith("__") and name.endswith("__"):
                 continue
         elif isinstance(node, ast.Lambda):
             name, body = "lambda", [node.body]
@@ -178,19 +177,12 @@ def test_scanner_finds_an_unread_parameter():
     assert unread_parameters(source) == [
         "line 1: f(b)", "line 1: f(c)", "line 1: f(e)", "line 6: m(self)",
         "line 7: lambda(z)"]
-    assert unread_parameters("def f(a):\n    pass\n", {"f"}) == []
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_parameter_in_src_is_read(path):
-    """The command handlers share the signature the `COMMANDS` table
-    fixes, whether or not they read every argument."""
-    import blocksplit.cli
-
-    handlers = {c.run.__name__ for c in blocksplit.cli.COMMANDS.values()}
-    exempt = handlers if path.name == "cli.py" else frozenset()
-    assert unread_parameters(path.read_text(encoding="utf-8"), exempt) == []
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def product_accumulations(source: str) -> list[str]:
