@@ -7,8 +7,9 @@ multiplying out, once the degrees agree; an inclusion unit*element ==
 sum(cofactor_i * generator_i), with unit invertible at the origin, by
 re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
 puts every (n-1)-minor of A in (f1, f2) at once and implies det(A) ==
-f1*f2, by a determinant and the entries of one matrix product, each split
-by a quotient by f2 that the check need not trust; a line certificate
+f1*f2, by the entries of one matrix product, each split by a quotient by
+f2 that the check need not trust, and one (n-1)-minor that pins det(A)
+(det(A) itself is expanded only to word a failure); a line certificate
 that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along
 which f1 keeps its degree, by restricting both factors to the line and
 two univariate products; a point certificate that a polynomial f is not
@@ -25,7 +26,7 @@ with the monomial multiples of each generator and with the element.
 Decoding checks only the JSON shape and the caps on oversized input, raising
 InputError naming the first field it refuses; every validity rule of an
 entry is stated once, in its ``failures()``, whose messages ``verify-cert``
-prints.  Nothing here uses Groebner bases or matrix code (the determinant is
+prints.  Nothing here uses Groebner bases or matrix code (each minor is
 `ring.minor`, the expansion that `det` runs too, the restriction to a line
 or a point is `ring.restrict_to_line`, and each sum of products is one
 `ring.sum_of_products`; the adjugate check's quotients come from
@@ -503,11 +504,16 @@ class AdjugateInclusion:
     identity: unit*adj(A) == f1*C1 + f2*C2, with unit invertible at 0.
     Exact only.
 
-    adj(A) is never formed.  det(A) is recomputed from A and must equal
-    f1*f2 != 0; then A*(f1*C1 + f2*C2) == unit*f1*f2*I must hold.  Since
-    A*adj(A) = det(A)*I and det(A) != 0 makes A injective over the fraction
-    field, that forces f1*C1 + f2*C2 = unit*adj(A), and the entries of
-    adj(A) are the signed (n-1)-minors that generate I_{n-1}(A).
+    adj(A) is never formed, and det(A) only to word a failure.  With
+    f1*f2 != 0 and M = f1*C1 + f2*C2, first A*M == unit*f1*f2*I = c*I
+    must hold.  As c != 0, A is invertible over the fraction field, and
+    Cramer's rule adj(A) = det(A)*A^-1 gives M = (c/det(A))*adj(A).  So
+    for the first nonzero entry M_ij, which exists as M != 0, M_ij ==
+    unit*adj(A)_ij, one signed (n-1)-minor (1 for n = 1), holds exactly
+    when det(A) == f1*f2; then M = unit*adj(A), and the entries of adj(A)
+    are the signed (n-1)-minors that generate I_{n-1}(A).  A failed
+    product is reported as det(A) != f1*f2 when it is one, which takes
+    the full expansion.
 
     Entry (i, j) of that product is checked without multiplying A*C1 and
     A*C2 by the factors.  With P and Q the entries of A*C1 and A*C2, and
@@ -550,8 +556,6 @@ class AdjugateInclusion:
         if det.is_zero():
             return [f"{name}: f1*f2 is zero"]
         full = tuple(range(n))
-        if minor(A, {}, full, full) != det:
-            return [f"{name}: det(A) does not equal f1*f2"]
         # the entries P of A*C1, divided by f2 at once; s is formed as
         # one sum, with Q's row products in it
         unit, flat = _cleared(self.unit, [e for C in (self.c1, self.c2)
@@ -577,8 +581,20 @@ class AdjugateInclusion:
                 continue
             if not r.terms or not s.terms or sum_of_products(
                     table, [(f1, r, 1), (f2, s, 1)]).terms:
+                if minor(A, {}, full, full) != det:
+                    return [f"{name}: det(A) does not equal f1*f2"]
                 return [f"{name}: A*(f1*C1 + f2*C2) does not equal "
                         "unit*f1*f2*I"]
+        # the product holds: the first nonzero entry of M pins det(A)
+        for k in range(n * n):
+            m = sum_of_products(table, [(f1, c1[k], 1), (f2, c2[k], 1)])
+            if m.terms:
+                break
+        i, j = divmod(k, n)
+        adj = Poly.const(table, 1) if n == 1 else minor(
+            A, {}, full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+        if unit * adj != (-1) ** (i + j) * m:
+            return [f"{name}: det(A) does not equal f1*f2"]
         return []
 
     def to_json(self) -> dict:

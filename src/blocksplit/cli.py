@@ -185,13 +185,16 @@ def _load_job(args: argparse.Namespace) -> Job:
     return Job(args.command, doc, table, jet, fmt, index)
 
 
-def _parse_factors(doc: dict, table: VarTable) -> tuple[Poly, Poly]:
-    expect("factors" in doc, "field 'factors' is required for this command")
-    return _parse_pair(doc["factors"], table, "factors", None)
+def _parse_factors(job: Job, table: VarTable) -> tuple[Poly, Poly]:
+    expect("factors" in job.doc,
+           f"field 'factors' is required for '{job.command}'")
+    return _parse_pair(job.doc["factors"], table, "factors", None)
 
 
-def _parse_ideals(doc: dict, table: VarTable) -> tuple[Ideal, Ideal]:
-    ideals = doc.get("ideals")
+def _parse_ideals(job: Job) -> tuple[Ideal, Ideal]:
+    expect("ideals" in job.doc,
+           f"field 'ideals' is required for '{job.command}'")
+    ideals, table = job.doc["ideals"], job.table
     expect(isinstance(ideals, dict),
            "field 'ideals' must be an object with lists 'J1' and 'J2'")
     return tuple(Ideal(table, _parse_list(ideals.get(key), table,
@@ -325,13 +328,13 @@ def _cmd_build_kronecker(job: Job) -> Outcome:
 
 def _cmd_check_square(job: Job) -> Outcome:
     A = _target(job, ("matrix",))
-    f1, f2 = _parse_factors(job.doc, job.table)
+    f1, f2 = _parse_factors(job, job.table)
     return A.table, check_square_lr(A, f1, f2, jet_order=job.jet_order)
 
 
 def _cmd_check_rect(job: Job) -> Outcome:
     A = _target(job, ("matrix",))
-    J1, J2 = _parse_ideals(job.doc, job.table)
+    J1, J2 = _parse_ideals(job)
     return A.table, check_rect_lr(A, J1, J2)
 
 
@@ -345,7 +348,7 @@ def _cmd_check_conj(job: Job) -> Outcome:
 def _cmd_check_quiver(job: Job) -> Outcome:
     form = _target(job, ("quiver",))
     # the factors may mention the fresh x_i_j / y_i variables
-    f1, f2 = _parse_factors(job.doc, form.table)
+    f1, f2 = _parse_factors(job, form.table)
     return form.table, check_quiver(form, f1, f2, jet_order=job.jet_order)
 
 

@@ -227,9 +227,9 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
     inclusion of I_{n-1}(A) in (f1) + (f2) that decides the verdict.
     `subject` names det(A) in the first hypothesis's detail.  An exact
     Decomposable verdict certifies that inclusion with one adjugate
-    identity, whose check recomputes det(A) and requires it to equal
-    f1*f2, so the runner drops the determinant identity; det(A), the
-    Fitting ideal and adj(A) share one minor memo."""
+    identity, whose check proves det(A) = f1*f2 with one (n-1)-minor,
+    so the runner drops the determinant identity; det(A), the Fitting
+    ideal and adj(A) share one minor memo."""
     memo: dict = {}
     identity = Identity("determinant-factorization", det(A, memo), (f1, f2),
                         jet_order)

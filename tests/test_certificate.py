@@ -10,6 +10,7 @@ import json
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -28,8 +29,8 @@ from blocksplit.certificate import (
     NonSquare,
     Verdict,
 )
-from blocksplit.ring import LINE, Poly, VarTable, divide, parse_poly, \
-    restrict_to_line
+from blocksplit.ring import LINE, Poly, VarTable, divide, \
+    local_unit_test, minor, parse_poly, restrict_to_line
 
 from blocksplit.cli import main
 from blocksplit.groebner import Ideal, member_local
@@ -314,6 +315,136 @@ def test_adjugate_checks_det_against_a_nonzero_f1_f2():
         == ["adjugate: the unit has zero constant term"]
     assert AdjugateInclusion(A, Q("x"), Q("y"), one, C1, C2[:1]).failures() \
         == ["adjugate: A, C1 and C2 must be square of one size"]
+
+
+DET = "adjugate: det(A) does not equal f1*f2"
+
+
+def reference_failures(entry: AdjugateInclusion, dets: dict) -> list[str]:
+    """The adjugate rule stated the plain way: the full det(A) by
+    `ring.minor` first, then each entry f1*(A*C1)_ij + f2*(A*C2)_ij ==
+    unit*f1*f2*delta_ij multiplied out.  `dets` keeps det(A) by A across
+    calls."""
+    A, n, f1, f2 = entry.matrix, len(entry.matrix), entry.f1, entry.f2
+    if not local_unit_test(entry.unit):
+        return ["adjugate: the unit has zero constant term"]
+    if (f1 * f2).is_zero():
+        return ["adjugate: f1*f2 is zero"]
+    if A not in dets:
+        dets[A] = minor(A, {}, tuple(range(n)), tuple(range(n)))
+    if dets[A] != f1 * f2:
+        return [DET]
+    for i, j in itertools.product(range(n), repeat=2):
+        P, Q = (sum((A[i][k] * C[k][j] for k in range(n)), 0)
+                for C in (entry.c1, entry.c2))
+        diff = f1 * P + f2 * Q
+        if i == j:
+            diff -= entry.unit * dets[A]
+        if not diff.is_zero():
+            return [PRODUCT]
+    return []
+
+
+def golden_adjugate_entries() -> dict[str, AdjugateInclusion]:
+    """Each distinct adjugate entry of the golden reports, by the name of
+    the first report that carries it."""
+    entries = {}
+    for name, report in golden_verdict_reports().items():
+        for entry in Verdict.from_json(
+                report, VarTable(report["ring"]["vars"])).of(
+                    AdjugateInclusion):
+            entries.setdefault(json.dumps(entry.to_json()), (name, entry))
+    return dict(entries.values())
+
+
+def adjugate_alterations(entry: AdjugateInclusion):
+    """+x, +2 and -x on each polynomial of the entry (x the first ring
+    variable), and constant rescalings of f2, the unit and the cofactor
+    grids: two keep the entry valid, and f2 and C1 doubled keep the
+    product but not det(A) == f1*f2, which only the pin then refuses."""
+    x = Poly.var(entry.f1.table, entry.f1.table.names[0])
+    parts = {"f1": entry.f1, "f2": entry.f2, "unit": entry.unit,
+             "A": entry.matrix, "c1": entry.c1, "c2": entry.c2}
+
+    def made(**changed):
+        p = {**parts, **changed}
+        return AdjugateInclusion(p["A"], p["f1"], p["f2"], p["unit"],
+                                 p["c1"], p["c2"])
+
+    def scaled(rows, k):
+        return [[e * k for e in row] for row in rows]
+
+    for delta in (x, 2, -x):
+        for key in ("f1", "f2", "unit"):
+            yield made(**{key: parts[key] + delta})
+        for key in ("A", "c1", "c2"):
+            for i, j in itertools.product(range(len(entry.matrix)),
+                                          repeat=2):
+                rows = [list(row) for row in parts[key]]
+                rows[i][j] = rows[i][j] + delta
+                yield made(**{key: rows})
+    yield made(f2=entry.f2 * 2)
+    yield made(unit=entry.unit * 2)
+    yield made(c1=scaled(entry.c1, 2))
+    yield made(c2=scaled(entry.c2, 2))
+    yield made(c1=scaled(entry.c1, 2), c2=scaled(entry.c2, 2))
+    yield made(unit=entry.unit * 2, c1=scaled(entry.c1, 2),
+               c2=scaled(entry.c2, 2))
+    yield made(f2=entry.f2 * 2, c2=scaled(entry.c2, Fraction(1, 2)))
+    yield made(f2=entry.f2 * 2, c1=scaled(entry.c1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(golden_adjugate_entries()))
+def test_adjugate_failures_match_the_full_determinant_rule(name):
+    """Pinning det(A) with one (n-1)-minor after the product gives the
+    same failures as expanding det(A) first, on every alteration."""
+    entry = golden_adjugate_entries()[name]
+    dets: dict = {}
+    assert entry.failures() == reference_failures(entry, dets) == []
+    seen = set()
+    for altered in adjugate_alterations(entry):
+        failures = altered.failures()
+        assert failures == reference_failures(altered, dets)
+        seen.add(tuple(failures))
+    assert {(), (DET,), (PRODUCT,)} <= seen
+
+
+def test_the_pin_catches_a_det_the_product_does_not():
+    """A = diag(x, y) with f2 = 2y: A*(f1*C1 + f2*C2) == unit*f1*f2*I
+    holds, so only the pinned entry, M_00 = 2y against adj(A)_00 = y,
+    refuses it; with unit 2 and f2 = y the twin entry is valid, and so is
+    an entry whose first nonzero M_ij has i + j odd."""
+    A = grid([["x", "0"], ["0", "y"]])
+    C1 = grid([["0", "0"], ["0", "2"]])
+    wrong = AdjugateInclusion(A, Q("x"), Q("2*y"), Q("1"), C1,
+                              grid([["1", "0"], ["0", "0"]]))
+    assert wrong.failures() == [DET] == reference_failures(wrong, {})
+    twin = AdjugateInclusion(A, Q("x"), Q("y"), Q("2"), C1,
+                             grid([["2", "0"], ["0", "0"]]))
+    assert twin.failures() == [] == reference_failures(twin, {})
+    # M_00 = 0: the pin falls on M_01 = -x = (-1)^(0+1) * minor
+    antidiagonal = AdjugateInclusion(
+        grid([["0", "x"], ["y", "0"]]), Q("x"), Q("-y"), Q("1"),
+        grid([["0", "-1"], ["0", "0"]]), grid([["0", "0"], ["1", "0"]]))
+    assert antidiagonal.failures() == [] \
+        == reference_failures(antidiagonal, {})
+
+
+def test_a_valid_adjugate_entry_expands_no_n_by_n_minor(monkeypatch):
+    """The re-check of a valid entry expands one (n-1)-minor, never det(A):
+    every top-level `minor` call takes n - 1 rows."""
+    calls = []
+
+    def spy(entries, memo, rows, cols):
+        calls.append((len(entries), len(rows)))
+        return minor(entries, memo, rows, cols)
+
+    monkeypatch.setattr(blocksplit.certificate, "minor", spy)
+    for name, entry in golden_adjugate_entries().items():
+        n = len(entry.matrix)
+        calls.clear()
+        assert entry.failures() == [], name
+        assert calls == ([(n, n - 1)] if n > 1 else []), name
 
 
 def test_adjugate_with_a_unit_other_than_one():

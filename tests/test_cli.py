@@ -448,6 +448,25 @@ def test_every_job_command_reads_one_target(tmp_path, capsys, command):
             (1, "", f"error: {message} is required for '{command}'\n")
 
 
+@pytest.mark.parametrize("command, field", [
+    ("check-square", "factors"), ("check-quiver", "factors"),
+    ("check-rect", "ideals")])
+def test_a_missing_factor_or_ideal_pair_names_the_command(tmp_path, capsys,
+                                                          command, field):
+    """Like a missing target, a missing `factors` or `ideals` exits 1
+    naming the command; an `ideals` of the wrong shape keeps its own
+    message."""
+    doc = {k: v for k, v in TARGET_JOBS[command][1].items() if k != field}
+    assert run(capsys, [command, "--input", write_doc(tmp_path, doc)]) == \
+        (1, "", f"error: field '{field}' is required for '{command}'\n")
+    if field == "ideals":
+        doc["ideals"] = ["x1"]
+        assert run(capsys, [command, "--input",
+                            write_doc(tmp_path, doc)]) == \
+            (1, "", "error: field 'ideals' must be an object with lists "
+                    "'J1' and 'J2'\n")
+
+
 @pytest.mark.parametrize("command", ["det", "check-square"])
 @pytest.mark.parametrize("fields, message", [
     ({"options": {"probe_order": 3}, "index": 2},
@@ -591,6 +610,26 @@ def _verify(tmp_path, capsys, report):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(report))
     return run(capsys, ["verify-cert", "--cert", str(cert)])
+
+
+def test_verify_cert_checks_a_1x1_adjugate_entry(tmp_path, capsys):
+    """A 1x1 A has no (n-1)-minor and adj(A) = [1], so the entry says
+    unit == f1*C1 + f2*C2 and A == f1*f2; a tampered A fails the product,
+    and A = 2*f1*f2 with the unit doubled passes it but not the pin."""
+    report = golden_report("square-signed.out")
+    del report["certificate"]["coprimality"]
+    report["certificate"]["adjugate"] = {
+        "matrix": [["y + x*y"]], "factors": ["1 + x", "y"],
+        "unit": "1 + x", "cofactors": [[["1"]], [["0"]]]}
+    code, out, err = _verify(tmp_path, capsys, report)
+    assert (code, json.loads(out)["failures"], err) == (0, [], "")
+    for changes in ({"matrix": [["y"]]},
+                    {"matrix": [["2*y + 2*x*y"]], "unit": "2 + 2*x"}):
+        doc = json.loads(json.dumps(report))
+        doc["certificate"]["adjugate"].update(changes)
+        code, out, err = _verify(tmp_path, capsys, doc)
+        assert (code, json.loads(out)["failures"], err) == (
+            2, ["adjugate: det(A) does not equal f1*f2"], "")
 
 
 def test_verify_cert_rejects_congruences_in_an_exact_report(tmp_path, capsys):
