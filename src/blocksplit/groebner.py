@@ -35,10 +35,12 @@ runs produce identical bases.
 Cofactor vectors are formed on demand.  A tracked basis element keeps
 a recipe for its vector, the S-pair scalings and reduction quotients
 that made it, and the vector is formed when something first reads it
-(`_Gen`).  Only a membership answer reads vectors, so an S-pair that
-reduces to zero, an element that no answer uses and a non-member form
-none (`member_global`); the vectors formed are those an eager division
-over Q would give.
+(`_Gen`).  A recipe names the vector nodes of earlier elements
+(`_Vec`), not the elements, so it keeps no poly or divisor shape alive.
+Only a membership answer reads vectors, so an S-pair that reduces to
+zero, an element that no answer uses and a non-member form none
+(`member_global`); the vectors formed are those an eager division over
+Q would give.
 
 Reduction is fraction-free.  Each basis element keeps, beside its Poly,
 the primitive integer polynomial p and the rational scale s with
@@ -103,32 +105,18 @@ from .oracle import JetEchelon
 JET_SEPARATION_CAP = 6
 
 
-class _Gen:
-    """One basis element: poly, its leading monomial and coefficient
-    (lm, lc), and div, the shape `_reduce_terms` divides by, built once
-    here: poly as p / scale with p primitive with integer coefficients,
-    with its packed grevlex form where the table allows one.
+class _Vec:
+    """A cofactor vector, or the recipe that forms it: the signed
+    combination sum(sign * m * parent.vec) of earlier vectors, as
+    (m, parent, sign) triples whose parents are `_Vec`s too.  Reading
+    vec forms the vector from the recipe (`_form`), keeps it and drops
+    the recipe.  A node holds nothing else, so an unread recipe keeps
+    alive only the nodes that forming it reads, never the basis elements
+    they belong to."""
 
-    vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
-    or None when untracked.  An input carries its vector; an element
-    that Buchberger or the interreduction makes carries a recipe for it
-    instead: the signed combination sum(sign * m * parent.vec) of
-    earlier elements' vectors, as (m, parent, sign) triples (an S-pair's
-    two parents with their scalings, then each quotient of the reduction
-    with its basis element).  Reading vec forms the vector from the
-    recipe (`_form`), keeps it and drops the recipe, so an element whose
-    vector no answer reads costs no product, and a formed vector holds
-    no parent alive."""
+    __slots__ = ("_vec", "_recipe")
 
-    __slots__ = ("poly", "lm", "lc", "div", "seq", "_vec", "_recipe")
-
-    def __init__(self, poly: Poly, order: Order, vec, seq: int,
-                 recipe=None):
-        self.poly = poly
-        self.div = _divisor(poly, order)
-        self.lm = self.div[0]
-        self.lc = poly.terms[self.lm]
-        self.seq = seq
+    def __init__(self, vec, recipe=None):
         self._vec = vec
         self._recipe = recipe
 
@@ -139,33 +127,67 @@ class _Gen:
         return self._vec
 
 
+class _Gen:
+    """One basis element: poly, its leading monomial and coefficient
+    (lm, lc), and div, the shape `_reduce_terms` divides by, built once
+    here: poly as p / scale with p primitive with integer coefficients,
+    with its packed grevlex form where the table allows one.
+
+    vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
+    or None when untracked; it is read through node, the element's
+    `_Vec`.  An input carries its vector; an element that Buchberger or
+    the interreduction makes carries a recipe for it instead, over the
+    nodes of earlier elements (an S-pair's two parents with their
+    scalings, then each quotient of the reduction with its basis
+    element), so an element whose vector no answer reads costs no
+    product, and a formed vector holds no parent alive."""
+
+    __slots__ = ("poly", "lm", "lc", "div", "seq", "node")
+
+    def __init__(self, poly: Poly, order: Order, vec, seq: int,
+                 recipe=None):
+        self.poly = poly
+        self.div = _divisor(poly, order)
+        self.lm = self.div[0]
+        self.lc = poly.terms[self.lm]
+        self.seq = seq
+        self.node = _Vec(vec, recipe)
+
+    @property
+    def vec(self):
+        return self.node.vec
+
+
 def _combine(table: VarTable, n: int, products) -> tuple[Poly, ...]:
-    """The vector sum(sign * m * gen.vec) of length n over the (m, gen,
-    sign) triples of `products`, one `sum_of_products` per component."""
-    vecs = [(m, gen.vec, sign) for m, gen, sign in products]
+    """The vector sum(sign * m * v.vec) of length n over the (m, v, sign)
+    triples of `products`, v a `_Vec` or a `_Gen`, one `sum_of_products`
+    per component."""
+    vecs = [(m, v.vec, sign) for m, v, sign in products]
     return tuple(sum_of_products(table, [(m, v[j], sign)
                                          for m, v, sign in vecs])
                  for j in range(n))
 
 
-def _form(gen: _Gen) -> None:
-    """Form gen's vector from its recipe, after the vectors of the
-    unformed elements the recipe reads.  The walk keeps its own stack:
-    a chain of recipes can be longer than the interpreter's recursion
+def _form(node: _Vec) -> None:
+    """Form node's vector from its recipe, after the vectors of the
+    unformed nodes the recipe reads.  The walk keeps its own stack: a
+    chain of recipes can be longer than the interpreter's recursion
     limit."""
-    stack = [gen]
+    stack = [node]
     while stack:
         top = stack[-1]
         recipe = top._recipe
         if recipe is None:
             stack.pop()
             continue
-        waiting = [g for _, g, _ in recipe if g._recipe is not None]
+        waiting = [v for _, v, _ in recipe if v._recipe is not None]
         if waiting:
             stack.extend(waiting)
             continue
         stack.pop()
-        top._vec = _combine(top.poly.table, len(recipe[0][1]._vec), recipe)
+        # each multiplier m is a Poly over the table the vectors live on
+        top._vec = _combine(recipe[0][0].table, len(recipe[0][1]._vec),
+                            recipe)
         top._recipe = None
 
 
@@ -240,13 +262,13 @@ def _spoly(a: _Gen, b: _Gen):
     return Poly._trusted(a.poly.table, terms), ka * lc_a
 
 
-def _spoly_recipe(a: _Gen, b: _Gen) -> list[tuple[Poly, _Gen, int]]:
+def _spoly_recipe(a: _Gen, b: _Gen) -> list[tuple[Poly, _Vec, int]]:
     """The S-polynomial's vector as a recipe: x^ua / lc(a) times a's
     vector minus x^ub / lc(b) times b's."""
     table = a.poly.table
     lcm = _mono_lcm(a.lm, b.lm)
-    return [(Poly._trusted(table, {_mono_div(lcm, g.lm): _div(1, g.lc)}), g,
-             sign) for g, sign in ((a, 1), (b, -1))]
+    return [(Poly._trusted(table, {_mono_div(lcm, g.lm): _div(1, g.lc)}),
+             g.node, sign) for g, sign in ((a, 1), (b, -1))]
 
 
 def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
@@ -265,8 +287,8 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
         if quotients:
             recipe = None
             if tracked:
-                recipe = [(Poly.const(remainder.table, 1), gen, 1)] + [
-                    (q, G[i], -1) for i, q in quotients.items()]
+                recipe = [(Poly.const(remainder.table, 1), gen.node, 1)] + [
+                    (q, G[i].node, -1) for i, q in quotients.items()]
             gen = _Gen(remainder, order, None, gen.seq, recipe)
         G, B = _update(G, B, gen, positions)
     while B:
@@ -288,7 +310,7 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
         recipe = None
         if tracked:
             recipe = _spoly_recipe(*pair) + [
-                (q, G[i], -1) for i, q in quotients.items()]
+                (q, G[i].node, -1) for i, q in quotients.items()]
         h = _Gen(remainder, order, None, seq, recipe)
         G, B = _update(G, B, h, positions)
         seq += 1
@@ -315,8 +337,9 @@ def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
         recipe = None
         if tracked:
             # the monic scale rides on every multiplier of the recipe
-            recipe = [(Poly.const(remainder.table, scale), g, 1)] + [
-                (q * scale, others[k], -1) for k, q in quotients.items()]
+            recipe = [(Poly.const(remainder.table, scale), g.node, 1)] + [
+                (q * scale, others[k].node, -1)
+                for k, q in quotients.items()]
         reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe))
     reduced.sort(key=lambda g: order(g.lm))
     return reduced

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 import sys
 import time
@@ -14,6 +16,7 @@ from blocksplit.certificate import NonInclusion
 from blocksplit.groebner import (
     Ideal,
     _Gen,
+    _Vec,
     _buchberger,
     _combine,
     _reduce,
@@ -502,7 +505,7 @@ def test_a_recipe_chain_longer_than_the_recursion_limit_forms():
     one, x = P("1"), P("x")
     gen = _Gen(x, grevlex, (one, x), 0)
     for seq in range(1, sys.getrecursionlimit() + 10):
-        gen = _Gen(x, grevlex, None, seq, [(one, gen, 1)])
+        gen = _Gen(x, grevlex, None, seq, [(one, gen.node, 1)])
     assert gen.vec == (one, x)
 
 
@@ -548,12 +551,13 @@ def test_tracked_basis_vectors_rebuild_their_elements():
         table = (XY, XYZ)[rng.randrange(2)]
         I = random_ideal(rng, table)
         twin = Ideal(table, I.generators)
-        lazy += sum(g._recipe is not None for g in I.basis())
+        lazy += sum(g.node._recipe is not None for g in I.basis())
         forwards = [g.vec for g in I.basis()]
         backwards = [g.vec for g in reversed(twin.basis())][::-1]
         assert forwards == backwards
         # a formed vector keeps no recipe, so no ancestor stays alive
-        assert all(g._recipe is None for g in I.basis() + twin.basis())
+        assert all(g.node._recipe is None
+                   for g in I.basis() + twin.basis())
         for g, vec in zip(I.basis(), forwards):
             assert len(vec) == len(I.generators)
             total = Poly.zero(table)
@@ -562,6 +566,32 @@ def test_tracked_basis_vectors_rebuild_their_elements():
             assert total == g.poly
             rebuilt += len(I.basis()) > 1
     assert rebuilt >= 30 and lazy >= 50
+
+
+def test_an_unread_recipe_holds_no_basis_element():
+    """Recipes name vector nodes, not basis elements, so an unread vector
+    keeps no parent's poly, divisor shape or packed form alive.  Walked
+    from the 8x8 hidden sum's (f1, f2) basis, every recipe reachable
+    names only `_Vec`s, and some are left unread."""
+    doc = json.loads((pathlib.Path(__file__).parent / "golden"
+                      / "quiver4.json").read_text(encoding="utf-8"))
+    table = VarTable([f"x_{i}_{j}" for i in range(1, 5)
+                      for j in range(1, 5)] + [f"y_{i}" for i in range(1, 5)])
+    basis = Ideal(table, [parse_poly(f, table)
+                          for f in doc["factors"]]).basis()
+    stack = [g.node for g in basis]
+    seen, recipes = set(), 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._recipe is None:
+            continue
+        seen.add(id(node))
+        recipes += 1
+        for m, parent, sign in node._recipe:
+            assert type(m) is Poly and sign in (1, -1)
+            assert type(parent) is _Vec
+            stack.append(parent)
+    assert recipes >= len(basis)
 
 
 def test_divide_exact_matches_reference_loop():

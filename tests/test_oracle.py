@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import blocksplit.ring
+from blocksplit.certificate import NonInclusion
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import det
 from blocksplit.oracle import (
+    JetEchelon,
     JetSpace,
     jet_member,
     jet_member_witness,
@@ -59,6 +63,8 @@ def test_jet_space_dimension():
     assert len(space.monomials) == 6
     single = JetSpace(VarTable(("x",)), 5)
     assert len(single.monomials) == 5
+    # spaces of one width and order share one monomial tuple and index
+    assert JetSpace(X12, 3).monomials is space.monomials
 
 
 def test_jet_space_is_capped():
@@ -142,3 +148,171 @@ def test_random_unimodular_det_one():
         for _ in range(10):
             U = random_unimodular(rng, XY, n)
             assert det(U) == Poly.const(XY, 1)
+
+
+class ReferenceEchelon:
+    """The rational elimination, stated plainly: each row is the Poly
+    x^mono * g truncated below N, every pivot row is made monic, and a
+    row is reduced by subtracting its entry times the monic pivot row at
+    its smallest pivot column, until none is left."""
+
+    def __init__(self, generators, table, N):
+        self.generators = tuple(generators)
+        self.space = JetSpace(table, N)
+        self.pivots = {}
+        for gi, g in enumerate(self.generators):
+            o = g.order()
+            if o is None or o >= N:
+                continue
+            for mono in self.space.monomials:
+                if sum(mono) + o >= N:
+                    continue
+                shifted = truncate(Poly(table, {mono: 1}) * g, N)
+                row, comb = self.reduce(self.space.vector(shifted),
+                                        {(gi, mono): Fraction(1)})
+                if row:
+                    scale = row[min(row)]
+                    self.pivots[min(row)] = (
+                        {c: v / scale for c, v in row.items()},
+                        {k: v / scale for k, v in comb.items()})
+
+    def reduce(self, row, comb):
+        row, comb = {c: Fraction(v) for c, v in row.items()}, dict(comb)
+        while True:
+            hits = [c for c in row if c in self.pivots]
+            if not hits:
+                return row, comb
+            factor = row[min(hits)]
+            prow, pcomb = self.pivots[min(hits)]
+            for target, source in ((row, prow), (comb, pcomb)):
+                for k, v in source.items():
+                    target[k] = target.get(k, 0) - factor * v
+                    if not target[k]:
+                        del target[k]
+
+    def witness(self, f):
+        row, comb = self.reduce(self.space.vector(f), {})
+        if row:
+            return False, None
+        cofactors = [{} for _ in self.generators]
+        for (gi, mono), coeff in comb.items():
+            cofactors[gi][mono] = -coeff
+        return True, tuple(Poly(f.table, c) for c in cofactors)
+
+    def separator(self, f):
+        row, _ = self.reduce(self.space.vector(f), {})
+        if not row:
+            return None
+        c = min(row)
+        lam = {c: Fraction(1)}
+        for p in sorted((p for p in self.pivots if p < c), reverse=True):
+            prow, _ = self.pivots[p]
+            lam[p] = -sum(v * lam.get(j, 0) for j, v in prow.items()
+                          if j != p)
+        return Poly(f.table, {self.space.monomials[j]: v
+                              for j, v in lam.items()})
+
+
+TABLES = (VarTable(("x",)), XY, VarTable(("x", "y", "z")))
+COEFFS = (1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2))
+
+
+def seeded_poly(rng, table, degree, terms):
+    """A polynomial of up to `terms` terms of degree <= `degree`, its
+    coefficients drawn from COEFFS (integers, 1/3 and -5/2)."""
+    pool = list(iter_monomials(len(table), degree + 1))
+    return Poly(table, {pool[rng.randrange(len(pool))]: rng.choice(COEFFS)
+                        for _ in range(terms)})
+
+
+def seeded_cases(seed, count):
+    """(generators, table, N, elements): ideals over 1 to 3 variables at
+    N = 1..6, whose generators include zero, constants and other units
+    besides ideals inside m, and elements tested against each."""
+    rng = random.Random(seed)
+    for n in range(count):
+        table = TABLES[n % len(TABLES)]
+        N = 1 + n % 6
+        if len(table) == 3:
+            N = min(N, 5)
+        gens = [seeded_poly(rng, table, 3, rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))]
+        kind = rng.randrange(6)
+        if kind == 0:
+            gens.append(Poly.zero(table))
+        elif kind == 1:
+            gens.append(Poly.const(table, rng.choice(COEFFS)))
+        elif kind == 2:
+            gens[0] = gens[0] + Poly.const(table, rng.choice(COEFFS))
+        elif kind == 3:
+            # no constant term: the ideal lies in m
+            gens = [g - Poly.const(table, g.constant_term()) for g in gens]
+        rng.shuffle(gens)
+        elements = [seeded_poly(rng, table, N, rng.randint(1, 5))
+                    for _ in range(4)]
+        # a combination of the generators lies in the ideal
+        elements.append(sum((seeded_poly(rng, table, 1, 2) * g
+                             for g in gens), Poly.zero(table)))
+        yield gens, table, N, elements
+
+
+def test_fraction_free_echelon_matches_the_rational_elimination():
+    """The fraction-free echelon and the rational reference have the same
+    pivot columns, each pivot row a multiple of the monic one, and give
+    the same witness and separator for every element; every functional
+    passes the certificate layer's own re-check."""
+    members = separated = 0
+    for gens, table, N, elements in seeded_cases(83, 150):
+        echelon = JetEchelon(gens, table, N)
+        reference = ReferenceEchelon(gens, table, N)
+        assert echelon.pivots.keys() == reference.pivots.keys()
+        for p, (row, _) in echelon.pivots.items():
+            monic, _ = reference.pivots[p]
+            assert {c: Fraction(v, row[p]) for c, v in row.items()} == monic
+        for f in elements:
+            assert echelon.witness(f) == reference.witness(f)
+            functional = echelon.separator(f)
+            assert functional == reference.separator(f)
+            ok, cofactors = echelon.witness(f)
+            assert ok == (functional is None)
+            if ok:
+                members += 1
+                rest = f - sum((c * g for c, g in zip(cofactors, gens)),
+                               Poly.zero(table))
+                assert truncate(rest, N).is_zero()
+            else:
+                separated += 1
+                assert NonInclusion(f, gens, N, functional).failures() == []
+    assert (members, separated) == (528, 222)
+
+
+def test_building_an_echelon_forms_no_product_and_keeps_integer_rows(
+        monkeypatch):
+    """Rows come from shifted terms: building an echelon runs no
+    `sum_of_products`, `truncate` or validating Poly constructor.  Every
+    stored pivot row and its combination hold ints, of content 1
+    together."""
+    cases = list(seeded_cases(89, 60))
+    calls = []
+
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("sum_of_products", "truncate"):
+        monkeypatch.setattr(blocksplit.ring, name,
+                            spy(name, getattr(blocksplit.ring, name)))
+    monkeypatch.setattr(Poly, "__init__", spy("Poly", Poly.__init__))
+    echelons = [JetEchelon(gens, table, N) for gens, table, N, _ in cases]
+    monkeypatch.undo()
+    assert calls == []
+    rows = 0
+    for echelon in echelons:
+        for row, comb in echelon.pivots.values():
+            entries = [*row.values(), *comb.values()]
+            assert all(type(v) is int for v in entries)
+            assert math.gcd(*entries) == 1
+            rows += 1
+    assert rows >= 300
