@@ -188,10 +188,11 @@ def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
     I_{n-1}(A); u is the product of the distinct units u_e, and u/u_e is
     divided out once per unit.  Entry (i, j) of adj(A) is (-1)^(i+j) times
     the minor g of A without row j and column i, read from `memo`, so it
-    takes the cofactors of g's inclusion times (-1)^(i+j)*u/u_e."""
+    takes the cofactors of g's inclusion times (-1)^(i+j)*u/u_e: only
+    their signs, with no product, where u/u_e is 1."""
     by_key = {inc.element.key(): inc for inc in entries}
     units = {inc.unit.key(): inc.unit for inc in entries}
-    unit = Poly.const(A.table, 1)
+    one = unit = Poly.const(A.table, 1)
     for u in units.values():
         unit = unit * u
     scales = {key: divide_exact(unit, u) for key, u in units.items()}
@@ -202,8 +203,11 @@ def _adjugate_inclusion(A: PolyMatrix, memo: dict, f1: Poly, f2: Poly,
         if g.is_zero():
             return g, g
         inc = by_key[g.key()]
-        scale = scales[inc.unit.key()] * (-1) ** (i + j)
+        scale = scales[inc.unit.key()]
         c1, c2 = inc.cofactors
+        if scale == one:
+            return (c1, c2) if (i + j) % 2 == 0 else (-c1, -c2)
+        scale = scale * (-1) ** (i + j)
         return scale * c1, scale * c2
 
     pairs = [[cofactors(i, j) for j in range(A.rows)] for i in range(A.rows)]

@@ -58,6 +58,14 @@ leaves `_interreduce`.  Every intermediate polynomial is a scalar
 multiple of the one a division over Q would hold, so pivots, pairs,
 bases and cofactors are exactly those of that division.
 
+Each element's shape is built once.  An input, or a minimal element in
+`_interreduce`, goes through the division loop only when a leading
+monomial of the others divides one of its terms (`_reducible`);
+otherwise the loop could take no step, and the element is kept as it
+is.  A kept element that is not monic is rescaled by 1 / lc, and its
+shape is derived from the one it has (`ring._monic_divisor`); only a
+remainder gets a new shape.
+
 The same engine computes Groebner bases of submodules of R^r: a vector
 is encoded as a polynomial linear in r extra position variables, and
 under an elimination order on those variables the order is position
@@ -70,7 +78,7 @@ terms at different positions (see `matrix.kernel`).
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import add, le
 from typing import Iterable
 
 from .ring import (
@@ -89,6 +97,7 @@ from .ring import (
     _mono_div,
     _mono_divides,
     _mono_lcm,
+    _monic_divisor,
     _reduce_terms,
     divide_exact,
     elimination,
@@ -129,9 +138,10 @@ class _Vec:
 
 class _Gen:
     """One basis element: poly, its leading monomial and coefficient
-    (lm, lc), and div, the shape `_reduce_terms` divides by, built once
-    here: poly as p / scale with p primitive with integer coefficients,
-    with its packed grevlex form where the table allows one.
+    (lm, lc), and div, the shape `_reduce_terms` divides by: poly as
+    p / scale with p primitive with integer coefficients, with its packed
+    grevlex form where the table allows one.  div is built here, unless
+    the caller derives it from an element that poly rescales.
 
     vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
     or None when untracked; it is read through node, the element's
@@ -145,9 +155,9 @@ class _Gen:
     __slots__ = ("poly", "lm", "lc", "div", "seq", "node")
 
     def __init__(self, poly: Poly, order: Order, vec, seq: int,
-                 recipe=None):
+                 recipe=None, div=None):
         self.poly = poly
-        self.div = _divisor(poly, order)
+        self.div = _divisor(poly, order) if div is None else div
         self.lm = self.div[0]
         self.lc = poly.terms[self.lm]
         self.seq = seq
@@ -202,6 +212,13 @@ def _reduce(f: Poly, basis: list[_Gen], order: Order, scale: int = 1):
         dict(f.terms), [g.div for g in basis], order, scale=scale)
     return Poly._trusted(table, remainder), {
         i: Poly._trusted(table, q) for i, q in quotients.items()}
+
+
+def _reducible(f: Poly, basis: list[_Gen]) -> bool:
+    """Does some leading monomial of basis divide a term of f?  Exactly
+    then does `_reduce` take a step; otherwise its remainder is f."""
+    lms = [g.lm for g in basis]
+    return any(all(map(le, lm, m)) for m in f.terms for lm in lms)
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -271,6 +288,11 @@ def _spoly_recipe(a: _Gen, b: _Gen) -> list[tuple[Poly, _Vec, int]]:
              g.node, sign) for g, sign in ((a, 1), (b, -1))]
 
 
+def _constant(table: VarTable, c: Coeff) -> Poly:
+    """The constant polynomial c, for a canonical nonzero c."""
+    return Poly._trusted(table, {(0,) * len(table): c})
+
+
 def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     """Reduced Groebner basis of the inputs; tracked (every element with
     its cofactor vector, formed on first read) exactly when the inputs
@@ -280,14 +302,14 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     G: list[_Gen] = []
     B: list[tuple[_Gen, _Gen]] = []
     for gen in inputs:
-        remainder, quotients = _reduce(gen.poly, G, order)
-        if remainder.is_zero():
-            continue
         # an input that nothing divides into is kept, with its vector
-        if quotients:
+        if _reducible(gen.poly, G):
+            remainder, quotients = _reduce(gen.poly, G, order)
+            if remainder.is_zero():
+                continue
             recipe = None
             if tracked:
-                recipe = [(Poly.const(remainder.table, 1), gen.node, 1)] + [
+                recipe = [(_constant(remainder.table, 1), gen.node, 1)] + [
                     (q, G[i].node, -1) for i, q in quotients.items()]
             gen = _Gen(remainder, order, None, gen.seq, recipe)
         G, B = _update(G, B, gen, positions)
@@ -320,7 +342,10 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
 def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
     """Minimal generators, tail-reduced against each other, leading
     coefficient 1; sorted by descending leading monomial.  An element
-    that is already reduced and monic is kept as it is."""
+    that no other leading monomial divides into is kept as it is when
+    monic, and else rescaled, its shape derived from the one it has
+    (`_monic_divisor`); only the others go through `_reduce`, and only
+    their remainders get a new shape."""
     minimal: list[_Gen] = []
     # scan by ascending leading monomial
     for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
@@ -329,18 +354,26 @@ def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
     reduced: list[_Gen] = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        remainder, quotients = _reduce(g.poly, others, order)
-        scale = _div(1, remainder.leading(order)[1])
-        if not quotients and scale == 1:
+        # no other leading monomial divides g's, so the remainder keeps
+        # g's leading term
+        scale = _div(1, g.lc)
+        if _reducible(g.poly, others):
+            remainder, quotients = _reduce(g.poly, others, order)
+            div = None
+        elif scale == 1:
             reduced.append(g)
             continue
+        else:
+            remainder, quotients = g.poly, {}
+            div = _monic_divisor(g.div)
         recipe = None
         if tracked:
             # the monic scale rides on every multiplier of the recipe
-            recipe = [(Poly.const(remainder.table, scale), g.node, 1)] + [
+            recipe = [(_constant(g.poly.table, scale), g.node, 1)] + [
                 (q * scale, others[k].node, -1)
                 for k, q in quotients.items()]
-        reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe))
+        reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe,
+                            div))
     reduced.sort(key=lambda g: order(g.lm))
     return reduced
 

@@ -1,8 +1,11 @@
-"""Helpers shared by several test modules: seeded unimodular base changes
-and local inclusion of one ideal in another, generator by generator."""
+"""Helpers shared by several test modules: seeded unimodular base changes,
+local inclusion of one ideal in another, generator by generator, and the
+benchmark's job generators."""
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 
 from blocksplit.groebner import Ideal, member_local
@@ -20,6 +23,17 @@ def _random_poly(rng: random.Random, table: VarTable, degree: int, terms: int,
         if coeff:
             acc[mono] = acc.get(mono, 0) + coeff
     return Poly(table, acc)
+
+
+def perfbench_workloads():
+    """The benchmark's job generators, `perfbench/workloads.py` (they
+    import nothing of blocksplit)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_unimodular(rng: random.Random, table: VarTable, n: int,

@@ -4,7 +4,6 @@ and of the point certificate of a non-square."""
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import json
 import pathlib
@@ -36,6 +35,7 @@ from blocksplit.cli import main
 from blocksplit.groebner import Ideal, member_local
 from blocksplit.matrix import PolyMatrix, fitting_ideal
 
+from support import perfbench_workloads
 from test_cli import EX2, LEGACY, STRING_QUIVER, golden_report, \
     legacy_report, run_json, write_doc
 
@@ -548,18 +548,8 @@ def test_an_identity_without_factors_is_refused():
         Verdict.from_json(report, XY)
 
 
-def _workloads():
-    """The benchmark's job generators (they import nothing of blocksplit)."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
-        / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _adjugate_jobs():
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     jobs = [job for job in workloads.square_grid()
             if job["expect"] == "Decomposable"]
     rng = random.Random(11)

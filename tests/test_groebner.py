@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import blocksplit.groebner
+import blocksplit.matrix
 from blocksplit.certificate import NonInclusion
 from blocksplit.groebner import (
     Ideal,
@@ -20,6 +21,9 @@ from blocksplit.groebner import (
     _buchberger,
     _combine,
     _reduce,
+    _spoly,
+    _spoly_recipe,
+    _update,
     colon,
     contains_local_unit,
     groebner_basis,
@@ -30,6 +34,7 @@ from blocksplit.groebner import (
     member_local,
     normal_form,
 )
+from blocksplit.matrix import PolyMatrix, kernel
 from blocksplit.oracle import JetEchelon
 from blocksplit.ring import (
     InvariantError,
@@ -37,6 +42,7 @@ from blocksplit.ring import (
     Poly,
     RingError,
     VarTable,
+    _divisor,
     _mono_div,
     _mono_divides,
     _mono_lcm,
@@ -47,7 +53,7 @@ from blocksplit.ring import (
     parse_poly,
 )
 
-from support import subset_local
+from support import perfbench_workloads, subset_local
 
 XY = VarTable(("x", "y"))
 X12 = VarTable(("x1", "x2"))
@@ -618,3 +624,192 @@ def test_divide_exact_matches_reference_loop():
     with pytest.raises(NonDivisibleError) as info:
         divide_exact(P("x"), P("0"))
     assert str(info.value) == "division by the zero polynomial"
+
+
+def reference_buchberger(inputs, order, positions=0):
+    """`_buchberger` by the plain rule: every input and every minimal
+    element goes through `_reduce`, and every element that the
+    interreduction reduces or rescales is rebuilt by `_Gen`, which
+    builds its shape again.  Pairs, criteria, seq and order as in the
+    engine."""
+    tracked = bool(inputs) and inputs[0].vec is not None
+    seq = len(inputs)
+    G, B = [], []
+    for gen in inputs:
+        remainder, quotients = _reduce(gen.poly, G, order)
+        if remainder.is_zero():
+            continue
+        if quotients:
+            recipe = None
+            if tracked:
+                recipe = [(Poly.const(remainder.table, 1), gen.node, 1)] + [
+                    (q, G[i].node, -1) for i, q in quotients.items()]
+            gen = _Gen(remainder, order, None, gen.seq, recipe)
+        G, B = _update(G, B, gen, positions)
+    while B:
+        pair = max(B, key=lambda ab: (order(_mono_lcm(ab[0].lm, ab[1].lm)),
+                                      -ab[0].seq, -ab[1].seq))
+        B.remove(pair)
+        s, scale = _spoly(*pair)
+        remainder, quotients = _reduce(s, G, order, scale)
+        if remainder.is_zero():
+            continue
+        recipe = None
+        if tracked:
+            recipe = _spoly_recipe(*pair) + [
+                (q, G[i].node, -1) for i, q in quotients.items()]
+        G, B = _update(G, B, _Gen(remainder, order, None, seq, recipe),
+                       positions)
+        seq += 1
+    minimal = []
+    for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
+        if not any(_mono_divides(h.lm, g.lm) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        remainder, quotients = _reduce(g.poly, others, order)
+        scale = Fraction(1) / remainder.leading(order)[1]
+        if not quotients and scale == 1:
+            reduced.append(g)
+            continue
+        recipe = None
+        if tracked:
+            recipe = [(Poly.const(remainder.table, scale), g.node, 1)] + [
+                (q * scale, others[k].node, -1)
+                for k, q in quotients.items()]
+        reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe))
+    reduced.sort(key=lambda g: order(g.lm))
+    return reduced
+
+
+def assert_same_basis(ours, theirs, order):
+    """The same polys in the same order with the same seq, the same
+    formed vectors, and every shape the one `_divisor` builds."""
+    assert [(g.poly, g.seq) for g in ours] == \
+        [(g.poly, g.seq) for g in theirs]
+    assert [g.vec for g in ours] == [g.vec for g in theirs]
+    for g in ours:
+        assert g.div == _divisor(g.poly, order)
+        assert (g.lm, g.lc) == g.poly.leading(order)
+
+
+WIDE = [VarTable(tuple(f"x{i}" for i in range(1, n + 1))) for n in range(1, 6)]
+
+
+def seeded_poly(rng, table, rational, degree=3, terms=3):
+    """One to `terms` terms of degree <= `degree`, coefficients +-1..3,
+    over 1..4 when `rational`."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        mono = [0] * len(table)
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(len(table))] += 1
+        mono = tuple(mono)
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                         rng.randint(1, 4) if rational else 1)
+        out[mono] = out.get(mono, 0) + coeff
+    return Poly(table, out)
+
+
+def engine_cases(seed, count):
+    """(inputs, order): seeded ideals over 1 to 5 variables, integer or
+    rational, tracked or not, under grevlex (packed from 4 variables on)
+    or elimination of a trailing block."""
+    rng = random.Random(seed)
+    for n in range(count):
+        table = WIDE[n % len(WIDE)]
+        k = rng.randrange(len(table))
+        order = elimination(k) if k else grevlex
+        gens = [seeded_poly(rng, table, rational=n % 2 == 1)
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()] or [P("1", table)]
+        tracked = n % 4 < 2
+        one, zero = Poly.const(table, 1), Poly.zero(table)
+        yield [_Gen(g, order, tuple(one if i == j else zero
+                                    for i in range(len(gens)))
+                    if tracked else None, j)
+               for j, g in enumerate(gens)], order
+
+
+def test_buchberger_matches_the_plain_reference(monkeypatch):
+    """Skipping the reductions that cannot divide and deriving a rescaled
+    element's shape change no basis, seq, vector or shape."""
+    derived = []
+    real = blocksplit.groebner._monic_divisor
+    monkeypatch.setattr(blocksplit.groebner, "_monic_divisor",
+                        lambda shape: derived.append(shape) or real(shape))
+    for inputs, order in engine_cases(71, 400):
+        assert_same_basis(_buchberger(inputs, order),
+                          reference_buchberger(inputs, order), order)
+    # the derived shapes include negated ones, packed ones and rational
+    # rescales
+    assert sum(d[1] < 0 for d in derived) >= 20
+    assert sum(d[4] is not None for d in derived) >= 20
+    assert sum(d[1] not in (1, -1) for d in derived) >= 20
+
+
+def test_kernel_bases_match_the_plain_reference(monkeypatch):
+    """The module case: `matrix.kernel`'s position-over-term bases."""
+    bases = []
+    real = blocksplit.matrix._buchberger
+
+    def both(inputs, order, positions=0):
+        ours = real(inputs, order, positions)
+        bases.append((ours, reference_buchberger(inputs, order, positions),
+                      order))
+        return ours
+
+    monkeypatch.setattr(blocksplit.matrix, "_buchberger", both)
+    rng = random.Random(73)
+    for n in range(40):
+        table = WIDE[n % 3]
+        rows, cols = rng.randint(1, 2), rng.randint(2, 3)
+        M = PolyMatrix(table, [[seeded_poly(rng, table, n % 2 == 1, 2, 2)
+                                for _ in range(cols)] for _ in range(rows)])
+        kernel(M)
+    assert len(bases) == 40
+    for ours, theirs, order in bases:
+        assert_same_basis(ours, theirs, order)
+
+
+def count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(blocksplit.groebner, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(blocksplit.groebner, name, counted)
+    return calls
+
+
+def test_a_principal_basis_reduces_nothing(monkeypatch):
+    """One generator: its shape is built once, rescaled to monic without
+    a second `_divisor`, and nothing is reduced."""
+    calls = count_calls(monkeypatch, "_reduce", "_divisor")
+    f = P("-2*x^2 + 4*y")
+    basis = Ideal(XY, (f,)).basis()
+    assert calls == {"_reduce": 0, "_divisor": 1}
+    assert [g.poly for g in basis] == [f * Fraction(-1, 2)]
+    assert basis[0].vec == (P("-1/2"),)
+    assert groebner_basis(Ideal(XY, (f,))) == [basis[0].poly]
+    assert calls == {"_reduce": 0, "_divisor": 2}
+
+
+def test_member_sweep_basis_call_counts(monkeypatch):
+    """The bases of local-member seed 1's 2000 ideals take these many
+    reductions and divisor shapes: an input or a minimal element is
+    reduced only when something divides into it."""
+    cases = perfbench_workloads().local_member(1, 2000)
+    ideals = []
+    for case in cases:
+        table = VarTable(case["vars"])
+        ideals.append(Ideal(table, [parse_poly(g, table)
+                                    for g in case["ideal"]]))
+    calls = count_calls(monkeypatch, "_reduce", "_divisor")
+    for I in ideals:
+        I.basis()
+    assert calls == {"_reduce": 2768, "_divisor": 5516}

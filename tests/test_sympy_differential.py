@@ -50,6 +50,8 @@ from sympy.polys.orderings import ProductOrder  # noqa: E402
 from sympy.polys.orderings import grevlex as sympy_grevlex  # noqa: E402
 
 XYZ = VarTable(("x", "y", "z"))
+X1_4 = VarTable(("x1", "x2", "x3", "x4"))
+X1_5 = VarTable(("x1", "x2", "x3", "x4", "x5"))
 
 
 def random_poly(rng, table, degree=2, terms=3):
@@ -158,18 +160,21 @@ def test_det_and_fitting_agree_with_sympy(M):
             assert set(got) == expected, j
 
 
-def random_proper_generator(rng):
-    """One to three terms of degree 1 to 3 over x, y, z: no constant
-    term, so the ideals are proper and their bases non-trivial."""
+def random_proper_generator(rng, table=XYZ, rational=False):
+    """One to three terms of degree 1 to 3: no constant term, so the
+    ideals are proper and their bases non-trivial.  Coefficients are
+    +-1..3, each over 1..4 when `rational`."""
     out = {}
     for _ in range(rng.randint(1, 3)):
-        mono = [0] * len(XYZ)
+        mono = [0] * len(table)
         for _ in range(rng.randint(1, 3)):
-            mono[rng.randrange(len(XYZ))] += 1
+            mono[rng.randrange(len(table))] += 1
         mono = tuple(mono)
-        out[mono] = out.get(mono, Fraction(0)) + rng.choice((-3, -2, -1,
-                                                             1, 2, 3))
-    return Poly(XYZ, out)
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        if rational:
+            coeff /= rng.randint(1, 4)
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return Poly(table, out)
 
 
 def trailing_block(k):
@@ -188,18 +193,24 @@ def test_reduced_groebner_basis_agrees_with_sympy(order, sympy_order):
     """Reduced bases are unique, so both must list the same monic
     polynomials.  sympy is asked over QQ: over its default ZZ it returns
     primitive integer bases, which are not monic.  The elimination orders
-    are the ones `intersect` and `kernel` run on."""
+    are the ones `intersect` and `kernel` run on.  Integer ideals over x,
+    y, z come first, then rational ones over four and five variables,
+    where grevlex reduction runs on packed monomials."""
     rng = random.Random(103)
-    symbols = sympy.symbols(XYZ.names)
-    for _ in range(30):
-        gens = [random_proper_generator(rng) for _ in range(rng.randint(2, 3))]
-        gens = [g for g in gens if not g.is_zero()] or [Poly.var(XYZ, "x")]
-        ours = groebner_basis(Ideal(XYZ, gens), order)
-        theirs = sympy.groebner([poly_to_sympy(g, symbols) for g in gens],
-                                *symbols, order=sympy_order, domain="QQ")
-        expected = [terms_of(e, symbols) for e in theirs.exprs]
-        assert sorted(sorted(g.terms.items()) for g in ours) == \
-            sorted(sorted(e.items()) for e in expected), gens
+    for table, rational, count in ((XYZ, False, 30), (X1_4, True, 20),
+                                   (X1_5, True, 20)):
+        symbols = sympy.symbols(table.names)
+        for _ in range(count):
+            gens = [random_proper_generator(rng, table, rational)
+                    for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()] or \
+                [Poly.var(table, table.names[0])]
+            ours = groebner_basis(Ideal(table, gens), order)
+            theirs = sympy.groebner([poly_to_sympy(g, symbols) for g in gens],
+                                    *symbols, order=sympy_order, domain="QQ")
+            expected = [terms_of(e, symbols) for e in theirs.exprs]
+            assert sorted(sorted(g.terms.items()) for g in ours) == \
+                sorted(sorted(e.items()) for e in expected), gens
 
 
 MEMBER_TABLES = [VarTable(("x1",)), VarTable(("x1", "x2")),
