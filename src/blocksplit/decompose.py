@@ -39,6 +39,7 @@ from .ring import (
     InvariantError,
     Poly,
     RingError,
+    _div,
     divide_exact,
     local_unit_test,
     minor,
@@ -121,12 +122,14 @@ def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
         F1 = restrict_to_line(f1, point, direction)
         if F1.degree() != f1.degree():
             continue
-        # the reduced basis in Q[t] is the monic gcd, with its cofactors
+        # the reduced basis in Q[t] is a gcd, with its cofactors; a
+        # constant gcd c gives a*F1 + b*F2 == c, scaled here to 1
         F2 = restrict_to_line(f2, point, direction)
         gcd, = Ideal(LINE, (F1, F2)).basis()
         if gcd.poly.degree() != 0:
             continue
-        return LineCoprime(f1, f2, point, direction, *gcd.vec)
+        a, b = (cof * _div(1, gcd.lc) for cof in gcd.vec)
+        return LineCoprime(f1, f2, point, direction, a, b)
     return None
 
 

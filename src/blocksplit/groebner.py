@@ -51,20 +51,22 @@ too and dropped with the element.  The division loop
 (`ring._reduce_terms`) divides by p alone, on those ints when every
 divisor and the dividend allow it, and the S-polynomial of
 two elements is built from their p's as an integer polynomial with one
-integer scale.  Rationals come back in two places: the quotients of a
-reduction, each term one exact quotient (so cofactors are the rationals
-a division over Q would give), and the reduced basis, made monic as it
-leaves `_interreduce`.  Every intermediate polynomial is a scalar
-multiple of the one a division over Q would hold, so pivots, pairs,
-bases and cofactors are exactly those of that division.
+integer scale.  Rationals come back in the quotients of a reduction,
+each term one exact quotient, so cofactors are the rationals a division
+over Q would give.  Every intermediate polynomial is a scalar multiple
+of the one a division over Q would hold, so pivots, pairs, bases and
+cofactors are exactly those of that division.
 
-Each element's shape is built once.  An input, or a minimal element in
-`_interreduce`, goes through the division loop only when a leading
-monomial of the others divides one of its terms (`_reducible`);
-otherwise the loop could take no step, and the element is kept as it
-is.  A kept element that is not monic is rescaled by 1 / lc, and its
-shape is derived from the one it has (`ring._monic_divisor`); only a
-remainder gets a new shape.
+The engine's reduced basis is not monic: each element keeps the scale
+it was made with.  A reduced basis is unique up to one constant per
+element, and a cofactor q_i * vec_i does not change when element g_i is
+scaled, so nothing the engine reads depends on the scale;
+`groebner_basis`, `matrix.kernel` and the line certificate scale to
+monic where they print or need leading coefficient 1.  Each element's
+shape is built once: an input, or a minimal element in `_interreduce`,
+goes through the division loop only when a leading monomial of the
+others divides one of its terms (`_reducible`); otherwise the loop
+could take no step, and the element is kept as it is (`_reduce_or_keep`).
 
 The same engine computes Groebner bases of submodules of R^r: a vector
 is encoded as a polynomial linear in r extra position variables, and
@@ -78,6 +80,7 @@ terms at different positions (see `matrix.kernel`).
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import add, le
 from typing import Iterable
 
@@ -97,7 +100,6 @@ from .ring import (
     _mono_div,
     _mono_divides,
     _mono_lcm,
-    _monic_divisor,
     _reduce_terms,
     divide_exact,
     elimination,
@@ -140,8 +142,7 @@ class _Gen:
     """One basis element: poly, its leading monomial and coefficient
     (lm, lc), and div, the shape `_reduce_terms` divides by: poly as
     p / scale with p primitive with integer coefficients, with its packed
-    grevlex form where the table allows one.  div is built here, unless
-    the caller derives it from an element that poly rescales.
+    grevlex form where the table allows one, built here once.
 
     vec is the cofactor vector, poly == sum(vec[j] * original_gen[j]),
     or None when untracked; it is read through node, the element's
@@ -155,9 +156,9 @@ class _Gen:
     __slots__ = ("poly", "lm", "lc", "div", "seq", "node")
 
     def __init__(self, poly: Poly, order: Order, vec, seq: int,
-                 recipe=None, div=None):
+                 recipe=None):
         self.poly = poly
-        self.div = _divisor(poly, order) if div is None else div
+        self.div = _divisor(poly, order)
         self.lm = self.div[0]
         self.lc = poly.terms[self.lm]
         self.seq = seq
@@ -221,6 +222,24 @@ def _reducible(f: Poly, basis: list[_Gen]) -> bool:
     return any(all(map(le, lm, m)) for m in f.terms for lm in lms)
 
 
+def _reduce_or_keep(gen: _Gen, basis: list[_Gen], order: Order,
+                    tracked: bool) -> _Gen | None:
+    """gen itself when nothing in basis divides into it; else its
+    remainder modulo basis as a new element with gen's seq and the
+    recipe gen's vector minus each quotient times its element's, or None
+    when the remainder is zero."""
+    if not _reducible(gen.poly, basis):
+        return gen
+    remainder, quotients = _reduce(gen.poly, basis, order)
+    if remainder.is_zero():
+        return None
+    recipe = None
+    if tracked:
+        recipe = [(_constant(remainder.table, 1), gen.node, 1)] + [
+            (q, basis[i].node, -1) for i, q in quotients.items()]
+    return _Gen(remainder, order, None, gen.seq, recipe)
+
+
 def _coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
@@ -233,19 +252,18 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
     With `positions` > 0 the last that many variables mark the positions
     of a submodule of R^positions, and h is paired only with elements
     whose leading term sits at its own position."""
-    C = [(h, g) for g in G
+    C = [g for g in G
          if not positions or g.lm[-positions:] == h.lm[-positions:]]
-    D: list[tuple[_Gen, _Gen]] = []
-    while C:
-        _, g = C.pop(0)
-        lcm_hg = _mono_lcm(h.lm, g.lm)
-        survives = _coprime(h.lm, g.lm) or not any(
-            _mono_divides(_mono_lcm(h.lm, other.lm), lcm_hg)
-            for _, other in C + D
-        )
-        if survives:
-            D.append((h, g))
-    E = [(a, b) for a, b in D if not _coprime(a.lm, b.lm)]
+    lcms = [_mono_lcm(h.lm, g.lm) for g in C]
+    # a candidate survives when h and it are coprime, or when no lcm of a
+    # later candidate or of an earlier survivor divides its own
+    D: list[int] = []
+    for i, g in enumerate(C):
+        if _coprime(h.lm, g.lm) or not any(
+                _mono_divides(lcms[j], lcms[i])
+                for j in chain(range(i + 1, len(C)), D)):
+            D.append(i)
+    E = [(h, C[i]) for i in D if not _coprime(h.lm, C[i].lm)]
     B_new: list[tuple[_Gen, _Gen]] = []
     for g1, g2 in B:
         lcm12 = _mono_lcm(g1.lm, g2.lm)
@@ -302,17 +320,9 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     G: list[_Gen] = []
     B: list[tuple[_Gen, _Gen]] = []
     for gen in inputs:
-        # an input that nothing divides into is kept, with its vector
-        if _reducible(gen.poly, G):
-            remainder, quotients = _reduce(gen.poly, G, order)
-            if remainder.is_zero():
-                continue
-            recipe = None
-            if tracked:
-                recipe = [(_constant(remainder.table, 1), gen.node, 1)] + [
-                    (q, G[i].node, -1) for i, q in quotients.items()]
-            gen = _Gen(remainder, order, None, gen.seq, recipe)
-        G, B = _update(G, B, gen, positions)
+        gen = _reduce_or_keep(gen, G, order, tracked)
+        if gen is not None:
+            G, B = _update(G, B, gen, positions)
     while B:
         # smallest lcm first, then the lowest (a.seq, b.seq); `order` sorts
         # the largest monomial first, so the pair wanted has the largest
@@ -340,40 +350,17 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
 
 
 def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
-    """Minimal generators, tail-reduced against each other, leading
-    coefficient 1; sorted by descending leading monomial.  An element
-    that no other leading monomial divides into is kept as it is when
-    monic, and else rescaled, its shape derived from the one it has
-    (`_monic_divisor`); only the others go through `_reduce`, and only
-    their remainders get a new shape."""
+    """Minimal generators, tail-reduced against each other and not made
+    monic; sorted by descending leading monomial.  No other leading
+    monomial divides a minimal element's, so its remainder keeps its
+    leading term and is never zero."""
     minimal: list[_Gen] = []
     # scan by ascending leading monomial
     for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
         if not any(_mono_divides(h.lm, g.lm) for h in minimal):
             minimal.append(g)
-    reduced: list[_Gen] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        # no other leading monomial divides g's, so the remainder keeps
-        # g's leading term
-        scale = _div(1, g.lc)
-        if _reducible(g.poly, others):
-            remainder, quotients = _reduce(g.poly, others, order)
-            div = None
-        elif scale == 1:
-            reduced.append(g)
-            continue
-        else:
-            remainder, quotients = g.poly, {}
-            div = _monic_divisor(g.div)
-        recipe = None
-        if tracked:
-            # the monic scale rides on every multiplier of the recipe
-            recipe = [(_constant(g.poly.table, scale), g.node, 1)] + [
-                (q * scale, others[k].node, -1)
-                for k, q in quotients.items()]
-        reduced.append(_Gen(remainder * scale, order, None, g.seq, recipe,
-                            div))
+    reduced = [_reduce_or_keep(g, minimal[:i] + minimal[i + 1:], order,
+                               tracked) for i, g in enumerate(minimal)]
     reduced.sort(key=lambda g: order(g.lm))
     return reduced
 
@@ -404,8 +391,9 @@ class Ideal:
         return len(self.generators) == 1 and self.generators[0].is_zero()
 
     def basis(self) -> list[_Gen]:
-        """The reduced grevlex Groebner basis, each element with its
-        cofactor vector over the generators; computed on the first call.
+        """The reduced grevlex Groebner basis, not monic (see the module
+        docstring), each element with its cofactor vector over the
+        generators; computed on the first call.
         Each input's unit vector is built from one shared zero and one
         shared one; the other elements' vectors are formed when first
         read (see `_Gen`)."""
@@ -423,10 +411,11 @@ class Ideal:
 
 
 def groebner_basis(I: Ideal, order: Order = grevlex) -> list[Poly]:
-    """Reduced Groebner basis of I under `order`, a monomial sort key."""
+    """Reduced Groebner basis of I under `order`, a monomial sort key,
+    each element monic."""
     if I.is_zero():
         return []
-    return [g.poly for g in _buchberger(
+    return [g.poly * _div(1, g.lc) for g in _buchberger(
         [_Gen(g, order, None, j) for j, g in enumerate(I.generators)], order)]
 
 

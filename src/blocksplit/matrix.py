@@ -21,7 +21,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .ring import (InvariantError, Poly, RingError, TableMismatchError,
-                   VarTable, elimination, minor, sum_of_products)
+                   VarTable, _div, elimination, minor, sum_of_products)
 from .groebner import Ideal, _Gen, _buchberger
 
 
@@ -191,8 +191,10 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
         if g.lm.index(1, width) - width < m:
             continue
         parts: list[dict] = [{} for _ in range(m + n)]
+        # the engine's basis is not monic; the column is
         for mono, coeff in g.poly.terms.items():
-            parts[mono.index(1, width) - width][mono[:width]] = coeff
+            parts[mono.index(1, width) - width][mono[:width]] = \
+                _div(coeff, g.lc)
         v = tuple(Poly._trusted(table, p) for p in parts[m:])
         residual = M.apply(v)
         if any(not p.is_zero() for p in residual):

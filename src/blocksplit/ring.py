@@ -989,21 +989,6 @@ def _divisor(g: Poly, order: Order = grevlex):
     return lm, lc, tail, scale, packed
 
 
-def _monic_divisor(shape):
-    """`_divisor(g / lc(g))` from `shape`, g's divisor shape, with no
-    pass over g: g == p / scale makes g / lc(g) == p / lc.  `_divisor`
-    keeps p primitive and scale positive, so the new shape is p, negated
-    when lc < 0, over |lc|."""
-    lm, lc, tail, _, packed = shape
-    if lc < 0:
-        lc, tail = -lc, tuple((m, -c) for m, c in tail)
-        if packed is not None:
-            packed = (packed[0], lc, tuple((m, -c) for m, c in packed[2]))
-    if packed is not None:
-        packed = packed[:3] + (lc,)
-    return lm, lc, tail, lc, packed
-
-
 def divide(dividends: Sequence[Poly], g: Poly) -> list[tuple[Poly, Poly]]:
     """(q, r) with f == q*g + r for each f of `dividends`, by the division
     loop under grevlex: no term of r is divisible by g's leading monomial.

@@ -20,10 +20,10 @@ from blocksplit.groebner import (
     _Vec,
     _buchberger,
     _combine,
+    _coprime,
     _reduce,
     _spoly,
     _spoly_recipe,
-    _update,
     colon,
     contains_local_unit,
     groebner_basis,
@@ -553,7 +553,7 @@ def test_tracked_basis_vectors_rebuild_their_elements():
     another, they are the same tuples, and no recipe is left."""
     rng = random.Random(67)
     rebuilt = lazy = 0
-    for _ in range(60):
+    for _ in range(100):
         table = (XY, XYZ)[rng.randrange(2)]
         I = random_ideal(rng, table)
         twin = Ideal(table, I.generators)
@@ -626,12 +626,44 @@ def test_divide_exact_matches_reference_loop():
     assert str(info.value) == "division by the zero polynomial"
 
 
-def reference_buchberger(inputs, order, positions=0):
+def reference_update(G, B, h, positions):
+    """The Gebauer-Moeller update as first written, before `_update`
+    kept one lcm per element of G: each candidate pairing recomputes its
+    lcms and is tested against a concatenated list."""
+    C = [(h, g) for g in G
+         if not positions or g.lm[-positions:] == h.lm[-positions:]]
+    D = []
+    while C:
+        _, g = C.pop(0)
+        lcm_hg = _mono_lcm(h.lm, g.lm)
+        survives = _coprime(h.lm, g.lm) or not any(
+            _mono_divides(_mono_lcm(h.lm, other.lm), lcm_hg)
+            for _, other in C + D
+        )
+        if survives:
+            D.append((h, g))
+    E = [(a, b) for a, b in D if not _coprime(a.lm, b.lm)]
+    B_new = []
+    for g1, g2 in B:
+        lcm12 = _mono_lcm(g1.lm, g2.lm)
+        if (
+            not _mono_divides(h.lm, lcm12)
+            or _mono_lcm(g1.lm, h.lm) == lcm12
+            or _mono_lcm(h.lm, g2.lm) == lcm12
+        ):
+            B_new.append((g1, g2))
+    B_new.extend(E)
+    G_new = [g for g in G if not _mono_divides(h.lm, g.lm)]
+    G_new.append(h)
+    return G_new, B_new
+
+
+def reference_buchberger(inputs, order, positions=0, monic=False):
     """`_buchberger` by the plain rule: every input and every minimal
-    element goes through `_reduce`, and every element that the
-    interreduction reduces or rescales is rebuilt by `_Gen`, which
-    builds its shape again.  Pairs, criteria, seq and order as in the
-    engine."""
+    element goes through `_reduce`, and pairs are updated by
+    `reference_update`.  seq and order as in the engine.  With `monic`,
+    the interreduction also rescales each element by 1 / lc, its
+    recipe's multipliers with it, as the engine once did."""
     tracked = bool(inputs) and inputs[0].vec is not None
     seq = len(inputs)
     G, B = [], []
@@ -645,7 +677,7 @@ def reference_buchberger(inputs, order, positions=0):
                 recipe = [(Poly.const(remainder.table, 1), gen.node, 1)] + [
                     (q, G[i].node, -1) for i, q in quotients.items()]
             gen = _Gen(remainder, order, None, gen.seq, recipe)
-        G, B = _update(G, B, gen, positions)
+        G, B = reference_update(G, B, gen, positions)
     while B:
         pair = max(B, key=lambda ab: (order(_mono_lcm(ab[0].lm, ab[1].lm)),
                                       -ab[0].seq, -ab[1].seq))
@@ -658,8 +690,8 @@ def reference_buchberger(inputs, order, positions=0):
         if tracked:
             recipe = _spoly_recipe(*pair) + [
                 (q, G[i].node, -1) for i, q in quotients.items()]
-        G, B = _update(G, B, _Gen(remainder, order, None, seq, recipe),
-                       positions)
+        G, B = reference_update(
+            G, B, _Gen(remainder, order, None, seq, recipe), positions)
         seq += 1
     minimal = []
     for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
@@ -669,7 +701,7 @@ def reference_buchberger(inputs, order, positions=0):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         remainder, quotients = _reduce(g.poly, others, order)
-        scale = Fraction(1) / remainder.leading(order)[1]
+        scale = Fraction(1) / remainder.leading(order)[1] if monic else 1
         if not quotients and scale == 1:
             reduced.append(g)
             continue
@@ -692,6 +724,17 @@ def assert_same_basis(ours, theirs, order):
     for g in ours:
         assert g.div == _divisor(g.poly, order)
         assert (g.lm, g.lc) == g.poly.leading(order)
+
+
+def assert_monic_rescale(ours, monic):
+    """The basis of the old monic rule is ours with each element, and its
+    vector, scaled by 1 / lc."""
+    scales = [Fraction(1) / g.lc for g in ours]
+    assert [g.poly for g in monic] == [
+        g.poly * k for g, k in zip(ours, scales)]
+    if ours and ours[0].vec is not None:
+        assert [g.vec for g in monic] == [
+            tuple(c * k for c in g.vec) for g, k in zip(ours, scales)]
 
 
 WIDE = [VarTable(tuple(f"x{i}" for i in range(1, n + 1))) for n in range(1, 6)]
@@ -733,20 +776,24 @@ def engine_cases(seed, count):
 
 
 def test_buchberger_matches_the_plain_reference(monkeypatch):
-    """Skipping the reductions that cannot divide and deriving a rescaled
-    element's shape change no basis, seq, vector or shape."""
-    derived = []
-    real = blocksplit.groebner._monic_divisor
-    monkeypatch.setattr(blocksplit.groebner, "_monic_divisor",
-                        lambda shape: derived.append(shape) or real(shape))
+    """Skipping the reductions that cannot divide, one reduce-or-keep
+    step and one lcm per element of G in the pair update change no
+    basis, seq, vector or shape; the old monic rule's basis is the same
+    one scaled to lc 1.  Every pair update keeps the elements and pairs,
+    in order, that the plain update keeps."""
+    real = blocksplit.groebner._update
+
+    def checked(G, B, h, positions):
+        out = real(G, B, h, positions)
+        assert out == reference_update(G, B, h, positions)
+        return out
+
+    monkeypatch.setattr(blocksplit.groebner, "_update", checked)
     for inputs, order in engine_cases(71, 400):
-        assert_same_basis(_buchberger(inputs, order),
-                          reference_buchberger(inputs, order), order)
-    # the derived shapes include negated ones, packed ones and rational
-    # rescales
-    assert sum(d[1] < 0 for d in derived) >= 20
-    assert sum(d[4] is not None for d in derived) >= 20
-    assert sum(d[1] not in (1, -1) for d in derived) >= 20
+        ours = _buchberger(inputs, order)
+        assert_same_basis(ours, reference_buchberger(inputs, order), order)
+        assert_monic_rescale(ours,
+                             reference_buchberger(inputs, order, monic=True))
 
 
 def test_kernel_bases_match_the_plain_reference(monkeypatch):
@@ -757,6 +804,7 @@ def test_kernel_bases_match_the_plain_reference(monkeypatch):
     def both(inputs, order, positions=0):
         ours = real(inputs, order, positions)
         bases.append((ours, reference_buchberger(inputs, order, positions),
+                      reference_buchberger(inputs, order, positions, True),
                       order))
         return ours
 
@@ -769,8 +817,9 @@ def test_kernel_bases_match_the_plain_reference(monkeypatch):
                                 for _ in range(cols)] for _ in range(rows)])
         kernel(M)
     assert len(bases) == 40
-    for ours, theirs, order in bases:
+    for ours, theirs, monic, order in bases:
         assert_same_basis(ours, theirs, order)
+        assert_monic_rescale(ours, monic)
 
 
 def count_calls(monkeypatch, *names):
@@ -787,15 +836,15 @@ def count_calls(monkeypatch, *names):
 
 
 def test_a_principal_basis_reduces_nothing(monkeypatch):
-    """One generator: its shape is built once, rescaled to monic without
-    a second `_divisor`, and nothing is reduced."""
+    """One generator: the basis is the generator itself, its shape built
+    once and nothing reduced; `groebner_basis` scales it to monic."""
     calls = count_calls(monkeypatch, "_reduce", "_divisor")
     f = P("-2*x^2 + 4*y")
     basis = Ideal(XY, (f,)).basis()
     assert calls == {"_reduce": 0, "_divisor": 1}
-    assert [g.poly for g in basis] == [f * Fraction(-1, 2)]
-    assert basis[0].vec == (P("-1/2"),)
-    assert groebner_basis(Ideal(XY, (f,))) == [basis[0].poly]
+    assert [g.poly for g in basis] == [f]
+    assert basis[0].vec == (P("1"),)
+    assert groebner_basis(Ideal(XY, (f,))) == [f * Fraction(-1, 2)]
     assert calls == {"_reduce": 0, "_divisor": 2}
 
 

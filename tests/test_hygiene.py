@@ -283,9 +283,8 @@ def test_verdicts_are_built_only_by_the_runner_and_the_report_reader():
                      "decompose.py: _decide"]
 
 
-# the division loop, the builder of its divisor shape, and the helper that
-# rescales a shape
-DIVISION_LOOP = frozenset({"_reduce_terms", "_divisor", "_monic_divisor"})
+# the division loop and the builder of its divisor shape
+DIVISION_LOOP = frozenset({"_reduce_terms", "_divisor"})
 
 
 def division_loop_names(source: str) -> list[str]:
@@ -303,13 +302,12 @@ def division_loop_names(source: str) -> list[str]:
 
 
 def test_scanner_finds_a_division_loop_name():
-    source = ("from .ring import _divisor, _monic_divisor, divide_exact\n"
+    source = ("from .ring import _divisor, divide_exact\n"
               "import blocksplit.ring as ring\n"
               "r, q = ring._reduce_terms(t, (_divisor(g),), key)\n"
               "_reduce = divide_exact\n")
     assert division_loop_names(source) == [
-        "line 1: _divisor", "line 1: _monic_divisor",
-        "line 3: _reduce_terms", "line 3: _divisor"]
+        "line 1: _divisor", "line 3: _reduce_terms", "line 3: _divisor"]
 
 
 def test_only_the_groebner_engine_drives_the_division_loop():
