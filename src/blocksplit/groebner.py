@@ -30,7 +30,10 @@ certificate an answer carries, never the answer.
 
 Pair handling in Buchberger follows the Gebauer-Moeller installation
 (both classical criteria), with deterministic tie-breaking so repeated
-runs produce identical bases.
+runs produce identical bases.  Each pair is built once, as a record
+with its lcm and selection key (`_update`).  An element enters G reduced
+against G, and those whose leading monomial it divides leave, so G stays
+minimal and `_interreduce` has only tails to reduce.
 
 Cofactor vectors are formed on demand.  A tracked basis element keeps
 a recipe for its vector, the S-pair scalings and reduction quotients
@@ -63,10 +66,9 @@ element, and a cofactor q_i * vec_i does not change when element g_i is
 scaled, so nothing the engine reads depends on the scale;
 `groebner_basis`, `matrix.kernel` and the line certificate scale to
 monic where they print or need leading coefficient 1.  Each element's
-shape is built once: an input, or a minimal element in `_interreduce`,
-goes through the division loop only when a leading monomial of the
-others divides one of its terms (`_reducible`); otherwise the loop
-could take no step, and the element is kept as it is (`_reduce_or_keep`).
+shape is built once: an input, or an element in `_interreduce`, is
+reduced only when a leading monomial of the others divides one of its
+terms (`_reducible`), and is otherwise kept as it is (`_reduce_or_keep`).
 
 The same engine computes Groebner bases of submodules of R^r: a vector
 is encoded as a polynomial linear in r extra position variables, and
@@ -244,10 +246,15 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
+def _update(G: list[_Gen], B: list[tuple], h: _Gen, order: Order,
             positions: int):
     """Gebauer-Moeller pair update: fold h into (G, B) applying both
     Buchberger criteria.  Deterministic: all queues are ordered lists.
+
+    A pair is built once, as the record (key, lcm, a, b) with a the
+    newer element, lcm = lcm(a.lm, b.lm) and key = (order(lcm), -a.seq,
+    -b.seq).  h enters G reduced against it and the elements whose
+    leading monomial h's divides leave, so G stays minimal.
 
     With `positions` > 0 the last that many variables mark the positions
     of a submodule of R^positions, and h is paired only with elements
@@ -256,34 +263,27 @@ def _update(G: list[_Gen], B: list[tuple[_Gen, _Gen]], h: _Gen,
          if not positions or g.lm[-positions:] == h.lm[-positions:]]
     lcms = [_mono_lcm(h.lm, g.lm) for g in C]
     # a candidate survives when h and it are coprime, or when no lcm of a
-    # later candidate or of an earlier survivor divides its own
+    # later candidate or of an earlier survivor divides its own; a
+    # coprime survivor makes no pair
     D: list[int] = []
+    E: list[tuple] = []
     for i, g in enumerate(C):
-        if _coprime(h.lm, g.lm) or not any(
-                _mono_divides(lcms[j], lcms[i])
-                for j in chain(range(i + 1, len(C)), D)):
+        if _coprime(h.lm, g.lm):
             D.append(i)
-    E = [(h, C[i]) for i in D if not _coprime(h.lm, C[i].lm)]
-    B_new: list[tuple[_Gen, _Gen]] = []
-    for g1, g2 in B:
-        lcm12 = _mono_lcm(g1.lm, g2.lm)
-        if (
-            not _mono_divides(h.lm, lcm12)
-            or _mono_lcm(g1.lm, h.lm) == lcm12
-            or _mono_lcm(h.lm, g2.lm) == lcm12
-        ):
-            B_new.append((g1, g2))
-    B_new.extend(E)
-    G_new = [g for g in G if not _mono_divides(h.lm, g.lm)]
-    G_new.append(h)
-    return G_new, B_new
+        elif not any(_mono_divides(lcms[j], lcms[i])
+                     for j in chain(range(i + 1, len(C)), D)):
+            D.append(i)
+            E.append(((order(lcms[i]), -h.seq, -g.seq), lcms[i], h, g))
+    B = [pair for pair in B if not _mono_divides(h.lm, pair[1])
+         or _mono_lcm(pair[2].lm, h.lm) == pair[1]
+         or _mono_lcm(h.lm, pair[3].lm) == pair[1]]
+    return [g for g in G if not _mono_divides(h.lm, g.lm)] + [h], B + E
 
 
-def _spoly(a: _Gen, b: _Gen):
-    """S-polynomial of a and b as (S, scale): the S-polynomial is
-    S / scale, S with integer coefficients built from the primitive
-    forms alone."""
-    lcm = _mono_lcm(a.lm, b.lm)
+def _spoly(a: _Gen, b: _Gen, lcm: Monomial):
+    """S-polynomial of a and b, lcm = lcm(a.lm, b.lm), as (S, scale):
+    the S-polynomial is S / scale, S with integer coefficients built
+    from the primitive forms alone."""
     ua, ub = _mono_div(lcm, a.lm), _mono_div(lcm, b.lm)
     _, lc_a, tail_a, _, _ = a.div
     _, lc_b, tail_b, _, _ = b.div
@@ -297,11 +297,10 @@ def _spoly(a: _Gen, b: _Gen):
     return Poly._trusted(a.poly.table, terms), ka * lc_a
 
 
-def _spoly_recipe(a: _Gen, b: _Gen) -> list[tuple[Poly, _Vec, int]]:
+def _spoly_recipe(a: _Gen, b: _Gen, lcm: Monomial):
     """The S-polynomial's vector as a recipe: x^ua / lc(a) times a's
-    vector minus x^ub / lc(b) times b's."""
+    vector minus x^ub / lc(b) times b's, lcm = x^ua * a.lm = x^ub * b.lm."""
     table = a.poly.table
-    lcm = _mono_lcm(a.lm, b.lm)
     return [(Poly._trusted(table, {_mono_div(lcm, g.lm): _div(1, g.lc)}),
              g.node, sign) for g, sign in ((a, 1), (b, -1))]
 
@@ -318,51 +317,40 @@ def _buchberger(inputs: list[_Gen], order: Order, positions: int = 0):
     tracked = bool(inputs) and inputs[0].vec is not None
     seq = len(inputs)
     G: list[_Gen] = []
-    B: list[tuple[_Gen, _Gen]] = []
+    B: list[tuple] = []
     for gen in inputs:
         gen = _reduce_or_keep(gen, G, order, tracked)
         if gen is not None:
-            G, B = _update(G, B, gen, positions)
+            G, B = _update(G, B, gen, order, positions)
     while B:
         # smallest lcm first, then the lowest (a.seq, b.seq); `order` sorts
         # the largest monomial first, so the pair wanted has the largest
-        pair = max(
-            B,
-            key=lambda ab: (
-                order(_mono_lcm(ab[0].lm, ab[1].lm)),
-                -ab[0].seq,
-                -ab[1].seq,
-            ),
-        )
+        # key.  No two keys are equal: every element has its own seq.
+        pair = max(B)
         B.remove(pair)
-        s, scale = _spoly(*pair)
+        _, lcm, a, b = pair
+        s, scale = _spoly(a, b, lcm)
         remainder, quotients = _reduce(s, G, order, scale)
         if remainder.is_zero():
             continue
         recipe = None
         if tracked:
-            recipe = _spoly_recipe(*pair) + [
+            recipe = _spoly_recipe(a, b, lcm) + [
                 (q, G[i].node, -1) for i, q in quotients.items()]
         h = _Gen(remainder, order, None, seq, recipe)
-        G, B = _update(G, B, h, positions)
+        G, B = _update(G, B, h, order, positions)
         seq += 1
     return _interreduce(G, order, tracked)
 
 
 def _interreduce(G: list[_Gen], order: Order, tracked: bool) -> list[_Gen]:
-    """Minimal generators, tail-reduced against each other and not made
-    monic; sorted by descending leading monomial.  No other leading
-    monomial divides a minimal element's, so its remainder keeps its
-    leading term and is never zero."""
-    minimal: list[_Gen] = []
-    # scan by ascending leading monomial
-    for g in sorted(G, key=lambda g: order(g.lm), reverse=True):
-        if not any(_mono_divides(h.lm, g.lm) for h in minimal):
-            minimal.append(g)
-    reduced = [_reduce_or_keep(g, minimal[:i] + minimal[i + 1:], order,
-                               tracked) for i, g in enumerate(minimal)]
-    reduced.sort(key=lambda g: order(g.lm))
-    return reduced
+    """G, each element tail-reduced against the others and not made
+    monic, by descending leading monomial.  G is minimal (`_update`), so
+    an element's remainder keeps its leading term and is never zero."""
+    # reduce by ascending leading monomial, against the others so sorted
+    G = sorted(G, key=lambda g: order(g.lm), reverse=True)
+    return [_reduce_or_keep(g, G[:i] + G[i + 1:], order, tracked)
+            for i, g in enumerate(G)][::-1]
 
 
 class Ideal:

@@ -167,7 +167,8 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
     trailing variables (position over term, lower position first, grevlex
     inside a position) the first block ranks above the second, so the
     elements of the Groebner basis whose leading position lies in the
-    second block are supported there and generate the kernel.
+    second block are supported there and generate the kernel; their
+    distinct leading monomials make the columns distinct.
     """
     table = M.table
     m, n = M.rows, M.cols
@@ -186,7 +187,6 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
         inputs.append(_Gen(Poly._trusted(ext, terms), order, None, j))
 
     columns = []
-    seen = set()
     for g in _buchberger(inputs, order, positions=m + n):
         if g.lm.index(1, width) - width < m:
             continue
@@ -199,9 +199,6 @@ def kernel(M: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
         residual = M.apply(v)
         if any(not p.is_zero() for p in residual):
             raise InvariantError("kernel generator failed exact re-check")
-        key = tuple(p.key() for p in v)
-        if key not in seen:
-            seen.add(key)
-            columns.append(v)
+        columns.append(v)
     columns.sort(key=lambda v: tuple(p.key() for p in v))
     return tuple(columns)

@@ -682,13 +682,14 @@ def reference_buchberger(inputs, order, positions=0, monic=False):
         pair = max(B, key=lambda ab: (order(_mono_lcm(ab[0].lm, ab[1].lm)),
                                       -ab[0].seq, -ab[1].seq))
         B.remove(pair)
-        s, scale = _spoly(*pair)
+        lcm = _mono_lcm(pair[0].lm, pair[1].lm)
+        s, scale = _spoly(*pair, lcm)
         remainder, quotients = _reduce(s, G, order, scale)
         if remainder.is_zero():
             continue
         recipe = None
         if tracked:
-            recipe = _spoly_recipe(*pair) + [
+            recipe = _spoly_recipe(*pair, lcm) + [
                 (q, G[i].node, -1) for i, q in quotients.items()]
         G, B = reference_update(
             G, B, _Gen(remainder, order, None, seq, recipe), positions)
@@ -777,16 +778,24 @@ def engine_cases(seed, count):
 
 def test_buchberger_matches_the_plain_reference(monkeypatch):
     """Skipping the reductions that cannot divide, one reduce-or-keep
-    step and one lcm per element of G in the pair update change no
-    basis, seq, vector or shape; the old monic rule's basis is the same
-    one scaled to lc 1.  Every pair update keeps the elements and pairs,
-    in order, that the plain update keeps."""
+    step, one lcm per element of G in the pair update, pairs built once
+    with their lcm and key, and no minimality scan change no basis, seq,
+    vector or shape; the old monic rule's basis is the same one scaled
+    to lc 1.  Every pair update keeps the elements and pairs, in order,
+    that the plain update keeps, each pair's record holds its own lcm
+    and key, and the leading monomials of G stay an antichain."""
     real = blocksplit.groebner._update
 
-    def checked(G, B, h, positions):
-        out = real(G, B, h, positions)
-        assert out == reference_update(G, B, h, positions)
-        return out
+    def checked(G, B, h, order, positions):
+        G_new, B_new = real(G, B, h, order, positions)
+        assert (G_new, [(a, b) for _, _, a, b in B_new]) == reference_update(
+            G, [(a, b) for _, _, a, b in B], h, positions)
+        for key, lcm, a, b in B_new:
+            assert lcm == _mono_lcm(a.lm, b.lm)
+            assert key == (order(lcm), -a.seq, -b.seq)
+        assert not any(_mono_divides(g.lm, k.lm)
+                       for g in G_new for k in G_new if g is not k)
+        return G_new, B_new
 
     monkeypatch.setattr(blocksplit.groebner, "_update", checked)
     for inputs, order in engine_cases(71, 400):
@@ -797,7 +806,8 @@ def test_buchberger_matches_the_plain_reference(monkeypatch):
 
 
 def test_kernel_bases_match_the_plain_reference(monkeypatch):
-    """The module case: `matrix.kernel`'s position-over-term bases."""
+    """The module case: `matrix.kernel`'s position-over-term bases, and
+    its columns pairwise distinct without a dedupe set."""
     bases = []
     real = blocksplit.matrix._buchberger
 
@@ -815,7 +825,9 @@ def test_kernel_bases_match_the_plain_reference(monkeypatch):
         rows, cols = rng.randint(1, 2), rng.randint(2, 3)
         M = PolyMatrix(table, [[seeded_poly(rng, table, n % 2 == 1, 2, 2)
                                 for _ in range(cols)] for _ in range(rows)])
-        kernel(M)
+        columns = kernel(M)
+        assert len({tuple(p.key() for p in v) for v in columns}) == \
+            len(columns)
     assert len(bases) == 40
     for ours, theirs, monic, order in bases:
         assert_same_basis(ours, theirs, order)
@@ -850,15 +862,16 @@ def test_a_principal_basis_reduces_nothing(monkeypatch):
 
 def test_member_sweep_basis_call_counts(monkeypatch):
     """The bases of local-member seed 1's 2000 ideals take these many
-    reductions and divisor shapes: an input or a minimal element is
-    reduced only when something divides into it."""
+    reductions, divisor shapes and monomial lcms: an input or a minimal
+    element is reduced only when something divides into it, and a pair's
+    lcm is computed once, when the pair is built."""
     cases = perfbench_workloads().local_member(1, 2000)
     ideals = []
     for case in cases:
         table = VarTable(case["vars"])
         ideals.append(Ideal(table, [parse_poly(g, table)
                                     for g in case["ideal"]]))
-    calls = count_calls(monkeypatch, "_reduce", "_divisor")
+    calls = count_calls(monkeypatch, "_reduce", "_divisor", "_mono_lcm")
     for I in ideals:
         I.basis()
-    assert calls == {"_reduce": 2768, "_divisor": 5516}
+    assert calls == {"_reduce": 2768, "_divisor": 5516, "_mono_lcm": 4005}
