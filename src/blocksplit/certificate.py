@@ -9,7 +9,7 @@ re-expanding; an adjugate inclusion unit*adj(A) == f1*C1 + f2*C2, which
 puts every (n-1)-minor of A in (f1, f2) at once and implies det(A) ==
 f1*f2, by the entries of one matrix product, each split by a quotient by
 f2 that the check need not trust, and one (n-1)-minor that pins det(A)
-(det(A) itself is expanded only to word a failure); a line certificate
+(det(A) and f1*f2 themselves are never formed); a line certificate
 that f1 and f2 are coprime, a*f1 + b*f2 == 1 on a line p + c*t along
 which f1 keeps its degree, by restricting both factors to the line and
 two univariate products; a point certificate that a polynomial f is not
@@ -504,16 +504,17 @@ class AdjugateInclusion:
     identity: unit*adj(A) == f1*C1 + f2*C2, with unit invertible at 0.
     Exact only.
 
-    adj(A) is never formed, and det(A) only to word a failure.  With
-    f1*f2 != 0 and M = f1*C1 + f2*C2, first A*M == unit*f1*f2*I = c*I
-    must hold.  As c != 0, A is invertible over the fraction field, and
-    Cramer's rule adj(A) = det(A)*A^-1 gives M = (c/det(A))*adj(A).  So
-    for the first nonzero entry M_ij, which exists as M != 0, M_ij ==
-    unit*adj(A)_ij, one signed (n-1)-minor (1 for n = 1), holds exactly
-    when det(A) == f1*f2; then M = unit*adj(A), and the entries of adj(A)
-    are the signed (n-1)-minors that generate I_{n-1}(A).  A failed
-    product is reported as det(A) != f1*f2 when it is one, which takes
-    the full expansion.
+    Neither adj(A), det(A) nor f1*f2 is formed.  With f1 and f2 nonzero,
+    so f1*f2 != 0 as Q[x] is a domain, and M = f1*C1 + f2*C2, first
+    A*M == unit*f1*f2*I = c*I must hold.  As c != 0, A is invertible
+    over the fraction field, and Cramer's rule adj(A) = det(A)*A^-1
+    gives M = (c/det(A))*adj(A).  So for the first nonzero entry M_ij,
+    which exists as M != 0, M_ij == unit*adj(A)_ij, one signed
+    (n-1)-minor (1 for n = 1), holds exactly when det(A) == f1*f2; then
+    M = unit*adj(A), and the entries of adj(A) are the signed
+    (n-1)-minors that generate I_{n-1}(A).  A failed product is reported
+    as one, whatever det(A) is, and only a product that holds reaches
+    the pin.
 
     Entry (i, j) of that product is checked without multiplying A*C1 and
     A*C2 by the factors.  With P and Q the entries of A*C1 and A*C2, and
@@ -552,16 +553,14 @@ class AdjugateInclusion:
             self.f1._check(p)
         if not local_unit_test(self.unit):
             return [f"{name}: the unit has zero constant term"]
-        det = self.f1 * self.f2
-        if det.is_zero():
+        if self.f1.is_zero() or self.f2.is_zero():
             return [f"{name}: f1*f2 is zero"]
-        full = tuple(range(n))
         # the entries P of A*C1, divided by f2 at once; s is formed as
         # one sum, with Q's row products in it
         unit, flat = _cleared(self.unit, [e for C in (self.c1, self.c2)
                                           for row in C for e in row])
         c1, c2 = flat[:n * n], flat[n * n:]
-        table, f1, f2 = det.table, self.f1, self.f2
+        table, f1, f2 = self.f1.table, self.f1, self.f2
         zero = Poly.zero(table)
         AC1 = [sum_of_products(table, [(a, c, 1) for a, c in
                                        zip(row, c1[j::n]) if c.terms])
@@ -581,8 +580,6 @@ class AdjugateInclusion:
                 continue
             if not r.terms or not s.terms or sum_of_products(
                     table, [(f1, r, 1), (f2, s, 1)]).terms:
-                if minor(A, {}, full, full) != det:
-                    return [f"{name}: det(A) does not equal f1*f2"]
                 return [f"{name}: A*(f1*C1 + f2*C2) does not equal "
                         "unit*f1*f2*I"]
         # the product holds: the first nonzero entry of M pins det(A)
@@ -591,6 +588,7 @@ class AdjugateInclusion:
             if m.terms:
                 break
         i, j = divmod(k, n)
+        full = tuple(range(n))
         adj = Poly.const(table, 1) if n == 1 else minor(
             A, {}, full[:j] + full[j + 1:], full[:i] + full[i + 1:])
         if unit * adj != (-1) ** (i + j) * m:

@@ -464,9 +464,9 @@ def member_local(f: Poly, I: Ideal):
     """Does f lie in I after localizing at the origin?
 
     Returns (True, Inclusion) or (False, NonInclusion or None) by the
-    route of the module docstring.  The local-unit no and the colon's no
-    carry no certificate; a colon unit and a jet functional are
-    re-checked before they are returned.
+    route of the module docstring.  Three noes carry no certificate: the
+    zero ideal's, the local-unit no and the colon's; a colon unit and a
+    jet functional are re-checked before they are returned.
     """
     if f.is_zero():
         zeros = tuple(Poly.zero(f.table) for _ in I.generators)

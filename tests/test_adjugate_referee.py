@@ -13,10 +13,12 @@ The determinant claim is refereed too.  A 2x2 or 3x3 A = U*D*V, with U
 and V products of transvections and D = diag(f1, f2, 1, ...), has
 det(A) = f1*f2 and unit*adj(A) = f1*C1 + f2*C2 for known C1, C2;
 rescaling f2, the unit or either cofactor grid by a constant keeps the
-product or the determinant in some cases and not in others, and the
-re-check must accept exactly the entries for which sympy finds both
-unit*adj(A) == f1*C1 + f2*C2 and det(A) == f1*f2.  The tests are skipped
-when sympy or hypothesis is absent.
+product or the determinant in some cases and not in others.  The re-check
+must report the product when sympy finds A*(f1*C1 + f2*C2) !=
+unit*f1*f2*I, the determinant when the product holds and det(A) !=
+f1*f2, and nothing exactly when both hold, which are then the entries
+with unit*adj(A) == f1*C1 + f2*C2 and det(A) == f1*f2.  The tests are
+skipped when sympy or hypothesis is absent.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def sympy_holds(entry: AdjugateInclusion) -> bool:
                  for rows in (entry.matrix, entry.c1, entry.c2))
     f1, f2, unit = (to_sympy(p, symbols)
                     for p in (entry.f1, entry.f2, entry.unit))
-    diff = A * (f1 * C1 + f2 * C2) - unit * f1 * f2 * sympy.eye(2)
-    return diff.applyfunc(sympy.expand) == sympy.zeros(2, 2)
+    diff = A * (f1 * C1 + f2 * C2) - unit * f1 * f2 * sympy.eye(A.rows)
+    return diff.applyfunc(sympy.expand) == sympy.zeros(*A.shape)
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,9 +132,10 @@ def rescaled_entries(draw) -> AdjugateInclusion:
 @settings(max_examples=150, deadline=None)
 @given(rescaled_entries())
 def test_the_determinant_pin_agrees_with_sympy(entry):
-    """failures() is empty exactly when sympy finds unit*adj(A) ==
-    f1*C1 + f2*C2 and det(A) == f1*f2; the product alone holding is not
-    enough."""
+    """A failed product is reported as one, whatever det(A) is; a product
+    that holds is refused only when det(A) != f1*f2.  failures() is then
+    empty exactly when sympy also finds unit*adj(A) == f1*C1 + f2*C2 and
+    det(A) == f1*f2."""
     symbols = sympy.symbols(XY.names)
     A, C1, C2 = (sympy_matrix(rows, symbols)
                  for rows in (entry.matrix, entry.c1, entry.c2))
@@ -141,9 +144,8 @@ def test_the_determinant_pin_agrees_with_sympy(entry):
     adjugate = (unit * A.adjugate() - f1 * C1 - f2 * C2).applyfunc(
         sympy.expand) == sympy.zeros(*A.shape)
     determinant = sympy.expand(A.det() - f1 * f2) == 0
+    product = sympy_holds(entry)
     failures = entry.failures()
+    assert failures == ([PRODUCT] if not product else
+                        [DET] if not determinant else [])
     assert (failures == []) == (adjugate and determinant)
-    if not determinant:
-        assert failures == [DET]
-    elif not adjugate:
-        assert failures == [PRODUCT]

@@ -18,6 +18,7 @@ from blocksplit.certificate import (
     DECOMPOSABLE,
     ENTRIES,
     INCONCLUSIVE,
+    MAX_MATRIX_SIZE,
     STATUSES,
     AdjugateInclusion,
     HypothesisCheck,
@@ -304,8 +305,9 @@ def test_adjugate_checks_det_against_a_nonzero_f1_f2():
     C2 = grid([["1", "0"], ["0", "0"]])
     one = Q("1")
     assert AdjugateInclusion(A, Q("x"), Q("y"), one, C1, C2).failures() == []
+    # f2 = 2y: A*M = diag(2xy, xy) is not 2xy*I, a failed product
     assert AdjugateInclusion(A, Q("x"), Q("2*y"), one, C1, C2).failures() \
-        == ["adjugate: det(A) does not equal f1*f2"]
+        == ["adjugate: A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"]
     # a singular A satisfies A*(f1*C1 + f2*C2) = 0 = f1*f2*I trivially
     singular = grid([["x", "y"], ["x", "y"]])
     zeros = grid([["0", "0"], ["0", "0"]])
@@ -318,30 +320,41 @@ def test_adjugate_checks_det_against_a_nonzero_f1_f2():
 
 
 DET = "adjugate: det(A) does not equal f1*f2"
+PRODUCT = "adjugate: A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"
 
 
-def reference_failures(entry: AdjugateInclusion, dets: dict) -> list[str]:
-    """The adjugate rule stated the plain way: the full det(A) by
-    `ring.minor` first, then each entry f1*(A*C1)_ij + f2*(A*C2)_ij ==
-    unit*f1*f2*delta_ij multiplied out.  `dets` keeps det(A) by A across
-    calls."""
+def reference_failures(entry: AdjugateInclusion, memo: dict) -> list[str]:
+    """The adjugate rule stated the plain way: each entry
+    f1*(A*C1)_ij + f2*(A*C2)_ij == unit*f1*f2*delta_ij multiplied out
+    first, and only when all hold the full det(A) by `ring.minor`
+    against f1*f2.  `memo` keeps, across calls, f1*f2 by f1 and f2,
+    whether an entry holds by the polynomials it is formed from, and
+    det(A) by A."""
     A, n, f1, f2 = entry.matrix, len(entry.matrix), entry.f1, entry.f2
     if not local_unit_test(entry.unit):
         return ["adjugate: the unit has zero constant term"]
-    if (f1 * f2).is_zero():
+    if (f1, f2) not in memo:
+        memo[f1, f2] = f1 * f2
+    if memo[f1, f2].is_zero():
         return ["adjugate: f1*f2 is zero"]
-    if A not in dets:
-        dets[A] = minor(A, {}, tuple(range(n)), tuple(range(n)))
-    if dets[A] != f1 * f2:
-        return [DET]
     for i, j in itertools.product(range(n), repeat=2):
-        P, Q = (sum((A[i][k] * C[k][j] for k in range(n)), 0)
-                for C in (entry.c1, entry.c2))
-        diff = f1 * P + f2 * Q
-        if i == j:
-            diff -= entry.unit * dets[A]
-        if not diff.is_zero():
+        columns = tuple(tuple(row[j] for row in C)
+                        for C in (entry.c1, entry.c2))
+        unit = entry.unit if i == j else None
+        key = ("entry", A[i], columns, f1, f2, unit)
+        if key not in memo:
+            P, Q = (sum((a * c for a, c in zip(A[i], column)), 0)
+                    for column in columns)
+            diff = f1 * P + f2 * Q
+            if unit is not None:
+                diff -= unit * memo[f1, f2]
+            memo[key] = diff.is_zero()
+        if not memo[key]:
             return [PRODUCT]
+    if ("det", A) not in memo:
+        memo["det", A] = minor(A, {}, tuple(range(n)), tuple(range(n)))
+    if memo["det", A] != memo[f1, f2]:
+        return [DET]
     return []
 
 
@@ -394,19 +407,57 @@ def adjugate_alterations(entry: AdjugateInclusion):
     yield made(f2=entry.f2 * 2, c1=scaled(entry.c1, 2))
 
 
+@pytest.fixture
+def minor_calls(monkeypatch):
+    """(size of A, rows) for each top-level `minor` call of the adjugate
+    re-check; a call on all n rows, which would expand det(A), fails the
+    test before it runs."""
+    calls = []
+
+    def spy(entries, memo, rows, cols):
+        assert len(rows) < len(entries), "the re-check expanded det(A)"
+        calls.append((len(entries), len(rows)))
+        return minor(entries, memo, rows, cols)
+
+    monkeypatch.setattr(blocksplit.certificate, "minor", spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(golden_adjugate_entries()))
-def test_adjugate_failures_match_the_full_determinant_rule(name):
+def test_adjugate_failures_match_the_full_determinant_rule(name, minor_calls):
     """Pinning det(A) with one (n-1)-minor after the product gives the
-    same failures as expanding det(A) first, on every alteration."""
+    same failures as expanding det(A) once the product holds, on every
+    alteration; the re-check itself never expands det(A), and calls
+    `minor` once, on n - 1 rows, exactly when the product holds."""
     entry = golden_adjugate_entries()[name]
-    dets: dict = {}
-    assert entry.failures() == reference_failures(entry, dets) == []
+    n = len(entry.matrix)
+    memo: dict = {}
+    assert entry.failures() == reference_failures(entry, memo) == []
     seen = set()
     for altered in adjugate_alterations(entry):
+        minor_calls.clear()
         failures = altered.failures()
-        assert failures == reference_failures(altered, dets)
+        assert failures == reference_failures(altered, memo)
+        pinned = n > 1 and failures in ([], [DET])
+        assert minor_calls == ([(n, n - 1)] if pinned else [])
         seen.add(tuple(failures))
     assert {(), (DET,), (PRODUCT,)} <= seen
+
+
+def test_a_tampered_generic_entry_expands_no_determinant(minor_calls):
+    """A = (a_ij) of the largest size a report may hold, with distinct
+    variables, C1 = C2 = I and f1, f2 two of the variables: the product
+    (f1 + f2)*A == f1*f2*I fails, and so does the check, with no `minor`
+    call; expanding the generic det(A) would take minutes."""
+    n = MAX_MATRIX_SIZE
+    table = VarTable([f"a_{i}_{j}" for i in range(n) for j in range(n)])
+    A = [[Poly.var(table, f"a_{i}_{j}") for j in range(n)] for i in range(n)]
+    identity = [[Poly.const(table, int(i == j)) for j in range(n)]
+                for i in range(n)]
+    entry = AdjugateInclusion(A, A[0][0], A[0][1], Poly.const(table, 1),
+                              identity, identity)
+    assert entry.failures() == [PRODUCT]
+    assert minor_calls == []
 
 
 def test_the_pin_catches_a_det_the_product_does_not():
@@ -430,21 +481,14 @@ def test_the_pin_catches_a_det_the_product_does_not():
         == reference_failures(antidiagonal, {})
 
 
-def test_a_valid_adjugate_entry_expands_no_n_by_n_minor(monkeypatch):
+def test_a_valid_adjugate_entry_expands_no_n_by_n_minor(minor_calls):
     """The re-check of a valid entry expands one (n-1)-minor, never det(A):
     every top-level `minor` call takes n - 1 rows."""
-    calls = []
-
-    def spy(entries, memo, rows, cols):
-        calls.append((len(entries), len(rows)))
-        return minor(entries, memo, rows, cols)
-
-    monkeypatch.setattr(blocksplit.certificate, "minor", spy)
     for name, entry in golden_adjugate_entries().items():
         n = len(entry.matrix)
-        calls.clear()
+        minor_calls.clear()
         assert entry.failures() == [], name
-        assert calls == ([(n, n - 1)] if n > 1 else []), name
+        assert minor_calls == ([(n, n - 1)] if n > 1 else []), name
 
 
 def test_adjugate_with_a_unit_other_than_one():
@@ -462,9 +506,6 @@ def test_adjugate_with_a_unit_other_than_one():
     jet = Verdict("Decomposable", [], [entry], "", order=3)
     assert jet.failures() == [
         "adjugate: an exact claim in a certificate of jet order 3"]
-
-
-PRODUCT = "adjugate: A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"
 
 
 def shared_factor_entry(corner: str = "1 + y") -> AdjugateInclusion:

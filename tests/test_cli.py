@@ -615,7 +615,8 @@ def _verify(tmp_path, capsys, report):
 def test_verify_cert_checks_a_1x1_adjugate_entry(tmp_path, capsys):
     """A 1x1 A has no (n-1)-minor and adj(A) = [1], so the entry says
     unit == f1*C1 + f2*C2 and A == f1*f2; a tampered A fails the product,
-    and A = 2*f1*f2 with the unit doubled passes it but not the pin."""
+    whatever det(A) is, and A = 2*f1*f2 with the unit doubled passes it
+    but not the pin."""
     report = golden_report("square-signed.out")
     del report["certificate"]["coprimality"]
     report["certificate"]["adjugate"] = {
@@ -623,13 +624,16 @@ def test_verify_cert_checks_a_1x1_adjugate_entry(tmp_path, capsys):
         "unit": "1 + x", "cofactors": [[["1"]], [["0"]]]}
     code, out, err = _verify(tmp_path, capsys, report)
     assert (code, json.loads(out)["failures"], err) == (0, [], "")
-    for changes in ({"matrix": [["y"]]},
-                    {"matrix": [["2*y + 2*x*y"]], "unit": "2 + 2*x"}):
+    for changes, failure in (
+            ({"matrix": [["y"]]},
+             "A*(f1*C1 + f2*C2) does not equal unit*f1*f2*I"),
+            ({"matrix": [["2*y + 2*x*y"]], "unit": "2 + 2*x"},
+             "det(A) does not equal f1*f2")):
         doc = json.loads(json.dumps(report))
         doc["certificate"]["adjugate"].update(changes)
         code, out, err = _verify(tmp_path, capsys, doc)
         assert (code, json.loads(out)["failures"], err) == (
-            2, ["adjugate: det(A) does not equal f1*f2"], "")
+            2, [f"adjugate: {failure}"], "")
 
 
 def test_verify_cert_rejects_congruences_in_an_exact_report(tmp_path, capsys):

@@ -20,10 +20,10 @@ from blocksplit.decompose import (
     check_square_lr,
 )
 from blocksplit.groebner import Ideal, member_local
-from blocksplit.matrix import PolyMatrix, fitting_ideal
+from blocksplit.matrix import PolyMatrix, det, fitting_ideal
 from blocksplit.quiver import check_conj_2x2, check_quiver, conj_pencil
-from blocksplit.ring import (InvariantError, RingError, VarTable, grevlex,
-                            parse_poly)
+from blocksplit.ring import (InvariantError, Poly, RingError, VarTable,
+                            grevlex, local_unit_test, parse_poly)
 
 from support import random_unimodular
 
@@ -229,6 +229,66 @@ def test_rect_exchange_symmetry():
     J1 = Ideal(XY, (P("x"),))
     J2 = Ideal(XY, (P("y"),))
     assert check_rect_lr(A, J1, J2).status == check_rect_lr(A, J2, J1).status
+
+
+def _term(rng, monomials):
+    return Poly(XY, {rng.choice(monomials): rng.choice([-2, -1, 1, 2])})
+
+
+def _local_base_change(rng, n):
+    """An n x n matrix of constants, with a linear term in about a third
+    of its entries, invertible at the origin."""
+    def entry():
+        if rng.random() < 0.3:
+            return _term(rng, [(1, 0), (0, 1)]) + rng.randint(-1, 1)
+        return Poly.const(XY, rng.randint(-1, 1))
+
+    while True:
+        U = PolyMatrix(XY, [[entry() for _ in range(n)] for _ in range(n)])
+        if local_unit_test(det(U)):
+            return U
+
+
+def _block(rng, rows, cols):
+    """A rows x cols block of terms of degree 1 or 2, so inside m, with
+    I_rows(block) != 0."""
+    while True:
+        B = [[_term(rng, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+              for _ in range(cols)] for _ in range(rows)]
+        J = fitting_ideal(PolyMatrix(XY, B), rows)
+        if not J.is_zero():
+            return B, J
+
+
+@pytest.mark.parametrize("shape", [((1, 2), (1, 1)), ((1, 2), (1, 2)),
+                                   ((1, 3), (1, 1)), ((2, 3), (1, 1))],
+                         ids=lambda shape: "+".join(f"{m}x{n}"
+                                                    for m, n in shape))
+def test_rect_block_sums_with_fewer_rows_fail_the_kernel_condition(shape):
+    """check-rect decides no block sum with m < n: U*(A1 + A2)*V, with
+    A1 + A2 the block diagonal sum, A1 of shape m1 x n1, m1 < n1, U and V
+    invertible at the origin and J_i = I_{m_i}(A_i) nonzero and in m,
+    always fails the kernel condition ker A <= I_m(A)*R^n.
+
+    The condition does not change under U and V, and I_m(A1 + A2) =
+    J1*J2.  A1 has rank m1, as J1 != 0.  For any m1 + 1 of its columns,
+    the signed m1-minors of those columns form a vector of ker A1
+    (Cramer's rule), whose components, over all choices, generate J1.
+    Padded with zeros they lie in ker A, so the condition would give
+    J1 <= J1*J2 <= m*J1, and Nakayama's lemma J1 = 0."""
+    (m1, n1), (m2, n2) = shape
+    rng = random.Random(f"rect-{shape}")
+    zero = Poly.zero(XY)
+    for _ in range(2):
+        (A1, J1), (A2, J2) = _block(rng, m1, n1), _block(rng, m2, n2)
+        S = [row + [zero] * n2 for row in A1]
+        S += [[zero] * n1 + row for row in A2]
+        A = (_local_base_change(rng, m1 + m2) * PolyMatrix(XY, S)
+             * _local_base_change(rng, n1 + n2))
+        v = check_rect_lr(A, J1, J2)
+        assert (v.status, v.failed_hypothesis) == (
+            INCONCLUSIVE, "kernel-condition")
+        assert v.verify()
 
 
 def test_rect_shape_error():
