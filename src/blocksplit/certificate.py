@@ -15,13 +15,14 @@ which f1 keeps its degree, by restricting both factors to the line and
 two univariate products; a point certificate that a polynomial f is not
 the square of a polynomial, an integer point q at which f is negative or
 not the square of a rational, by restricting f to the point q + 0*t.
-Entries of a jet verdict state congruences modulo m^N instead of
-equalities, and their strength must match the verdict's provenance: an
-exact verdict holds no congruence, and a jet verdict of order N only
-congruences modulo m^N.  A non-inclusion, which only
-`groebner.member_local` returns so far, is a linear functional on R/m^N
-that vanishes on I + m^N but not on the element, checked by pairing it
-with the monomial multiples of each generator and with the element.
+Entries of a jet verdict may state congruences modulo m^N instead of
+equalities, and one strength rule holds: a congruence must be modulo the
+verdict's jet order, so an exact verdict holds none.  An exact entry is
+valid in any verdict, since an exact claim implies its congruence.  A
+non-inclusion, which only `groebner.member_local` returns so far, is a
+linear functional on R/m^N that vanishes on I + m^N but not on the
+element, checked by pairing it with the monomial multiples of each
+generator and with the element.
 
 Decoding checks only the JSON shape and the caps on oversized input, raising
 InputError naming the first field it refuses; every validity rule of an
@@ -170,14 +171,16 @@ def _parse_modulo(d: dict, field: str) -> int | None:
 
 def _cleared(unit: Poly, cofactors: Sequence[Poly]):
     """unit and cofactors times D, the lcm of the cofactors' coefficient
-    denominators.  An inclusion, adjugate or line identity holds with
-    them exactly when it holds with the originals, and when its other
-    operands are integral, every term product of its re-check is then a
-    product of ints."""
+    denominators (the cofactors' as ints, with no Fraction product).  An
+    inclusion, adjugate or line identity holds with them exactly when it
+    holds with the originals, and when its other operands are integral,
+    every term product of its re-check is then a product of ints."""
     D = math.lcm(*(c.denominator for p in cofactors for c in p.terms.values()))
     if D == 1:
         return unit, cofactors
-    return unit * D, [p * D for p in cofactors]
+    return unit * D, [Poly._trusted(p.table, {
+        m: c.numerator * (D // c.denominator) for m, c in p.terms.items()})
+        for p in cofactors]
 
 
 def _holds(diff: Poly, modulo_order: int | None) -> bool:
@@ -266,7 +269,7 @@ class Identity:
         if self.modulo_order is not None or self.lhs.degree() == (
                 -1 if -1 in degrees else sum(degrees)):
             for f in head:
-                prod = prod * f
+                prod = f if prod is one else prod * f
             diff = sum_of_products(one.table, ((self.lhs, one, 1),
                                                (prod, last, -1)))
             if _holds(diff, self.modulo_order):
@@ -424,7 +427,7 @@ def _parse_vector(items: Any, width: int, field: str) -> tuple[int, ...]:
 
 class LineCoprime:
     """Certified coprimality: gcd(f1, f2) = 1, so (f1) cap (f2) = (f1*f2)
-    both in the polynomial ring and at the origin.  Exact only.
+    both in the polynomial ring and at the origin.  Always exact.
 
     The certificate is a line p + c*t, with p and c integer vectors, and
     a, b in Q[t] with a*F1 + b*F2 == 1, where Fi = fi(p + c*t), and F1 of
@@ -502,7 +505,7 @@ class LineCoprime:
 class AdjugateInclusion:
     """Certified inclusion of I_{n-1}(A) in (f1, f2) at the origin, as one
     identity: unit*adj(A) == f1*C1 + f2*C2, with unit invertible at 0.
-    Exact only.
+    Always exact.
 
     Neither adj(A), det(A) nor f1*f2 is formed.  With f1 and f2 nonzero,
     so f1*f2 != 0 as Q[x] is a domain, and M = f1*C1 + f2*C2, first
@@ -629,7 +632,7 @@ class AdjugateInclusion:
 
 class NonSquare:
     """Certified non-square: f is not the square of a polynomial over Q.
-    Exact only.
+    Always exact.
 
     The certificate is an integer point q and the value f(q), which is
     negative or not the square of a rational.  It is sound: f = g^2 would
@@ -740,11 +743,6 @@ class Verdict:
         self.failed_hypothesis = failed_hypothesis
         self.order = order
 
-    @property
-    def exact(self) -> bool:
-        """An exact verdict has no jet order."""
-        return self.order is None
-
     def of(self, kind: type) -> list:
         """The facts of one kind, in order."""
         return [fact for fact in self.facts if type(fact) is kind]
@@ -755,8 +753,8 @@ class Verdict:
 
     def failures(self) -> list[str]:
         """Every certified fact that does not re-check by plain ring
-        arithmetic, every entry whose strength disagrees with the
-        provenance, and every status-shape violation; empty when valid."""
+        arithmetic, every congruence that is not modulo the verdict's
+        jet order, and every status-shape violation; empty when valid."""
         out: list[str] = []
         for kind in ENTRIES:
             for i, fact in enumerate(self.of(kind)):
@@ -781,15 +779,11 @@ class Verdict:
         return f"Verdict({self.status})"
 
     def _strength(self, name: str, modulo_order: int | None) -> list[str]:
-        if self.exact and modulo_order is not None:
-            return [f"{name}: a congruence modulo m^{modulo_order} in an "
-                    "exact certificate"]
-        if not self.exact and modulo_order != self.order:
-            stated = ("an exact claim" if modulo_order is None
-                      else f"modulo m^{modulo_order}")
-            return [f"{name}: {stated} in a certificate of jet order "
-                    f"{self.order}"]
-        return []
+        if modulo_order is None or modulo_order == self.order:
+            return []
+        where = ("an exact certificate" if self.order is None
+                 else f"a certificate of jet order {self.order}")
+        return [f"{name}: a congruence modulo m^{modulo_order} in {where}"]
 
     def _shape(self) -> list[str]:
         if self.status not in STATUSES:

@@ -18,15 +18,15 @@ An exact Decomposable verdict on a square matrix certifies its decisive
 inclusion, of every (n-1)-minor in (f1, f2), with one adjugate identity
 instead of one inclusion per minor, and that identity's check stands for
 the determinant identity too.  The coprimality of two principal ideals
-(f1) and (f2) in an exact run is certified by restriction to a line:
+(f1) and (f2) is certified by restriction to a line:
 integer p and c with f1(p + c*t) of degree deg f1, and a, b in Q[t] with
 a*F1 + b*F2 == 1 for Fi = fi(p + c*t), from the reduced Groebner basis
 of (F1, F2) in Q[t], which proves gcd(f1, f2) = 1 (the evaluation step
 of sparse gcd, Zippel, EUROSAM 1979).  Only when a few seeded draws of
-the line find none, or in a jet run, or for ideals with more generators,
-is I cap J computed by elimination and each of its generators certified
-to lie in I*J.  Certificates for inexact (jet) runs state congruences
-modulo m^N instead of equalities and are never presented as exact.
+the line find none, or for ideals with more generators, is I cap J
+computed by elimination and each of its generators certified to lie in
+I*J.  A jet run weakens only det(A) = f1*f2 and the decisive inclusion
+to congruences modulo m^N, and its report is never presented as exact.
 """
 
 from __future__ import annotations
@@ -78,21 +78,12 @@ Step = tuple[HypothesisCheck, list[Fact]]
 LINE_DRAWS = 4
 
 
-def _local_inclusion(elements: Iterable[Poly], J: Ideal, jet_order: int | None):
+def _local_inclusion(elements: Iterable[Poly], J: Ideal):
     """Element-by-element local inclusion in J: (first element outside J,
-    []) or (None, one Inclusion per element); jet_order switches to
-    congruences modulo m^N, every element tested against one echelon."""
-    one = Poly.const(J.table, 1)
-    echelon = (None if jet_order is None
-               else JetEchelon(J.generators, J.table, jet_order))
+    []) or (None, one Inclusion per element)."""
     entries = []
     for g in elements:
-        if echelon is None:
-            ok, entry = member_local(g, J)
-        else:
-            ok, cofactors = echelon.witness(g)
-            entry = Inclusion(g, J.generators, one, cofactors,
-                              jet_order) if ok else None
+        ok, entry = member_local(g, J)
         if not ok:
             return g, []
         entries.append(entry)
@@ -133,18 +124,17 @@ def _line_coprime(f1: Poly, f2: Poly) -> LineCoprime | None:
     return None
 
 
-def _coprimality(name: str, detail: str, I: Ideal, J: Ideal,
-                 jet_order: int | None) -> Step:
+def _coprimality(name: str, detail: str, I: Ideal, J: Ideal) -> Step:
     """Local coprimality I cap J <= I*J as a checklist step.  For two
-    principal ideals in an exact run, a line certificate that the
-    generators are coprime settles it; otherwise, and when the draws find
-    none, each generator of I cap J is certified to lie in I*J."""
-    if jet_order is None and len(I.generators) == len(J.generators) == 1:
+    principal ideals, a line certificate that the generators are coprime
+    settles it; otherwise, and when the draws find none, each generator
+    of I cap J is certified to lie in I*J."""
+    if len(I.generators) == len(J.generators) == 1:
         certificate = _line_coprime(I.generators[0], J.generators[0])
         if certificate is not None:
             return HypothesisCheck(name, True, detail), [certificate]
-    failing, entries = _local_inclusion(
-        intersect(I, J).generators, ideal_product(I, J), jet_order)
+    failing, entries = _local_inclusion(intersect(I, J).generators,
+                                        ideal_product(I, J))
     return HypothesisCheck(name, failing is None, detail), entries
 
 
@@ -249,17 +239,26 @@ def _split_by_factors(A: PolyMatrix, f1: Poly, f2: Poly, subject: str,
         yield hypothesis, []
         yield _coprimality("factor-coprimality",
                            "(f1) cap (f2) <= (f1*f2) at the origin",
-                           Ideal(A.table, (f1,)), Ideal(A.table, (f2,)), jet_order)
+                           Ideal(A.table, (f1,)), Ideal(A.table, (f2,)))
 
     def decisive():
-        failing, entries = _local_inclusion(
-            fitting_ideal(A, A.rows - 1, memo).generators,
-            Ideal(A.table, (f1, f2)), jet_order)
+        minors = fitting_ideal(A, A.rows - 1, memo).generators
+        if jet_order is None:
+            failing, entries = _local_inclusion(
+                minors, Ideal(A.table, (f1, f2)))
+            if failing is None:
+                return None, [_adjugate_inclusion(A, memo, f1, f2, entries)]
+            return failing, entries
         # a congruence of products modulo m^N says nothing of adj(A) modulo
-        # m^N, so a jet verdict keeps one inclusion per minor
-        if failing is None and jet_order is None:
-            return None, [_adjugate_inclusion(A, memo, f1, f2, entries)]
-        return failing, entries
+        # m^N, so a jet verdict keeps one congruence per minor
+        echelon = JetEchelon((f1, f2), A.table, jet_order)
+        one, entries = Poly.const(A.table, 1), []
+        for g in minors:
+            ok, cofactors = echelon.witness(g)
+            if not ok:
+                return g, []
+            entries.append(Inclusion(g, (f1, f2), one, cofactors, jet_order))
+        return None, entries
 
     return _decide(steps(), decisive, scope, jet_order)
 
@@ -310,7 +309,7 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
 
         ker = kernel(A)
         failing, entries = _local_inclusion(
-            (c for column in ker for c in column), Im, None)
+            (c for column in ker for c in column), Im)
         subject = ("the 1 kernel generator has" if len(ker) == 1 else
                    f"all {len(ker)} kernel generators have")
         detail = (f"kernel component {failing} escapes I_m(A) locally"
@@ -327,15 +326,15 @@ def check_rect_lr(A: PolyMatrix, J1: Ideal, J2: Ideal) -> Verdict:
              (contains_local_unit, "is the unit ideal locally"))), []
 
         prod = ideal_product(J1, J2)
-        fwd, fwd_entries = _local_inclusion(Im.generators, prod, None)
-        bwd, bwd_entries = _local_inclusion(prod.generators, Im, None)
+        fwd, fwd_entries = _local_inclusion(Im.generators, prod)
+        bwd, bwd_entries = _local_inclusion(prod.generators, Im)
         yield (HypothesisCheck(
             "product-identity", fwd is None and bwd is None,
             "I_m(A) = J1*J2 as ideals at the origin"),
             fwd_entries + bwd_entries)
         yield _coprimality("ideal-coprimality",
-                           "J1 cap J2 <= J1*J2 at the origin", J1, J2, None)
+                           "J1 cap J2 <= J1*J2 at the origin", J1, J2)
 
     return _decide(steps(), lambda: _local_inclusion(
-        fitting_ideal(A, m - 1, memo).generators, ideal_sum(J1, J2), None),
+        fitting_ideal(A, m - 1, memo).generators, ideal_sum(J1, J2)),
                    _RECT_SCOPE, None)

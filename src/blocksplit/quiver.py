@@ -298,6 +298,6 @@ def check_conj_2x2(A: PolyMatrix) -> Verdict:
         if root is None:
             return disc, _nonsquare(disc)
         return _local_inclusion((A[0, 1], A[1, 0], A[0, 0] - A[1, 1]),
-                                Ideal(A.table, (root,)), None)
+                                Ideal(A.table, (root,)))
 
     return _decide([(nondegenerate, square)], decisive, _CONJ_SCOPE, None)

@@ -85,7 +85,7 @@ def assert_round_trip(report: dict) -> None:
     assert set(report) - set(encoded) == {"command", "ring"}
     assert encoded["provenance"] == {
         k: v for k, v in prov.items() if k not in ("tool", "version", "order")}
-    assert verdict.exact == prov["exact"]
+    assert (verdict.order is None) == prov["exact"]
     assert verdict.order == prov.get("jet_order")
 
 
@@ -127,10 +127,18 @@ def test_strength_must_match_provenance():
         "inclusion 0: a congruence modulo m^1 in an exact certificate",
         "verdict shape: Inconclusive must name a failed hypothesis from "
         "the checklist"]
+    # an exact entry is valid in any certificate, a congruence only at
+    # the verdict's jet order
     jet = Verdict(INCONCLUSIVE, [], [ident, inc], "", order=3)
     assert jet.failures()[:2] == [
-        "identity 'square': an exact claim in a certificate of jet order 3",
-        "inclusion 0: modulo m^1 in a certificate of jet order 3"]
+        "inclusion 0: a congruence modulo m^1 in a certificate of jet "
+        "order 3",
+        "verdict shape: Inconclusive must name a failed hypothesis from "
+        "the checklist"]
+    jet = Verdict(INCONCLUSIVE, [], [ident, inc], "", order=1)
+    assert jet.failures() == [
+        "verdict shape: Inconclusive must name a failed hypothesis from "
+        "the checklist"]
 
 
 def test_from_json_names_the_malformed_field():
@@ -504,8 +512,7 @@ def test_adjugate_with_a_unit_other_than_one():
     exact = Verdict("Decomposable", [], [entry], "")
     assert exact.failures() == []
     jet = Verdict("Decomposable", [], [entry], "", order=3)
-    assert jet.failures() == [
-        "adjugate: an exact claim in a certificate of jet order 3"]
+    assert jet.failures() == []
 
 
 def shared_factor_entry(corner: str = "1 + y") -> AdjugateInclusion:
@@ -864,7 +871,7 @@ def test_the_line_and_adjugate_entries_name_one_factor_pair(tmp_path, capsys,
 EX_TABLE = VarTable(("x1", "x2"))
 
 
-def test_a_line_certificate_in_a_jet_report_is_refused():
+def test_a_line_certificate_in_a_jet_report_is_accepted():
     x1, x2 = parse_poly("x1", EX_TABLE), parse_poly("x2", EX_TABLE)
     # x1 and x2 restrict to 1 + t and t on (1, 0) + (1, 1)*t
     entry = LineCoprime(x1, x2, (1, 0), (1, 1), parse_poly("1", LINE),
@@ -873,6 +880,7 @@ def test_a_line_certificate_in_a_jet_report_is_refused():
     jet = Verdict(INCONCLUSIVE, [], [entry], "", order=3,
                   failed_hypothesis="h")
     assert jet.failures() == [
-        "coprimality: an exact claim in a certificate of jet order 3",
         "verdict shape: Inconclusive must name a failed hypothesis from "
         "the checklist"]
+    assert Verdict(INCONCLUSIVE, [HypothesisCheck("h", False, "")], [entry],
+                   "", order=3, failed_hypothesis="h").failures() == []

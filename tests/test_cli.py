@@ -660,7 +660,8 @@ def test_verify_cert_rejects_jet_entries_of_another_order(tmp_path, capsys):
     code, out, _ = _verify(tmp_path, capsys, report)
     assert code == 2
     assert json.loads(out)["failures"] == [
-        "inclusion 0: modulo m^1 in a certificate of jet order 6"]
+        "inclusion 0: a congruence modulo m^1 in a certificate of jet "
+        "order 6"]
 
 
 def test_verify_cert_requires_a_known_verdict(tmp_path, capsys):

@@ -160,9 +160,9 @@ def test_square_jet_mode():
     f1, f2 = ex2_factors(1)
     v = check_square_lr(A, f1, f2, jet_order=6)
     assert v.status == DECOMPOSABLE
-    assert not v.exact and v.order == 6
+    assert v.order == 6
     assert v.verify()
-    assert v.of(Inclusion)
+    assert v.of(Inclusion) and v.of(LineCoprime)
     for inc in v.of(Inclusion):
         assert inc.modulo_order == 6
 
@@ -299,7 +299,7 @@ def test_rect_shape_error():
 
 def coprime(I, J):
     """The coprimality step's outcome; every fact it certifies re-checks."""
-    check, facts = _coprimality("coprime", "", I, J, None)
+    check, facts = _coprimality("coprime", "", I, J)
     assert all(fact.failures() == [] for fact in facts)
     return check.passed, facts
 
@@ -381,13 +381,24 @@ def test_every_check_returns_only_a_rechecked_verdict(monkeypatch, check):
         CHECKS[check]()
 
 
-def test_a_jet_run_keeps_the_intersection_route(monkeypatch):
+def test_a_jet_run_never_builds_the_intersection(monkeypatch):
+    """Coprime factors of a jet square or quiver check get the exact line
+    certificate; only the determinant identity and the decisive
+    inclusion are congruences, and `intersect` runs 0 times."""
     calls = counting_intersect(monkeypatch)
-    check, facts = _coprimality("coprime", "", Ideal(XY, (P("x"),)),
-                                Ideal(XY, (P("y"),)), 4)
-    assert check.passed and len(calls) == 1
-    assert all(isinstance(f, Inclusion) and f.modulo_order == 4
-               for f in facts)
+    monkeypatch.setattr(blocksplit.groebner, "intersect",
+                        blocksplit.decompose.intersect)
+    f1, f2 = ex2_factors(1)
+    form = conj_pencil([M([["1", "0"], ["0", "2"]], VarTable(()))])
+    for v in (check_square_lr(ex2_matrix(1, 1, 1), f1, f2, jet_order=4),
+              check_square_lr(ex2_matrix(2, 1, 1), *ex2_factors(2),
+                              jet_order=4),
+              check_quiver(form, parse_poly("y + x_1", form.table),
+                           parse_poly("y + 2*x_1", form.table), jet_order=4)):
+        assert v.status != INCONCLUSIVE and v.verify()
+        assert len(v.of(LineCoprime)) == 1
+        assert {fact.modulo_order for fact in v.facts} == {None, 4}
+    assert calls == []
 
 
 def test_verdict_reports_only_true_facts():
@@ -417,7 +428,7 @@ def test_local_inclusion_builds_the_tracked_basis_once(monkeypatch):
     # colon
     elements = [P(e) for e in ("x^2", "y^2", "x^2 + x^3", "x^2*y + y^3",
                                "x^3 + x^4 - y^2 + x*y^2", "x*y^2")]
-    failing, entries = _local_inclusion(elements, J, None)
+    failing, entries = _local_inclusion(elements, J)
     assert failing is None and len(entries) == len(elements)
     assert all(entry.verify() for entry in entries)
     assert orders.count(grevlex) == 1

@@ -47,7 +47,11 @@ report as printed before coprimality had a line certificate: one
 inclusion of the intersection's generator in (f1*f2), with a cofactor
 1/81, and the determinant identity beside the adjugate entry.  It is
 not regenerated; the certificate tests alter it and check that it
-keeps verifying.
+keeps verifying.  ``square-dec-jet8-legacy.out`` is, in the same way,
+the jet report of ``square-dec.json`` at order 8 as printed when a jet
+run certified coprimality by one congruence of the intersection's
+generator in (f1*f2) rather than by a line; it is not regenerated
+either, and jet reports of that form keep verifying.
 
 ``member-local.json`` pins ``member_local`` witnesses (answer, unit and
 cofactors as canonical text).  Its instances are the first 50
@@ -182,6 +186,15 @@ def test_exact_square_and_quiver_reports_carry_a_checked_line(case):
     code, out, err = _run("verify-cert", f"{case}.out", ())
     assert (code, err) == (0, "")
     assert json.loads(out)["checked"]["coprimality"] == 1
+
+
+def test_a_jet_report_from_before_the_line_certificate_verifies():
+    code, out, err = _run("verify-cert", "square-dec-jet8-legacy.out", ())
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["valid"] is True
+    assert report["checked"]["coprimality"] == 0
+    assert report["checked"]["inclusions"] == 4
 
 
 def _workloads():

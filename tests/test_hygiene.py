@@ -17,7 +17,10 @@ a job document is read by the certificate layer's readers, the ones that
 read reports, so ``cli.py`` names no polynomial parser of its own.
 Every verdict comes out of one checklist runner, so ``src/`` builds a
 ``Verdict`` only in ``decompose._decide`` and, from a report, in
-``Verdict.from_json``.  Every division runs the one division loop,
+``Verdict.from_json``.  A jet run weakens only the square and quiver
+checks' determinant identity and decisive inclusion, so in
+``decompose.py`` only ``_split_by_factors`` names ``JetEchelon``.  Every
+division runs the one division loop,
 ``ring._reduce_terms``: no module in ``src/`` but ``ring.py`` and
 ``groebner.py`` names ``_reduce_terms`` or its divisor shape
 ``_divisor``, so the other modules divide through ``ring``'s
@@ -35,6 +38,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import pathlib
+from typing import Callable
 
 import pytest
 
@@ -245,9 +249,9 @@ def test_cli_reads_fields_through_the_certificate_layer():
     assert not names & {"parse_field", "parse_poly"}
 
 
-def verdict_builders(source: str) -> list[str]:
-    """The qualified name of the function around each ``Verdict(...)``
-    call, or "" at module level."""
+def scopes_of(source: str, picks: Callable[[ast.AST], bool]) -> list[str]:
+    """The qualified name of the function around each node that `picks`,
+    or "" at module level."""
     out = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
@@ -256,15 +260,25 @@ def verdict_builders(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = (*scope, child.name)
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name == "Verdict":
-                    out.append(".".join(scope))
+            elif picks(child):
+                out.append(".".join(scope))
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return out
+
+
+def named(node: ast.AST) -> str | None:
+    """The name a variable or attribute node reads, else None."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def verdict_builders(source: str) -> list[str]:
+    """The qualified name of the function around each ``Verdict(...)``
+    call, or "" at module level."""
+    return scopes_of(source, lambda node: isinstance(node, ast.Call)
+                     and named(node.func) == "Verdict")
 
 
 def test_scanner_finds_a_verdict_construction():
@@ -281,6 +295,32 @@ def test_verdicts_are_built_only_by_the_runner_and_the_report_reader():
              for name in verdict_builders(path.read_text(encoding="utf-8"))]
     assert found == ["certificate.py: Verdict.from_json",
                      "decompose.py: _decide"]
+
+
+def echelon_users(source: str) -> list[str]:
+    """The qualified name of the function around each naming of
+    ``JetEchelon`` as a variable or an attribute, or "" at module level;
+    an import does not count."""
+    return scopes_of(source, lambda node: named(node) == "JetEchelon")
+
+
+def test_scanner_finds_an_echelon_user():
+    source = ("from .oracle import JetEchelon\nimport blocksplit.oracle\n"
+              "def f():\n    def g():\n        return JetEchelon(1)\n"
+              "    return blocksplit.oracle.JetEchelon\n"
+              "class K:\n    kind = JetEchelon\n")
+    assert echelon_users(source) == ["f.g", "f", "K"]
+
+
+def test_only_the_square_split_builds_a_jet_echelon():
+    """A jet run weakens only the determinant identity and the decisive
+    inclusion of the square and quiver checks, so in ``decompose.py``
+    only ``_split_by_factors`` names the jet oracle's echelon."""
+    source = (ROOT / "src" / "blocksplit" / "decompose.py").read_text(
+        encoding="utf-8")
+    found = echelon_users(source)
+    assert found and {name.split(".")[0] for name in found} == {
+        "_split_by_factors"}
 
 
 # the division loop and the builder of its divisor shape

@@ -541,7 +541,7 @@ def test_line_certificates_agree_with_sympy_gcd(monkeypatch):
         f2 = random_proper_generator(rng) * h
         I, J = Ideal(XYZ, (f1,)), Ideal(XYZ, (f2,))
         before = len(calls)
-        check, facts = _coprimality("coprime", "", I, J, None)
+        check, facts = _coprimality("coprime", "", I, J)
         lines = [f for f in facts if isinstance(f, LineCoprime)]
         assert all(f.failures() == [] for f in facts)
         gcd = sympy.gcd(poly_to_sympy(f1, symbols),
@@ -560,7 +560,7 @@ def test_line_certificates_agree_with_sympy_gcd(monkeypatch):
             continue
         assert len(calls) == before + 1, k
         failing, _ = _local_inclusion(intersect(I, J).generators,
-                                      ideal_product(I, J), None)
+                                      ideal_product(I, J))
         assert check.passed == (failing is None), k
         if not constant:
             shared = "shared-unit" if gcd.subs(
